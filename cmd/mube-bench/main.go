@@ -288,10 +288,10 @@ func main() {
 			os.Exit(1)
 		}
 		// Archivable metrics line: per-preset solve wall-clock plus the
-		// candidate-index economics of the largest rung, so
+		// matcher and candidate-index build of the largest rung, so
 		// `mube-bench -universe ... | mube-benchjson -merge` tracks them
 		// across commits.
-		metrics := make(map[string]float64, len(rows)+3)
+		metrics := make(map[string]float64, len(rows)+4)
 		for _, r := range rows {
 			metrics["solve_ms_"+r.Preset] = r.SolveMS
 		}
@@ -299,6 +299,7 @@ func main() {
 		metrics["pair_candidates"] = float64(last.PairCandidates)
 		metrics["pair_candidates_frac"] = last.PairFrac()
 		metrics["shard_build_ns"] = last.ShardMS * 1e6
+		metrics["match_build_ns"] = last.MatchMS * 1e6
 		fmt.Println(telemetry.MetricsLine(metrics))
 		return
 	}

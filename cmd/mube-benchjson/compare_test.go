@@ -75,12 +75,13 @@ func TestCompareChurnMetrics(t *testing.T) {
 }
 
 func TestComparePartitionMetrics(t *testing.T) {
-	// The partition experiment and the universe ladder archive the candidate
-	// index's economics and the 1M solve wall-clock; regressions in any of
-	// them — or a lost group-worker speedup — must flag.
+	// The partition experiment and the universe ladder archive the matcher
+	// and candidate-index builds and the 1M solve wall-clock; regressions in
+	// any of them — or a lost group-worker speedup — must flag.
 	prev := rep(map[string]float64{
 		"pair_candidates":      641,
 		"pair_candidates_frac": 0.14,
+		"match_build_ns":       3.5e7,
 		"shard_build_ns":       4.8e6,
 		"solve_ms_1m":          9000,
 		"partition_speedup":    2.0,
@@ -88,13 +89,14 @@ func TestComparePartitionMetrics(t *testing.T) {
 	next := rep(map[string]float64{
 		"pair_candidates":      1200, // candidate generation got leakier
 		"pair_candidates_frac": 0.26,
+		"match_build_ns":       7.5e8, // name table back to per-pair Sim calls
 		"shard_build_ns":       9.6e6,
 		"solve_ms_1m":          12000,
 		"partition_speedup":    1.0, // pool no longer helps
 	})
 	_, regressions := compareReports(prev, next)
-	if regressions != 5 {
-		t.Errorf("regressions = %d, want 5 (all partition metrics are direction-aware)", regressions)
+	if regressions != 6 {
+		t.Errorf("regressions = %d, want 6 (all partition metrics are direction-aware)", regressions)
 	}
 	// The same deltas in the good direction never flag.
 	_, regressions = compareReports(next, prev)

@@ -43,6 +43,7 @@ var Default = Directions{
 		"pair_candidates":          true,
 		"pair_candidates_frac":     true,
 		"shard_build_ns":           true,
+		"match_build_ns":           true,
 		"solve_ms_1m":              true,
 	},
 }

@@ -147,10 +147,12 @@ type ScaleBenchRow struct {
 	// found (1 = no decomposition, flat solve).
 	Groups int
 	Solver string
-	// GenMS covers streaming generation plus universe precompute; ShardMS
-	// is the θ-component shard-index build (candidate generation + scoring
-	// + union-find + per-source lists); SolveMS is the solve proper.
+	// GenMS covers streaming generation plus universe precompute; MatchMS
+	// is match.New (name interning + the distinct-name similarity table);
+	// ShardMS is the θ-component shard-index build (candidate generation +
+	// scoring + union-find + per-source lists); SolveMS is the solve proper.
 	GenMS   float64
+	MatchMS float64
 	ShardMS float64
 	SolveMS float64
 	// PairCandidates is how many similarity pairs the shard-index build
@@ -195,10 +197,12 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 	}
 	genMS := float64(time.Since(genStart).Microseconds()) / 1000
 
+	matchStart := time.Now()
 	matcher, err := match.New(u, match.Config{Theta: match.DefaultTheta})
 	if err != nil {
 		return nil, err
 	}
+	matchMS := float64(time.Since(matchStart).Microseconds()) / 1000
 
 	// Build the shard index (candidate generation + blocked scoring +
 	// component labeling) up front and time it; the solve below reuses the
@@ -250,6 +254,7 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 		Groups:         groups,
 		Solver:         solver.Name(),
 		GenMS:          genMS,
+		MatchMS:        matchMS,
 		ShardMS:        shardMS,
 		SolveMS:        solveSec * 1000,
 		PairCandidates: candTested,
@@ -271,10 +276,10 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 // RenderScaleBench prints the scale ladder.
 func RenderScaleBench(w io.Writer, rows []*ScaleBenchRow) error {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tshard_ms\tpair_cands\tpair_frac\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
+	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tmatch_ms\tshard_ms\tpair_cands\tpair_frac\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%d\t%.4f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
-			r.Preset, r.Sources, r.Groups, r.Solver, r.GenMS, r.ShardMS,
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%.1f\t%d\t%.4f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
+			r.Preset, r.Sources, r.Groups, r.Solver, r.GenMS, r.MatchMS, r.ShardMS,
 			r.PairCandidates, r.PairFrac(), r.SolveMS,
 			r.Evals, r.EvalsPerSec, r.SolveMallocs, r.SolveAllocMB, r.SigMB,
 			r.Quality, r.Status)

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mube/internal/strutil"
 )
 
 // Inverted-index candidate generation for the shard-index build.
@@ -34,20 +32,9 @@ import (
 // exactly what the differential tests against the flat build pin.
 //
 // Measures outside the gram family (Levenshtein, JaroWinkler, custom Funcs)
-// have no such zero-certificate, so buildShardIndex falls back to the flat
+// have no such zero-certificate (strutil.GramMeasure reports false, so the
+// matcher keeps no gram sets), and buildShardIndex falls back to the flat
 // loop for them.
-
-// gramSize returns the n-gram size when the similarity measure is gram-set
-// based — the envelope in which the inverted index is provably sound.
-func gramSize(s strutil.Similarity) (int, bool) {
-	switch m := s.(type) {
-	case strutil.NGramJaccard:
-		return m.N, m.N > 0
-	case strutil.NGramDice:
-		return m.N, m.N > 0
-	}
-	return 0, false
-}
 
 // bandKey mixes a (slot, min) pair into one map key. Collisions between
 // different bands only add false candidates; the θ test filters them.
@@ -60,8 +47,7 @@ func bandKey(slot int, min uint64) uint64 {
 // untouched — when the similarity measure is outside the index's soundness
 // envelope and the caller must use the flat loop.
 func (m *Matcher) collectEdgesIndexed(parent []int32) bool {
-	gramN, ok := gramSize(m.cfg.Similarity)
-	if !ok {
+	if m.grams == nil {
 		return false
 	}
 	n := m.n
@@ -69,34 +55,25 @@ func (m *Matcher) collectEdgesIndexed(parent []int32) bool {
 		return true
 	}
 
-	// Posting lists. Ids are appended in ascending order (the outer loops run
-	// over ids ascending), so every list is sorted and the per-id candidate
-	// scan below can stop at the first j ≥ i.
-	grams := make(map[string][]int32)
+	// Posting lists over the names' gram-id sets. Ids are appended in
+	// ascending order (the outer loops run over ids ascending), so every list
+	// is sorted and the per-id candidate scan below can stop at the first
+	// j ≥ i.
+	grams := make([][]int32, m.grams.distinct)
 	if m.cfg.DataWeight == 0 {
 		// Name mode: similarity ids are interned distinct names.
-		for i, name := range m.names {
-			for g := range strutil.NGrams(name, gramN) {
-				grams[g] = append(grams[g], int32(i))
+		for i := 0; i < n; i++ {
+			for _, x := range m.grams.set(i) {
+				grams[x] = append(grams[x], int32(i))
 			}
 		}
 	} else {
-		// Hybrid mode: one id per attribute; names repeat across attributes,
-		// so gram sets per distinct name are computed once and fanned out.
-		nameGrams := make(map[string][]string, len(m.names))
-		for si, s := range m.u.Sources() {
-			for ai := 0; ai < s.Schema.Len(); ai++ {
+		// Hybrid mode: one id per attribute, carrying its name's grams.
+		for si, row := range m.nameID {
+			for ai, name := range row {
 				id := int32(m.simID[si][ai])
-				norm := strutil.Normalize(s.Schema.Name(ai))
-				gs, ok := nameGrams[norm]
-				if !ok {
-					for g := range strutil.NGrams(norm, gramN) {
-						gs = append(gs, g)
-					}
-					nameGrams[norm] = gs
-				}
-				for _, g := range gs {
-					grams[g] = append(grams[g], id)
+				for _, x := range m.grams.set(name) {
+					grams[x] = append(grams[x], id)
 				}
 			}
 		}

@@ -70,7 +70,7 @@ func TestShardIndexHybridMatchesFlat(t *testing.T) {
 func TestShardIndexCustomMeasureFallsBack(t *testing.T) {
 	u := randomUniverse(t, rand.New(rand.NewSource(1)), 20)
 	m := MustNew(u, Config{Theta: 0.45, Similarity: strutil.LevenshteinSim{}})
-	if _, ok := gramSize(m.cfg.Similarity); ok {
+	if _, _, ok := strutil.GramMeasure(m.cfg.Similarity); ok {
 		t.Fatal("LevenshteinSim must be outside the gram-index envelope")
 	}
 	parent := newUnionFind(m.n)

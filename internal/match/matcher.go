@@ -120,12 +120,16 @@ type Matcher struct {
 	table []float32
 	// n is the number of similarity ids.
 	n int
-	// ids/names retain the name interning from construction so Rebind can
-	// extend the table incrementally when the universe churns instead of
-	// recomputing O(d²) similarities from scratch. Read-only after New;
-	// Rebind clones before extending.
-	ids   map[string]int
-	names []string
+	// interning is retained from construction so Rebind can extend the
+	// name table incrementally when the universe churns instead of
+	// rebuilding it from scratch.
+	interning
+	// nameID[s][a] is the name id of attribute a of source s; in name mode
+	// these are the simID slices themselves.
+	nameID [][]int
+	// grams holds the names' gram sets for gram-set measures, nil for any
+	// other measure.
+	grams *nameGrams
 
 	// pool recycles clustering scratch (cluster slabs, ref/name arenas, the
 	// pair heap) across Match/Score calls; shared by WithParams clones since
@@ -145,48 +149,24 @@ func New(u *source.Universe, cfg Config) (*Matcher, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Matcher{u: u, cfg: cfg}
+	m := &Matcher{u: u, cfg: cfg, interning: newInterning()}
 	m.pool = &sync.Pool{New: func() any { return newMatchScratch() }}
 	m.shardc = &shardCache{}
 	// Intern normalized names and compute the distinct-name similarity
 	// table — the name component in both modes.
-	ids := make(map[string]int)
-	var names []string
-	nameID := make([][]int, u.Len())
-	for si, s := range u.Sources() {
-		row := make([]int, s.Schema.Len())
-		for ai := 0; ai < s.Schema.Len(); ai++ {
-			norm := strutil.Normalize(s.Schema.Name(ai))
-			id, ok := ids[norm]
-			if !ok {
-				id = len(names)
-				ids[norm] = id
-				names = append(names, norm)
-			}
-			row[ai] = id
-		}
-		nameID[si] = row
-	}
-	m.ids = ids
-	m.names = names
-	d := len(names)
-	namePacked := func(i, j int) int { return i*d - i*(i-1)/2 + (j - i) }
-	nameTable := make([]float32, d*(d+1)/2)
-	for i := 0; i < d; i++ {
-		nameTable[namePacked(i, i)] = 1
-		for j := i + 1; j < d; j++ {
-			nameTable[namePacked(i, j)] = float32(cfg.Similarity.Sim(names[i], names[j]))
-		}
-	}
+	m.nameID = m.assign(u)
+	m.grams = newNameGrams(m.names, cfg.Similarity)
+	d := len(m.names)
+	nameTable := m.nameTable(nil, 0)
 	nameSim := func(a, b int) float32 {
 		if a > b {
 			a, b = b, a
 		}
-		return nameTable[namePacked(a, b)]
+		return nameTable[a*d-a*(a-1)/2+(b-a)]
 	}
 
 	if cfg.DataWeight == 0 {
-		m.simID = nameID
+		m.simID = m.nameID
 		m.n = d
 		m.table = nameTable
 		return m, nil
@@ -214,7 +194,7 @@ func New(u *source.Universe, cfg Config) (*Matcher, error) {
 		sigA := u.Source(ra.Source).AttrSignature(ra.Attr)
 		for j := i + 1; j < m.n; j++ {
 			rb := attrs[j]
-			sim := (1 - w) * nameSim(nameID[ra.Source][ra.Attr], nameID[rb.Source][rb.Attr])
+			sim := (1 - w) * nameSim(m.nameID[ra.Source][ra.Attr], m.nameID[rb.Source][rb.Attr])
 			if sigA != nil {
 				if sigB := u.Source(rb.Source).AttrSignature(rb.Attr); sigB != nil {
 					if jac, err := sigA.Jaccard(sigB); err == nil {
@@ -284,11 +264,11 @@ func (m *Matcher) WithParams(theta float64, beta int, linkage Linkage) (*Matcher
 // similarity already in the table and computes only the pairs involving
 // genuinely new attribute names. With churn touching a few percent of
 // sources per epoch the distinct-name set barely moves, so a rebind is
-// usually a re-interning pass plus zero or a handful of Sim calls, against
-// O(d²) for a cold New. Similarities of pairs present in both tables are
-// copied bit-for-bit, so clustering over the rebound matcher scores
-// identically to a from-scratch build. Hybrid (data-weighted) tables are
-// keyed per attribute, not per distinct name, so they fall back to New.
+// usually a re-interning pass (normalizing only unseen spellings) plus
+// scoring the few pairs with a new name. Similarities of pairs present in
+// both tables are copied bit-for-bit, so clustering over the rebound matcher
+// scores identically to a from-scratch build. Hybrid (data-weighted) tables
+// are keyed per attribute, not per distinct name, so they fall back to New.
 func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 	if m.cfg.DataWeight != 0 {
 		return New(nu, m.cfg)
@@ -298,53 +278,19 @@ func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 	// The shard index is a function of the universe; give the clone its own
 	// cache. The scratch pool carries no universe state and stays shared.
 	clone.shardc = &shardCache{}
-	ids := make(map[string]int, len(m.ids))
-	for k, v := range m.ids {
-		ids[k] = v
-	}
-	names := append([]string(nil), m.names...)
-	oldD := len(names)
-	nameID := make([][]int, nu.Len())
-	for si, s := range nu.Sources() {
-		row := make([]int, s.Schema.Len())
-		for ai := 0; ai < s.Schema.Len(); ai++ {
-			norm := strutil.Normalize(s.Schema.Name(ai))
-			id, ok := ids[norm]
-			if !ok {
-				id = len(names)
-				ids[norm] = id
-				names = append(names, norm)
-			}
-			row[ai] = id
-		}
-		nameID[si] = row
-	}
-	clone.ids = ids
-	clone.names = names
-	clone.simID = nameID
-	d := len(names)
-	clone.n = d
-	if d == oldD {
+	clone.interning = m.interning.clone()
+	clone.simID = clone.assign(nu)
+	clone.nameID = clone.simID
+	clone.n = len(clone.names)
+	if clone.n == m.n {
 		// No new names: the distinct-name table is exactly the old one.
 		// (Names dropped with their sources stay interned — the table only
 		// grows — which keeps every surviving id, and so every copied
 		// similarity, stable.)
 		return &clone, nil
 	}
-	packed := func(i, j int) int { return i*d - i*(i-1)/2 + (j - i) }
-	oldPacked := func(i, j int) int { return i*oldD - i*(i-1)/2 + (j - i) }
-	table := make([]float32, d*(d+1)/2)
-	for i := 0; i < d; i++ {
-		table[packed(i, i)] = 1
-		for j := i + 1; j < d; j++ {
-			if j < oldD {
-				table[packed(i, j)] = m.table[oldPacked(i, j)]
-			} else {
-				table[packed(i, j)] = float32(m.cfg.Similarity.Sim(names[i], names[j]))
-			}
-		}
-	}
-	clone.table = table
+	clone.grams = newNameGrams(clone.names, m.cfg.Similarity)
+	clone.table = clone.nameTable(m.table, m.n)
 	return &clone, nil
 }
 

@@ -1,7 +1,9 @@
 package strutil
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -186,5 +188,88 @@ func TestSetCoefficients(t *testing.T) {
 	empty := map[string]struct{}{}
 	if JaccardSets(empty, empty) != 0 || DiceSets(empty, empty) != 0 || OverlapSets(empty, a) != 0 {
 		t.Error("empty-set coefficients must be 0")
+	}
+}
+
+// TestGramSetsMatchNGrams checks the interned gram sets against NGrams:
+// every name's set and every pair's intersection have the sizes of their
+// NGrams counterparts — the counts the name-table fill scores from — and
+// the ids are sorted and dense.
+func TestGramSetsMatchNGrams(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	names := []string{"", "a", "ab", "aaaa", "author name", "author", "a b"}
+	for i := 0; i < 40; i++ {
+		names = append(names, Normalize(randomName(r)))
+	}
+	for _, n := range []int{0, 1, 2, 3, 5} {
+		off, ids, grams := GramSets(names, n)
+		used := make(map[int32]bool)
+		for i, name := range names {
+			set := ids[off[i]:off[i+1]]
+			if len(set) != len(NGrams(name, n)) {
+				t.Fatalf("n=%d %q: %d ids, %d grams", n, name, len(set), len(NGrams(name, n)))
+			}
+			for k, id := range set {
+				if k > 0 && set[k-1] >= id {
+					t.Fatalf("n=%d %q: ids %v not strictly ascending", n, name, set)
+				}
+				used[id] = true
+			}
+			for j := 0; j < i; j++ {
+				other := ids[off[j]:off[j+1]]
+				inter := 0
+				for _, id := range set {
+					if slices.Contains(other, id) {
+						inter++
+					}
+				}
+				if want := setOverlap(NGrams(name, n), NGrams(names[j], n)); inter != want {
+					t.Fatalf("n=%d %q∩%q: %d shared ids, %d shared grams", n, name, names[j], inter, want)
+				}
+			}
+		}
+		for id := int32(0); int(id) < grams; id++ {
+			if !used[id] {
+				t.Fatalf("n=%d: id %d of %d unused", n, id, grams)
+			}
+		}
+		if len(used) != grams {
+			t.Fatalf("n=%d: %d ids used, %d reported", n, len(used), grams)
+		}
+	}
+}
+
+// TestCountScoresMatchSets pins the count forms to the set forms bit for
+// bit, empty sets included.
+func TestCountScoresMatchSets(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		a, b := NGrams(randomName(r), 3), NGrams(randomName(r), 3)
+		if i%50 == 0 {
+			a = map[string]struct{}{}
+		}
+		inter := setOverlap(a, b)
+		if x, y := JaccardSets(a, b), JaccardCount(inter, len(a), len(b)); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("Jaccard %v vs count form %v", x, y)
+		}
+		if x, y := DiceSets(a, b), DiceCount(inter, len(a), len(b)); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("Dice %v vs count form %v", x, y)
+		}
+	}
+}
+
+func TestGramMeasureNames(t *testing.T) {
+	cases := []struct {
+		m    Similarity
+		want string
+	}{
+		{NGramJaccard{N: 3}, "3gram-jaccard"},
+		{NGramJaccard{N: 12}, "12gram-jaccard"},
+		{NGramDice{N: 12}, "12gram-dice"},
+	}
+	for _, c := range cases {
+		if got := c.m.Name(); got != c.want {
+			t.Errorf("Name() = %q, want %q", got, c.want)
+		}
 	}
 }

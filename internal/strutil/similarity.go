@@ -1,5 +1,7 @@
 package strutil
 
+import "strconv"
+
 // Similarity measures the likeness of two attribute names and returns a value
 // in [0,1], with 1 meaning identical. Implementations must be symmetric.
 //
@@ -37,7 +39,7 @@ func (m NGramJaccard) Sim(a, b string) float64 {
 
 // Name returns e.g. "3gram-jaccard".
 func (m NGramJaccard) Name() string {
-	return string(rune('0'+m.N)) + "gram-jaccard"
+	return strconv.Itoa(m.N) + "gram-jaccard"
 }
 
 // TriGramJaccard is the prototype's default measure (§3): Jaccard similarity
@@ -56,7 +58,23 @@ func (m NGramDice) Sim(a, b string) float64 {
 }
 
 // Name returns e.g. "3gram-dice".
-func (m NGramDice) Name() string { return string(rune('0'+m.N)) + "gram-dice" }
+func (m NGramDice) Name() string { return strconv.Itoa(m.N) + "gram-dice" }
+
+// GramMeasure reports whether s scores two names from their n-gram sets
+// alone, as NGramJaccard and NGramDice do, and if so returns the gram size n
+// and the score as a function of counts: s.Sim(a, b) equals
+// score(|A∩B|, |A|, |B|) bit for bit, where A and B are NGrams(a, n) and
+// NGrams(b, n). A pair sharing no gram therefore scores exactly 0. Every
+// other measure, custom Funcs included, reports false.
+func GramMeasure(s Similarity) (n int, score func(inter, na, nb int) float64, ok bool) {
+	switch m := s.(type) {
+	case NGramJaccard:
+		return m.N, JaccardCount, m.N > 0
+	case NGramDice:
+		return m.N, DiceCount, m.N > 0
+	}
+	return 0, nil, false
+}
 
 // LevenshteinSim is a normalized edit-distance similarity:
 // 1 − dist(a,b)/max(|a|,|b|), computed on normalized names.
