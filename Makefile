@@ -1,14 +1,14 @@
 # Development entry points. `make check` is the tier-1 gate CI runs on every
 # commit: build, the repo's own analyzers (cmd/mube-vet — early, so policy
-# violations fail in seconds instead of after the race suites), go vet, and
-# the full test suite under the race detector (including the fault-injection
-# suite, see `faults`).
+# violations fail in seconds instead of after the race suite), go vet, a
+# gofmt check, and one uncached pass of the full test suite under the race
+# detector.
 
 GO ?= go
 
-.PHONY: check build vet test race faults telemetry churn-soak mube-vet vet-json bench bench-delta bench-churn bench-partition bench-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race fmt-check mube-vet vet-json bench bench-delta bench-churn bench-partition bench-smoke trace-smoke trace-golden benchall fmt
 
-check: build mube-vet vet race faults telemetry churn-soak
+check: build mube-vet vet fmt-check race
 
 build:
 	$(GO) build ./...
@@ -19,35 +19,17 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every test once under the race detector, uncached (-count=1), so
+# the cancellation races, the trace-determinism contract, the goldens, and
+# the full-length watch churn soak are re-executed on every `make check`
+# instead of served from the test cache.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
-# faults runs the fault-tolerance suite under the race detector: the injector
-# and prober packages, plus the cancellation paths in the solver layer and
-# the session round-trip over a degraded universe. These already run inside
-# `race`; the named target re-runs them with -count=1 so the cancellation
-# races are actually re-executed (not served from the test cache) on every
-# `make check`.
-faults:
-	$(GO) test -race -count=1 ./internal/fault/ ./internal/probe/
-	$(GO) test -race -count=1 ./internal/exp/ -run Faults
-	$(GO) test -race -count=1 ./internal/opt/ ./internal/opt/solvers/ ./internal/session/ \
-		-run 'Cancel|Deadline|Status|Remaining|Degraded'
-
-# telemetry re-runs the trace-determinism contract uncached on every
-# `make check`: bit-identical solves with telemetry on/off at 1 vs 4 workers,
-# byte-identical JSONL traces at any worker count, and the golden trace.
-telemetry:
-	$(GO) test -race -count=1 ./internal/opt/solvers/ -run 'Telemetry|TraceBytes'
-	$(GO) test -race -count=1 ./internal/opt/tabu/ -run GoldenTrace
-	$(GO) test -race -count=1 ./internal/telemetry/
-
-# churn-soak re-runs the online-integration loop uncached under the race
-# detector on every `make check`: the 50-epoch golden trace (byte-identity at
-# 1 and 4 workers), the warm-vs-cold differential, and the high-churn soak.
-# `-short` shrinks the soak to 8 epochs for constrained CI runners.
-churn-soak:
-	$(GO) test -race -count=1 -short ./internal/watch/
+# fmt-check fails when any file `make fmt` would format is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+	if [ -n "$$out" ]; then echo "gofmt needed (run make fmt):"; echo "$$out"; exit 1; fi
 
 mube-vet:
 	$(GO) run ./cmd/mube-vet ./...

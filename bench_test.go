@@ -426,11 +426,57 @@ func benchFlips(all []schema.SourceID) (base []schema.SourceID, flips []opt.Move
 	return base, flips
 }
 
-// benchEvalBatchDelta measures scoring the 64-flip neighborhood through
-// EvalBatchDelta on a fresh evaluator (no memo hits), with the incremental
-// paths on or off. The on/off pair is the before/after of the delta
-// optimization on identical work.
-func benchEvalBatchDelta(b *testing.B, delta bool) {
+// BenchmarkDeltaNeighborhood scores the 64-flip neighborhood incrementally
+// through EvalBatchDelta on a fresh evaluator (no memo hits): one
+// counting-union build per batch, O(1 source) per flip.
+func BenchmarkDeltaNeighborhood(b *testing.B) {
+	p, base, flips := benchNeighborhood(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := opt.NewEvaluator(p, 0)
+		e.SetWorkers(1)
+		if qs := e.EvalBatchDelta(base, flips); len(qs) != len(flips) {
+			b.Fatal("short result")
+		}
+	}
+}
+
+// BenchmarkDeltaNeighborhoodFull scores the same 64 flipped subsets through
+// EvalBatch on a fresh evaluator: every candidate takes the full O(|S|)
+// re-merge — the baseline the delta path is measured against. The flipped
+// subsets are built inside the timed loop, as EvalBatchDelta builds them.
+func BenchmarkDeltaNeighborhoodFull(b *testing.B) {
+	p, base, flips := benchNeighborhood(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands := make([][]schema.SourceID, len(flips))
+		for j, mv := range flips {
+			add := mv.Add
+			ids := make([]schema.SourceID, 0, len(base)+1)
+			for _, id := range base {
+				if add >= 0 && add < id {
+					ids, add = append(ids, add), -1
+				}
+				if id != mv.Drop {
+					ids = append(ids, id)
+				}
+			}
+			if add >= 0 {
+				ids = append(ids, add)
+			}
+			cands[j] = ids
+		}
+		e := opt.NewEvaluator(p, 0)
+		e.SetWorkers(1)
+		if qs := e.EvalBatch(cands); len(qs) != len(flips) {
+			b.Fatal("short result")
+		}
+	}
+}
+
+// benchNeighborhood builds the delta benchmarks' problem and 64-flip
+// neighborhood.
+func benchNeighborhood(b *testing.B) (*opt.Problem, []schema.SourceID, []opt.Move) {
 	sc := benchScale()
 	res := benchUniverse(b)
 	p, err := sc.Problem(res, 20, constraint.Set{})
@@ -438,25 +484,8 @@ func benchEvalBatchDelta(b *testing.B, delta bool) {
 		b.Fatal(err)
 	}
 	base, flips := benchFlips(res.Universe.IDs())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := opt.NewEvaluator(p, 0)
-		e.SetWorkers(1)
-		e.SetDelta(delta)
-		if qs := e.EvalBatchDelta(base, flips); len(qs) != len(flips) {
-			b.Fatal("short result")
-		}
-	}
+	return p, base, flips
 }
-
-// BenchmarkDeltaNeighborhood scores the neighborhood incrementally: one
-// counting-union build per batch, O(1 source) per flip.
-func BenchmarkDeltaNeighborhood(b *testing.B) { benchEvalBatchDelta(b, true) }
-
-// BenchmarkDeltaNeighborhoodFull is the same neighborhood through the full
-// O(|S|) re-merge path (NoDelta) — the baseline the delta path is measured
-// against.
-func BenchmarkDeltaNeighborhoodFull(b *testing.B) { benchEvalBatchDelta(b, false) }
 
 // BenchmarkDeltaCountingChurn measures the subtractable union's mutation
 // kernel: one Add plus one Remove of a 128-map signature, the per-batch

@@ -230,12 +230,13 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// The recorder feeds the expvar snapshot; attaching it cannot change
-		// results (see internal/telemetry's determinism contract).
+		// The recorder feeds /metrics and the ring feeds /spans; attaching
+		// them cannot change results (see internal/telemetry's determinism
+		// contract).
 		ring := telemetry.NewSpanRing(0)
 		rec := telemetry.New(ring)
 		sc.Rec = rec
-		srv, err := startDebugServer(*debugAddr, rec, ring)
+		srv, err := telemetry.Serve(*debugAddr, rec, ring)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mube-bench: debug server: %v\n", err)
 			os.Exit(2)

@@ -24,6 +24,16 @@ func shardIndexEqual(t *testing.T, label string, a, b shardIndex) {
 	}
 }
 
+// buildShardIndexFlat is the reference O(n²) build: the brute-force edge
+// route buildShardIndex falls back to for measures without a candidate
+// index, forced for every measure so the indexed route can be checked
+// against it.
+func (m *Matcher) buildShardIndexFlat() shardIndex {
+	parent := newUnionFind(m.n)
+	m.collectEdgesFlat(parent)
+	return m.finishShardIndex(parent)
+}
+
 // flatIndexed returns a matcher identical to m whose cached shard index was
 // built with the flat O(n²) reference loop, so every public path (Sharded,
 // SourceGroups, ScoreFlip) can be differentially tested against it.

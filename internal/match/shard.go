@@ -29,26 +29,11 @@ import (
 // sorted GA streams, which reproduces the global canonical order — and so the
 // exact float bit pattern — of the unsharded path.
 
-// shardScores counts sharded flip scorings; shardRescans counts the shard
-// cluster runs they triggered. Their ratio against the base shard count is
-// the pruning win: rescans/scores ≪ shards means most work is reused.
 // pairCandidates counts similarity pairs actually tested against θ during
 // shard-index builds; ≪ n(n−1)/2 demonstrates sub-quadratic candidate
 // generation (the flat fallback adds the full pair count, so the metric is
 // comparable either way).
-var (
-	shardScores    atomic.Uint64
-	shardRescans   atomic.Uint64
-	pairCandidates atomic.Uint64
-)
-
-// ShardScores returns the total number of sharded flip scorings performed by
-// this process. Monotonic; not resettable.
-func ShardScores() uint64 { return shardScores.Load() }
-
-// ShardRescans returns the total number of per-shard cluster re-runs
-// performed by sharded flip scorings. Monotonic; not resettable.
-func ShardRescans() uint64 { return shardRescans.Load() }
+var pairCandidates atomic.Uint64
 
 // PairCandidates returns the total number of similarity pairs tested against
 // θ by shard-index builds in this process. Monotonic; not resettable.
@@ -100,15 +85,6 @@ func (m *Matcher) buildShardIndex() shardIndex {
 	return m.finishShardIndex(parent)
 }
 
-// buildShardIndexFlat is the reference O(n²) build, kept as the fallback for
-// similarity measures without a candidate index and as the oracle for the
-// differential tests.
-func (m *Matcher) buildShardIndexFlat() shardIndex {
-	parent := newUnionFind(m.n)
-	m.collectEdgesFlat(parent)
-	return m.finishShardIndex(parent)
-}
-
 func newUnionFind(n int) []int32 {
 	parent := make([]int32, n)
 	for i := range parent {
@@ -117,7 +93,9 @@ func newUnionFind(n int) []int32 {
 	return parent
 }
 
-// collectEdgesFlat unions every pair at or above θ by brute force.
+// collectEdgesFlat unions every pair at or above θ by brute force: the route
+// for similarity measures without a candidate index (Levenshtein,
+// Jaro-Winkler, custom functions).
 func (m *Matcher) collectEdgesFlat(parent []int32) {
 	n := m.n
 	theta := m.cfg.Theta
@@ -500,7 +478,6 @@ func (b *ShardedBase) Rebase(newBase []schema.SourceID) error {
 
 	b.base = append(b.base[:0], newBase...)
 	for _, k := range b.touched(sc, changed) {
-		shardRescans.Add(1)
 		b.res[k] = b.computeShard(sc, k, b.base)
 	}
 	return nil
@@ -522,7 +499,6 @@ type gaStream struct {
 // the float sum. Pure; safe for concurrent use.
 func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 	sh := b.sh
-	shardScores.Add(1)
 	sc := sh.m.scratch()
 	defer sh.m.release(sc)
 	sc.reset()
@@ -561,7 +537,6 @@ func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 	// Re-cluster the affected shards, recording segment bounds.
 	sc.segs = sc.segs[:0]
 	for _, k := range aff {
-		shardRescans.Add(1)
 		sc.segs = append(sc.segs, len(sc.gas))
 		start := len(sc.gas)
 		sc.resetRun()

@@ -39,9 +39,9 @@ type deltaState struct {
 	// match, when non-nil, is the cluster-sharded match image of base: each
 	// flip re-clusters only the shards its add/drop sources touch and merges
 	// with the cached unaffected shards (match.ShardedBase.ScoreFlip — a pure
-	// concurrent-safe read, bit-identical to the full Match). nil when
-	// sharding is off or no QEF reads the match score; flips then fall back to
-	// the lean full-recluster Score path inside the qef context.
+	// concurrent-safe read, bit-identical to the full Match). nil when no QEF
+	// reads the match score or the base violates the constraints; flips then
+	// fall back to the lean full-recluster Score path inside the qef context.
 	match *match.ShardedBase
 }
 
@@ -353,20 +353,6 @@ func (e *Evaluator) releaseDelta(ds *deltaState) {
 	e.deltaMu.Unlock()
 }
 
-// SetDelta toggles the incremental scoring paths (EvalBatchDelta's flip
-// scoring and EvalBatchPreset's preset stats). They are on by default; off,
-// both APIs plan and account identically but score every job through the
-// full re-merge path. Results are bit-identical either way — the toggle
-// exists for differential testing and honest before/after benchmarks.
-func (e *Evaluator) SetDelta(on bool) { e.noDelta = !on }
-
-// SetShard toggles the cluster-sharded matching path for flip candidates. On
-// by default; off, flips re-cluster their full attribute set through the lean
-// Score path. Results are bit-identical either way (the sharded re-cluster is
-// bit-exact — see match.ShardedBase); like SetDelta the toggle exists for
-// differential testing and benchmarking. Must be set before the first batch.
-func (e *Evaluator) SetShard(on bool) { e.noShard = !on }
-
 // validFlip reports whether mv is a true single flip against the sorted
 // base: its add side absent from base, its drop side present, and the two
 // distinct. Anything else (re-adding a member, dropping a non-member) still
@@ -417,16 +403,16 @@ func applyFlip(base []schema.SourceID, mv Move) []schema.SourceID {
 // EvalBatchDelta scores a whole neighborhood of flips against one base
 // subset, returning Q(base±flip) for each flip in order. True single flips
 // are scored incrementally — O(1 source) against the batch's shared counting
-// union — and anything else (invalid flips, or all flips when SetDelta(false))
-// takes the full re-merge path. Memoization, budget accounting, and every
-// returned quality are bit-identical to EvalBatch over the applied subsets.
+// union — and invalid flips take the full re-merge path. Memoization, budget
+// accounting, and every returned quality are bit-identical to EvalBatch over
+// the applied subsets.
 //
 // base must be sorted and must not be mutated until the call returns.
 func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float64 {
 	cands := make([]candidate, len(flips))
 	for i, mv := range flips {
 		cands[i] = candidate{ids: applyFlip(base, mv)}
-		if !e.noDelta && validFlip(base, mv) {
+		if validFlip(base, mv) {
 			cands[i].flip = mv
 			cands[i].hasFlip = true
 		}
@@ -455,7 +441,7 @@ func (e *Evaluator) EvalBatchPreset(cands []PresetCandidate) []float64 {
 	wrapped := make([]candidate, len(cands))
 	for i, pc := range cands {
 		wrapped[i] = candidate{ids: pc.IDs}
-		if pc.Valid && !e.noDelta {
+		if pc.Valid {
 			st := pc.Stats
 			wrapped[i].st = &st
 		}

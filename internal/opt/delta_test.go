@@ -1,8 +1,10 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mube/internal/constraint"
@@ -92,21 +94,49 @@ func assertSameEvaluator(t *testing.T, label string, a, b *Evaluator) {
 	}
 }
 
-// driveNeighborhoods runs a local-search-like trajectory on e: score a
-// neighborhood of flips against the current base, move the base to the best
-// flip, occasionally restart to a random subset (forcing a delta rebuild).
-// All randomness comes from seed, so two evaluators driven with the same
-// seed see the identical call sequence.
-func driveNeighborhoods(t *testing.T, e *Evaluator, p *Problem, seed int64, rounds int) {
+// neighborhoodScorer scores a batch of flips against one base subset.
+type neighborhoodScorer func(base []schema.SourceID, flips []Move) []float64
+
+// fullScorer is the oracle: EvalBatch over the applied subsets, which scores
+// every candidate from a fresh context with an unsharded Matcher.Score.
+func fullScorer(e *Evaluator) neighborhoodScorer {
+	return func(base []schema.SourceID, flips []Move) []float64 {
+		return e.EvalBatch(appliedSubsets(base, flips))
+	}
+}
+
+// appliedSubsets returns the subset each flip produces from base.
+func appliedSubsets(base []schema.SourceID, flips []Move) [][]schema.SourceID {
+	out := make([][]schema.SourceID, len(flips))
+	for i, mv := range flips {
+		out[i] = applyFlip(base, mv)
+	}
+	return out
+}
+
+// driveNeighborhoods runs a local-search-like trajectory through score:
+// score a neighborhood of flips against the current base, move the base to
+// the best flip, occasionally restart to a random subset (forcing a delta
+// rebuild). Every base contains the problem's required sources, as a
+// solver's would, so the sharded match path can engage. All randomness
+// comes from seed, so two scorers driven with the same seed see the
+// identical call sequence as long as they return identical qualities.
+func driveNeighborhoods(t *testing.T, score neighborhoodScorer, p *Problem, seed int64, rounds int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	all := p.Universe.IDs()
+	req := p.Constraints.RequiredSources()
 	randomBase := func() []schema.SourceID {
 		n := 1 + r.Intn(p.MaxSources)
 		perm := r.Perm(len(all))
-		base := make([]schema.SourceID, n)
-		for j := 0; j < n; j++ {
-			base[j] = all[perm[j]]
+		base := append([]schema.SourceID(nil), req...)
+		for _, j := range perm {
+			if len(base) >= n {
+				break
+			}
+			if !slices.Contains(req, all[j]) {
+				base = append(base, all[j])
+			}
 		}
 		return SortIDs(base)
 	}
@@ -115,10 +145,7 @@ func driveNeighborhoods(t *testing.T, e *Evaluator, p *Problem, seed int64, roun
 		var flips []Move
 		flips = append(flips, NoMove) // re-scores the base itself
 		for _, id := range all {
-			in := false
-			for _, b := range base {
-				in = in || b == id
-			}
+			in := slices.Contains(base, id)
 			if !in && len(base) < p.MaxSources {
 				flips = append(flips, Move{Add: id, Drop: -1})
 			}
@@ -134,7 +161,7 @@ func driveNeighborhoods(t *testing.T, e *Evaluator, p *Problem, seed int64, roun
 				Drop: all[r.Intn(len(all))],
 			})
 		}
-		qs := e.EvalBatchDelta(base, flips)
+		qs := score(base, flips)
 		if len(qs) != len(flips) {
 			t.Fatalf("round %d: got %d results for %d flips", round, len(qs), len(flips))
 		}
@@ -152,11 +179,25 @@ func driveNeighborhoods(t *testing.T, e *Evaluator, p *Problem, seed int64, roun
 	}
 }
 
+// constrainedProblem is the books problem under a cross-shard constraint:
+// source 3 is required, and a GA constraint pins its title (attr 0) to
+// source 4's writer (attr 1). At θ = 0.45 those names sit in different base
+// shards, so the evaluator's shard view fuses them into one overlay shard.
+func constrainedProblem(t testing.TB) *Problem {
+	return problem(t, 4, constraint.Set{
+		Sources: ids(3),
+		GAs: []schema.GA{schema.NewGA(
+			schema.AttrRef{Source: 3, Attr: 0},
+			schema.AttrRef{Source: 4, Attr: 1})},
+	})
+}
+
 // TestEvalBatchDeltaDifferential is the white-box acceptance test of the
-// delta path: identical trajectories driven through a delta-enabled and a
-// delta-disabled evaluator must produce bit-identical memo contents and
-// identical budget accounting — across worker counts, budget limits, seeds,
-// and a universe containing uncooperative and coop-mixed sources.
+// delta path: one trajectory driven through EvalBatchDelta and through
+// EvalBatch over the applied subsets must produce bit-identical memo
+// contents and identical budget accounting — across worker counts, budget
+// limits, seeds, a universe containing uncooperative and coop-mixed
+// sources, and a constraint that fuses match shards.
 func TestEvalBatchDeltaDifferential(t *testing.T) {
 	for _, mk := range []struct {
 		name  string
@@ -164,6 +205,7 @@ func TestEvalBatchDeltaDifferential(t *testing.T) {
 	}{
 		{"books", func(t testing.TB) *Problem { return problem(t, 4, constraint.Set{}) }},
 		{"mixed", func(t testing.TB) *Problem { return mixedProblem(t, 4) }},
+		{"constrained", constrainedProblem},
 	} {
 		p := mk.build(t)
 		for _, seed := range []int64{1, 2, 3} {
@@ -171,15 +213,13 @@ func TestEvalBatchDeltaDifferential(t *testing.T) {
 				for _, limit := range []int{0, 40} {
 					delta := NewEvaluator(p, limit)
 					delta.SetWorkers(workers)
-					driveNeighborhoods(t, delta, p, seed, 12)
+					driveNeighborhoods(t, delta.EvalBatchDelta, p, seed, 12)
 
 					full := NewEvaluator(p, limit)
 					full.SetWorkers(workers)
-					full.SetDelta(false)
-					driveNeighborhoods(t, full, p, seed, 12)
+					driveNeighborhoods(t, fullScorer(full), p, seed, 12)
 
-					label := mk.name + "/" +
-						string(rune('0'+seed)) + "/w" + string(rune('0'+workers))
+					label := fmt.Sprintf("%s/seed=%d/w%d/limit=%d", mk.name, seed, workers, limit)
 					assertSameEvaluator(t, label, delta, full)
 				}
 			}
@@ -187,10 +227,39 @@ func TestEvalBatchDeltaDifferential(t *testing.T) {
 	}
 }
 
+// TestShardPathEngages guards the point of the sharded matcher: a delta
+// batch's state must carry a match.ShardedBase, so flips score through
+// ScoreFlip rather than silently falling back to full reclustering. The
+// constrained fixture must also keep its overlay fused, or the differential
+// above stops covering the overlay path.
+func TestShardPathEngages(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+	}{
+		{"books", problem(t, 4, constraint.Set{})},
+		{"constrained", constrainedProblem(t)},
+	} {
+		ev := NewEvaluator(tc.p, 0)
+		base := SortIDs(append(tc.p.Constraints.RequiredSources(), 0))
+		ev.EvalBatchDelta(base, []Move{{Add: 1, Drop: -1}, {Add: 2, Drop: 0}})
+		if ds := ev.deltaCached; ds == nil || ds.match == nil {
+			t.Errorf("%s: delta batch carried no sharded match base", tc.name)
+		}
+		if tc.p.Constraints.Empty() {
+			continue
+		}
+		fused := ev.shardIndex().NumShards()
+		if plain := tc.p.Matcher.NewSharded(constraint.Set{}).NumShards(); fused >= plain {
+			t.Errorf("%s: %d overlay shards, want fewer than the %d base shards", tc.name, fused, plain)
+		}
+	}
+}
+
 // TestEvalBatchDeltaSaturationFallback: when the cached counting union is
 // saturated, flips that drop a signature-bearing source must be demoted to
-// the full path — and results stay bit-identical to a delta-disabled
-// evaluator.
+// the full path — and results stay bit-identical to EvalBatch over the
+// applied subsets.
 func TestEvalBatchDeltaSaturationFallback(t *testing.T) {
 	p := mixedProblem(t, 4)
 	base := SortIDs([]schema.SourceID{0, 1, 2})
@@ -225,9 +294,7 @@ func TestEvalBatchDeltaSaturationFallback(t *testing.T) {
 	ev.Instrument(rec)
 	got := ev.EvalBatchDelta(base, flips)
 
-	ref := NewEvaluator(p, 0)
-	ref.SetDelta(false)
-	want := ref.EvalBatchDelta(base, flips)
+	want := NewEvaluator(p, 0).EvalBatch(appliedSubsets(base, flips))
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Errorf("flip %d (%+v): saturated delta %v != full %v", i, flips[i], got[i], want[i])

@@ -54,13 +54,11 @@ type Evaluator struct {
 	// local-search base rebases in O(diff) instead of rebuilding in O(|S|).
 	deltaMu     sync.Mutex
 	deltaCached *deltaState
-	noDelta     bool // SetDelta(false): score everything via the full path
 
 	// Cluster-sharded matching (see match.Sharded): flip candidates re-cluster
 	// only the shards their add/drop sources touch, presetting the match score
 	// on the flip context. Built lazily on first delta batch; wantMatch gates
 	// the whole path off when no positively weighted QEF reads Match(S).
-	noShard   bool // SetShard(false): flips re-cluster from scratch
 	wantMatch bool
 	shardOnce sync.Once
 	sharded   *match.Sharded
@@ -87,10 +85,10 @@ func NewEvaluator(p *Problem, maxEvals int) *Evaluator {
 }
 
 // shardIndex lazily builds the matcher's cluster-shard view of the problem's
-// constraints, shared by every batch. Returns nil when sharding is off, no
-// matcher is configured, or no QEF reads the match score.
+// constraints, shared by every batch. Returns nil when no matcher is
+// configured or no QEF reads the match score.
 func (e *Evaluator) shardIndex() *match.Sharded {
-	if e.noShard || !e.wantMatch || e.p.Matcher == nil {
+	if !e.wantMatch || e.p.Matcher == nil {
 		return nil
 	}
 	e.shardOnce.Do(func() {
@@ -300,8 +298,8 @@ func (e *Evaluator) EvalBatch(cands [][]schema.SourceID) []float64 {
 // order under the lock; the fan-out computes pure functions only. Whether a
 // job is scored by the full re-merge, a preset, or a flip against the delta
 // state never changes its value (the incremental paths are bit-exact), so
-// results are identical at any worker count and with the delta path on or
-// off.
+// results are identical at any worker count and to EvalBatch over the same
+// subsets.
 func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []float64 {
 	out := make([]float64, len(cands))
 
@@ -623,8 +621,6 @@ func NewSearch(ctx context.Context, p *Problem, opts Options) (*Search, error) {
 	ev.SetWorkers(opts.Parallel)
 	ev.BindContext(ctx)
 	ev.Instrument(opts.Recorder)
-	ev.SetDelta(!opts.NoDelta)
-	ev.SetShard(!opts.NoShard)
 	return &Search{
 		Eval:       ev,
 		Required:   req,

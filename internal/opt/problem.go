@@ -187,17 +187,6 @@ type Options struct {
 	// the problem spec: solver results are bit-identical with or without a
 	// recorder attached.
 	Recorder *telemetry.Recorder
-	// NoDelta disables the evaluator's incremental scoring paths (counting-
-	// union flips and preset union statistics), forcing every candidate
-	// through the full signature re-merge. Results are bit-identical either
-	// way — see Evaluator.SetDelta; the toggle exists for differential
-	// testing and before/after benchmarking, not tuning.
-	NoDelta bool
-	// NoShard disables the evaluator's cluster-sharded matching path,
-	// forcing every flip candidate to re-cluster its full attribute set.
-	// Results are bit-identical either way — see Evaluator.SetShard; like
-	// NoDelta this exists for differential testing and benchmarking.
-	NoShard bool
 	// Candidates, when non-nil, restricts the search's optional pool to this
 	// id set instead of the whole universe (required sources always stay in).
 	// The partitioned solve mode uses it to confine each sub-solve to one
@@ -211,12 +200,6 @@ type Options struct {
 	// setting — only wall-clock changes. Orthogonal to Parallel, which sizes
 	// the evaluator pool inside each sub-solve.
 	GroupWorkers int
-	// RefineRounds bounds the partitioned solver's cross-group refinement
-	// pass: after merging group solutions it attempts up to this many rounds
-	// of deterministic boundary swaps, accepting only strict improvements so
-	// merged quality is a floor (0 = the solver's default, negative = off).
-	// Solvers other than partition ignore it.
-	RefineRounds int
 }
 
 // Defaults for Options' zero values.

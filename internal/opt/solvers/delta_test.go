@@ -1,7 +1,6 @@
 package solvers
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -16,56 +15,32 @@ import (
 	"mube/internal/telemetry"
 )
 
-// TestDeltaPathDifferential is the tentpole acceptance test: for every
-// solver that consumes the incremental evaluation paths (tabu, SLS,
-// annealing, and the exhaustive oracle), an identical run with NoDelta set
-// must produce a bit-identical solver trajectory — same Quality down to the
-// float bits, same IDs, same Evals, same Status, and byte-identical JSONL
-// traces — across 3 seeds and both 1 and 4 evaluator workers.
+// TestDeltaPathDifferential checks every solver's production scoring path —
+// incremental counting-union flips, preset DFS stats, and cluster-sharded
+// match scores — against the from-scratch oracle: Solution.Quality must
+// equal opt.Score(p, sol.IDs), which re-scores the chosen set from a fresh
+// context with an unsharded Matcher.Score, down to the float bits. Runs with
+// a required source over 3 seeds and both 1 and 4 evaluator workers.
 func TestDeltaPathDifferential(t *testing.T) {
 	p := problem(t, 4, constraint.Set{Sources: ids(3)})
-	solvers := []opt.Solver{tabu.Solver{}, sls.Solver{}, anneal.Solver{}, exhaustive.Solver{}}
-	for _, s := range solvers {
+	for _, s := range append(All(), Exhaustive()) {
 		for _, seed := range []int64{1, 2, 3} {
 			for _, workers := range []int{1, 4} {
-				base := opt.Options{
+				opts := opt.Options{
 					Seed: seed, MaxEvals: 400, MaxIters: 30, Patience: 8,
 					Parallel: workers,
 				}
-				deltaOpts := base
-				fullOpts := base
-				fullOpts.NoDelta = true
-				deltaSol, deltaTrace := solveTraced(t, s, p, deltaOpts)
-				fullSol, fullTrace := solveTraced(t, s, p, fullOpts)
-
-				label := s.Name()
-				if math.Float64bits(deltaSol.Quality) != math.Float64bits(fullSol.Quality) {
-					t.Errorf("%s seed=%d workers=%d: delta quality %v != full %v",
-						label, seed, workers, deltaSol.Quality, fullSol.Quality)
+				sol, err := s.Solve(context.Background(), p, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", s.Name(), err)
 				}
-				if deltaSol.Evals != fullSol.Evals {
-					t.Errorf("%s seed=%d workers=%d: delta evals %d != full %d",
-						label, seed, workers, deltaSol.Evals, fullSol.Evals)
+				want, err := opt.Score(p, sol.IDs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if deltaSol.Status != fullSol.Status {
-					t.Errorf("%s seed=%d workers=%d: delta status %v != full %v",
-						label, seed, workers, deltaSol.Status, fullSol.Status)
-				}
-				if len(deltaSol.IDs) != len(fullSol.IDs) {
-					t.Errorf("%s seed=%d workers=%d: id sets differ: %v vs %v",
-						label, seed, workers, deltaSol.IDs, fullSol.IDs)
-				} else {
-					for i := range deltaSol.IDs {
-						if deltaSol.IDs[i] != fullSol.IDs[i] {
-							t.Errorf("%s seed=%d workers=%d: id sets differ: %v vs %v",
-								label, seed, workers, deltaSol.IDs, fullSol.IDs)
-							break
-						}
-					}
-				}
-				if !bytes.Equal(deltaTrace, fullTrace) {
-					t.Errorf("%s seed=%d workers=%d: trace bytes differ between delta and full paths",
-						label, seed, workers)
+				if math.Float64bits(sol.Quality) != math.Float64bits(want) {
+					t.Errorf("%s seed=%d workers=%d: solution quality %v != opt.Score %v for %v",
+						s.Name(), seed, workers, sol.Quality, want, sol.IDs)
 				}
 			}
 		}

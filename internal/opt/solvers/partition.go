@@ -49,9 +49,9 @@ type Partitioned struct {
 	Inner opt.Solver
 }
 
-// DefaultRefineRounds is the cross-group refinement bound applied when
-// Options.RefineRounds is zero.
-const DefaultRefineRounds = 2
+// refineRounds bounds the cross-group refinement pass: after merging group
+// solutions it attempts up to this many rounds of boundary swaps.
+const refineRounds = 2
 
 // refineMoveCap bounds the number of sampled boundary moves scored per
 // refinement round; one EvalBatchDelta call scores the whole sample.
@@ -247,8 +247,8 @@ func (ps Partitioned) solveGroup(ctx context.Context, inner opt.Solver, j groupJ
 	return groupResult{sol: sol}
 }
 
-// refine is the cross-group pass over the merged union: up to rounds rounds
-// of sampled boundary moves — swaps whose add and drop lie in different
+// refine is the cross-group pass over the merged union: up to refineRounds
+// rounds of sampled boundary moves — swaps whose add and drop lie in different
 // groups, plus pure adds while under MaxSources — scored in one
 // EvalBatchDelta batch per round, accepting the best strictly-improving move
 // (ties break to the lowest sample index). Sampling is driven by a
@@ -258,11 +258,7 @@ func (ps Partitioned) solveGroup(ctx context.Context, inner opt.Solver, j groupJ
 // is scored through the normal evaluator (infeasible sets score 0), so
 // feasibility is preserved. ids must be sorted and is not mutated.
 func (ps Partitioned) refine(ctx context.Context, p *opt.Problem, ev *opt.Evaluator, ids []schema.SourceID, groups [][]schema.SourceID, opts opt.Options) []schema.SourceID {
-	rounds := opts.RefineRounds
-	if rounds == 0 {
-		rounds = DefaultRefineRounds
-	}
-	if rounds < 0 || len(ids) == 0 || len(groups) <= 1 || ctx.Err() != nil {
+	if len(ids) == 0 || len(groups) <= 1 || ctx.Err() != nil {
 		return ids
 	}
 
@@ -295,11 +291,11 @@ func (ps Partitioned) refine(ctx context.Context, p *opt.Problem, ev *opt.Evalua
 	rng := rand.New(rand.NewSource(opts.Seed + 999_999_937))
 	curQ := ev.Eval(cur)
 	sp := opts.Recorder.BeginSpan("partition.refine",
-		telemetry.Int("rounds", rounds),
+		telemetry.Int("rounds", refineRounds),
 		telemetry.Int("sources", len(cur)),
 		telemetry.Float("merged_q", curQ))
 	accepted := 0
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		if ctx.Err() != nil {
 			break
 		}

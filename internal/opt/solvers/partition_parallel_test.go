@@ -92,28 +92,42 @@ func TestPartitionedGroupWorkersMetricsIdentical(t *testing.T) {
 	}
 }
 
+// solveMergedQ runs one partitioned solve with a MemorySink recorder and
+// returns the solution plus the merged union's Q — the floor refinement
+// starts from — read from the partition.refine.begin event's merged_q
+// attribute.
+func solveMergedQ(t *testing.T, ps Partitioned, p *opt.Problem, opts opt.Options) (*opt.Solution, float64) {
+	t.Helper()
+	sink := &telemetry.MemorySink{}
+	opts.Recorder = telemetry.New(sink)
+	sol, err := ps.Solve(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range sink.Events() {
+		if ev.Name != "partition.refine.begin" {
+			continue
+		}
+		if q, ok := ev.Attr("merged_q"); ok {
+			return sol, q.(float64)
+		}
+	}
+	t.Fatal("solve emitted no partition.refine.begin event with merged_q")
+	return nil, 0
+}
+
 // TestPartitionedRefineMonotone asserts the refinement acceptance rule on
-// every seed: the refined solution never scores below the merged union
-// (refinement off), and stays feasible.
+// every seed: the refined solution never scores below the merged union it
+// started from, and stays feasible.
 func TestPartitionedRefineMonotone(t *testing.T) {
 	cons := constraint.Set{Sources: []schema.SourceID{2, 7}}
 	p := domainProblem(t, 60, 5, 10, cons)
 	ps := Partitioned{Inner: tabu.Solver{}}
 	for _, seed := range []int64{3, 9, 21} {
-		base := opt.Options{Seed: seed, MaxEvals: 600, MaxIters: 12, Patience: 4}
-
-		off := base
-		off.RefineRounds = -1
-		merged, err := ps.Solve(context.Background(), p, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refined, err := ps.Solve(context.Background(), p, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refined.Quality < merged.Quality {
-			t.Errorf("seed %d: refinement lowered Q: %v -> %v", seed, merged.Quality, refined.Quality)
+		opts := opt.Options{Seed: seed, MaxEvals: 600, MaxIters: 12, Patience: 4}
+		refined, mergedQ := solveMergedQ(t, ps, p, opts)
+		if refined.Quality < mergedQ {
+			t.Errorf("seed %d: refinement lowered Q: %v -> %v", seed, mergedQ, refined.Quality)
 		}
 		if !p.Feasible(refined.IDs) {
 			t.Errorf("seed %d: refined solution %v infeasible", seed, refined.IDs)
@@ -138,23 +152,12 @@ func TestPartitionedRefineMonotone(t *testing.T) {
 func TestPartitionedRefineImproves10k(t *testing.T) {
 	p := domainProblem(t, 10_000, 8, 40, constraint.Set{})
 	ps := Partitioned{Inner: tabu.Solver{}}
-	base := opt.Options{Seed: 1, MaxEvals: 2000, MaxIters: 6, Patience: 2}
-
-	off := base
-	off.RefineRounds = -1
-	merged, err := ps.Solve(context.Background(), p, off)
-	if err != nil {
-		t.Fatal(err)
+	refined, mergedQ := solveMergedQ(t, ps, p, opt.Options{Seed: 1, MaxEvals: 2000, MaxIters: 6, Patience: 2})
+	if refined.Quality < mergedQ {
+		t.Fatalf("refinement lowered Q: %v -> %v", mergedQ, refined.Quality)
 	}
-	refined, err := ps.Solve(context.Background(), p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Quality < merged.Quality {
-		t.Fatalf("refinement lowered Q: %v -> %v", merged.Quality, refined.Quality)
-	}
-	if refined.Quality <= merged.Quality {
+	if refined.Quality <= mergedQ {
 		t.Fatalf("pinned scenario no longer improves: merged %v, refined %v "+
-			"(pick a new seed if solver behavior intentionally changed)", merged.Quality, refined.Quality)
+			"(pick a new seed if solver behavior intentionally changed)", mergedQ, refined.Quality)
 	}
 }

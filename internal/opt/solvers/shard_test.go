@@ -2,96 +2,80 @@ package solvers
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
 	"mube/internal/constraint"
-	"mube/internal/match"
 	"mube/internal/opt"
 	"mube/internal/opt/anneal"
 	"mube/internal/opt/sls"
 	"mube/internal/opt/tabu"
+	"mube/internal/schema"
 )
 
-// TestShardPathDifferential mirrors TestDeltaPathDifferential for the
-// cluster-sharded matching path: for every local-search solver, an identical
-// run with NoShard set (flips re-cluster their full attribute set) must
-// produce a bit-identical trajectory — Quality to the float bits, IDs, Evals,
-// Status, and byte-identical JSONL traces — across 3 seeds and both 1 and 4
-// evaluator workers.
+// TestShardPathDifferential checks the cluster-sharded matching path at the
+// solver level, under a constraint that fuses match shards: source 3 is
+// required and a GA pins its title (attr 0) to source 4's writer (attr 1),
+// two names that sit in different base shards at θ = 0.45. For every
+// local-search solver, across 3 seeds, Solution.Quality must equal the
+// unsharded opt.Score oracle down to the float bits, and the run with flips
+// scored concurrently on 4 evaluator workers must be bit-identical to the
+// 1-worker run — Quality, IDs, Evals, Status, and JSONL trace bytes.
 func TestShardPathDifferential(t *testing.T) {
-	p := problem(t, 4, constraint.Set{Sources: ids(3)})
+	p := problem(t, 4, constraint.Set{
+		Sources: ids(3),
+		GAs: []schema.GA{schema.NewGA(
+			schema.AttrRef{Source: 3, Attr: 0},
+			schema.AttrRef{Source: 4, Attr: 1})},
+	})
 	solvers := []opt.Solver{tabu.Solver{}, sls.Solver{}, anneal.Solver{}}
 	for _, s := range solvers {
 		for _, seed := range []int64{1, 2, 3} {
-			for _, workers := range []int{1, 4} {
-				base := opt.Options{
-					Seed: seed, MaxEvals: 400, MaxIters: 30, Patience: 8,
-					Parallel: workers,
-				}
-				shardOpts := base
-				fullOpts := base
-				fullOpts.NoShard = true
-				shardSol, shardTrace := solveTraced(t, s, p, shardOpts)
-				fullSol, fullTrace := solveTraced(t, s, p, fullOpts)
+			base := opt.Options{Seed: seed, MaxEvals: 400, MaxIters: 30, Patience: 8}
+			seqOpts := base
+			seqOpts.Parallel = 1
+			parOpts := base
+			parOpts.Parallel = 4
+			seqSol, seqTrace := solveTraced(t, s, p, seqOpts)
+			parSol, parTrace := solveTraced(t, s, p, parOpts)
 
-				label := s.Name()
-				if math.Float64bits(shardSol.Quality) != math.Float64bits(fullSol.Quality) {
-					t.Errorf("%s seed=%d workers=%d: sharded quality %v != full %v",
-						label, seed, workers, shardSol.Quality, fullSol.Quality)
-				}
-				if shardSol.Evals != fullSol.Evals {
-					t.Errorf("%s seed=%d workers=%d: sharded evals %d != full %d",
-						label, seed, workers, shardSol.Evals, fullSol.Evals)
-				}
-				if shardSol.Status != fullSol.Status {
-					t.Errorf("%s seed=%d workers=%d: sharded status %v != full %v",
-						label, seed, workers, shardSol.Status, fullSol.Status)
-				}
-				if len(shardSol.IDs) != len(fullSol.IDs) {
-					t.Errorf("%s seed=%d workers=%d: id sets differ: %v vs %v",
-						label, seed, workers, shardSol.IDs, fullSol.IDs)
-				} else {
-					for i := range shardSol.IDs {
-						if shardSol.IDs[i] != fullSol.IDs[i] {
-							t.Errorf("%s seed=%d workers=%d: id sets differ: %v vs %v",
-								label, seed, workers, shardSol.IDs, fullSol.IDs)
-							break
-						}
+			label := s.Name()
+			want, err := opt.Score(p, seqSol.IDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(seqSol.Quality) != math.Float64bits(want) {
+				t.Errorf("%s seed=%d: solution quality %v != opt.Score %v for %v",
+					label, seed, seqSol.Quality, want, seqSol.IDs)
+			}
+			if math.Float64bits(parSol.Quality) != math.Float64bits(seqSol.Quality) {
+				t.Errorf("%s seed=%d: 4-worker quality %v != 1-worker %v",
+					label, seed, parSol.Quality, seqSol.Quality)
+			}
+			if parSol.Evals != seqSol.Evals {
+				t.Errorf("%s seed=%d: 4-worker evals %d != 1-worker %d",
+					label, seed, parSol.Evals, seqSol.Evals)
+			}
+			if parSol.Status != seqSol.Status {
+				t.Errorf("%s seed=%d: 4-worker status %v != 1-worker %v",
+					label, seed, parSol.Status, seqSol.Status)
+			}
+			if len(parSol.IDs) != len(seqSol.IDs) {
+				t.Errorf("%s seed=%d: id sets differ: %v vs %v",
+					label, seed, parSol.IDs, seqSol.IDs)
+			} else {
+				for i := range parSol.IDs {
+					if parSol.IDs[i] != seqSol.IDs[i] {
+						t.Errorf("%s seed=%d: id sets differ: %v vs %v",
+							label, seed, parSol.IDs, seqSol.IDs)
+						break
 					}
 				}
-				if !bytes.Equal(shardTrace, fullTrace) {
-					t.Errorf("%s seed=%d workers=%d: trace bytes differ between sharded and full paths",
-						label, seed, workers)
-				}
+			}
+			if !bytes.Equal(parTrace, seqTrace) {
+				t.Errorf("%s seed=%d: trace bytes differ between 1 and 4 workers",
+					label, seed)
 			}
 		}
-	}
-}
-
-// TestShardPathEngages guards the point of the sharded matcher: a plain tabu
-// run must actually score flips through ShardedBase.ScoreFlip (visible as
-// shard-score operations on the process-wide counter), not silently fall back
-// to full reclustering.
-func TestShardPathEngages(t *testing.T) {
-	p := problem(t, 4, constraint.Set{})
-	before := match.ShardScores()
-	opts := opt.Options{Seed: 5, MaxEvals: 300, MaxIters: 20, Patience: 6}
-	if _, err := (tabu.Solver{}).Solve(context.Background(), p, opts); err != nil {
-		t.Fatal(err)
-	}
-	if after := match.ShardScores(); after == before {
-		t.Error("tabu solve performed no sharded flip scores; the shard path never engaged")
-	}
-
-	// And with NoShard it must stay silent.
-	before = match.ShardScores()
-	opts.NoShard = true
-	if _, err := (tabu.Solver{}).Solve(context.Background(), p, opts); err != nil {
-		t.Fatal(err)
-	}
-	if after := match.ShardScores(); after != before {
-		t.Errorf("NoShard solve performed %d sharded flip scores; want 0", after-before)
 	}
 }

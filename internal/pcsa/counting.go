@@ -3,16 +3,7 @@ package pcsa
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
-
-// countingOps counts counting-signature merge operations (Add/Remove/fused
-// estimate folds) process-wide, the incremental-path sibling of MergeOps.
-var countingOps atomic.Uint64
-
-// CountingMerges returns the total number of counting-signature merge
-// operations performed by this process. Monotonic; not resettable.
-func CountingMerges() uint64 { return countingOps.Load() }
 
 // maxCount is the saturation ceiling of one reference-count lane. A lane
 // that reaches it becomes sticky: it is never incremented or decremented
@@ -117,7 +108,6 @@ func (c *Counting) Add(s *Signature) error {
 		}
 	}
 	c.n++
-	countingOps.Add(1)
 	return nil
 }
 
@@ -150,7 +140,6 @@ func (c *Counting) Remove(s *Signature) error {
 		}
 	}
 	c.n--
-	countingOps.Add(1)
 	return nil
 }
 
@@ -194,12 +183,6 @@ func (c *Counting) EstimateDelta(add, drop *Signature) (float64, error) {
 			w |= add.maps[i]
 		}
 		sum += bits.TrailingZeros64(^w)
-	}
-	if add != nil {
-		countingOps.Add(1)
-	}
-	if drop != nil {
-		countingOps.Add(1)
 	}
 	return estimateRhoSum(c.cfg, sum), nil
 }

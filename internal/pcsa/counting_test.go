@@ -197,28 +197,6 @@ func TestCountingConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestCountingMergesCounter: Add, Remove, and each non-nil EstimateDelta side
-// tick the process-wide counting-merge counter.
-func TestCountingMergesCounter(t *testing.T) {
-	cfg := Config{NumMaps: 64}
-	c := MustNewCounting(cfg)
-	s := MustNew(cfg)
-	s.AddUint64(1)
-	before := CountingMerges()
-	if err := c.Add(s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.EstimateDelta(s, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(s); err != nil {
-		t.Fatal(err)
-	}
-	if got := CountingMerges() - before; got != 3 {
-		t.Errorf("CountingMerges advanced by %d, want 3", got)
-	}
-}
-
 // TestCountingSizeBytes documents the memory cost: 9 bytes per bucket bit.
 func TestCountingSizeBytes(t *testing.T) {
 	c := MustNewCounting(Config{NumMaps: 64})

@@ -51,36 +51,6 @@ func TestUnionPreSized(t *testing.T) {
 	}
 }
 
-// TestEstimateUnionFused: the fused two-signature union estimate is
-// bit-identical to materializing the merge, and nil means plain Estimate.
-func TestEstimateUnionFused(t *testing.T) {
-	cfg := Config{NumMaps: 64}
-	r := rand.New(rand.NewSource(21))
-	a, b := MustNew(cfg), MustNew(cfg)
-	for i := 0; i < 5000; i++ {
-		a.AddUint64(r.Uint64())
-		b.AddUint64(r.Uint64())
-	}
-	merged, err := Union(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.EstimateUnion(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got) != math.Float64bits(merged.Estimate()) {
-		t.Errorf("fused estimate %v != materialized %v", got, merged.Estimate())
-	}
-	if got, _ := a.EstimateUnion(nil); math.Float64bits(got) != math.Float64bits(a.Estimate()) {
-		t.Errorf("EstimateUnion(nil) = %v, want Estimate %v", got, a.Estimate())
-	}
-	other := MustNew(Config{NumMaps: 128})
-	if _, err := a.EstimateUnion(other); !errors.Is(err, ErrIncompatible) {
-		t.Errorf("mixed parameters: want ErrIncompatible, got %v", err)
-	}
-}
-
 // TestOrWordsKernel exercises the unrolled word-level OR against a scalar
 // reference, across lengths that hit every unroll tail.
 func TestOrWordsKernel(t *testing.T) {

@@ -16,18 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
-
-// mergeOps counts OR-merge operations process-wide. Union merging is the
-// innermost hot loop of every Coverage/Redundancy evaluation, so the counter
-// is a single atomic add here and surfaced read-only via MergeOps (the
-// mube-bench debug endpoint publishes it as an expvar).
-var mergeOps atomic.Uint64
-
-// MergeOps returns the total number of signature OR-merges performed by this
-// process. Monotonic; not resettable.
-func MergeOps() uint64 { return mergeOps.Load() }
 
 // phi is the Flajolet–Martin magic constant correcting the expectation of
 // the bit-pattern observable.
@@ -257,26 +246,7 @@ func (s *Signature) MergeFrom(o *Signature) error {
 		return ErrIncompatible
 	}
 	orWords(s.maps, o.maps)
-	mergeOps.Add(1)
 	return nil
-}
-
-// EstimateUnion returns the estimate of the union of s and o without
-// materializing the merged signature: the OR happens word by word inside the
-// rho-sum accumulation. o may be nil, in which case this is Estimate. It is
-// the fused read kernel behind add-only neighborhood flips.
-func (s *Signature) EstimateUnion(o *Signature) (float64, error) {
-	if o == nil {
-		return s.Estimate(), nil
-	}
-	if s.cfg != o.cfg {
-		return 0, configMismatch(s.cfg, o.cfg)
-	}
-	sum := 0
-	for i, w := range s.maps {
-		sum += bits.TrailingZeros64(^(w | o.maps[i]))
-	}
-	return estimateRhoSum(s.cfg, sum), nil
 }
 
 // configMismatch builds the diagnostic for merging signatures of different
@@ -306,7 +276,6 @@ func Union(sigs ...*Signature) (*Signature, error) {
 	copy(out.maps, first.maps)
 	for _, o := range sigs[1:] {
 		orWords(out.maps, o.maps)
-		mergeOps.Add(1)
 	}
 	return out, nil
 }

@@ -131,27 +131,6 @@ func TestUnionWithOverlapCountsDistinct(t *testing.T) {
 	}
 }
 
-// TestMergeOpsCounter: every successful MergeFrom ticks the process-wide
-// merge counter (surfaced on mube-bench's /debug/vars); failed merges don't.
-func TestMergeOpsCounter(t *testing.T) {
-	a := MustNew(Config{NumMaps: 64})
-	b := MustNew(Config{NumMaps: 64})
-	b.AddUint64(1)
-	before := MergeOps()
-	if err := a.MergeFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := MergeOps() - before; got != 1 {
-		t.Errorf("MergeOps after one merge = +%d, want +1", got)
-	}
-	if err := a.MergeFrom(MustNew(Config{NumMaps: 128})); err == nil {
-		t.Fatal("incompatible merge accepted")
-	}
-	if got := MergeOps() - before; got != 1 {
-		t.Errorf("failed merge ticked the counter: +%d", got)
-	}
-}
-
 func TestMergeIncompatible(t *testing.T) {
 	a := MustNew(Config{NumMaps: 64})
 	b := MustNew(Config{NumMaps: 128})

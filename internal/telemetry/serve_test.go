@@ -100,7 +100,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 // TestServeSmoke boots the live endpoint on an ephemeral port and exercises
-// /metrics, /spans, and the pprof index over real HTTP.
+// /metrics, /spans, /debug/vars, and the pprof index over real HTTP.
 func TestServeSmoke(t *testing.T) {
 	ring := NewSpanRing(0)
 	rec := New(ring)
@@ -144,6 +144,9 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Errorf("/debug/pprof/ index:\n%.300s", idx)
+	}
+	if vars := get("/debug/vars"); !strings.Contains(vars, `"memstats"`) {
+		t.Errorf("/debug/vars missing expvar's process vars:\n%.300s", vars)
 	}
 
 	// nil recorder and ring must serve empty documents, not crash: every

@@ -135,8 +135,8 @@ type Loop struct {
 	// touched accumulates the IDs churn altered during the current tick —
 	// the warm re-solve's extra candidates in DeltaPool mode.
 	touched []schema.SourceID
-	mttfRef  float64
-	epoch    int
+	mttfRef float64
+	epoch   int
 }
 
 // pristineSyn is the cached cooperative form of a currently-degraded source.
