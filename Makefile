@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fmt-check mube-vet vet-json bench bench-delta bench-churn bench-partition bench-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race fmt-check mube-vet vet-json bench-smoke trace-smoke trace-golden benchall fmt
 
 check: build mube-vet vet fmt-check race
 
@@ -39,54 +39,14 @@ mube-vet:
 vet-json:
 	$(GO) run ./cmd/mube-vet -json ./...
 
-# bench runs the figure-regeneration benchmarks three times each (single-shot
-# timings so the three runs expose variance) and archives them as JSON.
-bench:
-	$(GO) test -bench=Fig -benchmem -benchtime=1x -count=3 -run=^$$ . | $(GO) run ./cmd/mube-benchjson > BENCH_fig.json
-	@echo "wrote BENCH_fig.json"
-
-# bench-delta runs the incremental-evaluation micro-benchmarks (counting-union
-# churn, fused flip estimates, the delta vs full neighborhood pair) and folds
-# them into BENCH_fig.json alongside the figure benchmarks; re-running only
-# replaces the Delta records. The metrics line (merge_ops_per_eval,
-# delta_hit_rate, ...) from this run wins.
-bench-delta:
-	$(GO) test -bench=Delta -benchmem -benchtime=1x -count=3 -run=^$$ . | $(GO) run ./cmd/mube-benchjson -merge BENCH_fig.json > BENCH_delta.tmp
-	@mv BENCH_delta.tmp BENCH_fig.json
-	@echo "merged Delta benchmarks into BENCH_fig.json"
-
-# bench-churn runs the online-integration churn ladder (mube-bench -exp
-# churn) and folds its metrics line (warm_evals_frac, q_recovery — both
-# direction-aware in mube-benchjson -compare) into BENCH_fig.json.
-bench-churn:
-	$(GO) run ./cmd/mube-bench -exp churn -scale quick | $(GO) run ./cmd/mube-benchjson -merge BENCH_fig.json > BENCH_churn.tmp
-	@mv BENCH_churn.tmp BENCH_fig.json
-	@echo "merged churn metrics into BENCH_fig.json"
-
-# bench-partition runs the group-worker differential (mube-bench -exp
-# partition: bit-identity self-check at GroupWorkers 1 vs 4, speedup, and the
-# candidate-pair index economics) and folds its metrics line
-# (partition_speedup, pair_candidates, pair_candidates_frac, shard_build_ns —
-# all direction-aware in mube-benchjson -compare) into BENCH_fig.json.
-bench-partition:
-	$(GO) run ./cmd/mube-bench -exp partition -scale quick | $(GO) run ./cmd/mube-benchjson -merge BENCH_fig.json > BENCH_partition.tmp
-	@mv BENCH_partition.tmp BENCH_fig.json
-	@echo "merged partition metrics into BENCH_fig.json"
-
-# bench-smoke is CI's non-gating sanity pass: one Fig5 iteration diffed
-# against the committed BENCH_fig.json (the -compare table prints to stderr;
-# shared-runner timings are too noisy to gate on, so regressions are
-# informational here — run `make bench` locally to re-archive), plus the 100k
-# and 1M universe presets at reduced solver budget to prove the
-# streamed-generation, candidate-index, and partitioned-solve path end to
-# end. The 1M run's metrics line (solve_ms_1m, pair_candidates, ...) is
-# archived next to the Fig5 compare.
+# bench-smoke is CI's non-gating sanity pass: the 100k and 1M universe
+# presets at reduced solver budget, proving the streamed-generation,
+# candidate-index, and partitioned-solve path end to end. Performance is
+# measured by perfbench (`bash perfbench/run.sh --workload <w> ...`, see
+# BENCHMARK.json), not here.
 bench-smoke:
-	$(GO) test -bench=Fig5 -benchmem -benchtime=1x -count=1 -run=^$$ . | $(GO) run ./cmd/mube-benchjson -compare BENCH_fig.json > BENCH_smoke.json
-	@echo "wrote BENCH_smoke.json"
 	$(GO) run ./cmd/mube-bench -universe 100k -smoke
-	$(GO) run ./cmd/mube-bench -universe 1m -smoke | $(GO) run ./cmd/mube-benchjson -compare BENCH_fig.json > BENCH_smoke_1m.json
-	@echo "wrote BENCH_smoke_1m.json"
+	$(GO) run ./cmd/mube-bench -universe 1m -smoke
 
 # trace-smoke records a deterministic watch trace through the CLI
 # (virtual-clock timings, so the bytes are machine-independent), renders the

@@ -8,30 +8,22 @@ package mube_test
 
 import (
 	"context"
-	"flag"
-	"fmt"
-	"os"
 	"testing"
-	"time"
 
 	"mube/internal/constraint"
 	"mube/internal/exp"
-	"mube/internal/fault"
 	"mube/internal/match"
 	"mube/internal/minhash"
 	"mube/internal/opt"
 	"mube/internal/pcsa"
 	"mube/internal/schema"
 	"mube/internal/synth"
-	"mube/internal/telemetry"
 )
 
 // benchScale is a small but non-trivial configuration: 1% data, universes to
-// 200 sources. Set MUBE_FAULTS (e.g. "rate=0.3,seed=7") to benchmark against
-// fault-degraded universes; the plan is echoed by TestMain's mube-config
-// line and archived into BENCH_fig.json.
+// 200 sources.
 func benchScale() exp.Scale {
-	sc := exp.Scale{
+	return exp.Scale{
 		Name:          "bench",
 		DataFactor:    0.01,
 		UniverseSizes: []int{100, 200},
@@ -44,94 +36,6 @@ func benchScale() exp.Scale {
 		Seed:          1,
 		Repeats:       1,
 	}
-	if plan, err := fault.ParsePlan(os.Getenv("MUBE_FAULTS")); err == nil && plan.Enabled() {
-		sc.Faults = &plan
-	}
-	return sc
-}
-
-// TestMain prints the run configuration as a mube-config line for
-// mube-benchjson to archive, so a benchmark run against a fault-degraded
-// universe is never silently compared with a clean one. After a benchmark
-// run (-bench set) it additionally prints a mube-metrics line with the
-// telemetry snapshot of one instrumented tabu solve, which mube-benchjson
-// embeds into BENCH_fig.json.
-func TestMain(m *testing.M) {
-	sc := benchScale()
-	plan := "none"
-	if sc.Faults != nil {
-		plan = sc.Faults.String()
-	}
-	fmt.Println(telemetry.ConfigLine(
-		telemetry.KVStr("faults", plan),
-		telemetry.KVInt("eval-workers", sc.Workers()),
-		telemetry.KVStr("timeout", "none"),
-	))
-	code := m.Run()
-	if code == 0 && benchRequested() {
-		if err := printBenchMetrics(sc); err != nil {
-			fmt.Fprintf(os.Stderr, "bench metrics: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// benchRequested reports whether this run executes benchmarks, so plain
-// `go test` output stays free of the metrics line.
-func benchRequested() bool {
-	f := flag.Lookup("test.bench")
-	return f != nil && f.Value.String() != ""
-}
-
-// printBenchMetrics runs one instrumented tabu solve on the standard bench
-// problem and prints its telemetry snapshot as a mube-metrics line: memo hit
-// rate, distinct evaluations per second, mean batch occupancy, and the final
-// Q(S).
-func printBenchMetrics(sc exp.Scale) error {
-	res, err := sc.Universe(sc.BaseUniverse)
-	if err != nil {
-		return err
-	}
-	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{})
-	if err != nil {
-		return err
-	}
-	rec := telemetry.New(nil)
-	opts := sc.Options(sc.Seed)
-	opts.Recorder = rec
-	start := time.Now()
-	sol, err := sc.Solver(sc.BaseUniverse).Solve(context.Background(), p, opts)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start).Seconds()
-	snap := rec.Snapshot()
-	computed := snap.Counters["eval.computed"]
-	vals := map[string]float64{
-		"best_q": sol.Quality,
-		"evals":  float64(computed),
-	}
-	if calls := snap.Counters["eval.calls"]; calls > 0 {
-		vals["memo_hit_rate"] = float64(snap.Counters["eval.memo_hits"]) / float64(calls)
-	}
-	if elapsed > 0 {
-		vals["evals_per_sec"] = float64(computed) / elapsed
-	}
-	if computed > 0 {
-		// Full signature merges per distinct evaluation: the cost the
-		// incremental paths exist to shrink. Counting-union operations
-		// (delta builds, rebases, fused flip estimates) are reported
-		// separately so the before/after trade is visible in one line.
-		vals["merge_ops_per_eval"] = float64(snap.Counters["pcsa.merges"]) / float64(computed)
-		vals["counting_merges_per_eval"] = float64(snap.Counters["pcsa.counting_merges"]) / float64(computed)
-		vals["delta_hit_rate"] = float64(snap.Counters["eval.delta_hits"]) / float64(computed)
-	}
-	if h, ok := snap.Histograms["eval.batch_size"]; ok && h.Count > 0 && h.Max > 0 {
-		vals["batch_occupancy"] = h.Mean() / h.Max
-	}
-	fmt.Println(telemetry.MetricsLine(vals))
-	return nil
 }
 
 // BenchmarkFig5 regenerates Figure 5 (execution time vs universe size).

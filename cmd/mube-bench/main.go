@@ -13,16 +13,15 @@
 // changes — and the run header prints the effective worker count.
 //
 // Experiments: fig5, fig67 (time and quality: Figures 6 and 7), fig8,
-// table1, pcsa, sensitivity, solvers, convergence, ablation-sim,
-// ablation-linkage, ablation-tenure, ablation-pcsa, faults, churn,
-// partition, all.
+// table1, pcsa, sensitivity, solvers, convergence, querycost, ablation-sim,
+// ablation-linkage, ablation-tenure, ablation-hybrid, ablation-pairwise,
+// ablation-pcsa, faults, churn, partition, all.
 //
 // The -universe flag switches to the universe-scale benchmark ladder
 // (50 | 10k | 100k | 1m | all): build a streamed synthetic universe at the
-// preset size and solve it end to end, printing generation, shard-index, and
-// solve economics plus an archivable metrics line. -group-workers overrides
-// the partitioned solver's group pool size for those runs (0 = the preset's
-// own setting).
+// preset size and solve it end to end, printing generation, matcher,
+// shard-index, and solve economics. -group-workers overrides the partitioned
+// solver's group pool size for those runs (0 = the preset's own setting).
 //
 // The -debug-addr flag (off by default) boots telemetry.Serve on the given
 // address for live profiling: Prometheus-style /metrics, recently completed
@@ -288,20 +287,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mube-bench: %v\n", err)
 			os.Exit(1)
 		}
-		// Archivable metrics line: per-preset solve wall-clock plus the
-		// matcher and candidate-index build of the largest rung, so
-		// `mube-bench -universe ... | mube-benchjson -merge` tracks them
-		// across commits.
-		metrics := make(map[string]float64, len(rows)+4)
-		for _, r := range rows {
-			metrics["solve_ms_"+r.Preset] = r.SolveMS
-		}
-		last := rows[len(rows)-1]
-		metrics["pair_candidates"] = float64(last.PairCandidates)
-		metrics["pair_candidates_frac"] = last.PairFrac()
-		metrics["shard_build_ns"] = last.ShardMS * 1e6
-		metrics["match_build_ns"] = last.MatchMS * 1e6
-		fmt.Println(telemetry.MetricsLine(metrics))
 		return
 	}
 

@@ -14,10 +14,9 @@
 // watch loop's per-epoch delta events, and convergence summarizes each
 // solver run's Q trajectory.
 //
-// -compare diffs two traces' phase profiles with the same direction-aware
-// regression flags as mube-benchjson: cumulative/self nanoseconds are
-// lower-better, changes worse than 10% flag as REGRESSION, and -strict turns
-// any flag into a nonzero exit for CI gating. Span counts and event counts
+// -compare diffs two traces' phase profiles: cumulative/self nanoseconds
+// that grow by more than 10% flag as REGRESSION, and -strict turns any flag
+// into a nonzero exit for CI gating. Span counts, event counts and final Q
 // print as informational context.
 package main
 
@@ -30,7 +29,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"mube/internal/benchcmp"
 	"mube/internal/telemetry"
 )
 
@@ -241,9 +239,9 @@ func writeConvergence(w io.Writer, evs []telemetry.Event) error {
 	return tw.Flush()
 }
 
-// profileScopes flattens a trace's phase profile into benchcmp's scoped
-// metric shape: per phase path, cumulative/self nanoseconds plus span and
-// event counts; final Q per phase rides along as informational context.
+// profileScopes flattens a trace's phase profile into scoped metrics: per
+// phase path, cumulative/self nanoseconds plus span and event counts; final
+// Q per phase rides along as informational context.
 func profileScopes(evs []telemetry.Event) map[string]map[string]float64 {
 	scopes := make(map[string]map[string]float64)
 	for _, st := range telemetry.Profile(telemetry.BuildTree(evs)) {
@@ -271,11 +269,11 @@ func runCompare(w io.Writer, oldPath, newPath string) (int, error) {
 		return 0, err
 	}
 	oldScopes, newScopes := profileScopes(oldEvs), profileScopes(newEvs)
-	rows, regressions := benchcmp.Compare(oldScopes, newScopes, benchcmp.Default)
+	rows, regressions := compareScopes(oldScopes, newScopes)
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("no common phases between %s and %s", oldPath, newPath)
 	}
-	if err := benchcmp.Render(w, rows, regressions); err != nil {
+	if err := renderCompare(w, rows, regressions); err != nil {
 		return 0, err
 	}
 	// Phases appearing or disappearing are a structural change worth naming

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -245,5 +247,45 @@ func TestCmdWatchTraceAndDebugAddr(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"ev":"watch.tick.begin"`) {
 		t.Errorf("watch trace has no tick span:\n%.300s", data)
+	}
+}
+
+// TestWriteFileFailureKeepsTarget pins writeFile's atomicity: a write that
+// fails part-way leaves the existing target byte-identical and no temporary
+// file behind.
+func TestWriteFileFailureKeepsTarget(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spec.json")
+	old := []byte(`{"weights":{"match":1}}`)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errWrite := errors.New("disk full")
+	err := writeFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, `{"weights":`); err != nil {
+			return err
+		}
+		return errWrite
+	})
+	if !errors.Is(err, errWrite) {
+		t.Fatalf("writeFile error = %v, want %v", err, errWrite)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Errorf("target changed by a failed write: %q, want %q", got, old)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "spec.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want only spec.json", names)
 	}
 }

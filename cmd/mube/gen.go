@@ -30,22 +30,14 @@ func cmdGen(args []string) error {
 		return err
 	}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *out == "-" {
+		return res.Universe.WriteJSON(os.Stdout)
 	}
-	if err := res.Universe.WriteJSON(w); err != nil {
+	if err := writeFile(*out, res.Universe.WriteJSON); err != nil {
 		return err
 	}
-	if *out != "-" {
-		fmt.Printf("wrote %d sources (%d conformant, pool scale %g, seed %d) to %s\n",
-			res.Universe.Len(), len(res.Conformant), *scale, *seed, *out)
-	}
+	fmt.Printf("wrote %d sources (%d conformant, pool scale %g, seed %d) to %s\n",
+		res.Universe.Len(), len(res.Conformant), *scale, *seed, *out)
 	return nil
 }
 

@@ -150,16 +150,7 @@ func runREPL(s *session.Session, u *source.Universe, in io.Reader, out io.Writer
 				fmt.Fprintln(out, "usage: save <file>   (writes the current spec; reload with mube solve/interactive -spec)")
 				continue
 			}
-			f, err := os.Create(rest[0])
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			err = s.SaveSpec(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
+			if err := writeFile(rest[0], s.SaveSpec); err != nil {
 				fmt.Fprintln(out, "error:", err)
 			} else {
 				fmt.Fprintln(out, "wrote", rest[0])
@@ -169,16 +160,7 @@ func runREPL(s *session.Session, u *source.Universe, in io.Reader, out io.Writer
 				fmt.Fprintln(out, "usage: report <file>")
 				continue
 			}
-			f, err := os.Create(rest[0])
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			err = s.WriteReport(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
+			if err := writeFile(rest[0], s.WriteReport); err != nil {
 				fmt.Fprintln(out, "error:", err)
 			} else {
 				fmt.Fprintln(out, "wrote", rest[0])

@@ -17,7 +17,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 )
 
 func main() {
@@ -64,4 +66,33 @@ subcommands:
   watch        online-integration loop: churn epochs, incremental updates, warm re-solves
 
 run 'mube <subcommand> -h' for flags`)
+}
+
+// writeFile replaces path with what write produces, atomically: the bytes go
+// to a temporary file in path's directory, which is synced and renamed over
+// path only once write and Close have both succeeded. On any error path is
+// left as it was and the temporary file is removed. The file is created
+// 0644, what os.Create gives under the usual umask.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+	}
+	return err
 }

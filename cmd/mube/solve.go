@@ -150,13 +150,7 @@ func cmdSolve(args []string) error {
 	}
 	printSolution(os.Stdout, u, s.Last())
 	if *report != "" {
-		f, err := os.Create(*report)
-		if err != nil {
-			_ = tel.close()
-			return err
-		}
-		defer f.Close()
-		if err := s.WriteReport(f); err != nil {
+		if err := writeFile(*report, s.WriteReport); err != nil {
 			_ = tel.close()
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 	"mube/internal/probe"
 	"mube/internal/qef"
 	"mube/internal/synth"
-	"mube/internal/telemetry"
 	"mube/internal/watch"
 )
 
@@ -115,9 +114,7 @@ func Churn(sc Scale) ([]ChurnRow, error) {
 	return rows, nil
 }
 
-// RenderChurn prints the churn ladder, plus the run-level metrics line
-// mube-benchjson archives into BENCH_fig.json (taken from the highest churn
-// rate — the stress case the warm-start claim is about).
+// RenderChurn prints the churn ladder.
 func RenderChurn(w io.Writer, rows []ChurnRow) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "churn\tepochs\tsources\tbase_q\tfinal_q\tq_recovery\twarm_evals\tcold_evals\twarm_frac\tdied\tarrived")
@@ -126,13 +123,5 @@ func RenderChurn(w io.Writer, rows []ChurnRow) error {
 			r.Rate*100, r.Epochs, r.Sources, r.BaselineQ, r.FinalQ, r.QRecovery,
 			r.WarmEvals, r.ColdEvals, r.WarmFrac, r.Died, r.Arrived)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	stress := rows[len(rows)-1]
-	fmt.Fprintln(w, telemetry.MetricsLine(map[string]float64{
-		"warm_evals_frac": stress.WarmFrac,
-		"q_recovery":      stress.QRecovery,
-	}))
-	return nil
+	return tw.Flush()
 }

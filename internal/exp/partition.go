@@ -1,19 +1,9 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"time"
-
-	"mube/internal/constraint"
-	"mube/internal/match"
-	"mube/internal/opt"
-	"mube/internal/opt/solvers"
-	"mube/internal/pcsa"
-	"mube/internal/synth"
-	"mube/internal/telemetry"
 )
 
 // The partition experiment measures the two scaling levers this repo adds on
@@ -68,62 +58,24 @@ func Partition(sc Scale) (*PartitionResult, error) {
 	if sc.Name != "full" {
 		p = p.Reduced()
 	}
-	cfg := synth.Scaled(p.DataFactor)
-	cfg.NumSources = p.NumSources
-	cfg.Domains = p.Domains
-	cfg.DomainConcepts = p.Concepts
-	cfg.Seed = p.Seed
-	cfg.Sig = pcsa.Config{NumMaps: 64}
-	u, err := synth.GenerateUniverse(cfg)
+	l, err := newLadder(p)
 	if err != nil {
 		return nil, err
 	}
-	matcher, err := match.New(u, match.Config{Theta: match.DefaultTheta})
-	if err != nil {
-		return nil, err
+	res := &PartitionResult{
+		Groups:         l.groups,
+		ShardMS:        l.shardMS,
+		PairCandidates: l.pairCandidates,
+		PairsTotal:     l.pairsTotal,
 	}
-	quality, err := PaperQuality()
-	if err != nil {
-		return nil, err
-	}
-	prob := &opt.Problem{
-		Universe:   u,
-		Matcher:    matcher,
-		Quality:    quality,
-		MaxSources: p.Choose,
-	}
-	solver, err := solvers.ByName(p.Solver)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &PartitionResult{}
-	candBefore := match.PairCandidates()
-	shardStart := time.Now()
-	res.Groups = len(matcher.NewSharded(constraint.Set{}).SourceGroups())
-	res.ShardMS = float64(time.Since(shardStart).Microseconds()) / 1000
-	res.PairCandidates = match.PairCandidates() - candBefore
-	nSim := uint64(matcher.SimIDs())
-	res.PairsTotal = nSim * (nSim - 1) / 2
-
 	for _, workers := range []int{1, 4} {
-		opts := opt.Options{
-			Seed:         p.Seed,
-			MaxEvals:     p.MaxEvals,
-			MaxIters:     p.MaxIters,
-			Patience:     p.Patience,
-			Parallel:     sc.Parallel,
-			GroupWorkers: workers,
-			Recorder:     sc.Rec,
-		}
-		start := time.Now()
-		sol, err := solver.Solve(context.Background(), prob, opts)
+		sol, solveSec, err := l.solve(sc.Parallel, workers, sc.Rec)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, PartitionRow{
 			Workers: workers,
-			SolveMS: time.Since(start).Seconds() * 1000,
+			SolveMS: solveSec * 1000,
 			Quality: sol.Quality,
 			Evals:   sol.Evals,
 		})
@@ -138,8 +90,9 @@ func Partition(sc Scale) (*PartitionResult, error) {
 	return res, nil
 }
 
-// RenderPartition prints the worker ladder plus the candidate-index
-// economics, ending with the archivable metrics line.
+// RenderPartition prints the worker ladder, then one summary line with the
+// candidate-index economics and the speedup of the widest group pool over
+// one worker.
 func RenderPartition(w io.Writer, res *PartitionResult) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "group_workers\tsolve_ms\tquality\tevals")
@@ -149,16 +102,8 @@ func RenderPartition(w io.Writer, res *PartitionResult) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "shard index: %d groups, %d of %d pairs tested (%.4f) in %.1fms\n",
-		res.Groups, res.PairCandidates, res.PairsTotal, res.PairFrac(), res.ShardMS)
-	// The canonical pair_candidates / shard_build_ns archive comes from the
-	// universe ladder's largest rung (mube-bench -universe); this line only
-	// archives what is unique to the differential, so merging both into
-	// BENCH_fig.json never makes same-named metrics from different universes
-	// collide.
-	fmt.Fprintln(w, telemetry.MetricsLine(map[string]float64{
-		"partition_speedup": res.Speedup(),
-		"group_workers":     float64(res.Rows[len(res.Rows)-1].Workers),
-	}))
+	fmt.Fprintf(w, "shard index: %d groups, %d of %d pairs tested (%.4f) in %.1fms; speedup %.2fx at %d group workers\n",
+		res.Groups, res.PairCandidates, res.PairsTotal, res.PairFrac(), res.ShardMS,
+		res.Speedup(), res.Rows[len(res.Rows)-1].Workers)
 	return nil
 }

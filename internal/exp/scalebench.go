@@ -58,7 +58,8 @@ type ScalePreset struct {
 }
 
 // ScalePresets returns the benchmark ladder: the paper's neighborhood (50),
-// beyond any flat search (10k), and the Internet-scale target (100k).
+// beyond any flat search (10k), the Internet-scale target (100k), and the
+// 10⁶-source rung (1m).
 func ScalePresets() []ScalePreset {
 	return []ScalePreset{
 		{
@@ -176,9 +177,25 @@ type ScaleBenchRow struct {
 	Status  string
 }
 
-// ScaleBench builds the preset's universe through the streaming generator and
-// solves it end to end, reporting throughput and allocation telemetry.
-func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBenchRow, error) {
+// ladder is one preset's problem as ScaleBench and Partition both solve it:
+// the streamed universe, its matcher and shard index, and the solver, with
+// what each build step cost.
+type ladder struct {
+	preset  ScalePreset
+	prob    *opt.Problem
+	solver  opt.Solver
+	groups  int
+	genMS   float64
+	matchMS float64
+	shardMS float64
+	// pairCandidates and pairsTotal are as in ScaleBenchRow.
+	pairCandidates uint64
+	pairsTotal     uint64
+}
+
+// newLadder builds p's universe through the streaming generator, its matcher
+// and shard index, and resolves p's solver, timing each build step.
+func newLadder(p ScalePreset) (*ladder, error) {
 	cfg := synth.Scaled(p.DataFactor)
 	cfg.NumSources = p.NumSources
 	cfg.Domains = p.Domains
@@ -189,76 +206,94 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 		sigMaps = 64
 	}
 	cfg.Sig = pcsa.Config{NumMaps: sigMaps}
+	l := &ladder{preset: p}
 
 	genStart := time.Now()
 	u, err := synth.GenerateUniverse(cfg)
 	if err != nil {
 		return nil, err
 	}
-	genMS := float64(time.Since(genStart).Microseconds()) / 1000
+	l.genMS = float64(time.Since(genStart).Microseconds()) / 1000
 
 	matchStart := time.Now()
 	matcher, err := match.New(u, match.Config{Theta: match.DefaultTheta})
 	if err != nil {
 		return nil, err
 	}
-	matchMS := float64(time.Since(matchStart).Microseconds()) / 1000
+	l.matchMS = float64(time.Since(matchStart).Microseconds()) / 1000
 
 	// Build the shard index (candidate generation + blocked scoring +
-	// component labeling) up front and time it; the solve below reuses the
-	// cached index. PairCandidates deltas are process-global, so surround
-	// the build tightly.
+	// component labeling) up front and time it; the solves reuse the cached
+	// index. PairCandidates deltas are process-global, so surround the build
+	// tightly.
 	candBefore := match.PairCandidates()
 	shardStart := time.Now()
-	groups := len(matcher.NewSharded(constraint.Set{}).SourceGroups())
-	shardMS := float64(time.Since(shardStart).Microseconds()) / 1000
-	candTested := match.PairCandidates() - candBefore
+	l.groups = len(matcher.NewSharded(constraint.Set{}).SourceGroups())
+	l.shardMS = float64(time.Since(shardStart).Microseconds()) / 1000
+	l.pairCandidates = match.PairCandidates() - candBefore
 	nSim := uint64(matcher.SimIDs())
+	l.pairsTotal = nSim * (nSim - 1) / 2
+
 	quality, err := PaperQuality()
 	if err != nil {
 		return nil, err
 	}
-	prob := &opt.Problem{
+	l.prob = &opt.Problem{
 		Universe:   u,
 		Matcher:    matcher,
 		Quality:    quality,
 		MaxSources: p.Choose,
 	}
-	solver, err := solvers.ByName(p.Solver)
-	if err != nil {
+	if l.solver, err = solvers.ByName(p.Solver); err != nil {
 		return nil, err
 	}
-	opts := opt.Options{
+	return l, nil
+}
+
+// solve runs the preset's solver once under its budget at the given pool
+// sizes, returning the solution and the solve's wall time in seconds.
+func (l *ladder) solve(parallel, groupWorkers int, rec *telemetry.Recorder) (*opt.Solution, float64, error) {
+	p := l.preset
+	start := time.Now()
+	sol, err := l.solver.Solve(context.Background(), l.prob, opt.Options{
 		Seed:         p.Seed,
 		MaxEvals:     p.MaxEvals,
 		MaxIters:     p.MaxIters,
 		Patience:     p.Patience,
 		Parallel:     parallel,
-		GroupWorkers: p.GroupWorkers,
+		GroupWorkers: groupWorkers,
 		Recorder:     rec,
-	}
+	})
+	return sol, time.Since(start).Seconds(), err
+}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	solveStart := time.Now()
-	sol, err := solver.Solve(context.Background(), prob, opts)
+// ScaleBench builds the preset's universe through the streaming generator and
+// solves it end to end, reporting throughput and allocation telemetry.
+func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBenchRow, error) {
+	l, err := newLadder(p)
 	if err != nil {
 		return nil, err
 	}
-	solveSec := time.Since(solveStart).Seconds()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sol, solveSec, err := l.solve(parallel, p.GroupWorkers, rec)
+	if err != nil {
+		return nil, err
+	}
 	runtime.ReadMemStats(&after)
 
+	u := l.prob.Universe
 	row := &ScaleBenchRow{
 		Preset:         p.Name,
 		Sources:        u.Len(),
-		Groups:         groups,
-		Solver:         solver.Name(),
-		GenMS:          genMS,
-		MatchMS:        matchMS,
-		ShardMS:        shardMS,
+		Groups:         l.groups,
+		Solver:         l.solver.Name(),
+		GenMS:          l.genMS,
+		MatchMS:        l.matchMS,
+		ShardMS:        l.shardMS,
 		SolveMS:        solveSec * 1000,
-		PairCandidates: candTested,
-		PairsTotal:     nSim * (nSim - 1) / 2,
+		PairCandidates: l.pairCandidates,
+		PairsTotal:     l.pairsTotal,
 		GroupWorkers:   p.GroupWorkers,
 		Evals:          sol.Evals,
 		SolveMallocs:   after.Mallocs - before.Mallocs,

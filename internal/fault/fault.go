@@ -106,9 +106,8 @@ func (p Plan) Enabled() bool {
 	return p.Rate > 0 || p.Latency > 0 || (p.FlapPeriod > 0 && p.FlapDuty > 0)
 }
 
-// String renders the plan in the canonical ParsePlan syntax (run headers and
-// archived benchmark JSON embed it so degraded runs are never mistaken for
-// clean ones).
+// String renders the plan in the canonical ParsePlan syntax (run headers
+// embed it so degraded runs are never mistaken for clean ones).
 func (p Plan) String() string {
 	if !p.Enabled() {
 		return "none"

@@ -107,9 +107,6 @@ func GramSets(names []string, n int) (off, ids []int32, grams int) {
 	return off, ids, len(gramID)
 }
 
-// TriGrams returns the 3-gram set of s, the paper's default representation.
-func TriGrams(s string) map[string]struct{} { return NGrams(s, 3) }
-
 // setOverlap returns |a ∩ b| for two gram sets.
 func setOverlap(a, b map[string]struct{}) int {
 	if len(a) > len(b) {
@@ -152,16 +149,4 @@ func DiceCount(inter, na, nb int) float64 {
 		return 0
 	}
 	return 2 * float64(inter) / float64(na+nb)
-}
-
-// OverlapSets returns the overlap coefficient |a∩b| / min(|a|,|b|).
-func OverlapSets(a, b map[string]struct{}) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	return float64(setOverlap(a, b)) / float64(m)
 }

@@ -182,11 +182,8 @@ func TestSetCoefficients(t *testing.T) {
 	if got := DiceSets(a, b); !testutil.AlmostEqual(got, 0.4) {
 		t.Errorf("Dice = %v, want 0.4", got)
 	}
-	if got := OverlapSets(a, b); !testutil.AlmostEqual(got, 0.5) {
-		t.Errorf("Overlap = %v, want 0.5", got)
-	}
 	empty := map[string]struct{}{}
-	if JaccardSets(empty, empty) != 0 || DiceSets(empty, empty) != 0 || OverlapSets(empty, a) != 0 {
+	if JaccardSets(empty, empty) != 0 || DiceSets(empty, empty) != 0 {
 		t.Error("empty-set coefficients must be 0")
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,7 +9,7 @@ import (
 	"text/tabwriter"
 )
 
-// KV is one key=value pair in a run header or config line.
+// KV is one key=value pair in a run header.
 type KV struct {
 	Key   string
 	Value string
@@ -40,77 +39,6 @@ func Header(bin string, kvs ...KV) string {
 		b.WriteString(kv.Value)
 	}
 	return b.String()
-}
-
-// configPrefix marks machine-readable run-configuration lines in bench
-// output; mube-benchjson folds them into the report's config block.
-const configPrefix = "mube-config: "
-
-// metricsPrefix marks the machine-readable metrics-snapshot line the bench
-// harness prints after the benchmarks; mube-benchjson embeds it as the
-// report's metrics block.
-const metricsPrefix = "mube-metrics: "
-
-// ConfigLine renders a mube-config line from ordered key/value pairs.
-func ConfigLine(kvs ...KV) string {
-	parts := make([]string, len(kvs))
-	for i, kv := range kvs {
-		parts[i] = kv.Key + "=" + kv.Value
-	}
-	return configPrefix + strings.Join(parts, " ")
-}
-
-// ParseConfigLine splits a mube-config line into its key/value pairs.
-// It reports ok=false when line does not carry the prefix.
-func ParseConfigLine(line string) (map[string]string, bool) {
-	rest, ok := strings.CutPrefix(line, configPrefix)
-	if !ok {
-		return nil, false
-	}
-	out := make(map[string]string)
-	for _, kv := range strings.Fields(rest) {
-		if k, v, ok := strings.Cut(kv, "="); ok {
-			out[k] = v
-		}
-	}
-	return out, true
-}
-
-// MetricsLine renders a mube-metrics line: the prefix followed by a JSON
-// object with keys in sorted order, so the line is byte-deterministic.
-func MetricsLine(vals map[string]float64) string {
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(metricsPrefix)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Quote(k))
-		b.WriteByte(':')
-		b.Write(appendValue(nil, vals[k]))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// ParseMetricsLine parses a mube-metrics line back into its values.
-// It reports ok=false when line does not carry the prefix.
-func ParseMetricsLine(line string) (map[string]float64, bool) {
-	rest, ok := strings.CutPrefix(line, metricsPrefix)
-	if !ok {
-		return nil, false
-	}
-	out := make(map[string]float64)
-	if err := json.Unmarshal([]byte(rest), &out); err != nil {
-		return nil, false
-	}
-	return out, true
 }
 
 // WriteSummary renders a human-readable metrics summary: counters, gauges,

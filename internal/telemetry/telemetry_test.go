@@ -195,28 +195,6 @@ func TestHeaderAndLines(t *testing.T) {
 	if h != "mube-bench: scale=quick seed=1 faults=off" {
 		t.Fatalf("header = %q", h)
 	}
-
-	cl := ConfigLine(KVStr("faults", "off"), KVInt("eval-workers", 4))
-	if cl != "mube-config: faults=off eval-workers=4" {
-		t.Fatalf("config line = %q", cl)
-	}
-	cfg, ok := ParseConfigLine(cl)
-	if !ok || cfg["faults"] != "off" || cfg["eval-workers"] != "4" {
-		t.Fatalf("parse config = %v, %v", cfg, ok)
-	}
-	if _, ok := ParseConfigLine("goos: linux"); ok {
-		t.Fatal("parsed non-config line")
-	}
-
-	ml := MetricsLine(map[string]float64{"memo_hit_rate": 0.5, "best_q": 0.75})
-	if ml != `mube-metrics: {"best_q":0.75,"memo_hit_rate":0.5}` {
-		t.Fatalf("metrics line = %q", ml)
-	}
-	vals, ok := ParseMetricsLine(ml)
-	//mube:vet-ignore floatcmp — 0.75 and 0.5 are exact binary floats round-tripped through JSON
-	if !ok || vals["best_q"] != 0.75 || vals["memo_hit_rate"] != 0.5 {
-		t.Fatalf("parse metrics = %v, %v", vals, ok)
-	}
 }
 
 func TestWriteSummary(t *testing.T) {
