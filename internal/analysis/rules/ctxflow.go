@@ -59,11 +59,8 @@ var ctxFlowAllow = []string{
 // evalMethods are the evaluator entry points whose presence makes a loop
 // budget-relevant, keyed by receiver type in internal/opt.
 var evalMethods = map[string]map[string]bool{
-	"Evaluator": {
-		"Eval": true, "EvalBatch": true, "EvalBatchDelta": true,
-		"EvalBatchPreset": true,
-	},
-	"Search": {"EvalMove": true, "EvalMoves": true},
+	"Evaluator": {"Eval": true, "EvalBatch": true, "EvalBatchDelta": true},
+	"Search":    {"EvalMove": true, "EvalMoves": true},
 }
 
 func runCtxFlow(pass *analysis.Pass) {

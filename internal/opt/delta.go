@@ -65,19 +65,14 @@ func (ds *deltaState) rebuild(u *source.Universe, base []schema.SourceID) int {
 		ds.include(u, id)
 		if s := u.Source(id); s.Signature != nil {
 			if err := ds.counting.Add(s.Signature); err != nil {
-				// Unreachable: Universe.Add enforces a uniform config.
+				// Unreachable: Universe.Add enforces a uniform config, and
+				// no base comes near math.MaxUint32 sources.
 				panic(fmt.Sprintf("opt: counting union add: %v", err))
 			}
 			ops++
 		}
 	}
 	return ops
-}
-
-// saturated reports whether the counting union has sticky lanes, making
-// signature removals inexact.
-func (ds *deltaState) saturated() bool {
-	return ds.counting != nil && ds.counting.Saturated()
 }
 
 // include adjusts the exact tallies for id joining the base.
@@ -112,20 +107,12 @@ func (ds *deltaState) exclude(u *source.Universe, id schema.SourceID) {
 // differ by at most rebaseLimit sources — this is where the counting union's
 // subtractability pays: an annealing chain whose base advances one accepted
 // move at a time updates in O(1 source) per batch instead of re-merging |S|
-// signatures. Falls back to rebuild on large diffs, on pre-existing
-// saturation (removals would be inexact), or on a Remove underflow. Returns
-// the number of counting-merge operations performed.
+// signatures. Falls back to rebuild on large diffs or on a Remove underflow.
+// Returns the number of counting-merge operations performed.
 func (ds *deltaState) rebase(u *source.Universe, base []schema.SourceID) int {
 	added, removed := diffSorted(ds.base, base)
 	if len(added)+len(removed) > rebaseLimit {
 		return ds.rebuild(u, base)
-	}
-	if len(removed) > 0 && ds.saturated() {
-		for _, id := range removed {
-			if u.Source(id).Signature != nil {
-				return ds.rebuild(u, base)
-			}
-		}
 	}
 	ops := 0
 	for _, id := range removed {
@@ -159,9 +146,7 @@ func (ds *deltaState) rebase(u *source.Universe, base []schema.SourceID) int {
 // qef.Context.unionStats would compute for the flipped subset. Returns the
 // stats and the number of counting-merge operations.
 //
-// The caller must have verified the flip against the base (validFlip) and,
-// when the drop side carries a signature, that the counting union is not
-// saturated.
+// The caller must have verified the flip against the base (validFlip).
 func (ds *deltaState) flipStats(u *source.Universe, flip Move) (qef.UnionStats, int) {
 	sigN, coopN, mixedN := ds.sigN, ds.coopN, ds.mixedN
 	coopSum := ds.coopSum
@@ -232,84 +217,6 @@ func diffSorted(a, b []schema.SourceID) (added, removed []schema.SourceID) {
 	removed = append(removed, a[i:]...)
 	added = append(added, b[j:]...)
 	return added, removed
-}
-
-// RunningStats maintains the union statistics of a subset that grows and
-// shrinks one source at a time — the exhaustive solver pushes and pops the
-// counting union along its DFS recursion path, so each enumerated candidate's
-// statistics are a snapshot instead of an O(|S|) re-merge. Single-goroutine
-// use only.
-type RunningStats struct {
-	ds      deltaState
-	u       *source.Universe
-	tainted bool
-	ops     int
-}
-
-// NewRunningStats returns running statistics for the empty subset.
-func NewRunningStats(u *source.Universe) *RunningStats {
-	r := &RunningStats{u: u}
-	r.ds.rebuild(u, nil)
-	return r
-}
-
-// Push includes id in the running subset.
-func (r *RunningStats) Push(id schema.SourceID) {
-	if s := r.u.Source(id); s.Signature != nil && !r.tainted {
-		if r.ds.counting == nil {
-			r.tainted = true
-		} else if err := r.ds.counting.Add(s.Signature); err != nil {
-			r.tainted = true
-		} else {
-			r.ops++
-		}
-	}
-	r.ds.include(r.u, id)
-}
-
-// Pop excludes a previously pushed id. A pop of a signature-bearing source
-// while the counting union is saturated cannot be exact, so it taints the
-// stats: every later Snapshot reports invalid and candidates must take the
-// full evaluation path. (With µBE's subset caps, saturation needs 255 sources
-// sharing a bucket bit and does not occur in practice.)
-func (r *RunningStats) Pop(id schema.SourceID) {
-	if s := r.u.Source(id); s.Signature != nil && !r.tainted {
-		if r.ds.counting == nil || r.ds.counting.Saturated() {
-			r.tainted = true
-		} else if err := r.ds.counting.Remove(s.Signature); err != nil {
-			r.tainted = true
-		} else {
-			r.ops++
-		}
-	}
-	r.ds.exclude(r.u, id)
-}
-
-// Snapshot returns the running subset's union statistics and whether they
-// are exact (bit-identical to what a fresh context would compute). Invalid
-// snapshots — after a saturation taint — must not be preset.
-func (r *RunningStats) Snapshot() (qef.UnionStats, bool) {
-	if r.tainted {
-		return qef.UnionStats{}, false
-	}
-	st := qef.UnionStats{
-		CoopN:     r.ds.coopN,
-		CoopSum:   r.ds.coopSum,
-		CoopMixed: r.ds.mixedN > 0,
-	}
-	if r.ds.sigN > 0 {
-		st.UnionEst = r.ds.counting.Estimate()
-	}
-	return st, true
-}
-
-// TakeOps returns the counting-merge operations performed since the last
-// call and resets the tally; callers fold it into the pcsa.counting_merges
-// telemetry counter.
-func (r *RunningStats) TakeOps() int {
-	n := r.ops
-	r.ops = 0
-	return n
 }
 
 // acquireDelta checks the cached delta state out for one batch, rebasing it
@@ -418,52 +325,6 @@ func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float
 		}
 	}
 	return e.evalCandidates(cands, base)
-}
-
-// PresetCandidate is one EvalBatchPreset entry: a candidate subset plus the
-// union statistics the caller maintained incrementally (the exhaustive
-// solver's push/pop DFS). Valid=false — set when the caller's running state
-// lost exactness, e.g. counting saturation along the recursion path — routes
-// the candidate through the full path.
-type PresetCandidate struct {
-	IDs   []schema.SourceID
-	Stats qef.UnionStats
-	Valid bool
-}
-
-// EvalBatchPreset scores candidates whose union statistics the caller
-// already knows, skipping the per-candidate O(|S|) signature re-merge.
-// Planning, memoization, and budget accounting are identical to EvalBatch;
-// so is every returned quality, bit for bit — preset stats must equal what
-// the context would have computed, which the exhaustive solver's counting
-// union guarantees.
-func (e *Evaluator) EvalBatchPreset(cands []PresetCandidate) []float64 {
-	wrapped := make([]candidate, len(cands))
-	for i, pc := range cands {
-		wrapped[i] = candidate{ids: pc.IDs}
-		if pc.Valid {
-			st := pc.Stats
-			wrapped[i].st = &st
-		}
-	}
-	return e.evalCandidates(wrapped, nil)
-}
-
-// computePreset evaluates Q(ids) with externally supplied union statistics:
-// feasibility and every QEF run exactly as in compute, but the context skips
-// its O(|S|) signature re-merge. Pure; safe on any worker goroutine.
-func (e *Evaluator) computePreset(ids []schema.SourceID, st qef.UnionStats, sc *qef.Scratch) float64 {
-	if !e.p.Feasible(ids) {
-		return 0
-	}
-	ctx := qef.NewContextScratch(e.p.Universe, e.p.Matcher, e.p.Constraints, ids, sc)
-	ctx.PresetUnionStats(st)
-	v := e.p.Quality.Eval(ctx)
-	// The coopMixed fallback union may still merge inside the context.
-	if m := ctx.Merges(); m > 0 {
-		e.rec.Add("pcsa.merges", int64(m))
-	}
-	return v
 }
 
 // computeFlip evaluates Q(base±flip) against the batch's immutable delta

@@ -12,7 +12,6 @@ import (
 	"mube/internal/qef"
 	"mube/internal/schema"
 	"mube/internal/source"
-	"mube/internal/telemetry"
 )
 
 // mixedProblem builds a problem over a hand-made universe containing every
@@ -253,113 +252,6 @@ func TestShardPathEngages(t *testing.T) {
 		if plain := tc.p.Matcher.NewSharded(constraint.Set{}).NumShards(); fused >= plain {
 			t.Errorf("%s: %d overlay shards, want fewer than the %d base shards", tc.name, fused, plain)
 		}
-	}
-}
-
-// TestEvalBatchDeltaSaturationFallback: when the cached counting union is
-// saturated, flips that drop a signature-bearing source must be demoted to
-// the full path — and results stay bit-identical to EvalBatch over the
-// applied subsets.
-func TestEvalBatchDeltaSaturationFallback(t *testing.T) {
-	p := mixedProblem(t, 4)
-	base := SortIDs([]schema.SourceID{0, 1, 2})
-	var flips []Move
-	for _, id := range p.Universe.IDs() {
-		switch id {
-		case 0, 1, 2:
-			flips = append(flips, Move{Add: -1, Drop: id})
-		default:
-			flips = append(flips, Move{Add: id, Drop: 0})
-		}
-	}
-
-	ev := NewEvaluator(p, 0)
-	// Saturate the counting union's lanes for source 0's signature by
-	// over-adding it; this mimics a long-lived union whose refcounts hit the
-	// sticky ceiling. The implied bitmap is unchanged (the bits were already
-	// set), so add-only flips stay exact while drops must be demoted.
-	ds := ev.acquireDelta(base)
-	sig := p.Universe.Source(0).Signature
-	for i := 0; i < 256; i++ {
-		if err := ds.counting.Add(sig); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !ds.counting.Saturated() {
-		t.Fatal("counting union should be saturated")
-	}
-	ev.releaseDelta(ds)
-
-	rec := telemetry.New(nil)
-	ev.Instrument(rec)
-	got := ev.EvalBatchDelta(base, flips)
-
-	want := NewEvaluator(p, 0).EvalBatch(appliedSubsets(base, flips))
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Errorf("flip %d (%+v): saturated delta %v != full %v", i, flips[i], got[i], want[i])
-		}
-	}
-	// The sig-dropping flips were demoted, so delta hits < total jobs.
-	snap := rec.Snapshot()
-	if hits, jobs := snap.Counter("eval.delta_hits"), snap.Counter("eval.computed"); hits >= jobs {
-		t.Errorf("expected demotions under saturation: delta_hits=%d, computed=%d", hits, jobs)
-	}
-}
-
-// TestEvalBatchPresetDifferential: preset candidates built from a push/pop
-// RunningStats walk must score bit-identically to the plain batch path, and
-// Valid=false snapshots must route through the full path unharmed.
-func TestEvalBatchPresetDifferential(t *testing.T) {
-	p := mixedProblem(t, 3)
-	all := p.Universe.IDs()
-
-	// Enumerate all subsets of size ≤ 3 DFS-style with running stats.
-	run := NewRunningStats(p.Universe)
-	var cands []PresetCandidate
-	var pick []schema.SourceID
-	var walk func(start int)
-	walk = func(start int) {
-		ids := SortIDs(append([]schema.SourceID(nil), pick...))
-		st, valid := run.Snapshot()
-		cands = append(cands, PresetCandidate{IDs: ids, Stats: st, Valid: valid})
-		if len(pick) == p.MaxSources {
-			return
-		}
-		for i := start; i < len(all); i++ {
-			pick = append(pick, all[i])
-			run.Push(all[i])
-			walk(i + 1)
-			run.Pop(all[i])
-			pick = pick[:len(pick)-1]
-		}
-	}
-	walk(0)
-	// Poison a few snapshots to exercise the Valid=false full-path route.
-	for i := 0; i < len(cands); i += 7 {
-		cands[i].Valid = false
-		cands[i].Stats = qef.UnionStats{}
-	}
-
-	for _, workers := range []int{1, 4} {
-		pre := NewEvaluator(p, 0)
-		pre.SetWorkers(workers)
-		got := pre.EvalBatchPreset(cands)
-
-		plain := NewEvaluator(p, 0)
-		plain.SetWorkers(workers)
-		ids := make([][]schema.SourceID, len(cands))
-		for i := range cands {
-			ids[i] = cands[i].IDs
-		}
-		want := plain.EvalBatch(ids)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Errorf("workers=%d cand %v: preset %v != plain %v",
-					workers, cands[i].IDs, got[i], want[i])
-			}
-		}
-		assertSameEvaluator(t, "preset", pre, plain)
 	}
 }
 

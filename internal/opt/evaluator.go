@@ -244,18 +244,14 @@ func (e *Evaluator) Eval(ids []schema.SourceID) float64 {
 
 // batchJob is one distinct subset a batch must compute: the candidate indexes
 // in out share the subset (duplicates within the batch) and receive its value.
-// A job carries an optional incremental-scoring plan: preset union stats
-// (exhaustive's push/pop DFS) or a single flip against the batch's shared
-// base (the local-search neighborhoods). Jobs with neither run the full
-// re-merge path.
+// A job whose delta is set is a single flip against the batch's shared base
+// (the local-search neighborhoods); the others run the full re-merge path.
 type batchJob struct {
 	key string
 	ids []schema.SourceID
 	out []int
 	v   float64
 
-	// st, when non-nil, holds union statistics precomputed by the caller.
-	st *qef.UnionStats
 	// flip + delta: score as base±flip against the batch's delta state.
 	flip  Move
 	delta bool
@@ -264,7 +260,6 @@ type batchJob struct {
 // candidate pairs one batch entry with its incremental-scoring plan.
 type candidate struct {
 	ids  []schema.SourceID
-	st   *qef.UnionStats
 	flip Move
 	// hasFlip marks a validated single flip against the batch's base.
 	hasFlip bool
@@ -289,17 +284,16 @@ func (e *Evaluator) EvalBatch(cands [][]schema.SourceID) []float64 {
 	return e.evalCandidates(wrapped, nil)
 }
 
-// evalCandidates is the shared batch engine behind EvalBatch, EvalBatchDelta,
-// and EvalBatchPreset. base is non-nil only for delta batches and names the
+// evalCandidates is the shared batch engine behind EvalBatch and
+// EvalBatchDelta. base is non-nil only for delta batches and names the
 // subset the candidates' flips are relative to.
 //
 // The determinism contract is the planning-vs-fan-out split: memo hits,
 // duplicate suppression, and budget debits resolve sequentially in candidate
 // order under the lock; the fan-out computes pure functions only. Whether a
-// job is scored by the full re-merge, a preset, or a flip against the delta
-// state never changes its value (the incremental paths are bit-exact), so
-// results are identical at any worker count and to EvalBatch over the same
-// subsets.
+// job is scored by the full re-merge or a flip against the delta state never
+// changes its value (the flip path is bit-exact), so results are identical
+// at any worker count and to EvalBatch over the same subsets.
 func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []float64 {
 	out := make([]float64, len(cands))
 
@@ -333,7 +327,7 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		}
 		e.evals++
 		k := string(e.keyBuf)
-		j := &batchJob{key: k, ids: c.ids, out: []int{i}, st: c.st, flip: c.flip, delta: c.hasFlip}
+		j := &batchJob{key: k, ids: c.ids, out: []int{i}, flip: c.flip, delta: c.hasFlip}
 		if pending == nil {
 			pending = make(map[string]*batchJob, len(cands)-i)
 		}
@@ -373,25 +367,18 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 	}
 
 	if len(jobs) > 0 {
-		// Acquire (build or rebase) the shared delta state once per batch,
-		// before the fan-out: workers then read it concurrently without
-		// mutation. A flip whose drop side would read a saturated counting
-		// lane is demoted to the full path here, deterministically.
-		var ds *deltaState
 		deltaHits := 0
 		for _, j := range jobs {
 			if j.delta {
-				if ds == nil {
-					ds = e.acquireDelta(base)
-				}
-				if j.flip.Drop >= 0 && ds.saturated() &&
-					e.p.Universe.Source(j.flip.Drop).Signature != nil {
-					j.delta = false
-				}
-			}
-			if j.delta || j.st != nil {
 				deltaHits++
 			}
+		}
+		// Acquire (build or rebase) the shared delta state once per batch,
+		// before the fan-out: workers then read it concurrently without
+		// mutation.
+		var ds *deltaState
+		if deltaHits > 0 {
+			ds = e.acquireDelta(base)
 		}
 		e.rec.Add("eval.delta_hits", int64(deltaHits))
 
@@ -459,18 +446,14 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 	return out
 }
 
-// computeJob dispatches one job to its scoring path: preset stats, flip
-// against the delta state, or the full re-merge. All three return bit-
-// identical values for the same subset.
+// computeJob dispatches one job to its scoring path: a flip against the
+// delta state, or the full re-merge. Both return bit-identical values for
+// the same subset.
 func (e *Evaluator) computeJob(j *batchJob, ds *deltaState, sc *qef.Scratch) float64 {
-	switch {
-	case j.st != nil:
-		return e.computePreset(j.ids, *j.st, sc)
-	case j.delta && ds != nil:
+	if j.delta {
 		return e.computeFlip(j.ids, j.flip, ds, sc)
-	default:
-		return e.compute(j.ids, sc)
 	}
+	return e.compute(j.ids, sc)
 }
 
 // Status derives how the solve ended from the bound context and the budget:

@@ -50,32 +50,20 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	// preserves enumeration order, so the strict-improvement scan selects
 	// the same optimum (first among ties) as the sequential walk, while the
 	// evaluator fans each flush out to its worker pool.
-	//
-	// The running union statistics are pushed and popped along the recursion
-	// path — one counting-union update per DFS edge instead of an O(|S|)
-	// re-merge per candidate — and snapshotted into each candidate, so the
-	// evaluator presets them instead of re-deriving them.
 	const flush = 64
-	run := opt.NewRunningStats(p.Universe)
-	for _, id := range search.Required {
-		run.Push(id)
-	}
 	var bestIDs []schema.SourceID
 	bestQ := -1.0
 	scanned := 0
-	cands := make([]opt.PresetCandidate, 0, flush)
+	cands := make([][]schema.SourceID, 0, flush)
 	score := func() {
-		if n := run.TakeOps(); n > 0 {
-			search.Rec.Add("pcsa.counting_merges", int64(n))
-		}
 		flushQ := -1.0
-		for i, q := range search.Eval.EvalBatchPreset(cands) {
+		for i, q := range search.Eval.EvalBatch(cands) {
 			if q > flushQ {
 				flushQ = q
 			}
 			if q > bestQ {
 				bestQ = q
-				bestIDs = cands[i].IDs
+				bestIDs = cands[i]
 			}
 		}
 		scanned += len(cands)
@@ -92,8 +80,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 			return
 		}
 		ids := append(append([]schema.SourceID(nil), search.Required...), pick...)
-		st, valid := run.Snapshot()
-		cands = append(cands, opt.PresetCandidate{IDs: opt.SortIDs(ids), Stats: st, Valid: valid})
+		cands = append(cands, opt.SortIDs(ids))
 		if len(cands) == flush {
 			score()
 		}
@@ -102,9 +89,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 		}
 		for i := start; i < len(search.Optional) && !search.Stopped(); i++ {
 			pick = append(pick, search.Optional[i])
-			run.Push(search.Optional[i])
 			walk(i+1, remaining-1)
-			run.Pop(search.Optional[i])
 			pick = pick[:len(pick)-1]
 		}
 	}

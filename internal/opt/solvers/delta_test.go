@@ -16,11 +16,11 @@ import (
 )
 
 // TestDeltaPathDifferential checks every solver's production scoring path —
-// incremental counting-union flips, preset DFS stats, and cluster-sharded
-// match scores — against the from-scratch oracle: Solution.Quality must
-// equal opt.Score(p, sol.IDs), which re-scores the chosen set from a fresh
-// context with an unsharded Matcher.Score, down to the float bits. Runs with
-// a required source over 3 seeds and both 1 and 4 evaluator workers.
+// incremental counting-union flips and cluster-sharded match scores — against
+// the from-scratch oracle: Solution.Quality must equal opt.Score(p, sol.IDs),
+// which re-scores the chosen set from a fresh context with an unsharded
+// Matcher.Score, down to the float bits. Runs with a required source over 3
+// seeds and both 1 and 4 evaluator workers.
 func TestDeltaPathDifferential(t *testing.T) {
 	p := problem(t, 4, constraint.Set{Sources: ids(3)})
 	for _, s := range append(All(), Exhaustive()) {
@@ -53,7 +53,7 @@ func TestDeltaPathDifferential(t *testing.T) {
 // silently fall back to full re-merges.
 func TestDeltaPathEngages(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	for _, s := range []opt.Solver{tabu.Solver{}, sls.Solver{}, anneal.Solver{}, exhaustive.Solver{}} {
+	for _, s := range []opt.Solver{tabu.Solver{}, sls.Solver{}, anneal.Solver{}} {
 		rec := telemetry.New(nil)
 		opts := opt.Options{Seed: 5, MaxEvals: 300, MaxIters: 20, Patience: 6, Recorder: rec}
 		if _, err := s.Solve(context.Background(), p, opts); err != nil {
@@ -71,24 +71,27 @@ func TestDeltaPathEngages(t *testing.T) {
 	}
 }
 
-// TestRandomSolverStaysOnPlainPath pins the random solver's routing: its
-// samples share no base subset, so it must use the plain batch path and the
-// delta bookkeeping must never engage — no delta hits, no counting merges.
+// TestRandomSolverStaysOnPlainPath pins the routing of the solvers that
+// score whole subsets: random's samples and exhaustive's enumeration share no
+// base subset, so both must use the plain batch path and the delta
+// bookkeeping must never engage — no delta hits, no counting merges.
 func TestRandomSolverStaysOnPlainPath(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	rec := telemetry.New(nil)
-	opts := opt.Options{Seed: 5, MaxEvals: 200, MaxIters: 20, Recorder: rec}
-	if _, err := (random.Solver{}).Solve(context.Background(), p, opts); err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Snapshot()
-	if n := snap.Counter("eval.delta_hits"); n != 0 {
-		t.Errorf("random solver engaged the delta path %d times; want 0", n)
-	}
-	if n := snap.Counter("pcsa.counting_merges"); n != 0 {
-		t.Errorf("random solver performed %d counting merges; want 0", n)
-	}
-	if snap.Counter("eval.computed") == 0 {
-		t.Error("no evaluations computed")
+	for _, s := range []opt.Solver{random.Solver{}, exhaustive.Solver{}} {
+		rec := telemetry.New(nil)
+		opts := opt.Options{Seed: 5, MaxEvals: 200, MaxIters: 20, Recorder: rec}
+		if _, err := s.Solve(context.Background(), p, opts); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		snap := rec.Snapshot()
+		if n := snap.Counter("eval.delta_hits"); n != 0 {
+			t.Errorf("%s engaged the delta path %d times; want 0", s.Name(), n)
+		}
+		if n := snap.Counter("pcsa.counting_merges"); n != 0 {
+			t.Errorf("%s performed %d counting merges; want 0", s.Name(), n)
+		}
+		if snap.Counter("eval.computed") == 0 {
+			t.Errorf("%s: no evaluations computed", s.Name())
+		}
 	}
 }

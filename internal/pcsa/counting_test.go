@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,9 +72,6 @@ func TestCountingMatchesFullMerge(t *testing.T) {
 			t.Fatalf("step %d: Members() = %d, want %d", step, c.Members(), len(members))
 		}
 	}
-	if c.Saturated() {
-		t.Fatal("counting saturated with only 12 distinct members")
-	}
 }
 
 // TestCountingEstimateDelta checks the fused flip kernel against a scratch
@@ -126,55 +124,113 @@ func TestCountingEstimateDelta(t *testing.T) {
 	}
 }
 
-// TestCountingSaturation drives one lane to the 255 ceiling and checks that
-// it turns sticky: Saturated reports it, further adds and removes leave the
-// lane frozen, and the bitmap bit stays set.
-func TestCountingSaturation(t *testing.T) {
+// TestCountingDeepLanes stacks one signature far past the 255 a byte lane
+// could count, beside a second member, then peels the copies off one by one:
+// after every Remove, Estimate and the drop side of EstimateDelta must stay
+// bit-identical to a fresh merge, and once every copy is gone the implied
+// bitmap must be exactly the second member's. Reset then empties it.
+func TestCountingDeepLanes(t *testing.T) {
 	cfg := Config{NumMaps: 64}
-	s := MustNew(cfg)
-	s.AddUint64(12345) // sets one bit per affected map
+	sigs := randomSignatures(t, rand.New(rand.NewSource(3)), cfg, 2, 2000)
+	deep, other := sigs[0], sigs[1]
+	const copies = 300
 	c := MustNewCounting(cfg)
-	for i := 0; i < maxCount; i++ {
-		if err := c.Add(s); err != nil {
+	if err := c.Add(other); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < copies; i++ {
+		if err := c.Add(deep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !c.Saturated() {
-		t.Fatalf("no saturation after %d adds of the same signature", maxCount)
+	members := []*Signature{other}
+	for i := 0; i < copies; i++ {
+		members = append(members, deep)
 	}
-	// Sticky lanes are frozen: removing all members leaves their bits set.
-	for i := 0; i < maxCount; i++ {
-		if err := c.Remove(s); err != nil {
+	for k := copies; k > 0; k-- {
+		if err := c.Remove(deep); err != nil {
+			t.Fatalf("remove with %d copies left: %v", k, err)
+		}
+		members = members[:len(members)-1]
+		want := mergeAll(t, cfg, members)
+		if got := c.Estimate(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d copies left: Estimate %v != full merge %v", k-1, got, want)
+		}
+		if k == 1 {
+			break // deep is no longer a member; EstimateDelta needs one
+		}
+		got, err := c.EstimateDelta(nil, deep)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want := mergeAll(t, cfg, members[:len(members)-1]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d copies left: EstimateDelta(nil, deep) %v != full merge %v", k-1, got, want)
+		}
 	}
-	if c.Members() != 0 {
-		t.Fatalf("Members() = %d after removing all", c.Members())
+	if c.Members() != 1 {
+		t.Fatalf("Members() = %d after removing every copy, want 1", c.Members())
 	}
 	for i, w := range c.words {
-		if w != s.maps[i] {
-			t.Errorf("word %d = %#x after removals, want sticky bits %#x", i, w, s.maps[i])
+		if w != other.maps[i] {
+			t.Errorf("word %d = %#x after removals, want the other member's %#x", i, w, other.maps[i])
 		}
 	}
-	if !c.Saturated() {
-		t.Error("saturation must be permanent until Reset")
-	}
 	c.Reset()
-	if c.Saturated() || c.Estimate() != 0 || c.Members() != 0 {
-		t.Error("Reset should clear saturation, estimate, and members")
+	if c.Estimate() != 0 || c.Members() != 0 || slices.ContainsFunc(c.counts, func(n uint32) bool { return n != 0 }) {
+		t.Error("Reset should clear every lane, the estimate and the members")
 	}
 }
 
-// TestCountingUnderflow: removing a never-added signature errors.
+// TestCountingAddRefusesPastMaxUint32: at math.MaxUint32 members a lane
+// could overflow, so Add errors and leaves counts, words and n untouched.
+func TestCountingAddRefusesPastMaxUint32(t *testing.T) {
+	cfg := Config{NumMaps: 64}
+	s := MustNew(cfg)
+	s.AddUint64(12345)
+	c := MustNewCounting(cfg)
+	if err := c.Add(s); err != nil {
+		t.Fatal(err)
+	}
+	c.n = math.MaxUint32
+	counts := append([]uint32(nil), c.counts...)
+	words := append([]uint64(nil), c.words...)
+	if err := c.Add(s); err == nil {
+		t.Fatal("Add past math.MaxUint32 members succeeded")
+	}
+	if c.n != math.MaxUint32 || !slices.Equal(c.counts, counts) || !slices.Equal(c.words, words) {
+		t.Error("refused Add mutated the counting union")
+	}
+}
+
+// TestCountingUnderflow: removing a never-added signature errors, whether one
+// of its bits finds an empty lane or the union has no member left to remove
+// (an all-zero signature touches no lane), and the member count stays put.
 func TestCountingUnderflow(t *testing.T) {
 	cfg := Config{NumMaps: 64}
-	c := MustNewCounting(cfg)
 	s := MustNew(cfg)
 	s.AddUint64(777)
-	if err := c.Remove(s); err == nil {
-		t.Fatal("removing a non-member should error")
-	} else if !strings.Contains(err.Error(), "underflow") {
-		t.Errorf("error should mention underflow: %v", err)
+	empty := MustNew(cfg)
+	for _, tc := range []struct {
+		name    string
+		members []*Signature
+		remove  *Signature
+	}{
+		{"empty union", nil, s},
+		{"empty union, empty signature", nil, empty},
+		{"empty lane", []*Signature{empty}, s},
+	} {
+		c := MustNewCounting(cfg)
+		for _, m := range tc.members {
+			if err := c.Add(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Remove(tc.remove); err == nil || !strings.Contains(err.Error(), "underflow") {
+			t.Errorf("%s: Remove = %v, want an underflow error", tc.name, err)
+		}
+		if c.Members() != len(tc.members) {
+			t.Errorf("%s: Members() = %d after a failed Remove, want %d", tc.name, c.Members(), len(tc.members))
+		}
 	}
 }
 
@@ -194,13 +250,5 @@ func TestCountingConfigMismatch(t *testing.T) {
 	}
 	if _, err := c.EstimateDelta(nil, other); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("EstimateDelta drop side: want ErrIncompatible, got %v", err)
-	}
-}
-
-// TestCountingSizeBytes documents the memory cost: 9 bytes per bucket bit.
-func TestCountingSizeBytes(t *testing.T) {
-	c := MustNewCounting(Config{NumMaps: 64})
-	if got, want := c.SizeBytes(), 64*64+8*64; got != want {
-		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 }

@@ -161,21 +161,19 @@ type Universe struct {
 	// Internet scale the universe holds ~20 slabs instead of 10⁵ heap bitmap
 	// slices and union loops walk memory sequentially. nil when sigCfg is
 	// invalid (no source can carry a signature then anyway). Slabs are
-	// append-only: Remove and UpdateSynopsis leave the old words behind,
-	// which is an acceptable leak for churn rates far below 100%/epoch.
+	// append-only: Remove and UpdateSynopsis leave the old words behind.
+	// perfbench/NOTES.md measures the cost on churn-700: the live heap
+	// grows ~0.08 MB per epoch, and source.sig_mb reads ~32 MB after ~850
+	// epochs against 0.7 MB of live signatures.
 	arena *pcsa.Arena
 
-	// all is the subtractable counting union (PR 5) over every
-	// signature-bearing source. Add/Remove/UpdateSynopsis maintain it
-	// incrementally, so after a churn tick the Coverage denominator costs a
-	// handful of counting flips instead of re-merging 10⁵ signatures.
-	// Guarded by mu. allValid goes false when a subtraction can no longer be
-	// trusted — a lane saturated at 255 is sticky, so remove counts are
-	// inexact — and aggregates() then rebuilds the union from scratch
-	// (adds-only construction keeps the words bitmap exact even when lanes
-	// saturate).
-	all      *pcsa.Counting
-	allValid bool
+	// all is the subtractable counting union over every signature-bearing
+	// source. Add/Remove/UpdateSynopsis maintain it incrementally, so after
+	// a churn tick the Coverage denominator costs a handful of counting
+	// flips instead of re-merging 10⁵ signatures. nil until the first
+	// aggregate read builds it, and again after a failed update, which
+	// makes the next read rebuild it. Guarded by mu.
+	all *pcsa.Counting
 
 	// agg caches the universe-wide aggregates; nil after a mutation. Reads
 	// are a single atomic load; the (re)computation is serialized by mu.
@@ -246,9 +244,8 @@ var ErrUnknownSource = errors.New("source: unknown source id")
 // It returns the kept-ID list in ReprobeUniverse's convention —
 // kept[newID] == oldID — so callers can remap constraints and solutions.
 // Removed sources get ID -1; duplicate drop entries are tolerated. The
-// maintained counting union is updated by subtraction (or marked for rebuild
-// when a saturated lane makes subtraction untrustworthy), so the next
-// aggregate read stays cheap.
+// maintained counting union is updated by subtraction, so the next aggregate
+// read stays cheap.
 func (u *Universe) Remove(drop []schema.SourceID) ([]schema.SourceID, error) {
 	set := make(map[schema.SourceID]bool, len(drop))
 	for _, id := range drop {
@@ -325,28 +322,23 @@ func (u *Universe) Degrade(id schema.SourceID) error {
 // union means aggregates() has not materialized one yet — nothing to
 // maintain, the first read builds it from scratch. mu must be held.
 func (u *Universe) countingAddLocked(sig *pcsa.Signature) {
-	if sig == nil || u.all == nil || !u.allValid {
+	if sig == nil || u.all == nil {
 		return
 	}
 	if err := u.all.Add(sig); err != nil {
-		u.allValid = false
+		u.all = nil
 	}
 }
 
-// countingDropLocked subtracts sig from the maintained counting union, or
-// marks it for rebuild when subtraction can no longer be trusted (a lane
-// saturated at 255 is sticky, so its remove count is inexact). mu must be
-// held.
+// countingDropLocked subtracts sig from the maintained counting union. A
+// failed subtraction leaves the union inconsistent, so it is dropped and the
+// next read rebuilds it. mu must be held.
 func (u *Universe) countingDropLocked(sig *pcsa.Signature) {
-	if sig == nil || u.all == nil || !u.allValid {
-		return
-	}
-	if u.all.Saturated() {
-		u.allValid = false
+	if sig == nil || u.all == nil {
 		return
 	}
 	if err := u.all.Remove(sig); err != nil {
-		u.allValid = false
+		u.all = nil
 	}
 }
 
@@ -397,12 +389,11 @@ func (u *Universe) aggregates() *aggregates {
 }
 
 // unionAllLocked returns the estimate over all signature-bearing sources via
-// the maintained counting union, rebuilding it when a past subtraction
-// invalidated it. Counting estimates share the rho-sum kernel with
-// pcsa.Union, so the value is bit-identical to the full merge this replaced.
-// mu must be held.
+// the maintained counting union, building it when there is none. Counting
+// estimates share the rho-sum kernel with pcsa.Union, so the value is
+// bit-identical to the full merge this replaced. mu must be held.
 func (u *Universe) unionAllLocked(sigs []*pcsa.Signature) float64 {
-	if u.all == nil || !u.allValid {
+	if u.all == nil {
 		c, err := pcsa.NewCounting(u.sigCfg)
 		if err == nil {
 			for _, sig := range sigs {
@@ -421,7 +412,7 @@ func (u *Universe) unionAllLocked(sigs []*pcsa.Signature) float64 {
 			}
 			return un.Estimate()
 		}
-		u.all, u.allValid = c, true
+		u.all = c
 	}
 	return u.all.Estimate()
 }

@@ -382,24 +382,37 @@ func TestUpdateSynopsisDriftAndDegrade(t *testing.T) {
 	}
 }
 
-// TestRemoveAfterSaturationRebuilds forces the counting union's lanes past
-// 255 (hundreds of sources sharing the same tuples saturate every set bit),
-// then removes sources: subtraction is untrustworthy, so the union must be
-// rebuilt and still match a from-scratch universe exactly.
-func TestRemoveAfterSaturationRebuilds(t *testing.T) {
+// TestRemoveWithLanesPast255 stacks 300 sources over the same tuples, so
+// every set bit's counting lane passes the 255 a byte could hold, then
+// churns the universe: each aggregate must match a from-scratch universe
+// exactly, and every tick must subtract from the maintained counting union
+// rather than rebuild it.
+func TestRemoveWithLanesPast255(t *testing.T) {
 	u := NewUniverse(testCfg)
 	for i := 0; i < 300; i++ {
 		mustAdd(t, u, makeSource(t, "clone", 0, 50, "a"))
 	}
 	u.Precompute()
+	all := u.all
+	if all == nil {
+		t.Fatal("Precompute built no counting union")
+	}
+	same := func(step string) {
+		t.Helper()
+		checkAggregates(t, u)
+		if u.all != all {
+			t.Fatalf("%s rebuilt the counting union instead of updating it", step)
+		}
+	}
 	if _, err := u.Remove([]schema.SourceID{0, 150, 299}); err != nil {
 		t.Fatal(err)
 	}
-	checkAggregates(t, u)
-	// And the rebuilt union must keep absorbing subsequent churn.
+	same("Remove")
 	if err := u.Degrade(7); err != nil {
 		t.Fatal(err)
 	}
+	same("Degrade")
 	mustAdd(t, u, makeSource(t, "new", 50, 200, "b"))
-	checkAggregates(t, u)
+	u.Precompute()
+	same("Add and Precompute")
 }
