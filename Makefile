@@ -40,8 +40,8 @@ vet-json:
 	$(GO) run ./cmd/mube-vet -json ./...
 
 # bench-smoke is CI's non-gating sanity pass: the 100k and 1M universe
-# presets at reduced solver budget, proving the streamed-generation,
-# candidate-index, and partitioned-solve path end to end. Performance is
+# presets at reduced solver budget, proving streamed generation, the shard
+# index, and the partitioned solve end to end. Performance is
 # measured by perfbench (`bash perfbench/run.sh --workload <w> ...`, see
 # BENCHMARK.json), not here.
 bench-smoke:

@@ -180,7 +180,7 @@ var experiments = []struct {
 		}
 		return exp.RenderChurn(w, rows)
 	}},
-	{"partition", "Parallel partitioned solving: group-worker invariance, speedup, candidate index", func(sc exp.Scale, w io.Writer) error {
+	{"partition", "Parallel partitioned solving: group-worker invariance, speedup", func(sc exp.Scale, w io.Writer) error {
 		res, err := exp.Partition(sc)
 		if err != nil {
 			return err

@@ -95,15 +95,11 @@ type Summary struct {
 // assume about them.
 type Summaries struct {
 	funcs map[*types.Func]*Summary
-	decls map[*types.Func]*ast.FuncDecl
 }
 
 // Summarize builds the call-summary table for a package's files.
 func Summarize(files []*ast.File, info *types.Info) *Summaries {
-	t := &Summaries{
-		funcs: map[*types.Func]*Summary{},
-		decls: map[*types.Func]*ast.FuncDecl{},
-	}
+	t := &Summaries{funcs: map[*types.Func]*Summary{}}
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -115,7 +111,6 @@ func Summarize(files []*ast.File, info *types.Info) *Summaries {
 				continue
 			}
 			t.funcs[fn] = SummarizeBody(info, fn.Type().(*types.Signature), fd.Body)
-			t.decls[fn] = fd
 		}
 	}
 	return t
@@ -123,9 +118,6 @@ func Summarize(files []*ast.File, info *types.Info) *Summaries {
 
 // Of returns fn's summary, or nil when fn is not declared in the package.
 func (t *Summaries) Of(fn *types.Func) *Summary { return t.funcs[fn] }
-
-// Decl returns fn's declaration, or nil when fn is not in the table.
-func (t *Summaries) Decl(fn *types.Func) *ast.FuncDecl { return t.decls[fn] }
 
 // Reachable returns the in-table functions reachable from roots through
 // static call edges (roots included when in the table), ordered by source

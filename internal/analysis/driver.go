@@ -161,9 +161,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return c, nil
 }
 
-// Dir returns the cache's directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // key derives the cache key for one package.
 func (c *Cache) key(lp *listPkg, byPath map[string]*listPkg, analyzers []*Analyzer) (string, error) {
 	h := sha256.New()

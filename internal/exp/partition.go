@@ -6,11 +6,10 @@ import (
 	"math"
 )
 
-// The partition experiment measures the two scaling levers this repo adds on
-// top of the paper's solver: sub-quadratic candidate generation in the shard
-// index, and the group-level worker pool of the partitioned solver. It is
-// also a self-check — the runs at different GroupWorkers must agree bit for
-// bit, or the experiment fails instead of reporting a speedup.
+// The partition experiment measures the group-level worker pool of the
+// partitioned solver over the shard index's source groups. It is also a
+// self-check — the runs at different GroupWorkers must agree bit for bit, or
+// the experiment fails instead of reporting a speedup.
 
 // PartitionRow is one solve of the ladder preset at a group-worker setting.
 type PartitionRow struct {
@@ -21,13 +20,11 @@ type PartitionRow struct {
 }
 
 // PartitionResult is the experiment outcome: per-worker-setting timings plus
-// the shard-index build economics they share.
+// the shard-index build they share.
 type PartitionResult struct {
-	Rows           []PartitionRow
-	Groups         int
-	ShardMS        float64
-	PairCandidates uint64
-	PairsTotal     uint64
+	Rows    []PartitionRow
+	Groups  int
+	ShardMS float64
 }
 
 // Speedup is the sequential wall-clock over the widest-pool wall-clock (1
@@ -37,14 +34,6 @@ func (r *PartitionResult) Speedup() float64 {
 		return 1
 	}
 	return r.Rows[0].SolveMS / r.Rows[len(r.Rows)-1].SolveMS
-}
-
-// PairFrac is PairCandidates over the flat pair total.
-func (r *PartitionResult) PairFrac() float64 {
-	if r.PairsTotal == 0 {
-		return 1
-	}
-	return float64(r.PairCandidates) / float64(r.PairsTotal)
 }
 
 // Partition runs the 10k ladder preset once per group-worker setting over a
@@ -62,12 +51,7 @@ func Partition(sc Scale) (*PartitionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PartitionResult{
-		Groups:         l.groups,
-		ShardMS:        l.shardMS,
-		PairCandidates: l.pairCandidates,
-		PairsTotal:     l.pairsTotal,
-	}
+	res := &PartitionResult{Groups: l.groups, ShardMS: l.shardMS}
 	for _, workers := range []int{1, 4} {
 		sol, solveSec, err := l.solve(sc.Parallel, workers, sc.Rec)
 		if err != nil {
@@ -91,8 +75,8 @@ func Partition(sc Scale) (*PartitionResult, error) {
 }
 
 // RenderPartition prints the worker ladder, then one summary line with the
-// candidate-index economics and the speedup of the widest group pool over
-// one worker.
+// shard-index build and the speedup of the widest group pool over one
+// worker.
 func RenderPartition(w io.Writer, res *PartitionResult) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "group_workers\tsolve_ms\tquality\tevals")
@@ -102,8 +86,7 @@ func RenderPartition(w io.Writer, res *PartitionResult) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "shard index: %d groups, %d of %d pairs tested (%.4f) in %.1fms; speedup %.2fx at %d group workers\n",
-		res.Groups, res.PairCandidates, res.PairsTotal, res.PairFrac(), res.ShardMS,
-		res.Speedup(), res.Rows[len(res.Rows)-1].Workers)
+	fmt.Fprintf(w, "shard index: %d groups in %.1fms; speedup %.2fx at %d group workers\n",
+		res.Groups, res.ShardMS, res.Speedup(), res.Rows[len(res.Rows)-1].Workers)
 	return nil
 }

@@ -33,8 +33,7 @@ type ScalePreset struct {
 	Domains int
 	// Concepts sets the per-domain vocabulary size (synth.Config
 	// DomainConcepts); 0 keeps the generator default. Larger vocabularies
-	// grow the distinct-name table the shard index is built over, which is
-	// what the candidate-pair index is measured against.
+	// grow the distinct-name table the shard index is built over.
 	Concepts int
 	// Choose is MaxSources for the solve.
 	Choose int
@@ -101,8 +100,8 @@ func ScalePresets() []ScalePreset {
 		{
 			// The 10⁶-source rung. A wider domain fan (32 × 64 concepts)
 			// keeps per-group sub-solves tractable and gives the shard index
-			// a 2048-name table — ~2.1M flat pairs — for the candidate index
-			// to beat. SigMaps 16 holds the signature arena at 128 MB.
+			// a 2048-name table (~2.1M pairs). SigMaps 16 holds the signature
+			// arena at 128 MB.
 			Name:       "1m",
 			NumSources: 1_000_000,
 			Domains:    32,
@@ -150,16 +149,12 @@ type ScaleBenchRow struct {
 	Solver string
 	// GenMS covers streaming generation plus universe precompute; MatchMS
 	// is match.New (name interning + the distinct-name similarity table);
-	// ShardMS is the θ-component shard-index build (candidate generation +
-	// scoring + union-find + per-source lists); SolveMS is the solve proper.
+	// ShardMS is the θ-component shard-index build (θ scan of the table +
+	// union-find + per-source lists); SolveMS is the solve proper.
 	GenMS   float64
 	MatchMS float64
 	ShardMS float64
 	SolveMS float64
-	// PairCandidates is how many similarity pairs the shard-index build
-	// tested against θ; PairsTotal is the flat n(n−1)/2 it replaces.
-	PairCandidates uint64
-	PairsTotal     uint64
 	// GroupWorkers is the partitioned solver's group pool size used for the
 	// run (0 = GOMAXPROCS).
 	GroupWorkers int
@@ -188,9 +183,6 @@ type ladder struct {
 	genMS   float64
 	matchMS float64
 	shardMS float64
-	// pairCandidates and pairsTotal are as in ScaleBenchRow.
-	pairCandidates uint64
-	pairsTotal     uint64
 }
 
 // newLadder builds p's universe through the streaming generator, its matcher
@@ -222,17 +214,11 @@ func newLadder(p ScalePreset) (*ladder, error) {
 	}
 	l.matchMS = float64(time.Since(matchStart).Microseconds()) / 1000
 
-	// Build the shard index (candidate generation + blocked scoring +
-	// component labeling) up front and time it; the solves reuse the cached
-	// index. PairCandidates deltas are process-global, so surround the build
-	// tightly.
-	candBefore := match.PairCandidates()
+	// Build the shard index up front and time it; the solves reuse the
+	// cached index.
 	shardStart := time.Now()
 	l.groups = len(matcher.NewSharded(constraint.Set{}).SourceGroups())
 	l.shardMS = float64(time.Since(shardStart).Microseconds()) / 1000
-	l.pairCandidates = match.PairCandidates() - candBefore
-	nSim := uint64(matcher.SimIDs())
-	l.pairsTotal = nSim * (nSim - 1) / 2
 
 	quality, err := PaperQuality()
 	if err != nil {
@@ -284,23 +270,21 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 
 	u := l.prob.Universe
 	row := &ScaleBenchRow{
-		Preset:         p.Name,
-		Sources:        u.Len(),
-		Groups:         l.groups,
-		Solver:         l.solver.Name(),
-		GenMS:          l.genMS,
-		MatchMS:        l.matchMS,
-		ShardMS:        l.shardMS,
-		SolveMS:        solveSec * 1000,
-		PairCandidates: l.pairCandidates,
-		PairsTotal:     l.pairsTotal,
-		GroupWorkers:   p.GroupWorkers,
-		Evals:          sol.Evals,
-		SolveMallocs:   after.Mallocs - before.Mallocs,
-		SolveAllocMB:   float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
-		SigMB:          float64(u.SignatureBytes()) / (1 << 20),
-		Quality:        sol.Quality,
-		Status:         string(sol.Status),
+		Preset:       p.Name,
+		Sources:      u.Len(),
+		Groups:       l.groups,
+		Solver:       l.solver.Name(),
+		GenMS:        l.genMS,
+		MatchMS:      l.matchMS,
+		ShardMS:      l.shardMS,
+		SolveMS:      solveSec * 1000,
+		GroupWorkers: p.GroupWorkers,
+		Evals:        sol.Evals,
+		SolveMallocs: after.Mallocs - before.Mallocs,
+		SolveAllocMB: float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
+		SigMB:        float64(u.SignatureBytes()) / (1 << 20),
+		Quality:      sol.Quality,
+		Status:       string(sol.Status),
 	}
 	if solveSec > 0 {
 		row.EvalsPerSec = float64(sol.Evals) / solveSec
@@ -311,22 +295,12 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 // RenderScaleBench prints the scale ladder.
 func RenderScaleBench(w io.Writer, rows []*ScaleBenchRow) error {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tmatch_ms\tshard_ms\tpair_cands\tpair_frac\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
+	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tmatch_ms\tshard_ms\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%.1f\t%d\t%.4f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%.1f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
 			r.Preset, r.Sources, r.Groups, r.Solver, r.GenMS, r.MatchMS, r.ShardMS,
-			r.PairCandidates, r.PairFrac(), r.SolveMS,
-			r.Evals, r.EvalsPerSec, r.SolveMallocs, r.SolveAllocMB, r.SigMB,
+			r.SolveMS, r.Evals, r.EvalsPerSec, r.SolveMallocs, r.SolveAllocMB, r.SigMB,
 			r.Quality, r.Status)
 	}
 	return tw.Flush()
-}
-
-// PairFrac is PairCandidates over the flat pair total (1 when the total is
-// degenerate), the sub-quadratic headline of the candidate index.
-func (r *ScaleBenchRow) PairFrac() float64 {
-	if r.PairsTotal == 0 {
-		return 1
-	}
-	return float64(r.PairCandidates) / float64(r.PairsTotal)
 }

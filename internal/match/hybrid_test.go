@@ -1,6 +1,7 @@
 package match
 
 import (
+	"reflect"
 	"testing"
 
 	"mube/internal/constraint"
@@ -89,6 +90,27 @@ func TestHybridRecoversRenamedAttribute(t *testing.T) {
 	}
 	if authorGA.Contains(ref(3, 0)) {
 		t.Errorf("hybrid matching absorbed the unrelated gearbox attribute: %v", authorGA)
+	}
+}
+
+// TestHybridSourceGroups pins the shard index over hybrid similarity ids
+// through the public decomposition. By name alone the shared "gearbox" name
+// links source 3 to source 2 and so to everything; by data alone source 3's
+// gearbox holds unrelated values and stands apart, while source 2's renamed
+// author attribute still joins the others.
+func TestHybridSourceGroups(t *testing.T) {
+	u := hybridUniverse(t)
+	for _, tc := range []struct {
+		w    float64
+		want [][]schema.SourceID
+	}{
+		{0, [][]schema.SourceID{{0, 1, 2, 3}}},
+		{1, [][]schema.SourceID{{0, 1, 2}, {3}}},
+	} {
+		m := MustNew(u, Config{Theta: 0.5, DataWeight: tc.w})
+		if got := m.NewSharded(constraint.Set{}).SourceGroups(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("data weight %v: groups %v, want %v", tc.w, got, tc.want)
+		}
 	}
 }
 

@@ -127,9 +127,6 @@ type Matcher struct {
 	// nameID[s][a] is the name id of attribute a of source s; in name mode
 	// these are the simID slices themselves.
 	nameID [][]int
-	// grams holds the names' gram sets for gram-set measures, nil for any
-	// other measure.
-	grams *nameGrams
 
 	// pool recycles clustering scratch (cluster slabs, ref/name arenas, the
 	// pair heap) across Match/Score calls; shared by WithParams clones since
@@ -155,7 +152,6 @@ func New(u *source.Universe, cfg Config) (*Matcher, error) {
 	// Intern normalized names and compute the distinct-name similarity
 	// table — the name component in both modes.
 	m.nameID = m.assign(u)
-	m.grams = newNameGrams(m.names, cfg.Similarity)
 	d := len(m.names)
 	nameTable := m.nameTable(nil, 0)
 	nameSim := func(a, b int) float32 {
@@ -221,6 +217,10 @@ func MustNew(u *source.Universe, cfg Config) *Matcher {
 func (m *Matcher) packed(i, j int) int {
 	return i*m.n - i*(i-1)/2 + (j - i)
 }
+
+// SimIDs returns the number of distinct similarity ids the matcher scores
+// over (distinct normalized names in name mode, attributes in hybrid mode).
+func (m *Matcher) SimIDs() int { return m.n }
 
 // simByID returns the similarity of two similarity ids.
 func (m *Matcher) simByID(a, b int) float64 {
@@ -289,7 +289,6 @@ func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 		// similarity, stable.)
 		return &clone, nil
 	}
-	clone.grams = newNameGrams(clone.names, m.cfg.Similarity)
 	clone.table = clone.nameTable(m.table, m.n)
 	return &clone, nil
 }

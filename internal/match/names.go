@@ -63,30 +63,6 @@ func (in *interning) assign(u *source.Universe) [][]int {
 	return nameID
 }
 
-// nameGrams holds every interned name's n-gram set as sorted gram ids
-// (strutil.GramSets). The name-table fill and the candidate index both read
-// it, so grams are extracted once per distinct name.
-type nameGrams struct {
-	off, ids []int32
-	distinct int // ids lie in [0, distinct)
-	score    func(inter, na, nb int) float64
-}
-
-// newNameGrams returns the gram sets of names under sim, or nil when sim is
-// not a gram-set measure (strutil.GramMeasure).
-func newNameGrams(names []string, sim strutil.Similarity) *nameGrams {
-	n, score, ok := strutil.GramMeasure(sim)
-	if !ok {
-		return nil
-	}
-	g := &nameGrams{score: score}
-	g.off, g.ids, g.distinct = strutil.GramSets(names, n)
-	return g
-}
-
-// set returns name i's gram ids.
-func (g *nameGrams) set(i int) []int32 { return g.ids[g.off[i]:g.off[i+1]] }
-
 // nameTable returns the packed upper-triangular similarity table over
 // m.names. Entries among the first prevD names are copied from prev, a
 // table over those names, and only pairs involving a later name are scored.
@@ -111,8 +87,8 @@ func (m *Matcher) nameTable(prev []float32, prevD int) []float32 {
 		table[packed(i, i)] = 1
 	}
 
-	g := m.grams
-	if g == nil {
+	gramN, score, ok := strutil.GramMeasure(m.cfg.Similarity)
+	if !ok {
 		for i := 0; i < d; i++ {
 			for j := max(i+1, prevD); j < d; j++ {
 				table[packed(i, j)] = float32(m.cfg.Similarity.Sim(m.names[i], m.names[j]))
@@ -121,21 +97,23 @@ func (m *Matcher) nameTable(prev []float32, prevD int) []float32 {
 		return table
 	}
 
+	// Every name's gram set as sorted gram ids in [0, distinct), and
 	// postings[start[x]:end[x]] lists, ascending, the names visited so far
 	// that carry gram x.
-	start := make([]int32, g.distinct+1)
-	for _, x := range g.ids {
+	off, ids, distinct := strutil.GramSets(m.names, gramN)
+	start := make([]int32, distinct+1)
+	for _, x := range ids {
 		start[x+1]++
 	}
-	for x := 0; x < g.distinct; x++ {
+	for x := 0; x < distinct; x++ {
 		start[x+1] += start[x]
 	}
-	end := append([]int32(nil), start[:g.distinct]...)
-	postings := make([]int32, len(g.ids))
+	end := append([]int32(nil), start[:distinct]...)
+	postings := make([]int32, len(ids))
 	inter := make([]int32, d)
 	var touched []int32
 	for i := 0; i < d; i++ {
-		set := g.set(i)
+		set := ids[off[i]:off[i+1]]
 		if i >= prevD {
 			for _, x := range set {
 				for _, j := range postings[start[x]:end[x]] {
@@ -146,8 +124,8 @@ func (m *Matcher) nameTable(prev []float32, prevD int) []float32 {
 				}
 			}
 			for _, j := range touched {
-				na := int(g.off[j+1] - g.off[j])
-				table[packed(int(j), i)] = float32(g.score(int(inter[j]), na, len(set)))
+				na := int(off[j+1] - off[j])
+				table[packed(int(j), i)] = float32(score(int(inter[j]), na, len(set)))
 				inter[j] = 0
 			}
 			touched = touched[:0]

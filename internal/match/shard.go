@@ -29,10 +29,8 @@ import (
 // sorted GA streams, which reproduces the global canonical order — and so the
 // exact float bit pattern — of the unsharded path.
 
-// pairCandidates counts similarity pairs actually tested against θ during
-// shard-index builds; ≪ n(n−1)/2 demonstrates sub-quadratic candidate
-// generation (the flat fallback adds the full pair count, so the metric is
-// comparable either way).
+// pairCandidates counts similarity pairs tested against θ by shard-index
+// builds: n(n−1)/2 per build over n similarity ids.
 var pairCandidates atomic.Uint64
 
 // PairCandidates returns the total number of similarity pairs tested against
@@ -70,35 +68,13 @@ func ufFind(parent []int32, x int32) int32 {
 	return x
 }
 
-// buildShardIndex computes the θ-component index. Candidate pairs come from
-// the inverted gram/band index when the similarity measure supports it (see
-// candidatePairs); otherwise from the flat all-pairs loop. Both routes feed
-// the same union-find, and components are numbered by first-member order in
-// the ascending id scan, so the resulting index is identical no matter which
-// route — or which edge order — produced the edges; candidates.go's
-// differential tests pin this.
+// buildShardIndex computes the θ-component index: it scans the packed
+// similarity table New already filled, unions every pair at or above θ, and
+// numbers the components by first-member order in the ascending id scan.
 func (m *Matcher) buildShardIndex() shardIndex {
-	parent := newUnionFind(m.n)
-	if !m.collectEdgesIndexed(parent) {
-		m.collectEdgesFlat(parent)
-	}
-	return m.finishShardIndex(parent)
-}
-
-func newUnionFind(n int) []int32 {
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	return parent
-}
-
-// collectEdgesFlat unions every pair at or above θ by brute force: the route
-// for similarity measures without a candidate index (Levenshtein,
-// Jaro-Winkler, custom functions).
-func (m *Matcher) collectEdgesFlat(parent []int32) {
 	n := m.n
 	theta := m.cfg.Theta
+	parent := newUnionFind(n)
 	pairCandidates.Add(uint64(n) * uint64(n-1) / 2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -111,6 +87,16 @@ func (m *Matcher) collectEdgesFlat(parent []int32) {
 			}
 		}
 	}
+	return m.finishShardIndex(parent)
+}
+
+// newUnionFind returns a union-find parent array of n singletons.
+func newUnionFind(n int) []int32 {
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	return parent
 }
 
 // finishShardIndex labels the components and builds the per-source lists.
@@ -167,10 +153,7 @@ func (m *Matcher) NewSharded(cons constraint.Set) *Sharded {
 	idx := m.shardIdx()
 	sh := &Sharded{m: m, cons: cons.Clone(), idx: idx}
 
-	parent := make([]int32, idx.nShards)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
+	parent := newUnionFind(idx.nShards)
 	for _, g := range cons.GAs {
 		refs := g.Refs()
 		r0 := ufFind(parent, idx.shardOf[m.simID[refs[0].Source][refs[0].Attr]])
@@ -261,10 +244,7 @@ func containsShard(list []int32, k int32) bool {
 // these groups, which is what the partitioned solve mode exploits. Groups are
 // ordered by their smallest source id; sources within a group are ascending.
 func (sh *Sharded) SourceGroups() [][]schema.SourceID {
-	parent := make([]int32, sh.nShards)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
+	parent := newUnionFind(sh.nShards)
 	nSrc := sh.m.u.Len()
 	for s := 0; s < nSrc; s++ {
 		list := sh.sourceShards(schema.SourceID(s))

@@ -260,7 +260,8 @@ func TestScoreFlipConcurrent(t *testing.T) {
 }
 
 // TestSourceGroupsPartition checks that SourceGroups is a partition of the
-// universe and that sources from different groups never share a GA.
+// universe and that sources from different groups never share a GA, and that
+// a GA constraint bridging two groups fuses them.
 func TestSourceGroupsPartition(t *testing.T) {
 	// No shared noise words: a word appearing in sources of both families
 	// would link their shards through co-occurrence and collapse the groups.
@@ -287,23 +288,29 @@ func TestSourceGroupsPartition(t *testing.T) {
 	}
 	u := universe(t, schemas...)
 	m := MustNew(u, Config{Theta: 0.45})
-	sh := m.NewSharded(constraint.Set{})
-	groups := sh.SourceGroups()
+	// groupOf checks that groups partition the universe and maps each
+	// source to its group.
+	groupOf := func(label string, groups [][]schema.SourceID) map[schema.SourceID]int {
+		t.Helper()
+		seen := map[schema.SourceID]int{}
+		for gi, g := range groups {
+			for _, s := range g {
+				if prev, dup := seen[s]; dup {
+					t.Fatalf("%s: source %d in groups %d and %d", label, s, prev, gi)
+				}
+				seen[s] = gi
+			}
+		}
+		if len(seen) != u.Len() {
+			t.Fatalf("%s: groups cover %d of %d sources", label, len(seen), u.Len())
+		}
+		return seen
+	}
+	groups := m.NewSharded(constraint.Set{}).SourceGroups()
 	if len(groups) < 2 {
 		t.Fatalf("expected ≥ 2 groups, got %d", len(groups))
 	}
-	seen := map[schema.SourceID]int{}
-	for gi, g := range groups {
-		for _, s := range g {
-			if prev, dup := seen[s]; dup {
-				t.Fatalf("source %d in groups %d and %d", s, prev, gi)
-			}
-			seen[s] = gi
-		}
-	}
-	if len(seen) != u.Len() {
-		t.Fatalf("groups cover %d of %d sources", len(seen), u.Len())
-	}
+	seen := groupOf("unconstrained", groups)
 	res, err := m.Match(u.IDs(), constraint.Set{})
 	if err != nil {
 		t.Fatal(err)
@@ -314,6 +321,40 @@ func TestSourceGroupsPartition(t *testing.T) {
 			if seen[rr.Source] != seen[refs[0].Source] {
 				t.Fatalf("GA %v spans groups %d and %d", g, seen[refs[0].Source], seen[rr.Source])
 			}
+		}
+	}
+
+	// Source 0 draws from books and source 1 from flights, so a GA
+	// constraint joining their first attributes bridges two groups.
+	bridge := constraint.Set{GAs: []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0))}}
+	bridged := m.NewSharded(bridge).SourceGroups()
+	if len(bridged) != len(groups)-1 {
+		t.Fatalf("bridged: %d groups, want %d", len(bridged), len(groups)-1)
+	}
+	if in := groupOf("bridged", bridged); in[0] != in[1] {
+		t.Fatalf("bridged: sources 0 and 1 in groups %d and %d", in[0], in[1])
+	}
+}
+
+// TestShardIndexCountsPairs pins the PairCandidates accounting the ladder
+// benchmark reads: a matcher's first shard view builds the index and tests
+// every similarity pair once, n(n−1)/2 over n similarity ids; later views
+// reuse the cached index and test none.
+func TestShardIndexCountsPairs(t *testing.T) {
+	for _, m := range []*Matcher{
+		MustNew(randomUniverse(t, rand.New(rand.NewSource(1)), 30), Config{Theta: 0.45}),
+		MustNew(hybridUniverse(t), Config{Theta: 0.5, DataWeight: 0.5}),
+	} {
+		n := uint64(m.SimIDs())
+		before := PairCandidates()
+		m.NewSharded(constraint.Set{}).SourceGroups()
+		if got := PairCandidates() - before; got != n*(n-1)/2 {
+			t.Fatalf("%d similarity ids: build counted %d pairs, want %d", n, got, n*(n-1)/2)
+		}
+		before = PairCandidates()
+		m.NewSharded(constraint.Set{}).SourceGroups()
+		if got := PairCandidates() - before; got != 0 {
+			t.Fatalf("%d similarity ids: cached index counted %d more pairs", n, got)
 		}
 	}
 }

@@ -99,23 +99,6 @@ func (s *Signature) Empty() bool {
 	return true
 }
 
-// Slots calls yield for every occupied slot, in ascending slot order, with
-// the slot's minimum hash; it stops early when yield returns false. This is
-// the banding hook for candidate generation: Jaccard estimates below are
-// positive only when some occupied slot holds the same minimum in both
-// signatures, so two signatures with a positive estimate share at least one
-// (slot, min) band.
-func (s *Signature) Slots(yield func(slot int, min uint64) bool) {
-	for i, m := range s.mins {
-		if m == ^uint64(0) {
-			continue
-		}
-		if !yield(i, m) {
-			return
-		}
-	}
-}
-
 // ErrIncompatible is returned when comparing or merging signatures of
 // different shape or seed.
 var ErrIncompatible = errors.New("minhash: incompatible signatures")

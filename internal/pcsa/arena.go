@@ -51,9 +51,6 @@ func NewArena(cfg Config) (*Arena, error) {
 	return &Arena{cfg: cfg}, nil
 }
 
-// Config returns the configuration every interned signature shares.
-func (a *Arena) Config() Config { return a.cfg }
-
 // Len returns the number of signatures the arena has handed out.
 func (a *Arena) Len() int { return a.n }
 

@@ -48,10 +48,15 @@ type Config struct {
 // with the paper's observed worst-case error of 7%.
 var DefaultConfig = Config{NumMaps: 256}
 
+// maxNumMaps bounds NumMaps so a hostile configuration cannot size a
+// counting union (64 counters per bitmap) past memory. The PCSA ablation
+// sweeps up to 1 024.
+const maxNumMaps = 1 << 16
+
 // validate checks the configuration.
 func (c Config) validate() error {
-	if c.NumMaps <= 0 || c.NumMaps&(c.NumMaps-1) != 0 {
-		return fmt.Errorf("pcsa: NumMaps must be a positive power of two, got %d", c.NumMaps)
+	if c.NumMaps <= 0 || c.NumMaps > maxNumMaps || c.NumMaps&(c.NumMaps-1) != 0 {
+		return fmt.Errorf("pcsa: NumMaps must be a power of two in [1, %d], got %d", maxNumMaps, c.NumMaps)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	bad := []int{0, -1, 3, 5, 100}
+	bad := []int{0, -1, 3, 5, 100, 1 << 17, 1 << 40}
 	for _, n := range bad {
 		if _, err := New(Config{NumMaps: n}); err == nil {
 			t.Errorf("NumMaps=%d should be rejected", n)

@@ -102,6 +102,13 @@ func ReadJSON(r io.Reader) (*Universe, error) {
 		return nil, fmt.Errorf("source: decode universe: %w", err)
 	}
 	cfg := pcsa.Config{NumMaps: in.SigNumMaps, Seed: in.SigSeed}
+	// 0 maps is a universe without signatures; any other width must be one
+	// pcsa accepts, since the solver sizes its union counters by it.
+	if cfg.NumMaps != 0 {
+		if _, err := pcsa.NewArena(cfg); err != nil {
+			return nil, fmt.Errorf("source: decode universe: %w", err)
+		}
+	}
 	u := NewUniverse(cfg)
 	for i, sj := range in.Sources {
 		s := &Source{

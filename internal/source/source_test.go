@@ -200,6 +200,13 @@ func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString(`{"sig_num_maps":64,"sources":[{"name":"x","attrs":["a"],"signature":"!!!"}]}`)); err == nil {
 		t.Error("bad base64 accepted")
 	}
+	// A power of two too wide for any counter, on schema-only sources that
+	// carry no signature to catch it.
+	hostile := `{"sig_num_maps":1099511627776,"sources":[` +
+		`{"name":"a","attrs":["x"]},{"name":"b","attrs":["x"]},{"name":"c","attrs":["y"]}]}`
+	if _, err := ReadJSON(bytes.NewBufferString(hostile)); err == nil {
+		t.Error("sig_num_maps 2^40 accepted")
+	}
 }
 
 func TestUnionEstimateRandomizedMatchesExact(t *testing.T) {

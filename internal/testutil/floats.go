@@ -2,14 +2,8 @@ package testutil
 
 import "mube/internal/testutil/approx"
 
-// Epsilon and AlmostEqual re-export the approx helpers so tests that
-// already build on testutil need only one import. Packages beneath testutil
-// in the dependency order (source, schema, pcsa, minhash) import
-// testutil/approx directly instead.
-const Epsilon = approx.Epsilon
-
-// AlmostEqual reports whether a and b differ by at most Epsilon.
+// AlmostEqual reports whether a and b differ by at most approx.Epsilon. It
+// re-exports the approx helper so tests that already build on testutil need
+// only one import. Packages beneath testutil in the dependency order (source,
+// schema, pcsa, minhash) import testutil/approx directly instead.
 func AlmostEqual(a, b float64) bool { return approx.AlmostEqual(a, b) }
-
-// AlmostEqualEps reports whether a and b differ by at most eps.
-func AlmostEqualEps(a, b, eps float64) bool { return approx.AlmostEqualEps(a, b, eps) }
