@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fmt-check mube-vet vet-json bench-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race fmt-check mube-vet vet-json bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
 
 check: build mube-vet vet fmt-check race
 
@@ -47,6 +47,14 @@ vet-json:
 bench-smoke:
 	$(GO) run ./cmd/mube-bench -universe 100k -smoke
 	$(GO) run ./cmd/mube-bench -universe 1m -smoke
+
+# fuzz-smoke runs each native fuzz target for about 10 s beyond its committed
+# seed corpus (testdata/fuzz/<target> next to the test); `go test -fuzz`
+# takes one target per run, so each target has its own line. CI runs it
+# non-gating. A crasher it finds is written into that corpus directory;
+# commit it there as a regression input together with the fix.
+fuzz-smoke:
+	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s
 
 # trace-smoke records a deterministic watch trace through the CLI
 # (virtual-clock timings, so the bytes are machine-independent), renders the

@@ -90,13 +90,13 @@ type Plan struct {
 	// handshake (before any tuple flows) rather than mid-stream. Zero means
 	// the default 0.5.
 	HandshakeFrac float64
-	// Latency is the mean per-attempt latency; each attempt draws uniformly
-	// from [0.5·Latency, 1.5·Latency). Zero injects no latency.
+	// Latency (≥ 0) is the mean per-attempt latency; each attempt draws
+	// uniformly from [0.5·Latency, 1.5·Latency). Zero injects no latency.
 	Latency time.Duration
 	// FlapPeriod/FlapDuty model scheduled outages: each source is down for
-	// FlapDuty (in [0,1)) of every FlapPeriod, phase-shifted per source so
-	// the universe never flaps in unison. During an outage every attempt
-	// fails at the handshake. FlapPeriod == 0 disables flapping.
+	// FlapDuty (in [0,1)) of every FlapPeriod (≥ 0), phase-shifted per
+	// source so the universe never flaps in unison. During an outage every
+	// attempt fails at the handshake. FlapPeriod == 0 disables flapping.
 	FlapPeriod time.Duration
 	FlapDuty   float64
 }
@@ -130,7 +130,8 @@ func (p Plan) String() string {
 //	rate=0.3,seed=7,latency=20ms,flap=2s:0.25,handshake=0.6
 //
 // "none" and "" parse to the zero (disabled) plan. Keys: rate, seed,
-// handshake, latency, flap=<period>:<duty>.
+// handshake, latency, flap=<period>:<duty>. Every value must lie in the
+// range its Plan field documents; NaN lies in none.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
 	s = strings.TrimSpace(s)
@@ -147,18 +148,21 @@ func ParsePlan(s string) (Plan, error) {
 		switch key {
 		case "rate":
 			p.Rate, err = strconv.ParseFloat(val, 64)
-			if err == nil && (p.Rate < 0 || p.Rate > 1) {
+			if err == nil && !(p.Rate >= 0 && p.Rate <= 1) {
 				err = fmt.Errorf("rate %v out of [0,1]", p.Rate)
 			}
 		case "seed":
 			p.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "handshake":
 			p.HandshakeFrac, err = strconv.ParseFloat(val, 64)
-			if err == nil && (p.HandshakeFrac < 0 || p.HandshakeFrac > 1) {
+			if err == nil && !(p.HandshakeFrac >= 0 && p.HandshakeFrac <= 1) {
 				err = fmt.Errorf("handshake %v out of [0,1]", p.HandshakeFrac)
 			}
 		case "latency":
 			p.Latency, err = time.ParseDuration(val)
+			if err == nil && p.Latency < 0 {
+				err = fmt.Errorf("latency %v is negative", p.Latency)
+			}
 		case "flap":
 			pd := strings.SplitN(val, ":", 2)
 			if len(pd) != 2 {
@@ -168,10 +172,14 @@ func ParsePlan(s string) (Plan, error) {
 			if p.FlapPeriod, err = time.ParseDuration(pd[0]); err != nil {
 				break
 			}
+			if p.FlapPeriod < 0 {
+				err = fmt.Errorf("flap period %v is negative", p.FlapPeriod)
+				break
+			}
 			if p.FlapDuty, err = strconv.ParseFloat(pd[1], 64); err != nil {
 				break
 			}
-			if p.FlapDuty < 0 || p.FlapDuty >= 1 {
+			if !(p.FlapDuty >= 0 && p.FlapDuty < 1) {
 				err = fmt.Errorf("flap duty %v out of [0,1)", p.FlapDuty)
 			}
 		default:

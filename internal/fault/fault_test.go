@@ -41,6 +41,7 @@ func TestPlanParseDisabledAndErrors(t *testing.T) {
 	for _, s := range []string{
 		"rate", "rate=2", "rate=-0.1", "handshake=1.5", "latency=abc",
 		"flap=2s", "flap=2s:1.0", "bogus=1",
+		"rate=NaN", "handshake=NaN", "flap=1s:NaN", "latency=-5s", "flap=-1s:0.5",
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) succeeded, want error", s)

@@ -73,11 +73,9 @@ type matchScratch struct {
 	inCons   map[schema.AttrRef]struct{}
 
 	// Sharded-scoring state (see shard.go).
-	ids     []schema.SourceID // flipped base buffer
-	shards  []int32           // affected-shard buffer
-	segs    []int             // segment starts into gas/quals, one per stream
-	streams []gaStream        // k-way merge state
-	covered []bool            // per-constraint-source coverage
+	ids    []schema.SourceID // flipped member list / changed-source buffer
+	shards []int32           // affected-shard buffer
+	fresh  []seqEntry        // a flip's re-clustered GAs, sorted by first reference
 }
 
 func newMatchScratch() *matchScratch {
@@ -91,7 +89,6 @@ func (sc *matchScratch) reset() {
 	sc.refs = sc.refs[:0]
 	sc.gas = sc.gas[:0]
 	sc.quals = sc.quals[:0]
-	sc.segs = sc.segs[:0]
 }
 
 // resetRun prepares for one clustering run within an operation. Arenas and
@@ -271,18 +268,21 @@ func (m *Matcher) Score(ids []schema.SourceID, cons constraint.Set) (float64, bo
 // to some GA — Mediated.Spans without the coverage map.
 func spansOK(gas []schema.GA, required []schema.SourceID) bool {
 	for _, id := range required {
-		found := false
-		for _, g := range gas {
-			if g.HasSource(id) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !coversSource(gas, id) {
 			return false
 		}
 	}
 	return true
+}
+
+// coversSource reports whether source id contributes an attribute to some GA.
+func coversSource(gas []schema.GA, id schema.SourceID) bool {
+	for _, g := range gas {
+		if g.HasSource(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // seedInto builds the initial cluster set: one cluster per user GA constraint

@@ -23,11 +23,17 @@ import (
 // bridge — a constraint GA seeds one cluster whose members may span shards —
 // so shards bridged by a constraint are fused into one overlay shard.
 //
-// A flip candidate S ± {s} then only needs the shards s touches re-clustered;
-// every other shard's GAs and qualities are reused from the cached base. The
-// final F1(S) sum runs over the k-way merge of the per-shard canonically
-// sorted GA streams, which reproduces the global canonical order — and so the
-// exact float bit pattern — of the unsharded path.
+// A flip candidate S ± {s} then only needs the shards s touches re-clustered,
+// each seeded from its cached ascending member list; every other shard's GAs
+// and qualities are reused from the cached base. The GAs of one match are
+// pairwise disjoint, so two of them differ in their first references and
+// GA.Compare orders them by first reference alone. Each base therefore keeps
+// its merged GA sequence as (first reference, shard, quality) entries in
+// canonical order, with running prefix sums of the qualities. A flip's F1(S)
+// takes the prefix sum at the first position the flip changes, then one
+// linear two-way merge of the rest of the cached sequence (affected shards
+// skipped) with the fresh GAs: the same qualities added in the same order as
+// the unsharded path, and so the exact same float bit pattern.
 
 // pairCandidates counts similarity pairs tested against θ by shard-index
 // builds: n(n−1)/2 per build over n similarity ids.
@@ -282,10 +288,11 @@ func (sh *Sharded) SourceGroups() [][]schema.SourceID {
 
 // seedShard seeds sc with shard's slice of Algorithm 1's initial clusters:
 // the constraint GAs assigned to the shard, then the singleton clusters of
-// every base attribute whose similarity id lies in the shard, in base order.
-// This is exactly the restriction of seedInto's output to the shard, in the
-// same relative order.
-func (sh *Sharded) seedShard(sc *matchScratch, base []schema.SourceID, shard int32) {
+// every attribute of members (the ascending subset sources touching the
+// shard) whose similarity id lies in the shard, in subset order. This is
+// exactly the restriction of seedInto's output to the shard, in the same
+// relative order.
+func (sh *Sharded) seedShard(sc *matchScratch, members []schema.SourceID, shard int32) {
 	m := sh.m
 	total := 0
 	for k := range sh.cons.GAs {
@@ -293,10 +300,8 @@ func (sh *Sharded) seedShard(sc *matchScratch, base []schema.SourceID, shard int
 			total++
 		}
 	}
-	for _, id := range base {
-		if containsShard(sh.sourceShards(id), shard) {
-			total += m.u.Source(id).Schema.Len()
-		}
+	for _, id := range members {
+		total += m.u.Source(id).Schema.Len()
 	}
 	sc.reserve(total)
 
@@ -313,10 +318,7 @@ func (sh *Sharded) seedShard(sc *matchScratch, base []schema.SourceID, shard int
 		c.names = sc.seedNames(m, g)
 		sc.clusters = append(sc.clusters, c)
 	}
-	for _, id := range base {
-		if !containsShard(sh.sourceShards(id), shard) {
-			continue
-		}
+	for _, id := range members {
 		n := m.u.Source(id).Schema.Len()
 		for a := 0; a < n; a++ {
 			r := schema.AttrRef{Source: id, Attr: a}
@@ -334,23 +336,36 @@ func (sh *Sharded) seedShard(sc *matchScratch, base []schema.SourceID, shard int
 	}
 }
 
-// shardResult caches one shard's clustering outcome on a base subset. All
-// memory is owned (deep-copied out of the scratch arenas).
+// shardResult is one shard's share of a cached base: the base members that
+// touch it and what clustering them yields, beyond the sequence entries.
 type shardResult struct {
-	gas     []schema.GA // canonical order
-	quals   []float64   // GAQuality aligned with gas
-	refs    []schema.AttrRef
-	covered []bool // which cons.Sources this shard's GAs cover
+	members []schema.SourceID // ascending
+	gas     int               // number of GAs the shard yields
+	lead    schema.AttrRef    // first reference of its first GA, when gas > 0
+	covered []bool            // which cons.Sources its GAs cover
 }
+
+// seqEntry is one GA of a base's merged sequence: its first reference (the
+// sort key), its overlay shard and its GAQuality.
+type seqEntry struct {
+	first schema.AttrRef
+	shard int32
+	q     float64
+}
+
+func compareFirst(a, b seqEntry) int { return a.first.Compare(b.first) }
 
 // ShardedBase caches the per-shard clustering of one base subset so flip
 // candidates off that base only re-cluster the shards the flipped source
 // touches. Construction and Rebase mutate the cache and must be serialized
 // by the caller; ScoreFlip is a pure read and safe to call concurrently.
 type ShardedBase struct {
-	sh   *Sharded
-	base []schema.SourceID // sorted ascending
-	res  map[int32]*shardResult
+	sh     *Sharded
+	base   []schema.SourceID // sorted ascending
+	res    []*shardResult    // overlay shard -> result; nil when no member touches it
+	seq    []seqEntry        // every cached GA, in canonical order
+	prefix []float64         // prefix[i] is the sequential sum of seq[:i]'s qualities
+	cover  []int             // cons.Sources[i] -> number of shards whose GAs cover it
 }
 
 // NewBase clusters every shard the base touches and caches the results. The
@@ -361,16 +376,18 @@ func (sh *Sharded) NewBase(base []schema.SourceID) (*ShardedBase, error) {
 			base, sh.cons.RequiredSources())
 	}
 	b := &ShardedBase{
-		sh:   sh,
-		base: append([]schema.SourceID(nil), base...),
-		res:  make(map[int32]*shardResult),
+		sh:    sh,
+		base:  append([]schema.SourceID(nil), base...),
+		res:   make([]*shardResult, sh.nShards),
+		cover: make([]int, len(sh.cons.Sources)),
 	}
 	sc := sh.m.scratch()
 	defer sh.m.release(sc)
 	sc.reset()
-	for _, k := range b.touched(sc, b.base) {
-		b.res[k] = b.computeShard(sc, k, b.base)
+	for _, s := range b.base {
+		b.enter(s)
 	}
+	b.refresh(sc, b.touched(sc, b.base))
 	return b, nil
 }
 
@@ -391,41 +408,99 @@ func (b *ShardedBase) touched(sc *matchScratch, ids []schema.SourceID) []int32 {
 	return out
 }
 
-// computeShard clusters one shard on base and deep-copies the result out of
-// the scratch. sc.gas/sc.quals are rolled back to their pre-call lengths.
-func (b *ShardedBase) computeShard(sc *matchScratch, shard int32, base []schema.SourceID) *shardResult {
+// enter adds source s to the member list of every shard it touches.
+func (b *ShardedBase) enter(s schema.SourceID) {
+	for _, k := range b.sh.sourceShards(s) {
+		r := b.res[k]
+		if r == nil {
+			r = &shardResult{}
+			b.res[k] = r
+		}
+		i, _ := slices.BinarySearch(r.members, s)
+		r.members = slices.Insert(r.members, i, s)
+	}
+}
+
+// leave removes source s from the member list of every shard it touches.
+func (b *ShardedBase) leave(s schema.SourceID) {
+	for _, k := range b.sh.sourceShards(s) {
+		r := b.res[k]
+		if i, ok := slices.BinarySearch(r.members, s); ok {
+			r.members = slices.Delete(r.members, i, i+1)
+		}
+	}
+}
+
+// refresh re-clusters shards (sorted) on their current member lists, drops
+// the results of shards left without members, and rebuilds the merged
+// sequence: the entries of every other shard are kept as they are.
+func (b *ShardedBase) refresh(sc *matchScratch, shards []int32) {
+	seq := b.seq[:0]
+	for _, e := range b.seq {
+		if !containsShard(shards, e.shard) {
+			seq = append(seq, e)
+		}
+	}
+	for _, k := range shards {
+		r := b.res[k]
+		b.addCover(r, -1)
+		if len(r.members) == 0 {
+			b.res[k] = nil
+			continue
+		}
+		seq = b.computeShard(sc, k, seq)
+		b.addCover(r, 1)
+	}
+	// Stable, so entries sharing a first reference (possible only under
+	// overlapping GA constraints, which constraint.Set.Validate rejects)
+	// keep their shard's canonical order.
+	slices.SortStableFunc(seq, compareFirst)
+	b.seq = seq
+	b.prefix = append(b.prefix[:0], 0)
+	sum := 0.0
+	for _, e := range seq {
+		sum += e.q
+		b.prefix = append(b.prefix, sum)
+	}
+}
+
+// addCover adds d to the coverage count of every constraint source r covers.
+func (b *ShardedBase) addCover(r *shardResult, d int) {
+	for i, c := range r.covered {
+		if c {
+			b.cover[i] += d
+		}
+	}
+}
+
+// computeShard clusters shard k on its member list, appends its GAs to seq as
+// sequence entries, and records the shard's GA count, lead reference and
+// coverage. sc.gas/sc.quals are rolled back to their pre-call lengths.
+func (b *ShardedBase) computeShard(sc *matchScratch, k int32, seq []seqEntry) []seqEntry {
+	r := b.res[k]
 	start := len(sc.gas)
 	sc.resetRun()
-	b.sh.seedShard(sc, base, shard)
+	b.sh.seedShard(sc, r.members, k)
 	b.sh.m.rounds(sc)
 	b.sh.m.collectInto(sc, start)
 
-	seg, qs := sc.gas[start:], sc.quals[start:]
-	r := &shardResult{}
-	total := 0
-	for _, g := range seg {
-		total += g.Size()
+	gas := sc.gas[start:]
+	for i, g := range gas {
+		seq = append(seq, seqEntry{first: g.Refs()[0], shard: k, q: sc.quals[start+i]})
 	}
-	r.refs = make([]schema.AttrRef, 0, total)
-	r.gas = make([]schema.GA, len(seg))
-	for i, g := range seg {
-		s0 := len(r.refs)
-		r.refs = append(r.refs, g.Refs()...)
-		r.gas[i] = schema.GAFromSorted(r.refs[s0:len(r.refs):len(r.refs)])
+	r.gas = len(gas)
+	if r.gas > 0 {
+		r.lead = gas[0].Refs()[0]
 	}
-	r.quals = append([]float64(nil), qs...)
-	r.covered = make([]bool, len(b.sh.cons.Sources))
-	for i, s := range b.sh.cons.Sources {
-		for _, g := range r.gas {
-			if g.HasSource(s) {
-				r.covered[i] = true
-				break
-			}
+	if cons := b.sh.cons.Sources; len(cons) > 0 {
+		r.covered = r.covered[:0]
+		for _, s := range cons {
+			r.covered = append(r.covered, coversSource(gas, s))
 		}
 	}
 	sc.gas = sc.gas[:start]
 	sc.quals = sc.quals[:start]
-	return r
+	return seq
 }
 
 // Rebase moves the cache to newBase (sorted ascending), re-clustering only
@@ -439,15 +514,18 @@ func (b *ShardedBase) Rebase(newBase []schema.SourceID) error {
 	defer b.sh.m.release(sc)
 	sc.reset()
 
-	// Symmetric difference of two sorted id lists.
+	// Symmetric difference of two sorted id lists; each changed source
+	// enters or leaves its shards' member lists.
 	changed := sc.ids[:0]
 	i, j := 0, 0
 	for i < len(b.base) || j < len(newBase) {
 		switch {
 		case j >= len(newBase) || (i < len(b.base) && b.base[i] < newBase[j]):
+			b.leave(b.base[i])
 			changed = append(changed, b.base[i])
 			i++
 		case i >= len(b.base) || newBase[j] < b.base[i]:
+			b.enter(newBase[j])
 			changed = append(changed, newBase[j])
 			j++
 		default:
@@ -457,26 +535,45 @@ func (b *ShardedBase) Rebase(newBase []schema.SourceID) error {
 	sc.ids = changed
 
 	b.base = append(b.base[:0], newBase...)
-	for _, k := range b.touched(sc, changed) {
-		b.res[k] = b.computeShard(sc, k, b.base)
-	}
+	b.refresh(sc, b.touched(sc, changed))
 	return nil
 }
 
-// gaStream is one sorted GA stream of the k-way score merge.
-type gaStream struct {
-	gas   []schema.GA
-	quals []float64
-	pos   int
+// lowerBound returns the position of the first sequence entry whose first
+// reference is not below ref.
+func (b *ShardedBase) lowerBound(ref schema.AttrRef) int {
+	i, _ := slices.BinarySearchFunc(b.seq, ref, func(e seqEntry, r schema.AttrRef) int {
+		return e.first.Compare(r)
+	})
+	return i
+}
+
+// flipInto appends members−{drop}+{add} to dst, ascending; add < 0 means
+// none.
+func flipInto(dst, members []schema.SourceID, add, drop schema.SourceID) []schema.SourceID {
+	for _, s := range members {
+		if add >= 0 && add < s {
+			dst = append(dst, add)
+			add = -1
+		}
+		if s != drop {
+			dst = append(dst, s)
+		}
+	}
+	if add >= 0 {
+		dst = append(dst, add)
+	}
+	return dst
 }
 
 // ScoreFlip scores the candidate base+{add}−{drop} (either may be negative
 // for "none"), re-clustering only the shards add and drop touch and reusing
-// the cached results everywhere else. The returned quality and validity are
+// the cached sequence everywhere else. The returned quality and validity are
 // bit-identical to Matcher.Score(candidate, cons) — and so to
-// Matcher.Match(candidate, cons).Quality — because the per-shard canonical
-// GA streams are k-way merged back into the global canonical order before
-// the float sum. Pure; safe for concurrent use.
+// Matcher.Match(candidate, cons).Quality: the fresh GAs are merged into the
+// cached canonical sequence, and the sequential float sum resumes from the
+// cached prefix at the first position the flip changes. Pure; safe for
+// concurrent use.
 func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 	sh := b.sh
 	sc := sh.m.scratch()
@@ -495,106 +592,86 @@ func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 	aff = slices.Compact(aff)
 	sc.shards = aff
 
-	// The flipped base, kept sorted.
-	ids := sc.ids[:0]
-	for _, s := range b.base {
-		if s == drop {
-			continue
-		}
-		if add >= 0 && add < s {
-			ids = append(ids, add)
-			add = -1
-		}
-		if s != add {
-			ids = append(ids, s)
-		}
-	}
-	if add >= 0 {
-		ids = append(ids, add)
-	}
-	sc.ids = ids
-
-	// Re-cluster the affected shards, recording segment bounds.
-	sc.segs = sc.segs[:0]
+	// Re-cluster each affected shard on its flipped member list. p tracks
+	// the first sequence position the flip changes: the first cached entry
+	// of an affected shard or, below, the slot of the first fresh GA. stale
+	// counts the cached entries of affected shards the merge must skip.
+	p, stale := len(b.seq), 0
 	for _, k := range aff {
-		sc.segs = append(sc.segs, len(sc.gas))
+		var members []schema.SourceID
+		if r := b.res[k]; r != nil {
+			members = r.members
+			if r.gas > 0 {
+				p = min(p, b.lowerBound(r.lead))
+				stale += r.gas
+			}
+		}
+		a := add
+		if a >= 0 && !containsShard(sh.sourceShards(a), k) {
+			a = -1
+		}
+		sc.ids = flipInto(sc.ids[:0], members, a, drop)
 		start := len(sc.gas)
 		sc.resetRun()
-		sh.seedShard(sc, ids, k)
+		sh.seedShard(sc, sc.ids, k)
 		sh.m.rounds(sc)
 		sh.m.collectInto(sc, start)
 	}
-	sc.segs = append(sc.segs, len(sc.gas))
 
-	// Coverage of the explicit source constraints, fresh ∪ cached.
-	covered := sc.covered[:0]
-	for range sh.cons.Sources {
-		covered = append(covered, false)
-	}
-	sc.covered = covered
+	// Coverage of the explicit source constraints: the unaffected shards'
+	// cached counts, else the fresh GAs.
 	for i, s := range sh.cons.Sources {
-		if covered[i] {
-			continue
-		}
-		for _, g := range sc.gas {
-			if g.HasSource(s) {
-				covered[i] = true
-				break
+		n := b.cover[i]
+		for _, k := range aff {
+			if r := b.res[k]; r != nil && r.covered[i] {
+				n--
 			}
 		}
-	}
-
-	// Assemble the merge streams: fresh segments plus unaffected cached
-	// shards. Stream enumeration order is irrelevant — the merge emits GAs
-	// in the global canonical order, which is strict (GAs never repeat
-	// across shards), so the float sum order is deterministic.
-	streams := sc.streams[:0]
-	for i := range aff {
-		streams = append(streams, gaStream{
-			gas:   sc.gas[sc.segs[i]:sc.segs[i+1]],
-			quals: sc.quals[sc.segs[i]:sc.segs[i+1]],
-		})
-	}
-	for k, r := range b.res {
-		if containsShard(aff, k) || len(r.gas) == 0 {
-			continue
-		}
-		streams = append(streams, gaStream{gas: r.gas, quals: r.quals})
-		for i := range covered {
-			if r.covered[i] {
-				covered[i] = true
-			}
-		}
-	}
-	sc.streams = streams
-
-	for _, c := range covered {
-		if !c {
+		if n == 0 && !coversSource(sc.gas, s) {
 			return 0, false
 		}
 	}
 
-	total := 0
-	for _, s := range streams {
-		total += len(s.gas)
+	// The fresh GAs in canonical order (refresh says why the sort is stable).
+	fresh := sc.fresh[:0]
+	for i, g := range sc.gas {
+		fresh = append(fresh, seqEntry{first: g.Refs()[0], q: sc.quals[i]})
 	}
-	if total == 0 {
+	slices.SortStableFunc(fresh, compareFirst)
+	sc.fresh = fresh
+	if len(fresh) > 0 {
+		p = min(p, b.lowerBound(fresh[0].first))
+	}
+
+	// Every entry before p is unaffected and precedes every fresh GA, so the
+	// sum resumes from prefix[p]. Then a two-way merge of the rest of the
+	// cached sequence, affected shards skipped, with the fresh GAs. A cached
+	// and a fresh entry never share a first reference (their shards differ).
+	seq := b.seq
+	sum, n := b.prefix[p], p
+	i, j := p, 0
+	for i < len(seq) {
+		e := &seq[i]
+		if stale > 0 && containsShard(aff, e.shard) {
+			stale--
+			i++
+			continue
+		}
+		if j < len(fresh) && fresh[j].first.Compare(e.first) < 0 {
+			sum += fresh[j].q
+			j++
+		} else {
+			sum += e.q
+			i++
+		}
+		n++
+	}
+	for ; j < len(fresh); j++ {
+		sum += fresh[j].q
+		n++
+	}
+	if n == 0 {
 		return 0, true
 	}
-	sum := 0.0
-	for n := 0; n < total; n++ {
-		best := -1
-		for si := range streams {
-			s := &streams[si]
-			if s.pos >= len(s.gas) {
-				continue
-			}
-			if best < 0 || s.gas[s.pos].Compare(streams[best].gas[streams[best].pos]) < 0 {
-				best = si
-			}
-		}
-		sum += streams[best].quals[streams[best].pos]
-		streams[best].pos++
-	}
-	return sum / float64(total), true
+	return sum / float64(n), true
 }

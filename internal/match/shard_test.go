@@ -1,14 +1,17 @@
 package match
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"mube/internal/constraint"
 	"mube/internal/schema"
 	"mube/internal/source"
+	"mube/internal/testutil"
 )
 
 // randomUniverse builds a universe mixing two name families that never cross
@@ -130,8 +133,7 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 		}
 		if seed%3 == 0 {
 			// A GA constraint spanning the two name families bridges shards.
-			s1 := 2 * (r.Intn(n/2) / 1)
-			s1 = s1 % n
+			s1 := 2 * r.Intn(n/2) % n
 			s2 := (s1 + 1) % n
 			cons.GAs = []schema.GA{schema.NewGA(ref(s1, 0), ref(s2, 0))}
 		}
@@ -209,6 +211,176 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 					check(s, -1)
 				}
 			}
+		}
+	}
+}
+
+// checkFlips asserts that every single flip off b's base — each add, each
+// drop and each swap that keeps cons satisfied — scores bit-identically to
+// Matcher.Match on the flipped set and to the same flip on fresh, a base
+// built by NewBase on the same subset.
+func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, fresh *ShardedBase) {
+	t.Helper()
+	n := schema.SourceID(m.u.Len())
+	in := make(map[schema.SourceID]bool)
+	for _, s := range b.Base() {
+		in[s] = true
+	}
+	check := func(add, drop schema.SourceID) {
+		t.Helper()
+		cand := flipped(b.Base(), add, drop)
+		if !cons.SatisfiedBy(cand) {
+			return
+		}
+		res, err := m.Match(cand, cons)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		q, ok := b.ScoreFlip(add, drop)
+		fq, fok := fresh.ScoreFlip(add, drop)
+		if ok != res.OK || math.Float64bits(q) != math.Float64bits(res.Quality) ||
+			fok != ok || math.Float64bits(fq) != math.Float64bits(q) {
+			t.Fatalf("%s: base %v flip(+%d,-%d): ScoreFlip = (%v, %v), fresh base = (%v, %v), Match = (%v, %v)",
+				label, b.Base(), add, drop, q, ok, fq, fok, res.Quality, res.OK)
+		}
+	}
+	for s := schema.SourceID(0); s < n; s++ {
+		if in[s] {
+			check(-1, s)
+			continue
+		}
+		check(s, -1)
+		for _, d := range b.Base() {
+			check(s, d)
+		}
+	}
+}
+
+// TestRebaseWalk walks one cached base through 40 accepted adds, drops and
+// swaps under three constraint sets: none, one required source, and a GA
+// bridging the two name families. After every Rebase, every single flip must
+// score as Matcher.Match does and as the same flip on a fresh NewBase. Each
+// walk also drops the last member of some shard, so Rebase must retire that
+// shard's cached entries.
+func TestRebaseWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const n = 14
+	u := randomUniverse(t, r, n)
+	m := MustNew(u, Config{Theta: 0.45})
+	for _, tc := range []struct {
+		name string
+		cons constraint.Set
+	}{
+		{"none", constraint.Set{}},
+		{"required", constraint.Set{Sources: []schema.SourceID{4}}},
+		// Source 0 draws from the book names and source 1 from the flight
+		// names (randomUniverse alternates), so this GA bridges the families.
+		{"bridge", constraint.Set{GAs: []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0))}}},
+	} {
+		sh := m.NewSharded(tc.cons)
+		base := []schema.SourceID{0, 1, 4, 7, 10}
+		b, err := sh.NewBase(base)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// lastOf returns a shard of d that no source of next touches, if
+		// any: leaving for next, d was that shard's last member.
+		lastOf := func(d schema.SourceID, next []schema.SourceID) (int32, bool) {
+			for _, k := range sh.sourceShards(d) {
+				alone := true
+				for _, s := range next {
+					if containsShard(sh.sourceShards(s), k) {
+						alone = false
+						break
+					}
+				}
+				if alone {
+					return k, true
+				}
+			}
+			return 0, false
+		}
+		emptied, kinds := 0, [3]int{}
+		for step := 0; step < 40; step++ {
+			cur := b.Base()
+			var add, drop schema.SourceID = -1, -1
+			var kind int
+			for {
+				kind = r.Intn(3) // 0 add, 1 drop, 2 swap
+				add, drop = -1, -1
+				if kind != 1 {
+					add = schema.SourceID(r.Intn(n))
+					if slices.Contains(cur, add) {
+						continue
+					}
+				}
+				if kind != 0 {
+					drop = cur[r.Intn(len(cur))]
+				}
+				next := flipped(cur, add, drop)
+				if len(next) >= 2 && len(next) < n && tc.cons.SatisfiedBy(next) {
+					break
+				}
+			}
+			// Every tenth step prefers a drop that empties a shard.
+			if step%10 == 9 {
+				for _, d := range cur {
+					next := flipped(cur, -1, d)
+					if _, ok := lastOf(d, next); ok && len(next) >= 2 && tc.cons.SatisfiedBy(next) {
+						add, drop, kind = -1, d, 1
+						break
+					}
+				}
+			}
+			next := flipped(cur, add, drop)
+			gone, last := int32(0), false
+			if drop >= 0 {
+				gone, last = lastOf(drop, next)
+			}
+			if err := b.Rebase(next); err != nil {
+				t.Fatalf("%s step %d: %v", tc.name, step, err)
+			}
+			kinds[kind]++
+			if last {
+				emptied++
+				if b.res[gone] != nil {
+					t.Fatalf("%s step %d: shard %d kept a result after its last member %d left",
+						tc.name, step, gone, drop)
+				}
+			}
+			fresh, err := sh.NewBase(next)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", tc.name, step, err)
+			}
+			checkFlips(t, fmt.Sprintf("%s step %d", tc.name, step), m, tc.cons, b, fresh)
+		}
+		if emptied == 0 || kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+			t.Fatalf("%s: walk of %v adds/drops/swaps emptied %d shards; want every kind and ≥ 1 emptied shard",
+				tc.name, kinds, emptied)
+		}
+	}
+}
+
+// TestScoreFlipAllocs pins ScoreFlip's steady state: on a warmed base, an
+// add, a drop and a swap each allocate nothing.
+func TestScoreFlipAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	r := rand.New(rand.NewSource(7))
+	u := randomUniverse(t, r, 12)
+	m := MustNew(u, Config{Theta: 0.45})
+	b, err := m.NewSharded(constraint.Set{Sources: []schema.SourceID{2}}).NewBase(ids(0, 2, 3, 5, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		add, drop schema.SourceID
+	}{{"add", 6, -1}, {"drop", -1, 5}, {"swap", 7, 3}} {
+		b.ScoreFlip(f.add, f.drop)
+		if a := testing.AllocsPerRun(100, func() { b.ScoreFlip(f.add, f.drop) }); a != 0 {
+			t.Errorf("%s: ScoreFlip allocates %v per call, want 0", f.name, a)
 		}
 	}
 }

@@ -540,7 +540,8 @@ type Search struct {
 	// per-iteration convergence events through TraceIter.
 	Rec *telemetry.Recorder
 
-	ctx context.Context
+	ctx     context.Context
+	addable []schema.SourceID // Moves' scratch
 }
 
 // TraceIter records one solver iteration: the current and best-so-far Q plus
@@ -590,11 +591,13 @@ func NewSearch(ctx context.Context, p *Problem, opts Options) (*Search, error) {
 	for _, id := range req {
 		reqSet[id] = struct{}{}
 	}
-	pool := p.Universe.IDs()
+	var pool []schema.SourceID
 	if opts.Candidates != nil {
 		pool = SortIDs(append([]schema.SourceID(nil), opts.Candidates...))
+	} else {
+		pool = p.Universe.IDs()
 	}
-	var optional []schema.SourceID
+	optional := make([]schema.SourceID, 0, len(pool))
 	for _, id := range pool {
 		if _, isReq := reqSet[id]; !isReq {
 			optional = append(optional, id)
@@ -720,7 +723,6 @@ func (s *Search) required(id schema.SourceID) bool {
 // swaps. The full swap neighborhood is |S|·(N−|S|) moves — far too large for
 // Internet-scale universes — so moves are sampled uniformly.
 func (s *Search) Moves(ss *Subset, limit int) []Move {
-	var moves []Move
 	canAdd := ss.Len() < s.MaxSources
 	var droppable []schema.SourceID
 	for id := range ss.members {
@@ -729,13 +731,17 @@ func (s *Search) Moves(ss *Subset, limit int) []Move {
 		}
 	}
 	SortIDs(droppable)
-	var addable []schema.SourceID
+	addable := s.addable[:0]
 	for _, id := range s.Optional {
 		if !ss.Contains(id) {
 			addable = append(addable, id)
 		}
 	}
+	s.addable = addable
 
+	// Sized up front: at Internet scale the adds alone are a group's whole
+	// optional pool, on every iteration.
+	moves := make([]Move, 0, len(addable)+len(droppable)+max(limit, 0))
 	if canAdd {
 		for _, id := range addable {
 			moves = append(moves, Move{Add: id, Drop: -1})
