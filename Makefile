@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fmt-check mube-vet vet-json bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race fmt-check mube-vet bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
 
 check: build mube-vet vet fmt-check race
 
@@ -34,11 +34,6 @@ fmt-check:
 mube-vet:
 	$(GO) run ./cmd/mube-vet ./...
 
-# vet-json emits the machine-readable diagnostics stream (stable field and
-# array order, so CI can diff artifacts across runs).
-vet-json:
-	$(GO) run ./cmd/mube-vet -json ./...
-
 # bench-smoke is CI's non-gating sanity pass: the 100k and 1M universe
 # presets at reduced solver budget, proving streamed generation, the shard
 # index, and the partitioned solve end to end. Performance is
@@ -55,6 +50,7 @@ bench-smoke:
 # commit it there as a regression input together with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s
+	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s
 
 # trace-smoke records a deterministic watch trace through the CLI
 # (virtual-clock timings, so the bytes are machine-independent), renders the

@@ -4,16 +4,13 @@
 //
 // Usage:
 //
-//	mube-vet [flags] [packages] [flags]
+//	mube-vet [-list] [packages]
 //
-// Flags and package patterns may be interleaved. With no patterns it checks
-// ./.... Packages are analyzed in parallel with per-package results cached
-// under the user cache dir (keyed by analyzer binary, source bytes, and
-// dependency export data), so warm runs are file reads. Exit status is 0
-// when the tree is clean, 1 when diagnostics were reported, and 2 when the
-// packages could not be loaded or type-checked (the two failure modes CI
-// must be able to tell apart: a dirty tree is a policy violation, a broken
-// load is a build problem).
+// The flag may come before or after the package patterns. With no patterns
+// it checks ./.... Exit status is 0 when the tree is clean, 1 when
+// diagnostics were reported, and 2 when the packages could not be loaded or
+// type-checked (the two failure modes CI must be able to tell apart: a dirty
+// tree is a policy violation, a broken load is a build problem).
 package main
 
 import (
@@ -21,7 +18,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"mube/internal/analysis"
@@ -39,85 +35,27 @@ func main() {
 	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options is the parsed command line.
-type options struct {
-	patterns      []string
-	list          bool
-	jsonOut       bool
-	parallel      int
-	noCache       bool
-	cacheDir      string
-	baseline      string
-	writeBaseline string
-}
-
-// parseArgs accepts flags and package patterns in any order. Flag values may
-// be attached with '=' or follow as the next argument.
-func parseArgs(args []string, stderr io.Writer) (*options, bool) {
-	o := &options{}
-	needsValue := map[string]*string{
-		"parallel":       nil, // handled specially (int)
-		"cache-dir":      &o.cacheDir,
-		"baseline":       &o.baseline,
-		"write-baseline": &o.writeBaseline,
-	}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	var patterns []string
+	list := false
+	for _, a := range args {
 		if a == "" || a[0] != '-' {
-			o.patterns = append(o.patterns, a)
+			patterns = append(patterns, a)
 			continue
 		}
-		name := strings.TrimLeft(a, "-")
-		value := ""
-		hasValue := false
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name, value, hasValue = name[:eq], name[eq+1:], true
-		}
-		if dst, ok := needsValue[name]; ok {
-			if !hasValue {
-				i++
-				if i >= len(args) {
-					fmt.Fprintf(stderr, "mube-vet: flag -%s needs a value\n", name)
-					return nil, false
-				}
-				value = args[i]
-			}
-			if name == "parallel" {
-				n, err := strconv.Atoi(value)
-				if err != nil || n < 0 {
-					fmt.Fprintf(stderr, "mube-vet: bad -parallel value %q\n", value)
-					return nil, false
-				}
-				o.parallel = n
-			} else {
-				*dst = value
-			}
-			continue
-		}
-		switch name {
+		switch strings.TrimLeft(a, "-") {
 		case "list":
-			o.list = true
-		case "json":
-			o.jsonOut = true
-		case "no-cache":
-			o.noCache = true
+			list = true
 		case "h", "help":
-			return nil, false
+			usage(stderr)
+			return exitLoadFailure
 		default:
 			fmt.Fprintf(stderr, "mube-vet: unknown flag %s\n", a)
-			return nil, false
+			usage(stderr)
+			return exitLoadFailure
 		}
 	}
-	return o, true
-}
-
-func run(dir string, args []string, stdout, stderr io.Writer) int {
-	o, ok := parseArgs(args, stderr)
-	if !ok {
-		usage(stderr)
-		return exitLoadFailure
-	}
-	if o.list {
+	if list {
 		names := append([]*analysis.Analyzer{}, rules.All...)
 		sort.Slice(names, func(i, j int) bool { return names[i].Name < names[j].Name })
 		for _, an := range names {
@@ -125,57 +63,17 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 		return exitClean
 	}
-	if len(o.patterns) == 0 {
-		o.patterns = []string{"./..."}
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
 
-	cfg := analysis.Config{Dir: dir, Analyzers: rules.All, Parallel: o.parallel}
-	if !o.noCache {
-		cache, err := analysis.OpenCache(o.cacheDir)
-		if err != nil {
-			// A broken cache location degrades to uncached analysis; only an
-			// explicitly requested dir is a hard error.
-			if o.cacheDir != "" {
-				fmt.Fprintf(stderr, "mube-vet: %v\n", err)
-				return exitLoadFailure
-			}
-		} else {
-			cfg.Cache = cache
-		}
-	}
-
-	diags, npkgs, err := analysis.CheckPackages(cfg, o.patterns...)
+	diags, npkgs, err := analysis.CheckPackages(dir, rules.All, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "mube-vet: %v\n", err)
 		return exitLoadFailure
 	}
-
-	if o.writeBaseline != "" {
-		if err := analysis.WriteBaseline(o.writeBaseline, dir, diags); err != nil {
-			fmt.Fprintf(stderr, "mube-vet: writing baseline: %v\n", err)
-			return exitLoadFailure
-		}
-		fmt.Fprintf(stderr, "mube-vet: recorded %d finding(s) in %s\n", len(diags), o.writeBaseline)
-		return exitClean
-	}
-	if o.baseline != "" {
-		entries, err := analysis.ReadBaseline(o.baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "mube-vet: %v\n", err)
-			return exitLoadFailure
-		}
-		diags = analysis.FilterBaseline(diags, entries, dir)
-	}
-
-	if o.jsonOut {
-		if err := analysis.WriteJSON(stdout, dir, diags); err != nil {
-			fmt.Fprintf(stderr, "mube-vet: %v\n", err)
-			return exitLoadFailure
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "mube-vet: %d issue(s) in %d package(s)\n", len(diags), npkgs)
@@ -185,19 +83,12 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprint(w, `usage: mube-vet [flags] [packages]
+	fmt.Fprint(w, `usage: mube-vet [-list] [packages]
 
-Runs µBE's analyzers (atomicmix, ctxflow, determinism, errdrop, floatcmp,
-leakjoin, seedflow, telemetry, workerpure) over the given package patterns
-(default ./...). Flags and patterns may be interleaved.
+Runs µBE's analyzers (see -list) over the given package patterns (default
+./...). The flag may come before or after the patterns.
 
-  -list                  print the registered analyzers (sorted) and exit
-  -json                  emit diagnostics as a JSON array (stable order)
-  -parallel N            cap concurrent package analyses (default GOMAXPROCS)
-  -no-cache              disable the per-package result cache
-  -cache-dir DIR         cache location (default <user cache dir>/mube-vet)
-  -baseline FILE         suppress findings recorded in FILE
-  -write-baseline FILE   record current findings to FILE and exit 0
+  -list   print the registered analyzers (sorted) and exit
 
 Exit status: 0 clean, 1 diagnostics reported, 2 load/type-check failure.
 `)

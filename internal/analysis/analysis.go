@@ -140,9 +140,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // runPackage applies the analyzers to one package and returns its raw
-// diagnostics, unsorted. This is the cacheable unit of work: a package's
-// diagnostics depend only on its sources, its dependencies' export data, and
-// the analyzer set.
+// diagnostics, unsorted.
 func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	ignores := collectIgnores(pkg.Fset, pkg.Files)
@@ -164,8 +162,8 @@ func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 
 // sortDiagnostics orders diagnostics by (file, line, column, analyzer,
 // message) and removes exact duplicates (a file reached through overlapping
-// package variants). The total order is what makes mube-vet's output — text
-// or JSON — byte-identical regardless of package schedule or parallelism.
+// package variants). The total order is what makes mube-vet's output
+// byte-identical regardless of package schedule or worker count.
 func sortDiagnostics(out []Diagnostic) []Diagnostic {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

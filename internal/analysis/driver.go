@@ -1,291 +1,107 @@
-// Parallel cached driver. Load() type-checks and analyzes packages one at a
-// time; CheckPackages fans the per-package work out across workers and
-// caches each package's diagnostics keyed by everything that could change
-// them: analyzer binary, source bytes, and dependency export data. A warm
-// cache turns a whole-tree mube-vet run into a handful of file reads.
+// The driver: one `go list` over the patterns, one type-check and analysis
+// per target package on a GOMAXPROCS-sized worker pool, and one global sort.
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// Config controls a CheckPackages run.
-type Config struct {
-	// Dir is the working directory for go list (any directory inside the
-	// module).
-	Dir string
-	// Analyzers is the set to run, in registry order.
-	Analyzers []*Analyzer
-	// Parallel caps concurrent package analyses; <= 0 means GOMAXPROCS.
-	Parallel int
-	// Cache, when non-nil, stores per-package diagnostics across runs.
-	Cache *Cache
-}
-
-// CheckPackages loads the packages matched by patterns (with test variants),
-// analyzes them — in parallel, consulting the cache — and returns the merged,
-// sorted diagnostics plus the number of packages analyzed. The result is
-// byte-for-byte independent of Parallel and of cache hits: ordering comes
-// from the final sort, never from completion order.
-func CheckPackages(cfg Config, patterns ...string) ([]Diagnostic, int, error) {
-	byPath, order, err := goList(cfg.Dir, patterns, true)
+// CheckPackages enumerates the packages matched by patterns in the module
+// rooted at (or containing) dir, including their test variants, analyzes
+// each one, and returns the merged, sorted diagnostics plus the number of
+// packages analyzed. Any go-list or type-check failure aborts the run:
+// mube-vet treats a module it cannot fully check as a hard error, not as a
+// package to skip. The result does not depend on the worker count: ordering
+// comes from the final sort, never from completion order.
+func CheckPackages(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, int, error) {
+	byPath, order, err := goList(dir, patterns, true)
 	if err != nil {
 		return nil, 0, err
 	}
+	pkgs := targets(order)
+	if len(pkgs) == 0 {
+		return nil, 0, fmt.Errorf("no packages matched %s", strings.Join(patterns, " "))
+	}
+
+	results := make([][]Diagnostic, len(pkgs))
+	errs := make([]error, len(pkgs))
+	jobs := make(chan int, len(pkgs))
+	for i := range pkgs {
+		jobs <- i
+	}
+	close(jobs)
+	var wg sync.WaitGroup
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				pkg, err := typecheck(pkgs[i], byPath)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				results[i] = runPackage(pkg, analyzers)
+			}
+		}()
+	}
+	wg.Wait()
+	var out []Diagnostic
+	for i := range pkgs {
+		if errs[i] != nil {
+			return nil, 0, errs[i]
+		}
+		out = append(out, results[i]...)
+	}
+	return sortDiagnostics(out), len(pkgs), nil
+}
+
+// targets picks, in go list order, the packages to analyze rather than
+// consume as dependencies. In-package test variants ("p [p.test]") contain
+// the library files plus the _test.go files; where one exists the bare
+// package is redundant, and analyzing both would double-report every
+// library file.
+func targets(order []*listPkg) []*listPkg {
 	augmented := map[string]bool{}
 	for _, lp := range order {
 		if lp.ForTest != "" && strings.HasPrefix(lp.ImportPath, lp.ForTest+" [") {
 			augmented[lp.ForTest] = true
 		}
 	}
-	var targets []*listPkg
+	var out []*listPkg
 	for _, lp := range order {
 		if isTarget(lp) && !(lp.ForTest == "" && augmented[lp.ImportPath]) {
-			targets = append(targets, lp)
+			out = append(out, lp)
 		}
 	}
-	if len(targets) == 0 {
-		return nil, 0, fmt.Errorf("no packages matched %s", strings.Join(patterns, " "))
-	}
+	return out
+}
 
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
+// isTarget reports whether lp is a matched module package or one of its
+// test variants; the synthesized ".test" main is skipped.
+func isTarget(lp *listPkg) bool {
+	if lp.Standard || lp.Module == nil {
+		return false
 	}
-	results := make([][]Diagnostic, len(targets))
-	errs := make([]error, len(targets))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, lp := range targets {
-		wg.Add(1)
-		go func(i int, lp *listPkg) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = checkOne(cfg, lp, byPath)
-		}(i, lp)
+	if strings.HasSuffix(lp.ImportPath, ".test") {
+		return false
 	}
-	wg.Wait()
-	var out []Diagnostic
-	for i := range targets {
-		if errs[i] != nil {
-			return nil, 0, errs[i]
+	if lp.ForTest != "" {
+		// "p [p.test]" and "p_test [p.test]" count as targets exactly
+		// when p itself was matched; go list marks the variants DepOnly
+		// or not inconsistently across versions, so key off ForTest.
+		// Dependency recompilations ("q [p.test]": q imported by p's
+		// tests while importing p) also carry ForTest=p but contain no
+		// test files of p — q's own files are already analyzed as plain
+		// q, so the variant is consumed as a dependency only.
+		base := lp.ImportPath
+		if i := strings.Index(base, " ["); i >= 0 {
+			base = base[:i]
 		}
-		out = append(out, results[i]...)
+		return base == lp.ForTest || base == lp.ForTest+"_test"
 	}
-	return sortDiagnostics(out), len(targets), nil
-}
-
-// checkOne produces one package's diagnostics, through the cache when
-// possible.
-func checkOne(cfg Config, lp *listPkg, byPath map[string]*listPkg) ([]Diagnostic, error) {
-	var key string
-	if cfg.Cache != nil {
-		var err error
-		key, err = cfg.Cache.key(lp, byPath, cfg.Analyzers)
-		if err == nil {
-			if diags, ok := cfg.Cache.get(key); ok {
-				return diags, nil
-			}
-		} else {
-			key = "" // uncacheable (e.g. unreadable input); analyze anyway
-		}
-	}
-	pkg, err := typecheck(lp, byPath)
-	if err != nil {
-		return nil, err
-	}
-	diags := runPackage(pkg, cfg.Analyzers)
-	if cfg.Cache != nil && key != "" {
-		cfg.Cache.put(key, diags)
-	}
-	return diags, nil
-}
-
-// cacheVersion invalidates every entry when the on-disk format or the key
-// composition changes.
-const cacheVersion = "mube-vet-cache-v1"
-
-// A Cache stores per-package diagnostics under a directory, keyed by a hash
-// of the analyzer binary, the analyzer names, the package's source bytes,
-// and the export data of every dependency (transitively — export files are
-// build-cache artifacts whose hashes already fold in their own deps, but
-// walking the import graph keeps the key correct even when the build cache
-// reuses a stale file path).
-//
-// A handle memoizes input-file hashes for its own lifetime, so it assumes
-// sources do not change underneath it: open one Cache per run (as the CLI
-// does), not one per process pool.
-type Cache struct {
-	dir     string
-	exeHash string
-
-	mu     sync.Mutex
-	hashes map[string]string // file path -> content hash
-}
-
-// OpenCache opens (creating if needed) the diagnostics cache in dir; an
-// empty dir means <user cache dir>/mube-vet.
-func OpenCache(dir string) (*Cache, error) {
-	if dir == "" {
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return nil, fmt.Errorf("resolving user cache dir: %v", err)
-		}
-		dir = filepath.Join(base, "mube-vet")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	c := &Cache{dir: dir, hashes: map[string]string{}}
-	// Hash the running analyzer binary: any rebuild (new analyzers, changed
-	// policies) must miss. Under `go run` the temp binary's content changes
-	// with the source, which is exactly the invalidation wanted.
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("resolving analyzer binary: %v", err)
-	}
-	c.exeHash, err = c.fileHash(exe)
-	if err != nil {
-		return nil, fmt.Errorf("hashing analyzer binary: %v", err)
-	}
-	return c, nil
-}
-
-// key derives the cache key for one package.
-func (c *Cache) key(lp *listPkg, byPath map[string]*listPkg, analyzers []*Analyzer) (string, error) {
-	h := sha256.New()
-	fmt.Fprintln(h, cacheVersion)
-	fmt.Fprintln(h, runtime.Version())
-	fmt.Fprintln(h, c.exeHash)
-	for _, a := range analyzers {
-		fmt.Fprintln(h, a.Name)
-	}
-	fmt.Fprintln(h, lp.ImportPath)
-	fmt.Fprintln(h, lp.Dir)
-	for _, name := range append(append([]string{}, lp.GoFiles...), lp.CgoFiles...) {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(lp.Dir, name)
-		}
-		fh, err := c.fileHash(path)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "src %s %s\n", name, fh)
-	}
-	// Dependency export data, transitively, in sorted path order.
-	deps, err := c.depExports(lp, byPath)
-	if err != nil {
-		return "", err
-	}
-	for _, d := range deps {
-		fmt.Fprintln(h, d)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// depExports walks lp's import graph and returns "dep <path> <hash>" lines
-// for every dependency with export data, sorted.
-func (c *Cache) depExports(lp *listPkg, byPath map[string]*listPkg) ([]string, error) {
-	seen := map[string]bool{}
-	var lines []string
-	var visit func(lp *listPkg) error
-	visit = func(lp *listPkg) error {
-		for _, imp := range lp.Imports {
-			if mapped, ok := lp.ImportMap[imp]; ok {
-				imp = mapped
-			}
-			if seen[imp] {
-				continue
-			}
-			seen[imp] = true
-			dep := byPath[imp]
-			if dep == nil {
-				continue // "unsafe" and friends
-			}
-			if dep.Export != "" {
-				fh, err := c.fileHash(dep.Export)
-				if err != nil {
-					return err
-				}
-				lines = append(lines, fmt.Sprintf("dep %s %s", imp, fh))
-			}
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := visit(lp); err != nil {
-		return nil, err
-	}
-	sort.Strings(lines)
-	return lines, nil
-}
-
-// fileHash returns the sha256 of a file's contents, memoized for the life of
-// the cache handle (export data files are shared by many packages).
-func (c *Cache) fileHash(path string) (string, error) {
-	c.mu.Lock()
-	if h, ok := c.hashes[path]; ok {
-		c.mu.Unlock()
-		return h, nil
-	}
-	c.mu.Unlock()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	h := hex.EncodeToString(sum[:])
-	c.mu.Lock()
-	c.hashes[path] = h
-	c.mu.Unlock()
-	return h, nil
-}
-
-// get loads a cached result. A missing or unreadable entry is a miss.
-func (c *Cache) get(key string) ([]Diagnostic, bool) {
-	data, err := os.ReadFile(filepath.Join(c.dir, key+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var diags []Diagnostic
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return nil, false
-	}
-	return diags, true
-}
-
-// put stores a result atomically (tmp + rename) so concurrent runs never
-// observe torn entries.
-func (c *Cache) put(key string, diags []Diagnostic) {
-	data, err := json.Marshal(diags)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(c.dir, "tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, filepath.Join(c.dir, key+".json")); err != nil {
-		_ = os.Remove(name)
-	}
+	return !lp.DepOnly
 }

@@ -1,13 +1,13 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -55,13 +55,17 @@ func testAnalyzers() []*Analyzer {
 	}}
 }
 
+// TestCheckPackagesDeterministicAcrossParallel runs the driver with one
+// worker and with eight (the pool is sized by GOMAXPROCS) and requires
+// identical output.
 func TestCheckPackagesDeterministicAcrossParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go command")
 	}
 	dir := scratchModule(t, "a", "b", "c", "d")
-	run := func(parallel int) []Diagnostic {
-		diags, n, err := CheckPackages(Config{Dir: dir, Analyzers: testAnalyzers(), Parallel: parallel}, "./...")
+	run := func(workers int) []Diagnostic {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		diags, n, err := CheckPackages(dir, testAnalyzers(), "./...")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,149 +77,9 @@ func TestCheckPackagesDeterministicAcrossParallel(t *testing.T) {
 	seq := run(1)
 	par := run(8)
 	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("diagnostics differ across -parallel:\nseq: %v\npar: %v", seq, par)
+		t.Errorf("diagnostics differ across worker counts:\nseq: %v\npar: %v", seq, par)
 	}
 	if len(seq) != 4 {
 		t.Errorf("got %d diagnostics, want 4 (one per package):\n%v", len(seq), seq)
-	}
-}
-
-func TestCheckPackagesCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invokes the go command")
-	}
-	dir := scratchModule(t, "a", "b")
-	cacheDir := t.TempDir()
-	cache, err := OpenCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Dir: dir, Analyzers: testAnalyzers(), Cache: cache}
-	cold, _, err := CheckPackages(cfg, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("cold run left no cache entries")
-	}
-	// A fresh handle (same dir) must serve identical results from cache.
-	cache2, err := OpenCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache2
-	warm, _, err := CheckPackages(cfg, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("warm run differs from cold:\ncold: %v\nwarm: %v", cold, warm)
-	}
-	// Editing a source file must invalidate that package's entry (under a
-	// fresh handle — a Cache memoizes input hashes for its own lifetime):
-	// the shifted diagnostic line must appear.
-	path := filepath.Join(dir, "a", "a.go")
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append([]byte("\n"), src...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cache3, err := OpenCache(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = cache3
-	edited, _, err := CheckPackages(cfg, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(cold, edited) {
-		t.Error("editing a source file did not change cached diagnostics")
-	}
-}
-
-func TestWriteJSONStable(t *testing.T) {
-	diags := []Diagnostic{
-		{Position: token.Position{Filename: "/mod/a/a.go", Line: 3, Column: 40}, Analyzer: "floateq", Message: "m1"},
-		{Position: token.Position{Filename: "/mod/b/b.go", Line: 9, Column: 2}, Analyzer: "x", Message: `quote " and \ slash`},
-	}
-	var b1, b2 bytes.Buffer
-	if err := WriteJSON(&b1, "/mod", diags); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(&b2, "/mod", diags); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("WriteJSON not byte-identical across calls")
-	}
-	want := `[
-  {
-    "analyzer": "floateq",
-    "file": "a/a.go",
-    "line": 3,
-    "col": 40,
-    "message": "m1"
-  },
-  {
-    "analyzer": "x",
-    "file": "b/b.go",
-    "line": 9,
-    "col": 2,
-    "message": "quote \" and \\ slash"
-  }
-]
-`
-	if b1.String() != want {
-		t.Errorf("WriteJSON output:\n%s\nwant:\n%s", b1.String(), want)
-	}
-	var empty bytes.Buffer
-	if err := WriteJSON(&empty, "/mod", nil); err != nil {
-		t.Fatal(err)
-	}
-	if empty.String() != "[]\n" {
-		t.Errorf("empty diagnostics render %q, want %q", empty.String(), "[]\n")
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := []Diagnostic{
-		{Position: token.Position{Filename: "/mod/a/a.go", Line: 3, Column: 1}, Analyzer: "x", Message: "m"},
-		{Position: token.Position{Filename: "/mod/a/a.go", Line: 7, Column: 1}, Analyzer: "x", Message: "m"},
-		{Position: token.Position{Filename: "/mod/b/b.go", Line: 1, Column: 1}, Analyzer: "y", Message: "n"},
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, "/mod", diags); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("baseline has %d entries, want 2 (counts folded): %v", len(entries), entries)
-	}
-	// The full set filters to nothing.
-	if left := FilterBaseline(diags, entries, "/mod"); len(left) != 0 {
-		t.Errorf("baseline did not cover its own findings: %v", left)
-	}
-	// A third duplicate of the line-3 finding exceeds the recorded count of 2
-	// and must survive; so must a brand-new finding.
-	extra := append(append([]Diagnostic{}, diags...),
-		Diagnostic{Position: token.Position{Filename: "/mod/a/a.go", Line: 99, Column: 1}, Analyzer: "x", Message: "m"},
-		Diagnostic{Position: token.Position{Filename: "/mod/c/c.go", Line: 2, Column: 1}, Analyzer: "z", Message: "new"},
-	)
-	left := FilterBaseline(sortDiagnostics(extra), entries, "/mod")
-	if len(left) != 2 {
-		t.Fatalf("got %d survivors, want 2: %v", len(left), left)
-	}
-	if left[0].Position.Line != 99 || left[1].Analyzer != "z" {
-		t.Errorf("wrong survivors: %v", left)
 	}
 }

@@ -46,48 +46,11 @@ type listPkg struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
 	ForTest    string
 	Module     *struct{ Path, Dir string }
-}
-
-// Load enumerates the packages matched by patterns in the module rooted at
-// (or containing) dir, including their test variants, and returns each one
-// parsed and type-checked. Any go-list or type-check failure aborts the
-// load: mube-vet treats a module it cannot fully check as a hard error, not
-// as a package to skip.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	byPath, order, err := goList(dir, patterns, true)
-	if err != nil {
-		return nil, err
-	}
-	// In-package test variants ("p [p.test]") contain the library files
-	// plus the _test.go files; where one exists the bare package is
-	// redundant and analyzing both would double-report every lib file.
-	augmented := map[string]bool{}
-	for _, lp := range order {
-		if lp.ForTest != "" && strings.HasPrefix(lp.ImportPath, lp.ForTest+" [") {
-			augmented[lp.ForTest] = true
-		}
-	}
-	var pkgs []*Package
-	for _, lp := range order {
-		if !isTarget(lp) || (lp.ForTest == "" && augmented[lp.ImportPath]) {
-			continue
-		}
-		pkg, err := typecheck(lp, byPath)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	if len(pkgs) == 0 {
-		return nil, fmt.Errorf("no packages matched %s", strings.Join(patterns, " "))
-	}
-	return pkgs, nil
 }
 
 // goList runs `go list -deps -export -json` (plus -test when test variants
@@ -125,34 +88,6 @@ func goList(dir string, patterns []string, test bool) (map[string]*listPkg, []*l
 		order = append(order, lp)
 	}
 	return byPath, order, nil
-}
-
-// isTarget reports whether lp should be analyzed (rather than consumed as a
-// dependency). Targets are the matched module packages and their test
-// variants; the synthesized ".test" main and any package superseded by its
-// in-package test variant are skipped so each file is analyzed once.
-func isTarget(lp *listPkg) bool {
-	if lp.Standard || lp.Module == nil {
-		return false
-	}
-	if strings.HasSuffix(lp.ImportPath, ".test") {
-		return false
-	}
-	if lp.ForTest != "" {
-		// "p [p.test]" and "p_test [p.test]" count as targets exactly
-		// when p itself was matched; go list marks the variants DepOnly
-		// or not inconsistently across versions, so key off ForTest.
-		// Dependency recompilations ("q [p.test]": q imported by p's
-		// tests while importing p) also carry ForTest=p but contain no
-		// test files of p — q's own files are already analyzed as plain
-		// q, so the variant is consumed as a dependency only.
-		base := lp.ImportPath
-		if i := strings.Index(base, " ["); i >= 0 {
-			base = base[:i]
-		}
-		return base == lp.ForTest || base == lp.ForTest+"_test"
-	}
-	return !lp.DepOnly
 }
 
 // typecheck parses lp's files and type-checks them, resolving imports

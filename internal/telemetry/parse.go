@@ -8,12 +8,15 @@ import (
 )
 
 // ParseTrace decodes a JSONL trace (as written by JSONLSink) back into
-// events, preserving attribute order. It is the exact inverse of the sink's
-// encoding for every value the Attr constructors can produce; null values
-// (the encoding of NaN/±Inf, which JSON cannot carry) come back as attrs with
-// a nil Value and re-encode as null. Lines are decoded token-by-token because
-// a map round-trip would destroy the attribute order the trace format
-// guarantees.
+// events, preserving attribute order. It is not an exact inverse of the
+// sink: a float64 attr the sink writes without a decimal point or exponent
+// (0, 3, -12) comes back as an int64, so readers of numeric attrs must
+// accept both; null (the encoding of NaN/±Inf, which JSON cannot carry)
+// comes back as a nil Value; and invalid UTF-8 in a string comes back as
+// U+FFFD. Re-encoding the events parsed from the sink's output reproduces
+// that output, except where a string held invalid UTF-8. Lines are decoded
+// token-by-token because a map round-trip would destroy the attribute order
+// the trace format guarantees.
 func ParseTrace(r io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -87,8 +90,9 @@ func parseEvent(dec *json.Decoder) (Event, error) {
 			switch v := vt.(type) {
 			case json.Number:
 				// The sink writes int64s without a decimal point or exponent,
-				// so the lexical form distinguishes the two numeric kinds.
-				if strings.ContainsAny(v.String(), ".eE") {
+				// so the lexical form distinguishes the two numeric kinds;
+				// "-0" can only be a float64 negative zero.
+				if strings.ContainsAny(v.String(), ".eE") || v == "-0" {
 					if a.Value, err = v.Float64(); err != nil {
 						return ev, fmt.Errorf("%s: %w", key, err)
 					}

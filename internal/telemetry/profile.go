@@ -175,14 +175,20 @@ func Profile(t *Tree) []PhaseStat {
 		st.Events += len(n.Events)
 		for _, ev := range n.Events {
 			for _, key := range [2]string{"best_q", "q_after"} {
-				if v, ok := ev.Attr(key); ok {
-					if f, ok := v.(float64); ok {
-						if !st.HasQ {
-							st.QFirst, st.HasQ = f, true
-						}
-						st.QLast = f
-					}
+				v, _ := ev.Attr(key)
+				var f float64
+				switch x := v.(type) {
+				case float64:
+					f = x
+				case int64: // an integral Q parsed back from a JSONL trace
+					f = float64(x)
+				default:
+					continue
 				}
+				if !st.HasQ {
+					st.QFirst, st.HasQ = f, true
+				}
+				st.QLast = f
 			}
 		}
 		for _, c := range n.Children {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,27 @@ func TestParseTraceRejectsGarbage(t *testing.T) {
 		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseTrace(%q) accepted", bad)
 		}
+	}
+}
+
+// TestProfileParsedMatchesMemory: a parsed trace folds to the same profile
+// as the in-memory events of the same run. The sink writes best_q 0 as 0,
+// which parses back as an int64.
+func TestProfileParsedMatchesMemory(t *testing.T) {
+	var buf bytes.Buffer
+	mem := &MemorySink{}
+	r := New(Tee(NewJSONLSink(&buf), mem))
+	sp := r.BeginSpan("solver.run")
+	r.Emit("solver.iter", Int("iter", 0), Float("best_q", 0.5))
+	r.Emit("solver.iter", Int("iter", 1), Float("best_q", 0))
+	sp.End()
+	parsed, err := ParseTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := Profile(BuildTree(parsed)), Profile(BuildTree(mem.Events()))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("profile of the parsed trace:\n%+v\nwant (in memory):\n%+v", got, want)
 	}
 }
 

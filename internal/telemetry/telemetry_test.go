@@ -50,6 +50,35 @@ func TestJSONLEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestJSONLStringEscapes: names, keys and string values are written as JSON
+// strings, so every line parses — control characters, DEL and invalid UTF-8
+// included.
+func TestJSONLStringEscapes(t *testing.T) {
+	for _, tc := range []struct{ in, enc, back string }{
+		{"plain", `"plain"`, "plain"},
+		{`q"b\s`, `"q\"b\\s"`, `q"b\s`},
+		{"\n\r\t", `"\n\r\t"`, "\n\r\t"},
+		{"a\x01b", `"a\u0001b"`, "a\x01b"},
+		{"\a\v\x00\x1f\x7f", `"\u0007\u000b\u0000\u001f\u007f"`, "\a\v\x00\x1f\x7f"},
+		{"bad\xffutf8", `"bad\ufffdutf8"`, "bad\ufffdutf8"},
+		{"é\U000e0001", "\"é\U000e0001\"", "é\U000e0001"},
+	} {
+		var buf bytes.Buffer
+		NewJSONLSink(&buf).Write(Event{Seq: 1, Name: tc.in, Attrs: []Attr{Str(tc.in, tc.in)}})
+		if want := `{"seq":1,"ev":` + tc.enc + `,` + tc.enc + `:` + tc.enc + "}\n"; buf.String() != want {
+			t.Errorf("%q encodes as %s, want %s", tc.in, buf.String(), want)
+		}
+		evs, err := ParseTrace(&buf)
+		if err != nil {
+			t.Errorf("%q: %v", tc.in, err)
+			continue
+		}
+		if ev := evs[0]; ev.Name != tc.back || ev.Attrs[0].Key != tc.back || ev.Attrs[0].Value != tc.back {
+			t.Errorf("%q parses back as %+v, want %q", tc.in, ev, tc.back)
+		}
+	}
+}
+
 type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) Now() time.Time { return c.t }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Event is one trace record. Seq is a monotonic counter assigned under the
@@ -69,7 +70,7 @@ func (s *JSONLSink) Write(ev Event) {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, ev.Seq, 10)
 	b = append(b, `,"ev":`...)
-	b = strconv.AppendQuote(b, ev.Name)
+	b = appendString(b, ev.Name)
 	if ev.Stamped {
 		b = append(b, `,"t_ns":`...)
 		b = strconv.AppendInt(b, ev.TNano, 10)
@@ -84,7 +85,7 @@ func (s *JSONLSink) Write(ev Event) {
 	}
 	for _, a := range ev.Attrs {
 		b = append(b, ',')
-		b = strconv.AppendQuote(b, a.Key)
+		b = appendString(b, a.Key)
 		b = append(b, ':')
 		b = appendValue(b, a.Value)
 	}
@@ -112,12 +113,48 @@ func appendValue(b []byte, v any) []byte {
 		}
 		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case string:
-		return strconv.AppendQuote(b, x)
+		return appendString(b, x)
 	case bool:
 		return strconv.AppendBool(b, x)
 	default:
 		return append(b, "null"...)
 	}
+}
+
+// appendString appends s as a JSON string. strconv.AppendQuote will not do:
+// its \x, \a, \v and \U escapes are Go syntax, not JSON.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				b = append(b, `\ufffd`...)
+			} else {
+				b = append(b, s[i:i+size]...)
+			}
+			i += size
+			continue
+		}
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c == '\n':
+			b = append(b, '\\', 'n')
+		case c == '\r':
+			b = append(b, '\\', 'r')
+		case c == '\t':
+			b = append(b, '\\', 't')
+		case c < 0x20 || c == 0x7f:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
+		}
+		i++
+	}
+	return append(b, '"')
 }
 
 // MemorySink buffers events in memory, for tests and for the convergence
