@@ -19,8 +19,8 @@ import (
 // ScalePreset sizes one point of the universe-scale benchmark: how large a
 // streamed synthetic universe to build and how much solver budget to spend on
 // it. Unlike Scale (which reproduces the paper's figures on paper-sized
-// universes), presets exercise the Internet-scale path: arena-backed
-// signatures, the streaming generator, and the partitioned solver over
+// universes), presets exercise the Internet-scale path: the streaming
+// generator, the θ shard index, and the partitioned solver over
 // shard-disjoint domains.
 type ScalePreset struct {
 	// Name labels the preset ("50", "10k", "100k", "1m").
@@ -46,8 +46,8 @@ type ScalePreset struct {
 	// DataFactor scales tuple cardinalities, exactly as Scale.DataFactor.
 	DataFactor float64
 	// SigMaps is the PCSA signature width in bitmaps (0 = 64). The 1m preset
-	// narrows it so the signature arena stays a fraction of RAM at 8 B/map
-	// per source.
+	// narrows it so the signatures stay a fraction of RAM at 8 B/map per
+	// source.
 	SigMaps int
 	// GroupWorkers is the partitioned solver's group-level pool size
 	// (opt.Options.GroupWorkers; 0 = GOMAXPROCS).
@@ -100,8 +100,8 @@ func ScalePresets() []ScalePreset {
 		{
 			// The 10⁶-source rung. A wider domain fan (32 × 64 concepts)
 			// keeps per-group sub-solves tractable and gives the shard index
-			// a 2048-name table (~2.1M pairs). SigMaps 16 holds the signature
-			// arena at 128 MB.
+			// a 2048-name table (~2.1M pairs). SigMaps 16 holds the
+			// signatures at 122 MB.
 			Name:       "1m",
 			NumSources: 1_000_000,
 			Domains:    32,
@@ -166,7 +166,7 @@ type ScaleBenchRow struct {
 	// back into results).
 	SolveMallocs uint64
 	SolveAllocMB float64
-	// SigMB is the arena footprint of all source signatures.
+	// SigMB is the bitmap footprint of all source signatures.
 	SigMB   float64
 	Quality float64
 	Status  string

@@ -30,7 +30,7 @@ type Counting struct {
 
 // NewCounting returns an empty counting union with the given configuration.
 func NewCounting(cfg Config) (*Counting, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Counting{

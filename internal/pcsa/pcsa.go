@@ -37,10 +37,6 @@ type Config struct {
 	// Seed perturbs the hash function so independent experiments can use
 	// independent hash families.
 	Seed uint64
-	// DisableSmallRangeCorrection turns off the Scheuermann–Mauve correction
-	// term. The raw PCSA estimator overshoots badly when n ≲ 20·m; leave the
-	// correction on unless reproducing the raw estimator.
-	DisableSmallRangeCorrection bool
 }
 
 // DefaultConfig is the configuration used by µBE: 256 bitmaps of 64 bits,
@@ -53,8 +49,10 @@ var DefaultConfig = Config{NumMaps: 256}
 // sweeps up to 1 024.
 const maxNumMaps = 1 << 16
 
-// validate checks the configuration.
-func (c Config) validate() error {
+// Validate reports whether c is a usable signature shape: NumMaps must be a
+// power of two no larger than 2¹⁶. Readers of persisted universes call it to
+// reject a hostile width before anything is sized by it.
+func (c Config) Validate() error {
 	if c.NumMaps <= 0 || c.NumMaps > maxNumMaps || c.NumMaps&(c.NumMaps-1) != 0 {
 		return fmt.Errorf("pcsa: NumMaps must be a power of two in [1, %d], got %d", maxNumMaps, c.NumMaps)
 	}
@@ -70,7 +68,7 @@ type Signature struct {
 
 // New returns an empty signature with the given configuration.
 func New(cfg Config) (*Signature, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Signature{cfg: cfg, maps: make([]uint64, cfg.NumMaps)}, nil
@@ -173,10 +171,7 @@ func rhoSumWords(words []uint64) int {
 func estimateRhoSum(cfg Config, sum int) float64 {
 	m := float64(cfg.NumMaps)
 	a := float64(sum) / m
-	est := m / phi * math.Exp2(a)
-	if !cfg.DisableSmallRangeCorrection {
-		est = m / phi * (math.Exp2(a) - math.Exp2(-kappa*a))
-	}
+	est := m / phi * (math.Exp2(a) - math.Exp2(-kappa*a))
 	if est < 0 {
 		est = 0
 	}
@@ -304,11 +299,7 @@ func (s *Signature) AppendBinary(buf []byte) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, magic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.cfg.NumMaps))
 	buf = binary.LittleEndian.AppendUint64(buf, s.cfg.Seed)
-	if s.cfg.DisableSmallRangeCorrection {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, 0) // reserved flag byte
 	for _, bm := range s.maps {
 		buf = binary.LittleEndian.AppendUint64(buf, bm)
 	}
@@ -323,13 +314,12 @@ func (s *Signature) UnmarshalBinary(data []byte) error {
 	if binary.LittleEndian.Uint32(data[0:]) != magic {
 		return errors.New("pcsa: bad magic")
 	}
-	n := int(binary.LittleEndian.Uint32(data[4:]))
-	cfg := Config{
-		NumMaps:                     n,
-		Seed:                        binary.LittleEndian.Uint64(data[8:]),
-		DisableSmallRangeCorrection: data[16] == 1,
+	if data[16] != 0 {
+		return fmt.Errorf("pcsa: unknown signature flags %#x", data[16])
 	}
-	if err := cfg.validate(); err != nil {
+	n := int(binary.LittleEndian.Uint32(data[4:]))
+	cfg := Config{NumMaps: n, Seed: binary.LittleEndian.Uint64(data[8:])}
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if len(data) != 17+8*n {

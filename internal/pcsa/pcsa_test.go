@@ -222,6 +222,14 @@ func TestUnmarshalErrors(t *testing.T) {
 	if err := s.UnmarshalBinary(good[:len(good)-8]); err == nil {
 		t.Error("truncated maps should fail")
 	}
+	// Byte 16 is a reserved flag byte that the encoder always writes as 0.
+	for _, flag := range []byte{1, 2, 255} {
+		bad := append([]byte(nil), good...)
+		bad[16] = flag
+		if err := s.UnmarshalBinary(bad); err == nil {
+			t.Errorf("flag byte %d should fail", flag)
+		}
+	}
 }
 
 func TestExactCounter(t *testing.T) {

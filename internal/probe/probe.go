@@ -401,14 +401,18 @@ func (p *Prober) ReprobeUniverse(u *source.Universe) (*source.Universe, *HealthR
 	var kept []schema.SourceID
 	for _, s := range u.Sources() {
 		oldID := s.ID
-		res := Result{Name: s.Name, ID: -1}
-		var add *source.Source
-		if !s.Cooperative() {
-			res.Status = StatusHealthy
-			add = cloneSource(s)
-		} else {
+		res := Result{Name: s.Name, ID: -1, Status: StatusHealthy}
+		if s.Cooperative() {
 			rep.Probed++
-			add, res = p.reprobeOne(s)
+			res = p.ReprobeOne(s)
+		}
+		var add *source.Source
+		switch res.Status {
+		case StatusHealthy:
+			add = cloneSource(s)
+		case StatusDegraded:
+			add = source.Uncooperative(s.Name, s.Schema)
+			add.Characteristics = s.Characteristics
 		}
 		if add != nil {
 			id, err := nu.Add(add)
@@ -429,20 +433,15 @@ func (p *Prober) ReprobeUniverse(u *source.Universe) (*source.Universe, *HealthR
 }
 
 // ReprobeOne runs the retry/breaker attempt loop for one known source using
-// fault fates alone (its synopsis is already cached, so a successful attempt
-// returns a clone of the original). The returned source is nil when the
-// breaker tripped (drop it) and uncooperative when every attempt failed
-// without tripping (degrade it). Breaker state is local to the call: a
-// source that recovers between reprobe rounds starts the next round with a
-// clean slate, which is what lets a watch loop re-admit flapping sources.
-// Unlike ReprobeUniverse it emits no health report — callers aggregate the
-// Results themselves.
-func (p *Prober) ReprobeOne(s *source.Source) (*source.Source, Result) {
-	return p.reprobeOne(s)
-}
-
-// reprobeOne runs the attempt loop for one known source using fates alone.
-func (p *Prober) reprobeOne(s *source.Source) (*source.Source, Result) {
+// fault fates alone: its synopsis is already cached, so only its name is
+// read. The Result's status says what to do with the source — keep it
+// (healthy), drop it (the breaker tripped), or degrade it to uncooperative
+// (every attempt failed without tripping). Breaker state is local to the
+// call: a source that recovers between reprobe rounds starts the next round
+// with a clean slate, which is what lets a watch loop re-admit flapping
+// sources. Unlike ReprobeUniverse it emits no health report — callers
+// aggregate the Results themselves.
+func (p *Prober) ReprobeOne(s *source.Source) Result {
 	res := Result{Name: s.Name, ID: -1}
 	consecHandshake := 0
 	for attempt := 1; attempt <= p.policy.MaxAttempts; attempt++ {
@@ -457,14 +456,14 @@ func (p *Prober) reprobeOne(s *source.Source) (*source.Source, Result) {
 		if err == nil {
 			res.Status = StatusHealthy
 			res.Err = ""
-			return cloneSource(s), res
+			return res
 		}
 		res.Err = err.Error()
 		if errors.Is(err, fault.ErrUnreachable) {
 			consecHandshake++
 			if consecHandshake >= p.policy.BreakerLimit {
 				res.Status = StatusDropped
-				return nil, res
+				return res
 			}
 		} else {
 			consecHandshake = 0
@@ -474,9 +473,7 @@ func (p *Prober) reprobeOne(s *source.Source) (*source.Source, Result) {
 		}
 	}
 	res.Status = StatusDegraded
-	deg := source.Uncooperative(s.Name, s.Schema)
-	deg.Characteristics = s.Characteristics
-	return deg, res
+	return res
 }
 
 // cloneSource shallow-copies s so it can be re-added to a fresh universe

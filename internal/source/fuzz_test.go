@@ -1,0 +1,43 @@
+package source
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzReadJSON checks the universe reader at its trust boundary (a cached
+// universe file is whatever the CLIs are pointed at): no input panics, an
+// accepted universe's signature width is one pcsa accepts (so a hostile
+// sig_num_maps is refused before anything is sized by it), and WriteJSON's
+// output of an accepted universe reads back and writes out to the same
+// bytes. The seed corpus is testdata/fuzz/FuzzReadJSON; `make fuzz-smoke`
+// runs the target, and each crasher it finds is committed there as a
+// regression input.
+func FuzzReadJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if cfg := u.SignatureConfig(); cfg.NumMaps != 0 {
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("accepted a universe with signature width %d: %v", cfg.NumMaps, err)
+			}
+		}
+		var out bytes.Buffer
+		if err := u.WriteJSON(&out); err != nil {
+			t.Fatalf("WriteJSON of an accepted universe: %v", err)
+		}
+		back, err := ReadJSON(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("WriteJSON output does not read back: %v\n%s", err, out.Bytes())
+		}
+		var again bytes.Buffer
+		if err := back.WriteJSON(&again); err != nil {
+			t.Fatalf("WriteJSON of the re-read universe: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("write-read-write is not a fixed point:\n%s\n%s", out.Bytes(), again.Bytes())
+		}
+	})
+}

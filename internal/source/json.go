@@ -105,7 +105,7 @@ func ReadJSON(r io.Reader) (*Universe, error) {
 	// 0 maps is a universe without signatures; any other width must be one
 	// pcsa accepts, since the solver sizes its union counters by it.
 	if cfg.NumMaps != 0 {
-		if _, err := pcsa.NewArena(cfg); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("source: decode universe: %w", err)
 		}
 	}

@@ -156,16 +156,6 @@ func Uncooperative(name string, sch schema.Schema) *Source {
 type Universe struct {
 	sources []*Source
 	sigCfg  pcsa.Config
-	// arena owns the words of every cooperative source's signature as a few
-	// contiguous slabs: Add interns incoming signatures into it, so at
-	// Internet scale the universe holds ~20 slabs instead of 10⁵ heap bitmap
-	// slices and union loops walk memory sequentially. nil when sigCfg is
-	// invalid (no source can carry a signature then anyway). Slabs are
-	// append-only: Remove and UpdateSynopsis leave the old words behind.
-	// perfbench/NOTES.md measures the cost on churn-700: the live heap
-	// grows ~0.08 MB per epoch, and source.sig_mb reads ~32 MB after ~850
-	// epochs against 0.7 MB of live signatures.
-	arena *pcsa.Arena
 
 	// all is the subtractable counting union over every signature-bearing
 	// source. Add/Remove/UpdateSynopsis maintain it incrementally, so after
@@ -200,11 +190,7 @@ type aggregates struct {
 // NewUniverse returns an empty universe whose cooperative sources use the
 // given signature configuration.
 func NewUniverse(cfg pcsa.Config) *Universe {
-	u := &Universe{sigCfg: cfg, charRangeMem: make(map[string][2]float64)}
-	if a, err := pcsa.NewArena(cfg); err == nil {
-		u.arena = a
-	}
-	return u
+	return &Universe{sigCfg: cfg, charRangeMem: make(map[string][2]float64)}
 }
 
 // SignatureConfig returns the signature configuration shared by the
@@ -216,15 +202,14 @@ func (u *Universe) SignatureConfig() pcsa.Config { return u.sigCfg }
 var ErrSignatureConfig = errors.New("source: signature config does not match universe")
 
 // Add inserts s into the universe, assigns its ID, and returns it. The
-// source's signature, if any, is interned into the universe's arena: the
-// source keeps estimating and merging identically (the view shares every
-// kernel), but the words now live in the universe's contiguous slabs.
+// universe keeps s and its signature as they are, without copying: synopses
+// are immutable once added, so one signature may be shared by several
+// sources or universes (probe.ReprobeUniverse and watch's cold reference
+// re-add the same *pcsa.Signature), and the GC reclaims it once no source
+// holds it.
 func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	if s.Signature != nil && s.Signature.Config() != u.sigCfg {
 		return -1, ErrSignatureConfig
-	}
-	if s.Signature != nil && u.arena != nil {
-		s.Signature = u.arena.MustIntern(s.Signature)
 	}
 	s.ID = schema.SourceID(len(u.sources))
 	u.sources = append(u.sources, s)
@@ -285,17 +270,14 @@ func (u *Universe) Remove(drop []schema.SourceID) ([]schema.SourceID, error) {
 // keeps its ID, schema, and characteristics, but reports a new cardinality
 // and signature (a drifted vocabulary, or a recovered source re-exporting
 // its data). Passing cardinality -1 and a nil signature degrades the source
-// to uncooperative. The new signature is interned into the universe's arena
-// and the counting union is flipped old→new.
+// to uncooperative. The source keeps sig as Add does, and the counting
+// union is flipped old→new.
 func (u *Universe) UpdateSynopsis(id schema.SourceID, cardinality int64, sig *pcsa.Signature) error {
 	if id < 0 || int(id) >= len(u.sources) {
 		return fmt.Errorf("%w: %d (universe has %d sources)", ErrUnknownSource, id, len(u.sources))
 	}
 	if sig != nil && sig.Config() != u.sigCfg {
 		return ErrSignatureConfig
-	}
-	if sig != nil && u.arena != nil {
-		sig = u.arena.MustIntern(sig)
 	}
 	s := u.sources[id]
 	u.mu.Lock()
@@ -346,7 +328,7 @@ func (u *Universe) countingDropLocked(sig *pcsa.Signature) {
 func (u *Universe) invalidate() {
 	u.agg.Store(nil)
 	u.mu.Lock()
-	u.charRangeMem = make(map[string][2]float64)
+	clear(u.charRangeMem)
 	u.mu.Unlock()
 }
 
@@ -369,20 +351,20 @@ func (u *Universe) aggregates() *aggregates {
 		return a
 	}
 	a := &aggregates{}
-	sigs := make([]*pcsa.Signature, 0, len(u.sources))
+	withSig := false
 	for _, s := range u.sources {
 		if s.Cardinality > 0 {
 			a.totalCard += s.Cardinality
 		}
 		if s.Signature != nil {
-			sigs = append(sigs, s.Signature)
+			withSig = true
 			if !s.Cooperative() {
 				a.mixed++
 			}
 		}
 	}
-	if len(sigs) > 0 {
-		a.unionAllEst = u.unionAllLocked(sigs)
+	if withSig {
+		a.unionAllEst = u.unionAllLocked()
 	}
 	u.agg.Store(a)
 	return a
@@ -391,26 +373,19 @@ func (u *Universe) aggregates() *aggregates {
 // unionAllLocked returns the estimate over all signature-bearing sources via
 // the maintained counting union, building it when there is none. Counting
 // estimates share the rho-sum kernel with pcsa.Union, so the value is
-// bit-identical to the full merge this replaced. mu must be held.
-func (u *Universe) unionAllLocked(sigs []*pcsa.Signature) float64 {
+// bit-identical to a full merge. mu must be held.
+func (u *Universe) unionAllLocked() float64 {
 	if u.all == nil {
 		c, err := pcsa.NewCounting(u.sigCfg)
-		if err == nil {
-			for _, sig := range sigs {
-				if err = c.Add(sig); err != nil {
-					break
-				}
+		for _, s := range u.sources {
+			if err == nil && s.Signature != nil {
+				err = c.Add(s.Signature)
 			}
 		}
 		if err != nil {
-			// Unreachable with Add/UpdateSynopsis enforcing a uniform
-			// config, but fall back to the direct merge rather than panic
-			// half-way through a rebuild.
-			un, uerr := pcsa.Union(sigs...)
-			if uerr != nil {
-				panic(fmt.Sprintf("source: union of universe signatures: %v", uerr))
-			}
-			return un.Estimate()
+			// Unreachable: Add and UpdateSynopsis admit only signatures of
+			// the universe's configuration.
+			panic(fmt.Sprintf("source: union of universe signatures: %v", err))
 		}
 		u.all = c
 	}
@@ -540,13 +515,17 @@ func (u *Universe) CharacteristicNames() []string {
 	return names
 }
 
-// SignatureBytes returns the slab memory backing the universe's interned
-// signatures — the working-set number scale benchmarks report.
+// SignatureBytes returns the bitmap bytes of the signatures the universe's
+// sources hold — the working-set number scale benchmarks report. A
+// signature shared by two sources counts twice.
 func (u *Universe) SignatureBytes() int {
-	if u.arena == nil {
-		return 0
+	total := 0
+	for _, s := range u.sources {
+		if s.Signature != nil {
+			total += s.Signature.SizeBytes()
+		}
 	}
-	return u.arena.Bytes()
+	return total
 }
 
 // IDs returns all source IDs, 0..N-1.

@@ -266,7 +266,8 @@ func rebuiltUniverse(t *testing.T, u *Universe) *Universe {
 
 // checkAggregates asserts u's cached aggregates equal a from-scratch
 // rebuild's, exactly (the counting union shares its estimate kernel with the
-// full merge, so even the float must be bit-identical).
+// full merge, so even the float must be bit-identical), and that
+// SignatureBytes counts only the signatures u's sources still hold.
 func checkAggregates(t *testing.T, u *Universe) {
 	t.Helper()
 	ref := rebuiltUniverse(t, u)
@@ -278,6 +279,15 @@ func checkAggregates(t *testing.T, u *Universe) {
 	}
 	if got, want := u.MixedCount(), ref.MixedCount(); got != want {
 		t.Errorf("MixedCount = %d, rebuild says %d", got, want)
+	}
+	live := 0
+	for _, s := range u.Sources() {
+		if s.Signature != nil {
+			live++
+		}
+	}
+	if got, want := u.SignatureBytes(), live*u.SignatureConfig().NumMaps*8; got != want {
+		t.Errorf("SignatureBytes = %d, want %d for %d live signatures", got, want, live)
 	}
 }
 

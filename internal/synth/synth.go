@@ -189,8 +189,8 @@ type SourceMeta struct {
 // Stream generates the universe one source at a time, calling yield for each.
 // Nothing is retained between sources beyond O(N) rank bookkeeping — no rows,
 // no cumulative metadata — so a 10⁵–10⁶-source universe streams in bounded
-// memory into whatever the caller accumulates (typically a Universe, whose
-// arena interns each signature as it arrives). A yield error aborts
+// memory into whatever the caller accumulates (typically a Universe, which
+// keeps each source's signature as it arrives). A yield error aborts
 // generation and is returned as-is.
 //
 // Generation is fully deterministic per seed, and the BAMM mode's random

@@ -56,14 +56,13 @@ func (l *Loop) reprobe(dead []schema.SourceID, rep *DeltaReport) []schema.Source
 			continue
 		}
 		if s.Cooperative() {
-			got, res := l.prober.ReprobeOne(s)
-			switch res.Status {
+			switch l.prober.ReprobeOne(s).Status {
 			case probe.StatusDropped:
 				dead = append(dead, s.ID)
 				rep.Dropped++
 			case probe.StatusDegraded:
-				// Cache the synopses before they are wiped; the signature
-				// words live in the universe's arena and stay valid.
+				// Cache the synopses before they are wiped; synopses are
+				// immutable, so the cached signature stays valid.
 				l.pristine[s.Name] = pristineSyn{card: s.Cardinality, sig: s.Signature}
 				if err := l.u.Degrade(s.ID); err != nil {
 					panic(fmt.Sprintf("watch: degrade %q: %v", s.Name, err))
@@ -71,19 +70,16 @@ func (l *Loop) reprobe(dead []schema.SourceID, rep *DeltaReport) []schema.Source
 				l.touched = append(l.touched, s.ID)
 				rep.Degraded++
 			}
-			_ = got // fates only; the synopsis is already cached
 			continue
 		}
-		// Degraded earlier in this run? Probe for recovery with its cached
-		// cooperative form (the breaker state is per-round, so a clean
+		// Degraded earlier in this run? Probe for recovery (the fates depend
+		// on the name alone, and the breaker state is per-round, so a clean
 		// outage window re-admits it on the first attempt).
 		pr, ok := l.pristine[s.Name]
 		if !ok {
 			continue // uncooperative by nature, nothing to recover
 		}
-		trial := &source.Source{ID: -1, Name: s.Name, Schema: s.Schema, Cardinality: pr.card, Signature: pr.sig}
-		got, res := l.prober.ReprobeOne(trial)
-		switch res.Status {
+		switch l.prober.ReprobeOne(s).Status {
 		case probe.StatusHealthy:
 			if err := l.u.UpdateSynopsis(s.ID, pr.card, pr.sig); err != nil {
 				panic(fmt.Sprintf("watch: restore %q: %v", s.Name, err))
@@ -93,10 +89,8 @@ func (l *Loop) reprobe(dead []schema.SourceID, rep *DeltaReport) []schema.Source
 			rep.Recovered++
 		case probe.StatusDropped:
 			dead = append(dead, s.ID)
-			delete(l.pristine, s.Name)
 			rep.Dropped++
 		}
-		_ = got
 	}
 	return dead
 }

@@ -4,10 +4,10 @@
 // tick applies a seeded churn schedule (MTTF-driven deaths, vocabulary
 // drift, new-source arrivals from synth.Stream), reprobes the survivors
 // under the session's fault plan, folds the result into the universe
-// *incrementally* — Remove/UpdateSynopsis/Add keep the arena signatures and
-// the subtractable counting-PCSA aggregates consistent instead of
-// rebuilding — rebinds the matcher to reuse every similarity already
-// computed, and warm-starts the re-solve from the previous epoch's solution.
+// *incrementally* — Remove/UpdateSynopsis/Add keep the subtractable
+// counting-PCSA aggregates consistent instead of rebuilding — rebinds the
+// matcher to reuse every similarity already computed, and warm-starts the
+// re-solve from the previous epoch's solution.
 //
 // Determinism contract: the entire loop is a pure function of its Config.
 // Time comes from a fault.VirtualClock, randomness from one seeded
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mube/internal/constraint"
@@ -130,7 +131,8 @@ type Loop struct {
 	prev []schema.SourceID
 	// pristine remembers the last-known synopses of degraded sources by
 	// name, so a source that recovers across reprobe rounds can be restored
-	// without refetching data the loop cannot fetch.
+	// without refetching data the loop cannot fetch. An entry leaves when
+	// its source recovers or dies.
 	pristine map[string]pristineSyn
 	// touched accumulates the IDs churn altered during the current tick —
 	// the warm re-solve's extra candidates in DeltaPool mode.
@@ -416,8 +418,13 @@ func (l *Loop) Tick(ctx context.Context) (DeltaReport, error) {
 		telemetry.Int("recovered", rep.Recovered))
 
 	// 3. Incremental removal: one compaction, one kept list; constraints
-	// and the warm start follow their sources to the new IDs.
+	// and the warm start follow their sources to the new IDs. A dead
+	// source's cached synopses go with it — arrival names never repeat, so
+	// nothing could recover it.
 	if len(dead) > 0 {
+		for _, id := range dead {
+			delete(l.pristine, l.u.Source(id).Name)
+		}
 		kept, err := l.u.Remove(dead)
 		if err != nil {
 			churn.End()
@@ -495,8 +502,9 @@ func (l *Loop) Tick(ctx context.Context) (DeltaReport, error) {
 	return rep, nil
 }
 
-// coldReference rebuilds the epoch's universe from scratch (fresh arena,
-// fresh aggregates, cold matcher) and solves without a warm start — the
+// coldReference rebuilds the epoch's universe from scratch (fresh
+// aggregates, cold matcher; the immutable signatures are shared, not copied)
+// and solves without a warm start — the
 // reference the incremental path must match on quality and beat on evals.
 func (l *Loop) coldReference(ctx context.Context, rep *DeltaReport) error {
 	nu := source.NewUniverse(l.u.SignatureConfig())
@@ -565,16 +573,13 @@ func (l *Loop) remapConstraints(kept []schema.SourceID) int {
 }
 
 // remapIDs filters-and-renumbers a source-ID list through kept
-// (kept[newID] == oldID); members that died are dropped.
+// (kept[newID] == oldID, ascending as Universe.Remove returns it); members
+// that died are dropped.
 func remapIDs(ids []schema.SourceID, kept []schema.SourceID) []schema.SourceID {
-	oldToNew := make(map[schema.SourceID]schema.SourceID, len(kept))
-	for newID, oldID := range kept {
-		oldToNew[oldID] = schema.SourceID(newID)
-	}
 	out := make([]schema.SourceID, 0, len(ids))
 	for _, id := range ids {
-		if nid, ok := oldToNew[id]; ok {
-			out = append(out, nid)
+		if nid, ok := slices.BinarySearch(kept, id); ok {
+			out = append(out, schema.SourceID(nid))
 		}
 	}
 	return out

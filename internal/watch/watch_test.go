@@ -196,8 +196,9 @@ func TestWarmMatchesColdDifferential(t *testing.T) {
 // TestChurnSoak hammers the loop at high churn with a parallel evaluator —
 // the -race soak target. The invariants are structural: the universe never
 // empties, IDs stay dense, the warm re-solve never lands below the carried
-// solution it started from, and the virtual clock advances by at least one
-// EpochStep per tick.
+// solution it started from, the virtual clock advances by at least one
+// EpochStep per tick, and the recovery cache names only live degraded
+// sources.
 func TestChurnSoak(t *testing.T) {
 	epochs := 40
 	if testing.Short() {
@@ -254,6 +255,17 @@ func TestChurnSoak(t *testing.T) {
 	}
 	if min := time.Unix(0, 0).UTC().Add(time.Duration(epochs) * 24 * time.Hour); l.Clock().Now().Before(min) {
 		t.Errorf("virtual clock %v did not advance past %v", l.Clock().Now(), min)
+	}
+	// The recovery cache holds only sources that are alive and degraded: a
+	// dead source's synopses must not outlive it.
+	live := make(map[string]*source.Source, l.u.Len())
+	for _, s := range l.u.Sources() {
+		live[s.Name] = s
+	}
+	for name := range l.pristine {
+		if s, ok := live[name]; !ok || s.Cooperative() {
+			t.Errorf("pristine cache holds %q, which is not a live degraded source", name)
+		}
 	}
 }
 
