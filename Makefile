@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s
 	$(GO) test ./internal/source/ -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s
+	$(GO) test ./internal/session/ -run '^$$' -fuzz '^FuzzLoadSpec$$' -fuzztime 10s
 
 # trace-smoke records a deterministic watch trace through the CLI
 # (virtual-clock timings, so the bytes are machine-independent), renders the

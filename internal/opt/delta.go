@@ -263,7 +263,7 @@ func (e *Evaluator) releaseDelta(ds *deltaState) {
 // validFlip reports whether mv is a true single flip against the sorted
 // base: its add side absent from base, its drop side present, and the two
 // distinct. Anything else (re-adding a member, dropping a non-member) still
-// evaluates correctly via applyFlip's tolerant set semantics, but must take
+// evaluates correctly via appendFlip's tolerant set semantics, but must take
 // the full path — the delta tallies would double-count it.
 func validFlip(base []schema.SourceID, mv Move) bool {
 	if mv.Add >= 0 {
@@ -284,27 +284,28 @@ func validFlip(base []schema.SourceID, mv Move) bool {
 	return true
 }
 
-// applyFlip returns the sorted subset that applying mv to the sorted base
-// produces, with the same set semantics as Subset.Apply (drop first, then
-// add; both tolerant of non-members/members) — but without materializing a
-// map per move.
-func applyFlip(base []schema.SourceID, mv Move) []schema.SourceID {
-	out := make([]schema.SourceID, 0, len(base)+1)
+// appendFlip appends to dst the sorted subset that applying mv to the sorted
+// base produces, with the same set semantics as Subset.Apply (drop first,
+// then add; both tolerant of non-members/members), in one merge walk.
+func appendFlip(dst, base []schema.SourceID, mv Move) []schema.SourceID {
+	added := mv.Add < 0
 	for _, id := range base {
-		if mv.Drop >= 0 && id == mv.Drop {
+		if !added && mv.Add <= id {
+			dst = append(dst, mv.Add)
+			added = true
+			if mv.Add == id {
+				continue // already in, or dropped and re-added
+			}
+		}
+		if id == mv.Drop {
 			continue
 		}
-		out = append(out, id)
+		dst = append(dst, id)
 	}
-	if mv.Add >= 0 {
-		i := sort.Search(len(out), func(i int) bool { return out[i] >= mv.Add })
-		if i == len(out) || out[i] != mv.Add {
-			out = append(out, 0)
-			copy(out[i+1:], out[i:])
-			out[i] = mv.Add
-		}
+	if !added {
+		dst = append(dst, mv.Add)
 	}
-	return out
+	return dst
 }
 
 // EvalBatchDelta scores a whole neighborhood of flips against one base
@@ -312,13 +313,17 @@ func applyFlip(base []schema.SourceID, mv Move) []schema.SourceID {
 // are scored incrementally — O(1 source) against the batch's shared counting
 // union — and invalid flips take the full re-merge path. Memoization, budget
 // accounting, and every returned quality are bit-identical to EvalBatch over
-// the applied subsets.
+// the applied subsets. The applied subsets share one buffer per batch.
 //
 // base must be sorted and must not be mutated until the call returns.
 func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float64 {
 	cands := make([]candidate, len(flips))
+	// No applied subset is longer than len(base)+1, so buf never regrows.
+	buf := make([]schema.SourceID, 0, len(flips)*(len(base)+1))
 	for i, mv := range flips {
-		cands[i] = candidate{ids: applyFlip(base, mv)}
+		start := len(buf)
+		buf = appendFlip(buf, base, mv)
+		cands[i] = candidate{ids: buf[start:len(buf):len(buf)]}
 		if validFlip(base, mv) {
 			cands[i].flip = mv
 			cands[i].hasFlip = true
@@ -347,7 +352,9 @@ func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState
 		ctx.PresetMatchScore(ds.match.ScoreFlip(flip.Add, flip.Drop))
 	}
 	v := e.p.Quality.Eval(ctx)
-	if m := ctx.Merges(); m > 0 {
+	m := ctx.Merges()
+	sc.Release()
+	if m > 0 {
 		e.rec.Add("pcsa.merges", int64(m))
 	}
 	return v

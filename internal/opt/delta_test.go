@@ -108,7 +108,7 @@ func fullScorer(e *Evaluator) neighborhoodScorer {
 func appliedSubsets(base []schema.SourceID, flips []Move) [][]schema.SourceID {
 	out := make([][]schema.SourceID, len(flips))
 	for i, mv := range flips {
-		out[i] = applyFlip(base, mv)
+		out[i] = appendFlip(nil, base, mv)
 	}
 	return out
 }
@@ -173,7 +173,7 @@ func driveNeighborhoods(t *testing.T, score neighborhoodScorer, p *Problem, seed
 		if r.Intn(5) == 0 {
 			base = randomBase() // jump: exercises the rebuild path
 		} else {
-			base = applyFlip(base, best) // drift: exercises the rebase path
+			base = appendFlip(nil, base, best) // drift: exercises the rebase path
 		}
 	}
 }
@@ -302,13 +302,16 @@ func TestValidFlipAndApplyFlip(t *testing.T) {
 		{Move{Add: -1, Drop: 2}, false}, // drop non-member
 		{Move{Add: 7, Drop: 7}, false},  // degenerate swap
 		{Move{Add: 9, Drop: 4}, false},  // drop side absent
+		{Move{Add: 3, Drop: 3}, false},  // drop a member and re-add it
+		{Move{Add: 0, Drop: 1}, true},   // add before every member
+		{Move{Add: 3, Drop: 1}, false},  // re-add member beside a drop
 	}
 	for _, tc := range cases {
 		if got := validFlip(base, tc.mv); got != tc.valid {
 			t.Errorf("validFlip(%v, %+v) = %v, want %v", base, tc.mv, got, tc.valid)
 		}
-		got := applyFlip(base, tc.mv)
-		// Reference: the map-based Subset semantics.
+		got := appendFlip(nil, base, tc.mv)
+		// Reference: set semantics on a map.
 		m := map[schema.SourceID]struct{}{}
 		for _, id := range base {
 			m[id] = struct{}{}
@@ -325,11 +328,11 @@ func TestValidFlipAndApplyFlip(t *testing.T) {
 		}
 		SortIDs(want)
 		if len(got) != len(want) {
-			t.Fatalf("applyFlip(%v, %+v) = %v, want %v", base, tc.mv, got, want)
+			t.Fatalf("appendFlip(%v, %+v) = %v, want %v", base, tc.mv, got, want)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("applyFlip(%v, %+v) = %v, want %v", base, tc.mv, got, want)
+				t.Fatalf("appendFlip(%v, %+v) = %v, want %v", base, tc.mv, got, want)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,6 +45,10 @@ type Evaluator struct {
 	calls  int    // total Eval calls
 	limit  int    // MaxEvals; 0 = unlimited
 	keyBuf []byte // reusable key-encoding buffer, guarded by mu
+	// pending maps the key of each job the batch being planned has created
+	// to its index, so duplicates within the batch share one job. Used only
+	// under mu, and empty whenever mu is free.
+	pending map[string]int
 
 	// scratch buffers (PCSA union signatures) recycled across evaluations;
 	// each in-flight evaluation checks one out for exclusive use.
@@ -71,9 +76,10 @@ func NewEvaluator(p *Problem, maxEvals int) *Evaluator {
 		p:       p,
 		workers: runtime.GOMAXPROCS(0),
 		//mube:vet-ignore ctxflow — placeholder until BindContext; Solve always rebinds
-		ctx:   context.Background(),
-		memo:  make(map[string]float64),
-		limit: maxEvals,
+		ctx:     context.Background(),
+		memo:    make(map[string]float64),
+		pending: make(map[string]int),
+		limit:   maxEvals,
 	}
 	e.scratch.New = func() any { return &qef.Scratch{} }
 	for _, f := range p.Quality.QEFs {
@@ -201,8 +207,10 @@ func (e *Evaluator) compute(ids []schema.SourceID, sc *qef.Scratch) float64 {
 	}
 	ctx := qef.NewContextScratch(e.p.Universe, e.p.Matcher, e.p.Constraints, ids, sc)
 	v := e.p.Quality.Eval(ctx)
+	m := ctx.Merges()
+	sc.Release()
 	// Counter adds are commutative, so this is safe from worker goroutines.
-	if m := ctx.Merges(); m > 0 {
+	if m > 0 {
 		e.rec.Add("pcsa.merges", int64(m))
 	}
 	return v
@@ -242,20 +250,25 @@ func (e *Evaluator) Eval(ids []schema.SourceID) float64 {
 	return v
 }
 
-// batchJob is one distinct subset a batch must compute: the candidate indexes
-// in out share the subset (duplicates within the batch) and receive its value.
-// A job whose delta is set is a single flip against the batch's shared base
-// (the local-search neighborhoods); the others run the full re-merge path.
+// batchJob is one distinct subset a batch must compute; first is the index of
+// the first candidate asking for it, and later duplicates within the batch
+// are batchDups pointing at it. A job whose delta is set is a single flip
+// against the batch's shared base (the local-search neighborhoods); the
+// others run the full re-merge path.
 type batchJob struct {
-	key string
-	ids []schema.SourceID
-	out []int
-	v   float64
+	key   string
+	ids   []schema.SourceID
+	first int
+	v     float64
 
 	// flip + delta: score as base±flip against the batch's delta state.
 	flip  Move
 	delta bool
 }
+
+// batchDup is a candidate that receives the value of an earlier job of its
+// batch (an index into the batch's job slab).
+type batchDup struct{ cand, job int }
 
 // candidate pairs one batch entry with its incremental-scoring plan.
 type candidate struct {
@@ -299,11 +312,12 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 
 	// Planning pass: resolve memo hits and budget debits sequentially in
 	// candidate order. Everything order-dependent happens here, under the
-	// lock; only pure Q(S) computations remain afterwards.
-	var hits, dups, refused int
+	// lock; only pure Q(S) computations remain afterwards. The distinct jobs
+	// live by value in one slab per batch.
+	var hits, refused int
+	var jobs []batchJob
+	var dups []batchDup
 	e.mu.Lock()
-	var jobs []*batchJob
-	var pending map[string]*batchJob
 	for i, c := range cands {
 		e.calls++
 		// Memo and pending lookups index with string(keyBuf) directly — the
@@ -315,9 +329,8 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 			hits++
 			continue
 		}
-		if j, ok := pending[string(e.keyBuf)]; ok {
-			j.out = append(j.out, i)
-			dups++
+		if j, ok := e.pending[string(e.keyBuf)]; ok {
+			dups = append(dups, batchDup{cand: i, job: j})
 			continue
 		}
 		if e.limit > 0 && e.evals >= e.limit {
@@ -327,12 +340,14 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		}
 		e.evals++
 		k := string(e.keyBuf)
-		j := &batchJob{key: k, ids: c.ids, out: []int{i}, flip: c.flip, delta: c.hasFlip}
-		if pending == nil {
-			pending = make(map[string]*batchJob, len(cands)-i)
+		if jobs == nil {
+			jobs = make([]batchJob, 0, len(cands)-i)
 		}
-		pending[k] = j
-		jobs = append(jobs, j)
+		e.pending[k] = len(jobs)
+		jobs = append(jobs, batchJob{key: k, ids: c.ids, first: i, flip: c.flip, delta: c.hasFlip})
+	}
+	if len(jobs) > 0 {
+		clear(e.pending)
 	}
 	e.mu.Unlock()
 
@@ -341,7 +356,7 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 	e.rec.Add("eval.calls", int64(len(cands)))
 	e.rec.Add("eval.batches", 1)
 	e.rec.Add("eval.memo_hits", int64(hits))
-	e.rec.Add("eval.batch_dups", int64(dups))
+	e.rec.Add("eval.batch_dups", int64(len(dups)))
 	e.rec.Add("eval.unscored", int64(refused))
 
 	// Cancellation check, between the planning pass and the worker fan-out:
@@ -355,9 +370,10 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		e.evals -= len(jobs)
 		e.mu.Unlock()
 		for _, j := range jobs {
-			for _, i := range j.out {
-				out[i] = unscored
-			}
+			out[j.first] = unscored
+		}
+		for _, d := range dups {
+			out[d.cand] = unscored
 		}
 		e.rec.Add("eval.budget_reverts", int64(len(jobs)))
 		e.rec.Emit("eval.abort",
@@ -388,8 +404,8 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		}
 		if workers <= 1 {
 			sc := e.scratch.Get().(*qef.Scratch)
-			for _, j := range jobs {
-				j.v = e.computeJob(j, ds, sc)
+			for i := range jobs {
+				jobs[i].v = e.computeJob(&jobs[i], ds, sc)
 			}
 			e.scratch.Put(sc)
 		} else {
@@ -397,11 +413,13 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 			// which job is scheduler-dependent, but each job's value is a
 			// pure function of its subset (and the immutable delta state),
 			// so results are unaffected.
+			// jobs and ds are passed rather than captured, so a batch that
+			// never fans out keeps them off the heap.
 			var cursor atomic.Int64
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func() {
+				go func(jobs []batchJob, ds *deltaState) {
 					defer wg.Done()
 					sc := e.scratch.Get().(*qef.Scratch)
 					defer e.scratch.Put(sc)
@@ -410,9 +428,9 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 						if i >= len(jobs) {
 							return
 						}
-						jobs[i].v = e.computeJob(jobs[i], ds, sc)
+						jobs[i].v = e.computeJob(&jobs[i], ds, sc)
 					}
-				}()
+				}(jobs, ds)
 			}
 			wg.Wait()
 		}
@@ -424,11 +442,12 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 	e.mu.Lock()
 	for _, j := range jobs {
 		e.memo[j.key] = j.v
-		for _, i := range j.out {
-			out[i] = j.v
-		}
+		out[j.first] = j.v
 	}
 	e.mu.Unlock()
+	for _, d := range dups {
+		out[d.cand] = jobs[d.job].v
+	}
 
 	// Emitted from the calling goroutine after the fan-out joins, so the trace
 	// stream is identical at any worker count.
@@ -439,7 +458,7 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		e.rec.Emit("eval.batch",
 			telemetry.Int("cands", len(cands)),
 			telemetry.Int("hits", hits),
-			telemetry.Int("dups", dups),
+			telemetry.Int("dups", len(dups)),
 			telemetry.Int("unscored", refused),
 			telemetry.Int("jobs", len(jobs)))
 	}
@@ -530,7 +549,7 @@ type Search struct {
 	Eval *Evaluator
 	// Required are the sources every feasible solution must contain.
 	Required []schema.SourceID
-	// Optional are all non-required source IDs.
+	// Optional are all non-required source IDs, ascending.
 	Optional []schema.SourceID
 	// Rand drives all stochastic choices.
 	Rand *rand.Rand
@@ -540,8 +559,9 @@ type Search struct {
 	// per-iteration convergence events through TraceIter.
 	Rec *telemetry.Recorder
 
-	ctx     context.Context
-	addable []schema.SourceID // Moves' scratch
+	ctx       context.Context
+	addable   []schema.SourceID // Moves' scratch
+	droppable []schema.SourceID // Moves' scratch
 }
 
 // TraceIter records one solver iteration: the current and best-so-far Q plus
@@ -646,54 +666,41 @@ func (s *Search) RandomSubset() []schema.SourceID {
 }
 
 // Subset is a mutable feasible source set used by the local-search solvers.
+// It holds its members as a sorted, duplicate-free slice, so Apply is a
+// binary search and the neighborhood walk in Moves is one merge.
 type Subset struct {
-	members map[schema.SourceID]struct{}
-	search  *Search
+	members []schema.SourceID
 }
 
-// NewSubset wraps ids (assumed feasible) for neighborhood exploration.
+// NewSubset wraps a copy of ids (assumed feasible, in any order) for
+// neighborhood exploration.
 func (s *Search) NewSubset(ids []schema.SourceID) *Subset {
-	m := make(map[schema.SourceID]struct{}, len(ids))
-	for _, id := range ids {
-		m[id] = struct{}{}
-	}
-	return &Subset{members: m, search: s}
+	return &Subset{members: slices.Compact(SortIDs(slices.Clone(ids)))}
 }
 
-// IDs returns the subset's members, sorted.
+// IDs returns a copy of the subset's members, sorted (never nil).
 func (ss *Subset) IDs() []schema.SourceID {
-	ids := make([]schema.SourceID, 0, len(ss.members))
-	for id := range ss.members {
-		ids = append(ids, id)
-	}
-	return SortIDs(ids)
+	return append(make([]schema.SourceID, 0, len(ss.members)), ss.members...)
 }
 
 // Len returns the subset size.
 func (ss *Subset) Len() int { return len(ss.members) }
 
-// Contains reports membership.
-func (ss *Subset) Contains(id schema.SourceID) bool {
-	_, ok := ss.members[id]
-	return ok
-}
-
 // Clone returns an independent copy.
-func (ss *Subset) Clone() *Subset {
-	m := make(map[schema.SourceID]struct{}, len(ss.members))
-	for id := range ss.members {
-		m[id] = struct{}{}
-	}
-	return &Subset{members: m, search: ss.search}
-}
+func (ss *Subset) Clone() *Subset { return &Subset{members: slices.Clone(ss.members)} }
 
-// Apply mutates the subset by one move.
+// Apply mutates the subset by one move: drop first, then add, each a no-op
+// when the source is already out or in.
 func (ss *Subset) Apply(mv Move) {
 	if mv.Drop >= 0 {
-		delete(ss.members, mv.Drop)
+		if i, ok := slices.BinarySearch(ss.members, mv.Drop); ok {
+			ss.members = slices.Delete(ss.members, i, i+1)
+		}
 	}
 	if mv.Add >= 0 {
-		ss.members[mv.Add] = struct{}{}
+		if i, ok := slices.BinarySearch(ss.members, mv.Add); !ok {
+			ss.members = slices.Insert(ss.members, i, mv.Add)
+		}
 	}
 }
 
@@ -724,18 +731,24 @@ func (s *Search) required(id schema.SourceID) bool {
 // Internet-scale universes — so moves are sampled uniformly.
 func (s *Search) Moves(ss *Subset, limit int) []Move {
 	canAdd := ss.Len() < s.MaxSources
-	var droppable []schema.SourceID
-	for id := range ss.members {
+	droppable := s.droppable[:0]
+	for _, id := range ss.members {
 		if !s.required(id) {
 			droppable = append(droppable, id)
 		}
 	}
-	SortIDs(droppable)
+	s.droppable = droppable
+	// Optional and the members are both ascending: one merge walk.
 	addable := s.addable[:0]
+	i := 0
 	for _, id := range s.Optional {
-		if !ss.Contains(id) {
-			addable = append(addable, id)
+		for i < len(ss.members) && ss.members[i] < id {
+			i++
 		}
+		if i < len(ss.members) && ss.members[i] == id {
+			continue
+		}
+		addable = append(addable, id)
 	}
 	s.addable = addable
 
@@ -785,5 +798,5 @@ func (s *Search) EvalMove(ss *Subset, mv Move) float64 {
 // memoization, and budget accounting are identical to calling EvalMove on
 // each move in order.
 func (s *Search) EvalMoves(ss *Subset, moves []Move) []float64 {
-	return s.Eval.EvalBatchDelta(ss.IDs(), moves)
+	return s.Eval.EvalBatchDelta(ss.members, moves)
 }

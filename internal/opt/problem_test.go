@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mube/internal/constraint"
@@ -252,18 +253,22 @@ func TestSubsetBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := s.NewSubset(ids(1, 3))
-	if !sub.Contains(1) || sub.Contains(2) || sub.Len() != 2 {
-		t.Error("subset membership broken")
+	sub := s.NewSubset(ids(3, 1, 3)) // unsorted, with a duplicate
+	if got := sub.IDs(); sub.Len() != 2 || !slices.Equal(got, ids(1, 3)) {
+		t.Errorf("NewSubset(3, 1, 3) holds %v (Len %d), want [1 3]", got, sub.Len())
 	}
 	cl := sub.Clone()
 	cl.Apply(Move{Add: 2, Drop: 1})
-	if sub.Contains(2) || !sub.Contains(1) {
-		t.Error("Clone shares state")
+	if got := sub.IDs(); !slices.Equal(got, ids(1, 3)) {
+		t.Errorf("Clone shares state: original now %v", got)
 	}
-	got := cl.IDs()
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("IDs after move = %v", got)
+	if got := cl.IDs(); !slices.Equal(got, ids(2, 3)) {
+		t.Errorf("IDs after move = %v, want [2 3]", got)
+	}
+	cl.Apply(Move{Add: 3, Drop: 0}) // re-add a member, drop a non-member
+	cl.Apply(Move{Add: 0, Drop: 3})
+	if got := cl.IDs(); !slices.Equal(got, ids(0, 2)) {
+		t.Errorf("IDs after no-op sides = %v, want [0 2]", got)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 //
 // No lane can exceed Members(), and Add refuses a member past
 // math.MaxUint32, so lanes never overflow and every count stays exact. The
-// lanes cost 4 bytes per bucket bit (32 KiB at 128 maps).
+// lanes cost 4 bytes per bucket bit; with the implied bitmap and the
+// "count is exactly 1" word beside it a union takes 34 KiB at 128 maps.
 //
 // A Counting is not safe for concurrent mutation; concurrent read-only use
 // (Estimate, EstimateDelta) is safe once mutations have happened-before it.
@@ -25,7 +26,11 @@ type Counting struct {
 	cfg    Config
 	counts []uint32 // NumMaps*64 per-bucket-bit reference counts
 	words  []uint64 // implied bitmap, maintained incrementally
-	n      uint32   // member signatures currently included
+	// ones has a bit set exactly where the lane reads 1: the bits one member
+	// owns alone, which dropping that member clears. Add and Remove keep it
+	// at the 0↔1 and 1↔2 lane transitions, so EstimateDelta reads no lanes.
+	ones []uint64
+	n    uint32 // member signatures currently included
 }
 
 // NewCounting returns an empty counting union with the given configuration.
@@ -37,6 +42,7 @@ func NewCounting(cfg Config) (*Counting, error) {
 		cfg:    cfg,
 		counts: make([]uint32, cfg.NumMaps*64),
 		words:  make([]uint64, cfg.NumMaps),
+		ones:   make([]uint64, cfg.NumMaps),
 	}, nil
 }
 
@@ -57,6 +63,7 @@ func (c *Counting) Members() int { return int(c.n) }
 func (c *Counting) Reset() {
 	clear(c.counts)
 	clear(c.words)
+	clear(c.ones)
 	c.n = 0
 }
 
@@ -74,6 +81,9 @@ func (c *Counting) Add(s *Signature) error {
 		if w == 0 {
 			continue
 		}
+		// Lanes of w go 0→1 where the bitmap was clear and 1→2 where they
+		// read 1; lanes already at 2 or more stay off the ones word.
+		c.ones[i] = c.ones[i]&^w | w&^c.words[i]
 		c.words[i] |= w
 		lanes := c.counts[i<<6 : (i+1)<<6]
 		for m := w; m != 0; m &= m - 1 {
@@ -85,7 +95,8 @@ func (c *Counting) Add(s *Signature) error {
 }
 
 // Remove excludes one previously added member signature: every bit set in s
-// decrements its lane, and a lane reaching zero clears its bitmap bit.
+// decrements its lane, a lane reaching zero clears its bitmap bit, and a lane
+// reaching one sets its ones bit.
 // Removing a signature that was never added underflows a lane (or the member
 // count) and returns an error; the counting state is then inconsistent and
 // must be Reset or rebuilt.
@@ -108,6 +119,9 @@ func (c *Counting) Remove(s *Signature) error {
 				return fmt.Errorf("pcsa: counting underflow at map %d bit %d (removed a non-member signature)", i, b)
 			case 1:
 				c.words[i] &^= 1 << uint(b)
+				c.ones[i] &^= 1 << uint(b)
+			case 2:
+				c.ones[i] |= 1 << uint(b)
 			}
 			lanes[b]--
 		}
@@ -127,8 +141,8 @@ func (c *Counting) Estimate() float64 {
 // excluded, without mutating c — the read kernel behind O(1-source)
 // neighborhood flips. Either signature may be nil; drop must be a member.
 // The drop side subtracts exactly the bits whose reference count is 1 (bits
-// the dropped member uniquely owns), so the result is bit-identical to
-// re-merging the flipped member set from scratch.
+// the dropped member uniquely owns, read off the ones word), so the result is
+// bit-identical to re-merging the flipped member set from scratch.
 func (c *Counting) EstimateDelta(add, drop *Signature) (float64, error) {
 	if add != nil && add.cfg != c.cfg {
 		return 0, configMismatch(c.cfg, add.cfg)
@@ -139,17 +153,7 @@ func (c *Counting) EstimateDelta(add, drop *Signature) (float64, error) {
 	sum := 0
 	for i, w := range c.words {
 		if drop != nil {
-			if dw := drop.maps[i]; dw != 0 {
-				lanes := c.counts[i<<6 : (i+1)<<6]
-				var cleared uint64
-				for m := dw; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros64(m)
-					if lanes[b] == 1 {
-						cleared |= 1 << uint(b)
-					}
-				}
-				w &^= cleared
-			}
+			w &^= drop.maps[i] & c.ones[i]
 		}
 		if add != nil {
 			w |= add.maps[i]

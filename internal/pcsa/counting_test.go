@@ -176,13 +176,15 @@ func TestCountingDeepLanes(t *testing.T) {
 		}
 	}
 	c.Reset()
-	if c.Estimate() != 0 || c.Members() != 0 || slices.ContainsFunc(c.counts, func(n uint32) bool { return n != 0 }) {
-		t.Error("Reset should clear every lane, the estimate and the members")
+	if c.Estimate() != 0 || c.Members() != 0 || slices.ContainsFunc(c.counts, func(n uint32) bool { return n != 0 }) ||
+		slices.ContainsFunc(c.ones, func(w uint64) bool { return w != 0 }) {
+		t.Error("Reset should clear every lane, the ones word, the estimate and the members")
 	}
 }
 
 // TestCountingAddRefusesPastMaxUint32: at math.MaxUint32 members a lane
-// could overflow, so Add errors and leaves counts, words and n untouched.
+// could overflow, so Add errors and leaves counts, words, ones and n
+// untouched.
 func TestCountingAddRefusesPastMaxUint32(t *testing.T) {
 	cfg := Config{NumMaps: 64}
 	s := MustNew(cfg)
@@ -194,10 +196,11 @@ func TestCountingAddRefusesPastMaxUint32(t *testing.T) {
 	c.n = math.MaxUint32
 	counts := append([]uint32(nil), c.counts...)
 	words := append([]uint64(nil), c.words...)
+	ones := append([]uint64(nil), c.ones...)
 	if err := c.Add(s); err == nil {
 		t.Fatal("Add past math.MaxUint32 members succeeded")
 	}
-	if c.n != math.MaxUint32 || !slices.Equal(c.counts, counts) || !slices.Equal(c.words, words) {
+	if c.n != math.MaxUint32 || !slices.Equal(c.counts, counts) || !slices.Equal(c.words, words) || !slices.Equal(c.ones, ones) {
 		t.Error("refused Add mutated the counting union")
 	}
 }
@@ -250,5 +253,86 @@ func TestCountingConfigMismatch(t *testing.T) {
 	}
 	if _, err := c.EstimateDelta(nil, other); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("EstimateDelta drop side: want ErrIncompatible, got %v", err)
+	}
+}
+
+// TestCountingOnesWord drives seeded random Add/Remove/Reset sequences
+// through a counting union, ramping the member multiset up and down so lanes
+// pass 255 and fall back to 0. After every step a map's ones bit must be set
+// exactly where its lane reads 1, and EstimateDelta's add, drop and swap
+// reads must equal a from-scratch merge of the flipped member set, bit for
+// bit.
+func TestCountingOnesWord(t *testing.T) {
+	cfg := Config{NumMaps: 64}
+	r := rand.New(rand.NewSource(21))
+	sigs := randomSignatures(t, r, cfg, 6, 1500)
+	c := MustNewCounting(cfg)
+	var members []*Signature
+	deepest := uint32(0)
+	for step := 0; step < 3000; step++ {
+		pAdd := 0.8 // ramp up for 600 steps, then down for 600
+		if (step/600)%2 == 1 {
+			pAdd = 0.2
+		}
+		switch {
+		case r.Intn(1000) == 0:
+			c.Reset()
+			members = members[:0]
+		case len(members) > 0 && r.Float64() >= pAdd:
+			i := r.Intn(len(members))
+			if err := c.Remove(members[i]); err != nil {
+				t.Fatalf("step %d: remove: %v", step, err)
+			}
+			members = append(members[:i], members[i+1:]...)
+		default:
+			s := sigs[r.Intn(len(sigs))]
+			if err := c.Add(s); err != nil {
+				t.Fatalf("step %d: add: %v", step, err)
+			}
+			members = append(members, s)
+		}
+		for i, ones := range c.ones {
+			var want uint64
+			for b, n := range c.counts[i<<6 : (i+1)<<6] {
+				if n == 1 {
+					want |= 1 << uint(b)
+				}
+				deepest = max(deepest, n)
+			}
+			if ones != want {
+				t.Fatalf("step %d (%d members): map %d ones word %#x, lanes reading 1 %#x", step, len(members), i, ones, want)
+			}
+		}
+		add := sigs[r.Intn(len(sigs))]
+		var drop *Signature
+		rest := members
+		if len(members) > 0 {
+			j := r.Intn(len(members))
+			drop = members[j]
+			rest = append(append([]*Signature(nil), members[:j]...), members[j+1:]...)
+		}
+		for _, tc := range []struct {
+			name      string
+			add, drop *Signature
+			flipped   []*Signature
+		}{
+			{"add", add, nil, append(append([]*Signature(nil), members...), add)},
+			{"drop", nil, drop, rest},
+			{"swap", add, drop, append(append([]*Signature(nil), rest...), add)},
+		} {
+			if tc.name != "add" && drop == nil {
+				continue
+			}
+			got, err := c.EstimateDelta(tc.add, tc.drop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := mergeAll(t, cfg, tc.flipped); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d (%d members): EstimateDelta %s = %v, full merge %v", step, len(members), tc.name, got, want)
+			}
+		}
+	}
+	if deepest <= 255 {
+		t.Fatalf("deepest lane reached %d; the sequence must drive lanes past 255", deepest)
 	}
 }

@@ -1,15 +1,13 @@
 package qef
 
-import (
-	"fmt"
-
-	"mube/internal/schema"
-)
+import "fmt"
 
 // Aggregator folds the per-source values of one characteristic over a source
 // set into a quality in [0,1] (§5). Values are normalized against the
 // universe-wide (min, max) range of the characteristic so that users may
-// supply characteristics of any magnitude.
+// supply characteristics of any magnitude; the built-in aggregators read them
+// from the universe's memoized column (source.Universe.NormalizedCharacteristic),
+// one lookup per evaluation.
 type Aggregator interface {
 	// Name identifies the aggregator.
 	Name() string
@@ -44,25 +42,6 @@ func (c Characteristic) Eval(ctx *Context) float64 {
 	return clamp01(v)
 }
 
-// normValue returns source id's characteristic value normalized into [0,1]
-// by the universe range; missing values normalize to 0 (the minimum), and a
-// degenerate range (max == min) normalizes to 1 for sources that define the
-// characteristic (no basis for discrimination → no penalty).
-func normValue(ctx *Context, id schema.SourceID, char string) float64 {
-	min, max, ok := ctx.U.CharacteristicRange(char)
-	if !ok {
-		return 0
-	}
-	v, has := ctx.U.Source(id).Characteristic(char)
-	if !has {
-		return 0
-	}
-	if max <= min {
-		return 1
-	}
-	return (v - min) / (max - min)
-}
-
 // WSum is the paper's weighted-sum aggregation function (§5):
 //
 //	wsum(S) = Σ_{s∈S} (s.q − min_U q)·|s|  /  (Σ_{s∈S}|s| · (max_U q − min_U q))
@@ -78,6 +57,7 @@ func (WSum) Name() string { return "wsum" }
 // Aggregate computes wsum(S); uncooperative sources (unknown cardinality)
 // carry zero weight.
 func (WSum) Aggregate(ctx *Context, char string) float64 {
+	col := ctx.U.NormalizedCharacteristic(char)
 	var num, den float64
 	for _, id := range ctx.IDs {
 		s := ctx.U.Source(id)
@@ -85,7 +65,7 @@ func (WSum) Aggregate(ctx *Context, char string) float64 {
 			continue
 		}
 		w := float64(s.Cardinality)
-		num += normValue(ctx, id, char) * w
+		num += col[id] * w
 		den += w
 	}
 	if den == 0 {
@@ -105,9 +85,10 @@ func (Mean) Aggregate(ctx *Context, char string) float64 {
 	if len(ctx.IDs) == 0 {
 		return 0
 	}
+	col := ctx.U.NormalizedCharacteristic(char)
 	sum := 0.0
 	for _, id := range ctx.IDs {
-		sum += normValue(ctx, id, char)
+		sum += col[id]
 	}
 	return clamp01(sum / float64(len(ctx.IDs)))
 }
@@ -125,9 +106,10 @@ func (Min) Aggregate(ctx *Context, char string) float64 {
 	if len(ctx.IDs) == 0 {
 		return 0
 	}
+	col := ctx.U.NormalizedCharacteristic(char)
 	best := 1.0
 	for _, id := range ctx.IDs {
-		if v := normValue(ctx, id, char); v < best {
+		if v := col[id]; v < best {
 			best = v
 		}
 	}
@@ -143,9 +125,10 @@ func (Max) Name() string { return "max" }
 
 // Aggregate computes the maximum normalized value.
 func (Max) Aggregate(ctx *Context, char string) float64 {
+	col := ctx.U.NormalizedCharacteristic(char)
 	best := 0.0
 	for _, id := range ctx.IDs {
-		if v := normValue(ctx, id, char); v > best {
+		if v := col[id]; v > best {
 			best = v
 		}
 	}

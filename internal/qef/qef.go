@@ -34,7 +34,7 @@ import (
 // instead of each re-merging all signatures from zero.
 //
 // A Context is used by a single goroutine (one objective evaluation); the
-// parallel evaluator creates one Context per candidate.
+// parallel evaluator reuses one per worker, embedded in that worker's Scratch.
 type Context struct {
 	// U is the universe the candidate set is drawn from.
 	U *source.Universe
@@ -114,17 +114,29 @@ func (c *Context) PresetUnionStats(st UnionStats) {
 // union computation performed (0 until a union-based QEF has run).
 func (c *Context) Merges() int { return c.merges }
 
-// Scratch is the per-worker sketch arena: reusable evaluation buffers a
-// long-lived evaluator keeps per worker and threads through successive
-// contexts, so the union signature (2 KiB at the default PCSA configuration)
-// and the cooperative-only fallback union are allocated once instead of once
-// per candidate subset. A nil *Scratch is valid everywhere one is accepted
-// and simply allocates per use. A Scratch must only ever be used by one
-// evaluation at a time; contexts leave no cross-candidate state behind in it
-// (every buffer is overwritten before it is read).
+// Scratch is the per-worker evaluation arena: reusable buffers a long-lived
+// evaluator keeps per worker and threads through successive contexts, so the
+// context itself, the union signature (2 KiB at the default PCSA
+// configuration) and the cooperative-only fallback union are allocated once
+// instead of once per candidate subset. A nil *Scratch is valid everywhere
+// one is accepted and simply allocates per use. A Scratch must only ever be
+// used by one evaluation at a time; contexts leave no cross-candidate state
+// behind in it (NewContextScratch resets the context, and every signature
+// buffer is overwritten before it is read).
 type Scratch struct {
+	ctx   Context         // the context NewContextScratch hands out
 	union *pcsa.Signature // full union over S
 	coop  *pcsa.Signature // cooperative-only union (coopMixed fallback)
+}
+
+// Release zeroes the context sc handed out, which must not be used
+// afterwards. Scorers call it once Q(S) is computed, so a pooled Scratch does
+// not keep the universe, the matcher or the candidate set reachable between
+// evaluations. A nil sc is a no-op.
+func (sc *Scratch) Release() {
+	if sc != nil {
+		sc.ctx = Context{}
+	}
 }
 
 // checkout returns a scratch signature slot primed with sig's contents,
@@ -143,9 +155,15 @@ func NewContext(u *source.Universe, m *match.Matcher, cons constraint.Set, ids [
 	return &Context{U: u, IDs: ids, Matcher: m, Constraints: cons}
 }
 
-// NewContextScratch is NewContext with reusable buffers; see Scratch.
+// NewContextScratch is NewContext with reusable buffers; see Scratch. With a
+// non-nil sc the returned context lives inside sc: it is valid until the next
+// NewContextScratch or Release on sc.
 func NewContextScratch(u *source.Universe, m *match.Matcher, cons constraint.Set, ids []schema.SourceID, sc *Scratch) *Context {
-	return &Context{U: u, IDs: ids, Matcher: m, Constraints: cons, scratch: sc}
+	if sc == nil {
+		return NewContext(u, m, cons, ids)
+	}
+	sc.ctx = Context{U: u, IDs: ids, Matcher: m, Constraints: cons, scratch: sc}
+	return &sc.ctx
 }
 
 // unionStats merges the signatures of S once — into the scratch buffer when

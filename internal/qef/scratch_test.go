@@ -36,7 +36,8 @@ func evalAll(c *Context) [3]float64 {
 // contexts over random subsets — including coop-mixed subsets that exercise
 // both scratch slots — and checks every QEF value is bit-identical to a
 // fresh scratchless context. Any cross-candidate state leaking through the
-// reused buffers would surface as a mismatch.
+// reused buffers (or the embedded context) would surface as a mismatch.
+// Every other context is released after use, which must zero it.
 func TestScratchReuseStress(t *testing.T) {
 	u := mixedUniverse(t)
 	all := u.IDs()
@@ -62,6 +63,12 @@ func TestScratchReuseStress(t *testing.T) {
 		}
 		if scCtx.coopMixed {
 			sawMixed = true
+		}
+		if i%2 == 1 {
+			sc.Release()
+			if sc.ctx.U != nil || sc.ctx.IDs != nil || sc.ctx.statsOnce || sc.ctx.scratch != nil {
+				t.Fatalf("iter %d: Release left the context populated", i)
+			}
 		}
 	}
 	if !sawMixed {

@@ -8,9 +8,10 @@ import (
 // FuzzReadJSON checks the universe reader at its trust boundary (a cached
 // universe file is whatever the CLIs are pointed at): no input panics, an
 // accepted universe's signature width is one pcsa accepts (so a hostile
-// sig_num_maps is refused before anything is sized by it), and WriteJSON's
-// output of an accepted universe reads back and writes out to the same
-// bytes. The seed corpus is testdata/fuzz/FuzzReadJSON; `make fuzz-smoke`
+// sig_num_maps is refused before anything is sized by it), every normalized
+// characteristic column lies in [0, 1] (so no hostile range can make a QEF
+// NaN), and WriteJSON's output of an accepted universe reads back and writes
+// out to the same bytes. The seed corpus is testdata/fuzz/FuzzReadJSON; `make fuzz-smoke`
 // runs the target, and each crasher it finds is committed there as a
 // regression input.
 func FuzzReadJSON(f *testing.F) {
@@ -22,6 +23,13 @@ func FuzzReadJSON(f *testing.F) {
 		if cfg := u.SignatureConfig(); cfg.NumMaps != 0 {
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("accepted a universe with signature width %d: %v", cfg.NumMaps, err)
+			}
+		}
+		for _, name := range u.CharacteristicNames() {
+			for id, v := range u.NormalizedCharacteristic(name) {
+				if !(v >= 0 && v <= 1) {
+					t.Fatalf("source %d: normalized %q = %v, want [0, 1]", id, name, v)
+				}
 			}
 		}
 		var out bytes.Buffer

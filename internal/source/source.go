@@ -13,6 +13,7 @@ package source
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,8 +78,11 @@ type Source struct {
 	// based"); nil or per-slot nil means the source did not provide one.
 	AttrSignatures []*minhash.Signature
 	// Characteristics holds named non-functional properties (§5): MTTF,
-	// latency, fees, reputation, … Values are non-negative reals of any
-	// magnitude; QEF aggregators normalize them per-universe.
+	// latency, fees, reputation, … Values are finite non-negative reals of
+	// any magnitude (Universe.Add refuses anything else); QEF aggregators
+	// normalize them per-universe. Like the synopses, they are fixed once
+	// the source is in a universe: the universe memoizes their normalized
+	// columns.
 	Characteristics map[string]float64
 }
 
@@ -102,7 +106,7 @@ func (s *Source) Characteristic(name string) (float64, bool) {
 }
 
 // SetCharacteristic sets a named characteristic, allocating the map if
-// needed.
+// needed. Set characteristics before the source joins a universe.
 func (s *Source) SetCharacteristic(name string, v float64) {
 	if s.Characteristics == nil {
 		s.Characteristics = make(map[string]float64)
@@ -169,10 +173,11 @@ type Universe struct {
 	// are a single atomic load; the (re)computation is serialized by mu.
 	agg atomic.Pointer[aggregates]
 
-	// mu guards the aggregate recomputation and the characteristic-range
-	// memo.
+	// mu guards the aggregate recomputation and the characteristic memos:
+	// the (min, max) ranges and the normalized columns built from them.
 	mu           sync.Mutex
 	charRangeMem map[string][2]float64
+	charColMem   map[string][]float64
 }
 
 // aggregates are the universe-wide QEF denominators, computed in one pass
@@ -190,7 +195,11 @@ type aggregates struct {
 // NewUniverse returns an empty universe whose cooperative sources use the
 // given signature configuration.
 func NewUniverse(cfg pcsa.Config) *Universe {
-	return &Universe{sigCfg: cfg, charRangeMem: make(map[string][2]float64)}
+	return &Universe{
+		sigCfg:       cfg,
+		charRangeMem: make(map[string][2]float64),
+		charColMem:   make(map[string][]float64),
+	}
 }
 
 // SignatureConfig returns the signature configuration shared by the
@@ -201,15 +210,23 @@ func (u *Universe) SignatureConfig() pcsa.Config { return u.sigCfg }
 // not match the universe's configuration.
 var ErrSignatureConfig = errors.New("source: signature config does not match universe")
 
+// ErrCharacteristic is returned when a source carries a characteristic
+// that is negative, NaN or infinite. Normalization divides by a
+// characteristic's range, which such a value would overflow or poison.
+var ErrCharacteristic = errors.New("source: characteristic is not a finite non-negative real")
+
 // Add inserts s into the universe, assigns its ID, and returns it. The
 // universe keeps s and its signature as they are, without copying: synopses
-// are immutable once added, so one signature may be shared by several
-// sources or universes (probe.ReprobeUniverse and watch's cold reference
-// re-add the same *pcsa.Signature), and the GC reclaims it once no source
-// holds it.
+// and characteristics are immutable once added, so one signature may be
+// shared by several sources or universes (probe.ReprobeUniverse and watch's
+// cold reference re-add the same *pcsa.Signature), and the GC reclaims it
+// once no source holds it.
 func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	if s.Signature != nil && s.Signature.Config() != u.sigCfg {
 		return -1, ErrSignatureConfig
+	}
+	if err := checkCharacteristics(s.Characteristics); err != nil {
+		return -1, err
 	}
 	s.ID = schema.SourceID(len(u.sources))
 	u.sources = append(u.sources, s)
@@ -218,6 +235,22 @@ func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	u.mu.Unlock()
 	u.invalidate()
 	return s.ID, nil
+}
+
+// checkCharacteristics reports the alphabetically first characteristic that
+// is not a finite non-negative real, so the error does not depend on map
+// order.
+func checkCharacteristics(chars map[string]float64) error {
+	bad, found := "", false
+	for name, v := range chars {
+		if (v < 0 || math.IsNaN(v) || math.IsInf(v, 0)) && (!found || name < bad) {
+			bad, found = name, true
+		}
+	}
+	if !found {
+		return nil
+	}
+	return fmt.Errorf("%w: %q = %v", ErrCharacteristic, bad, chars[bad])
 }
 
 // ErrUnknownSource is returned by the mutating universe operations when a
@@ -329,6 +362,7 @@ func (u *Universe) invalidate() {
 	u.agg.Store(nil)
 	u.mu.Lock()
 	clear(u.charRangeMem)
+	clear(u.charColMem)
 	u.mu.Unlock()
 }
 
@@ -471,6 +505,11 @@ func (u *Universe) SumCardinality(ids []schema.SourceID) int64 {
 func (u *Universe) CharacteristicRange(name string) (min, max float64, ok bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	return u.characteristicRangeLocked(name)
+}
+
+// characteristicRangeLocked is CharacteristicRange with mu held.
+func (u *Universe) characteristicRangeLocked(name string) (min, max float64, ok bool) {
 	if r, hit := u.charRangeMem[name]; hit {
 		return r[0], r[1], true
 	}
@@ -496,6 +535,36 @@ func (u *Universe) CharacteristicRange(name string) (min, max float64, ok bool) 
 	}
 	u.charRangeMem[name] = [2]float64{min, max}
 	return min, max, true
+}
+
+// NormalizedCharacteristic returns the named characteristic of every source,
+// normalized into [0,1] by the universe range and indexed by SourceID: 0 when
+// no source defines it or this source lacks it (the minimum), 1 when the
+// range is degenerate (max == min: no basis for discrimination, so no
+// penalty), and (v − min)/(max − min) otherwise. The column is built once per
+// universe version and shared, so QEF aggregators pay one lookup per
+// evaluation instead of one per source. The slice must not be modified.
+func (u *Universe) NormalizedCharacteristic(name string) []float64 {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if col, hit := u.charColMem[name]; hit {
+		return col
+	}
+	col := make([]float64, len(u.sources))
+	if min, max, ok := u.characteristicRangeLocked(name); ok {
+		for i, s := range u.sources {
+			v, has := s.Characteristics[name]
+			switch {
+			case !has:
+			case max <= min:
+				col[i] = 1
+			default:
+				col[i] = (v - min) / (max - min)
+			}
+		}
+	}
+	u.charColMem[name] = col
+	return col
 }
 
 // CharacteristicNames returns the sorted set of characteristic names defined

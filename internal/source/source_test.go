@@ -3,6 +3,7 @@ package source
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,6 +207,39 @@ func TestReadJSONErrors(t *testing.T) {
 		`{"name":"a","attrs":["x"]},{"name":"b","attrs":["x"]},{"name":"c","attrs":["y"]}]}`
 	if _, err := ReadJSON(bytes.NewBufferString(hostile)); err == nil {
 		t.Error("sig_num_maps 2^40 accepted")
+	}
+}
+
+// TestCharacteristicRangeOverflow: a universe whose characteristic range
+// overflows (max − min = +Inf) used to normalize the source at the maximum to
+// Inf/Inf = NaN, which made Q(S) NaN for any S holding it. Add now refuses a
+// characteristic that is negative, NaN or infinite, naming it, and ReadJSON
+// surfaces the refusal; zero and the largest finite value are accepted, and
+// their column lies in [0, 1].
+func TestCharacteristicRangeOverflow(t *testing.T) {
+	overflow := `{"sig_num_maps":0,"sources":[` +
+		`{"name":"a","attrs":["x"],"characteristics":{"mttf":-1e308}},` +
+		`{"name":"b","attrs":["y"],"characteristics":{"mttf":1e308}}]}`
+	if _, err := ReadJSON(bytes.NewBufferString(overflow)); !errors.Is(err, ErrCharacteristic) {
+		t.Fatalf("ReadJSON of an overflowing mttf range = %v, want ErrCharacteristic", err)
+	}
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		u := NewUniverse(testCfg)
+		s := Uncooperative("s", schema.NewSchema("x"))
+		s.SetCharacteristic("fees", 1)
+		s.SetCharacteristic("mttf", v)
+		if _, err := u.Add(s); !errors.Is(err, ErrCharacteristic) || u.Len() != 0 {
+			t.Errorf("Add with mttf %v = %v (universe of %d), want ErrCharacteristic and no source", v, err, u.Len())
+		}
+	}
+	u := NewUniverse(testCfg)
+	for i, v := range []float64{0, math.MaxFloat64} {
+		s := Uncooperative(fmt.Sprint("s", i), schema.NewSchema("x"))
+		s.SetCharacteristic("mttf", v)
+		mustAdd(t, u, s)
+	}
+	if col := u.NormalizedCharacteristic("mttf"); col[0] != 0 || math.Float64bits(col[1]) != math.Float64bits(1) {
+		t.Errorf("column over {0, MaxFloat64} = %v, want [0 1]", col)
 	}
 }
 
