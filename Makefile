@@ -1,14 +1,14 @@
 # Development entry points. `make check` is the tier-1 gate CI runs on every
 # commit: build, the repo's own analyzers (cmd/mube-vet — early, so policy
 # violations fail in seconds instead of after the race suite), go vet, a
-# gofmt check, and one uncached pass of the full test suite under the race
-# detector.
+# gofmt check, one uncached pass of the full test suite under the race
+# detector, and the allocation budgets without it.
 
 GO ?= go
 
-.PHONY: check build vet test race fmt-check mube-vet bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race allocs fmt-check mube-vet bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
 
-check: build mube-vet vet fmt-check race
+check: build mube-vet vet fmt-check race allocs
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ test:
 # instead of served from the test cache.
 race:
 	$(GO) test -race -count=1 ./...
+
+# allocs runs the allocation-budget tests (testing.AllocsPerRun pins; every
+# one has Alloc in its name) once, uncached, without the race detector. They
+# skip under -race, which instruments allocation, so the race target alone
+# would gate no budget.
+allocs:
+	$(GO) test -count=1 -run Alloc ./...
 
 # fmt-check fails when any file `make fmt` would format is not gofmt-clean.
 fmt-check:

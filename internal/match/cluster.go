@@ -8,35 +8,45 @@ import (
 	"mube/internal/schema"
 )
 
-// cluster is Algorithm 1's unit of work: a growing GA plus bookkeeping flags.
+// cluster is Algorithm 1's unit of work. It holds no pointers: the span
+// [lo, hi) indexes both scratch arenas, refs (its GA's references, sorted by
+// (Source, Attr)) and names (its members' similarity ids, in merge order).
+// The arenas grow in lockstep, one name per reference, so one span serves
+// both. A cluster's slab index is its Algorithm 1 number, and H_sim breaks
+// similarity ties by it.
 type cluster struct {
-	ga    schema.GA
-	names []int // interned similarity ids of the members, for linkage
+	lo, hi int32
 
 	keep       bool // seeded from a user GA constraint (or grown from one)
 	everMerged bool // produced by at least one merge (multi-attribute)
 	merged     bool // consumed by a merge in the current round
 	mergeCand  bool // blocked this round because its partner already merged
-	dead       bool // removed from the active set
 }
 
-// linkage returns the cluster-to-cluster similarity under the configured
-// linkage rule.
-func (m *Matcher) linkage(a, b *cluster) float64 {
+// ga returns c's references as a GA view of the refs arena.
+func (sc *matchScratch) ga(c cluster) schema.GA {
+	return schema.GAFromSorted(sc.refs[c.lo:c.hi:c.hi])
+}
+
+// linkage returns the similarity of the clusters whose members have the
+// similarity ids na and nb under the configured linkage rule. rounds reads
+// the similarity of two singletons from the table itself, which both rules
+// reduce to.
+func (m *Matcher) linkage(na, nb []int) float64 {
 	switch m.cfg.Linkage {
 	case AvgLinkage:
 		sum := 0.0
-		for _, na := range a.names {
-			for _, nb := range b.names {
-				sum += m.simByID(na, nb)
+		for _, x := range na {
+			for _, y := range nb {
+				sum += m.simByID(x, y)
 			}
 		}
-		return sum / float64(len(a.names)*len(b.names))
+		return sum / float64(len(na)*len(nb))
 	default: // MaxLinkage
 		best := 0.0
-		for _, na := range a.names {
-			for _, nb := range b.names {
-				if s := m.simByID(na, nb); s > best {
+		for _, x := range na {
+			for _, y := range nb {
+				if s := m.simByID(x, y); s > best {
 					best = s
 				}
 			}
@@ -45,32 +55,50 @@ func (m *Matcher) linkage(a, b *cluster) float64 {
 	}
 }
 
+// maxSim is the paper's per-GA quality from the members' similarity ids: the
+// maximum similarity between two of them, or 1 below two. It equals
+// GAQuality of the cluster's GA, a maximum over the same pairs.
+func (m *Matcher) maxSim(ids []int) float64 {
+	if len(ids) < 2 {
+		return 1
+	}
+	best := 0.0
+	for x, a := range ids {
+		for _, b := range ids[x+1:] {
+			if s := m.simByID(a, b); s > best {
+				best = s
+			}
+		}
+	}
+	return best
+}
+
 // pair is an entry of the round's priority queue H_sim.
 type pair struct {
-	i, j int
+	i, j int32
 	sim  float64
 }
 
-// matchScratch holds every buffer one clustering operation needs. All slab
-// and arena memory is recycled through the matcher's pool, so steady-state
-// Match/Score calls allocate (almost) nothing: clusters come from a value
-// slab, merged GA references and member name lists are appended to flat
-// arenas, and the pair heap, GA list, and quality list reuse their backing
-// arrays.
+// matchScratch holds every buffer one clustering operation needs, recycled
+// through the matcher's pool so steady-state Match/Score calls allocate
+// (almost) nothing. Clusters, the live list and H_sim are pointer-free, so a
+// run writes no pointer the garbage collector must track until collectInto
+// hands out the surviving GAs.
 //
 // One operation (Match, Score, or a sharded flip score) may run the cluster
-// rounds several times — once per affected shard. Per-run state (slab,
-// clusters, h) is reset between runs; the arenas and the collected gas/quals
-// keep growing so earlier runs' output stays valid for the final merge.
+// rounds several times — once per affected shard. Seeding starts each run
+// with an empty slab, and rounds resets live and h; the arenas and the
+// collected gas/quals keep growing so earlier runs' output stays valid for
+// the final merge.
 type matchScratch struct {
-	slab     []cluster
-	clusters []*cluster
-	names    []int            // arena: cluster member similarity ids
-	refs     []schema.AttrRef // arena: merged/seeded GA references
-	h        []pair
-	gas      []schema.GA // collected surviving GAs, canonically sorted per segment
-	quals    []float64   // GAQuality aligned with gas
-	inCons   map[schema.AttrRef]struct{}
+	slab   []cluster        // this run's clusters, by Algorithm 1 number
+	live   []int32          // ascending slab indexes of the live clusters
+	names  []int            // arena: cluster member similarity ids
+	refs   []schema.AttrRef // arena: cluster GA references
+	h      []pair
+	gas    []schema.GA // collected surviving GAs, canonically sorted per run
+	quals  []float64   // per-GA qualities aligned with gas
+	inCons map[schema.AttrRef]struct{}
 
 	// Sharded-scoring state (see shard.go).
 	ids    []schema.SourceID // flipped member list / changed-source buffer
@@ -84,91 +112,56 @@ func newMatchScratch() *matchScratch {
 
 // reset prepares the scratch for a fresh operation.
 func (sc *matchScratch) reset() {
-	sc.resetRun()
 	sc.names = sc.names[:0]
 	sc.refs = sc.refs[:0]
 	sc.gas = sc.gas[:0]
 	sc.quals = sc.quals[:0]
 }
 
-// resetRun prepares for one clustering run within an operation. Arenas and
-// the collected gas/quals are deliberately kept: earlier runs' GAs reference
-// the refs arena.
-func (sc *matchScratch) resetRun() {
-	sc.slab = sc.slab[:0]
-	sc.clusters = sc.clusters[:0]
-	sc.h = sc.h[:0]
-	clear(sc.inCons)
-}
-
-// alloc hands out a zeroed cluster from the slab. reserve should have sized
-// the slab beforehand; if a merge cascade outgrows it anyway, append still
-// yields a valid cluster (older pointers keep pointing into the old backing
-// array, which is correct — clusters are only reached through sc.clusters).
-func (sc *matchScratch) alloc() *cluster {
-	if len(sc.slab) < cap(sc.slab) {
-		sc.slab = sc.slab[:len(sc.slab)+1]
-	} else {
-		sc.slab = append(sc.slab, cluster{})
-	}
-	c := &sc.slab[len(sc.slab)-1]
-	*c = cluster{}
-	return c
-}
-
-// reserve sizes the slab for n initial clusters. Every merge consumes two
-// clusters and appends one, so a run that starts with n clusters touches at
-// most 2n−1 slab slots.
-func (sc *matchScratch) reserve(n int) {
-	if need := 2 * n; cap(sc.slab) < need {
-		sc.slab = make([]cluster, 0, need)
-	}
-}
-
-// seedRef appends a singleton seed reference to the refs arena and returns
-// the adopted one-element GA.
-func (sc *matchScratch) seedRef(r schema.AttrRef) schema.GA {
-	start := len(sc.refs)
-	sc.refs = append(sc.refs, r)
-	return schema.GAFromSorted(sc.refs[start:len(sc.refs):len(sc.refs)])
-}
-
-// seedNames appends the similarity ids of g's members to the names arena.
-func (sc *matchScratch) seedNames(m *Matcher, g schema.GA) []int {
-	start := len(sc.names)
+// seedGA seeds a keep cluster with a copy of constraint GA g and marks its
+// references taken in sc.inCons (Algorithm 1, lines 1–2).
+func (sc *matchScratch) seedGA(m *Matcher, g schema.GA) {
+	lo := int32(len(sc.refs))
 	for _, r := range g.Refs() {
+		sc.refs = append(sc.refs, r)
 		sc.names = append(sc.names, m.simID[r.Source][r.Attr])
+		sc.inCons[r] = struct{}{}
 	}
-	return sc.names[start:len(sc.names):len(sc.names)]
+	sc.slab = append(sc.slab, cluster{lo: lo, hi: int32(len(sc.refs)), keep: true})
 }
 
-// mergeNames concatenates two member lists into the names arena.
-func (sc *matchScratch) mergeNames(a, b []int) []int {
-	start := len(sc.names)
-	sc.names = append(sc.names, a...)
-	sc.names = append(sc.names, b...)
-	return sc.names[start:len(sc.names):len(sc.names)]
+// seedAttr seeds the singleton cluster of attribute r, whose similarity id is
+// sim (Algorithm 1, lines 3–4).
+func (sc *matchScratch) seedAttr(r schema.AttrRef, sim int) {
+	lo := int32(len(sc.refs))
+	sc.refs = append(sc.refs, r)
+	sc.names = append(sc.names, sim)
+	sc.slab = append(sc.slab, cluster{lo: lo, hi: lo + 1})
 }
 
-// mergeGA merges two GAs with disjoint source sets (CanMerge holds) into the
-// refs arena, preserving (Source, Attr) order. Equivalent to a.Union(b)
-// without the sort or the allocation.
-func (sc *matchScratch) mergeGA(a, b schema.GA) schema.GA {
-	ra, rb := a.Refs(), b.Refs()
-	start := len(sc.refs)
+// merge appends the union of clusters a and b, whose source sets are
+// disjoint, to the slab (Algorithm 1, lines 12–14): their sorted reference
+// spans merged into one sorted span of the refs arena, and their names
+// concatenated, a's first.
+func (sc *matchScratch) merge(a, b cluster) {
+	lo := int32(len(sc.refs))
+	refs := sc.refs
+	ra, rb := refs[a.lo:a.hi], refs[b.lo:b.hi]
 	i, j := 0, 0
 	for i < len(ra) && j < len(rb) {
 		if ra[i].Compare(rb[j]) < 0 {
-			sc.refs = append(sc.refs, ra[i])
+			refs = append(refs, ra[i])
 			i++
 		} else {
-			sc.refs = append(sc.refs, rb[j])
+			refs = append(refs, rb[j])
 			j++
 		}
 	}
-	sc.refs = append(sc.refs, ra[i:]...)
-	sc.refs = append(sc.refs, rb[j:]...)
-	return schema.GAFromSorted(sc.refs[start:len(sc.refs):len(sc.refs)])
+	refs = append(refs, ra[i:]...)
+	sc.refs = append(refs, rb[j:]...)
+	sc.names = append(sc.names, sc.names[a.lo:a.hi]...)
+	sc.names = append(sc.names, sc.names[b.lo:b.hi]...)
+	sc.slab = append(sc.slab, cluster{lo: lo, hi: int32(len(sc.refs)), keep: a.keep || b.keep, everMerged: true})
 }
 
 // scratch checks a matchScratch out of the pool.
@@ -178,19 +171,19 @@ func (m *Matcher) scratch() *matchScratch { return m.pool.Get().(*matchScratch) 
 func (m *Matcher) release(sc *matchScratch) { m.pool.Put(sc) }
 
 // Match runs the greedy constrained similarity clustering (Algorithm 1) over
-// the attributes of the sources ids, honoring the user constraints. The set
-// ids must contain every source required by cons (explicit source
-// constraints and sources implied by GA constraints); Match returns an error
-// otherwise — µBE's evaluator guarantees this precondition (§3: "we ensure
-// for any call to Match(S) that S contains C").
+// the attributes of the sources ids, honoring the user constraints. The ids
+// must name distinct sources of the matcher's universe, and must contain
+// every source required by cons (explicit source constraints and sources
+// implied by GA constraints); Match returns an error otherwise — µBE's
+// evaluator guarantees this precondition (§3: "we ensure for any call to
+// Match(S) that S contains C").
 //
 // Per the paper, if the resulting mediated schema is not valid on the source
 // constraints (some constrained source matches nothing at threshold θ), the
 // result has OK == false and Quality == 0.
 func (m *Matcher) Match(ids []schema.SourceID, cons constraint.Set) (Result, error) {
-	if !cons.SatisfiedBy(ids) {
-		return Result{}, fmt.Errorf("match: source set %v does not contain all required sources %v",
-			ids, cons.RequiredSources())
+	if err := m.checkIDs(ids, cons); err != nil {
+		return Result{}, err
 	}
 
 	sc := m.scratch()
@@ -198,7 +191,7 @@ func (m *Matcher) Match(ids []schema.SourceID, cons constraint.Set) (Result, err
 	sc.reset()
 	m.seedInto(sc, ids, cons)
 	m.rounds(sc)
-	m.collectInto(sc, 0)
+	m.collectInto(sc)
 
 	// Deep-copy the schema out of the pooled arena: results outlive the
 	// scratch. One contiguous arena serves every GA of the result.
@@ -241,16 +234,15 @@ func (m *Matcher) Match(ids []schema.SourceID, cons constraint.Set) (Result, err
 // the canonical GA order — so the evaluator can use Score on every candidate
 // and reserve Match for reporting solutions.
 func (m *Matcher) Score(ids []schema.SourceID, cons constraint.Set) (float64, bool, error) {
-	if !cons.SatisfiedBy(ids) {
-		return 0, false, fmt.Errorf("match: source set %v does not contain all required sources %v",
-			ids, cons.RequiredSources())
+	if err := m.checkIDs(ids, cons); err != nil {
+		return 0, false, err
 	}
 	sc := m.scratch()
 	defer m.release(sc)
 	sc.reset()
 	m.seedInto(sc, ids, cons)
 	m.rounds(sc)
-	m.collectInto(sc, 0)
+	m.collectInto(sc)
 	if !spansOK(sc.gas, cons.Sources) {
 		return 0, false, nil
 	}
@@ -262,6 +254,37 @@ func (m *Matcher) Score(ids []schema.SourceID, cons constraint.Set) (float64, bo
 		sum += q
 	}
 	return sum / float64(len(sc.gas)), true, nil
+}
+
+// checkIDs rejects ids that name a source outside the similarity table,
+// which covers the universe as it was when the matcher was built, that name
+// one source twice (its attributes would be seeded twice and one attribute
+// could land in two GAs), or that lack a source cons requires. Strictly
+// ascending ids, what the evaluator passes, cannot repeat, so only other
+// orders pay for a set.
+func (m *Matcher) checkIDs(ids []schema.SourceID, cons constraint.Set) error {
+	n := schema.SourceID(len(m.simID))
+	ascending := true
+	for k, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("match: source id %d outside the %d sources the matcher was built on", id, n)
+		}
+		ascending = ascending && (k == 0 || ids[k-1] < id)
+	}
+	if !ascending {
+		seen := make(map[schema.SourceID]struct{}, len(ids))
+		for _, id := range ids {
+			if _, dup := seen[id]; dup {
+				return fmt.Errorf("match: source id %d listed twice", id)
+			}
+			seen[id] = struct{}{}
+		}
+	}
+	if !cons.SatisfiedBy(ids) {
+		return fmt.Errorf("match: source set %v does not contain all required sources %v",
+			ids, cons.RequiredSources())
+	}
+	return nil
 }
 
 // spansOK reports whether every source in required contributes an attribute
@@ -289,33 +312,20 @@ func coversSource(gas []schema.GA, id schema.SourceID) bool {
 // (keep = TRUE), then one singleton cluster per remaining attribute of every
 // source in ids (Algorithm 1, lines 1–4).
 func (m *Matcher) seedInto(sc *matchScratch, ids []schema.SourceID, cons constraint.Set) {
-	total := len(cons.GAs)
-	for _, id := range ids {
-		total += m.u.Source(id).Schema.Len()
-	}
-	sc.reserve(total)
-
+	sc.slab = sc.slab[:0]
+	clear(sc.inCons)
 	for _, g := range cons.GAs {
-		c := sc.alloc()
-		c.ga = g
-		c.keep = true
-		for _, r := range g.Refs() {
-			sc.inCons[r] = struct{}{}
-		}
-		c.names = sc.seedNames(m, g)
-		sc.clusters = append(sc.clusters, c)
+		sc.seedGA(m, g)
 	}
 	for _, id := range ids {
-		n := m.u.Source(id).Schema.Len()
-		for a := 0; a < n; a++ {
+		for a, sim := range m.simID[id] {
 			r := schema.AttrRef{Source: id, Attr: a}
-			if _, taken := sc.inCons[r]; taken {
-				continue
+			if len(cons.GAs) > 0 {
+				if _, taken := sc.inCons[r]; taken {
+					continue
+				}
 			}
-			c := sc.alloc()
-			c.ga = sc.seedRef(r)
-			c.names = sc.seedNames(m, c.ga)
-			sc.clusters = append(sc.clusters, c)
+			sc.seedAttr(r, sim)
 		}
 	}
 }
@@ -329,37 +339,36 @@ func comparePairs(a, b pair) int {
 	case a.sim < b.sim:
 		return 1
 	case a.i != b.i:
-		return a.i - b.i
+		return int(a.i) - int(b.i)
 	}
-	return a.j - b.j
+	return int(a.j) - int(b.j)
 }
 
-// rounds runs the iterative merge rounds over sc.clusters (dead clusters are
-// marked rather than removed so indexes stay stable, and merge products are
-// appended).
+// rounds runs the iterative merge rounds over the seeded slab. Merge
+// products are appended, so indexes never move; sc.live lists the live
+// clusters in ascending index order and is all that a round walks.
 func (m *Matcher) rounds(sc *matchScratch) {
 	theta := m.cfg.Theta
+	live := sc.live[:0]
+	for i := range sc.slab {
+		live = append(live, int32(i))
+	}
 	for {
-		// Reset per-round flags (Algorithm 1, line 7).
-		for _, c := range sc.clusters {
-			if !c.dead {
-				c.merged, c.mergeCand = false, false
-			}
-		}
-
 		// H_sim: all live pairs with similarity ≥ θ, best first (line 8).
 		h := sc.h[:0]
-		for i := 0; i < len(sc.clusters); i++ {
-			ci := sc.clusters[i]
-			if ci.dead {
-				continue
-			}
-			for j := i + 1; j < len(sc.clusters); j++ {
-				cj := sc.clusters[j]
-				if cj.dead {
-					continue
+		for x, i := range live {
+			ci := sc.slab[i]
+			ni := sc.names[ci.lo:ci.hi]
+			for _, j := range live[x+1:] {
+				cj := sc.slab[j]
+				nj := sc.names[cj.lo:cj.hi]
+				var s float64
+				if len(ni) == 1 && len(nj) == 1 {
+					s = m.simByID(ni[0], nj[0])
+				} else {
+					s = m.linkage(ni, nj)
 				}
-				if s := m.linkage(ci, cj); s >= theta {
+				if s >= theta {
 					h = append(h, pair{i: i, j: j, sim: s})
 				}
 			}
@@ -368,22 +377,18 @@ func (m *Matcher) rounds(sc *matchScratch) {
 		slices.SortFunc(h, comparePairs)
 
 		anyMerge, anyCand := false, false
+		products := int32(len(sc.slab))
 		for _, p := range h {
 			// Clusters consumed by a merge earlier in this round carry
 			// merged == true and are handled by the cases below; they were
 			// alive when H_sim was built.
-			c1, c2 := sc.clusters[p.i], sc.clusters[p.j]
+			c1, c2 := &sc.slab[p.i], &sc.slab[p.j]
 			switch {
-			case !c1.merged && !c2.merged && c1.ga.CanMerge(c2.ga):
-				// Merge c1 and c2 into a new cluster (lines 12–14).
-				nc := sc.alloc()
-				nc.ga = sc.mergeGA(c1.ga, c2.ga)
-				nc.names = sc.mergeNames(c1.names, c2.names)
-				nc.keep = c1.keep || c2.keep
-				nc.everMerged = true
+			case !c1.merged && !c2.merged && sc.ga(*c1).CanMerge(sc.ga(*c2)):
+				// Merge c1 and c2 into a new cluster (lines 12–14). The
+				// append may move the slab, so c1 and c2 are not used after.
 				c1.merged, c2.merged = true, true
-				c1.dead, c2.dead = true, true
-				sc.clusters = append(sc.clusters, nc)
+				sc.merge(*c1, *c2)
 				anyMerge = true
 			case c1.merged != c2.merged:
 				// One of the pair was already consumed this round; keep the
@@ -397,38 +402,47 @@ func (m *Matcher) rounds(sc *matchScratch) {
 			}
 		}
 
-		// Prune clusters that can never merge: still-singleton, not a user
-		// constraint, and not blocked by this round's merges (lines 20–22).
-		for _, c := range sc.clusters {
-			if c.dead || c.keep || c.everMerged || c.mergeCand {
-				continue
+		// The next live list: this round's survivors in index order, minus
+		// the clusters a merge consumed and those that can never merge —
+		// still-singleton, not a user constraint, and not blocked by this
+		// round's merges (lines 20–22) — then the merge products. Survivors
+		// enter the next round with their per-round flags reset (line 7);
+		// merged is already false on them, and products start clear.
+		next := live[:0]
+		for _, i := range live {
+			if c := &sc.slab[i]; !c.merged && (c.keep || c.everMerged || c.mergeCand) {
+				c.mergeCand = false
+				next = append(next, i)
 			}
-			c.dead = true
 		}
+		for i := products; i < int32(len(sc.slab)); i++ {
+			next = append(next, i)
+		}
+		live = next
 
 		if !anyMerge && !anyCand {
-			return
+			break
 		}
 	}
+	sc.live = live
 }
 
-// collectInto gathers the surviving clusters into sc.gas, applying the β
-// lower bound to GAs that do not stem from a user GA constraint (§2.5: θ and
-// β apply to M − G only), sorts the new segment [start:] canonically, and
-// appends the aligned per-GA qualities to sc.quals.
-func (m *Matcher) collectInto(sc *matchScratch, start int) {
-	for _, c := range sc.clusters {
-		if c.dead {
-			continue
+// collectInto appends the surviving clusters' GAs to sc.gas in canonical
+// order, applying the β lower bound to GAs that do not stem from a user GA
+// constraint (§2.5: θ and β apply to M − G only), and each GA's quality to
+// sc.quals, computed from its members' similarity ids. Only here do GAs
+// become schema.GA values.
+func (m *Matcher) collectInto(sc *matchScratch) {
+	out := sc.live[:0]
+	for _, i := range sc.live {
+		if c := sc.slab[i]; c.keep || int(c.hi-c.lo) >= m.cfg.Beta {
+			out = append(out, i)
 		}
-		if !c.keep && c.ga.Size() < m.cfg.Beta {
-			continue
-		}
-		sc.gas = append(sc.gas, c.ga)
 	}
-	seg := sc.gas[start:]
-	slices.SortFunc(seg, schema.GA.Compare)
-	for _, g := range seg {
-		sc.quals = append(sc.quals, m.GAQuality(g))
+	slices.SortFunc(out, func(i, j int32) int { return sc.ga(sc.slab[i]).Compare(sc.ga(sc.slab[j])) })
+	for _, i := range out {
+		c := sc.slab[i]
+		sc.gas = append(sc.gas, sc.ga(c))
+		sc.quals = append(sc.quals, m.maxSim(sc.names[c.lo:c.hi]))
 	}
 }

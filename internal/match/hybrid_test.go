@@ -17,27 +17,8 @@ import (
 func hybridUniverse(t *testing.T) *source.Universe {
 	t.Helper()
 	u := source.NewUniverse(sigCfg)
-	const k = 256
 	add := func(name string, attrs []string, valueSets [][]uint64) {
-		s := source.Uncooperative(name, schema.NewSchema(attrs...))
-		s.AttrSignatures = make([]*minhash.Signature, len(attrs))
-		for a, values := range valueSets {
-			sig := minhash.MustNew(k, 0)
-			for _, v := range values {
-				sig.AddUint64(v)
-			}
-			s.AttrSignatures[a] = sig
-		}
-		if _, err := u.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seq := func(lo, hi uint64) []uint64 {
-		out := make([]uint64, 0, hi-lo)
-		for x := lo; x < hi; x++ {
-			out = append(out, x)
-		}
-		return out
+		addSketched(t, u, name, attrs, valueSets)
 	}
 	authors := seq(0, 2000)       // shared author value space
 	titles := seq(100000, 103000) // shared title value space
@@ -172,6 +153,31 @@ func TestHybridWithParamsSharesTable(t *testing.T) {
 	if !testutil.AlmostEqual(m2.Theta(), 0.7) {
 		t.Error("theta not applied")
 	}
+}
+
+// addSketched adds a source named name with the given attributes to u, each
+// attribute carrying a 256-slot MinHash signature of its value set.
+func addSketched(t testing.TB, u *source.Universe, name string, attrs []string, valueSets [][]uint64) {
+	t.Helper()
+	s := source.Uncooperative(name, schema.NewSchema(attrs...))
+	s.AttrSignatures = make([]*minhash.Signature, len(attrs))
+	for a, values := range valueSets {
+		sig := minhash.MustNew(256, 0)
+		for _, v := range values {
+			sig.AddUint64(v)
+		}
+		s.AttrSignatures[a] = sig
+	}
+	mustAdd(t, u, s)
+}
+
+// seq returns the values [lo, hi).
+func seq(lo, hi uint64) []uint64 {
+	out := make([]uint64, 0, hi-lo)
+	for x := lo; x < hi; x++ {
+		out = append(out, x)
+	}
+	return out
 }
 
 // mustAdd adds s to u, failing the test on any error.

@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mube/internal/constraint"
@@ -277,6 +278,39 @@ func TestMatchRequiresRequiredSources(t *testing.T) {
 	if _, err := m.Match(ids(0), constraint.Set{GAs: []schema.GA{schema.NewGA(ref(1, 0))}}); err == nil {
 		t.Error("Match should reject S missing GA-implied source")
 	}
+}
+
+// TestMatchRejectsBadIDs pins the id check of the public Match and Score: an
+// id outside the universe the matcher was built on must be an error naming
+// it, not an index panic, and a repeated id must be an error, not a schema
+// that puts one attribute in two GAs.
+func TestMatchRejectsBadIDs(t *testing.T) {
+	u := universe(t, []string{"title"}, []string{"title"}, []string{"title"})
+	m := MustNew(u, Config{})
+	check := func(ids []schema.SourceID, want string) {
+		t.Helper()
+		if _, err := m.Match(ids, constraint.Set{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Match(%v): error %v, want one containing %q", ids, err, want)
+		}
+		if _, _, err := m.Score(ids, constraint.Set{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Score(%v): error %v, want one containing %q", ids, err, want)
+		}
+	}
+	check(ids(0, 7), "source id 7 outside")
+	check(ids(-1), "source id -1 outside")
+	check(ids(2, 0, 9), "source id 9 outside")
+	check(ids(0, 0, 1, 2), "source id 0 listed twice")
+	check(ids(2, 1, 2), "source id 2 listed twice")
+	// Unsorted distinct ids are a valid source set.
+	if _, err := m.Match(ids(2, 0, 1), constraint.Set{}); err != nil {
+		t.Errorf("Match(2, 0, 1): %v", err)
+	}
+	// A source added to the universe after the matcher was built has no
+	// similarity ids in it.
+	if _, err := u.Add(source.Uncooperative("s", schema.NewSchema("title"))); err != nil {
+		t.Fatal(err)
+	}
+	check(ids(0, 3), "source id 3 outside")
 }
 
 func TestMatchEmptySelection(t *testing.T) {

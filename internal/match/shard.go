@@ -150,6 +150,7 @@ type Sharded struct {
 	nShards   int
 	overlayOf []int32 // base shard -> overlay shard; nil when identity
 	gaShard   []int32 // cons.GAs[k] -> overlay shard
+	hasGA     []bool  // overlay shard -> some constraint GA is assigned to it
 	srcOff    []int32
 	srcShards []int32
 }
@@ -208,9 +209,11 @@ func (m *Matcher) NewSharded(cons constraint.Set) *Sharded {
 		}
 	}
 	sh.gaShard = make([]int32, len(cons.GAs))
+	sh.hasGA = make([]bool, sh.nShards)
 	for k, g := range cons.GAs {
 		r := g.Refs()[0]
 		sh.gaShard[k] = sh.overlay(idx.shardOf[m.simID[r.Source][r.Attr]])
+		sh.hasGA[sh.gaShard[k]] = true
 	}
 	return sh
 }
@@ -224,11 +227,6 @@ func (sh *Sharded) overlay(base int32) int32 {
 
 // NumShards returns the number of overlay shards.
 func (sh *Sharded) NumShards() int { return sh.nShards }
-
-// shardOfAttr returns the overlay shard of one attribute.
-func (sh *Sharded) shardOfAttr(r schema.AttrRef) int32 {
-	return sh.overlay(sh.idx.shardOf[sh.m.simID[r.Source][r.Attr]])
-}
 
 // sourceShards returns the sorted distinct overlay shards source s touches.
 func (sh *Sharded) sourceShards(s schema.SourceID) []int32 {
@@ -291,49 +289,48 @@ func (sh *Sharded) SourceGroups() [][]schema.SourceID {
 // every attribute of members (the ascending subset sources touching the
 // shard) whose similarity id lies in the shard, in subset order. This is
 // exactly the restriction of seedInto's output to the shard, in the same
-// relative order.
+// relative order. Only a shard holding a constraint GA probes sc.inCons.
 func (sh *Sharded) seedShard(sc *matchScratch, members []schema.SourceID, shard int32) {
 	m := sh.m
-	total := 0
-	for k := range sh.cons.GAs {
-		if sh.gaShard[k] == shard {
-			total++
+	sc.slab = sc.slab[:0]
+	hasGA := sh.hasGA[shard]
+	if hasGA {
+		clear(sc.inCons)
+		for k, g := range sh.cons.GAs {
+			if sh.gaShard[k] == shard {
+				sc.seedGA(m, g)
+			}
 		}
 	}
 	for _, id := range members {
-		total += m.u.Source(id).Schema.Len()
-	}
-	sc.reserve(total)
-
-	for k, g := range sh.cons.GAs {
-		if sh.gaShard[k] != shard {
-			continue
-		}
-		c := sc.alloc()
-		c.ga = g
-		c.keep = true
-		for _, r := range g.Refs() {
-			sc.inCons[r] = struct{}{}
-		}
-		c.names = sc.seedNames(m, g)
-		sc.clusters = append(sc.clusters, c)
-	}
-	for _, id := range members {
-		n := m.u.Source(id).Schema.Len()
-		for a := 0; a < n; a++ {
+		for a, sim := range m.simID[id] {
+			if sh.overlay(sh.idx.shardOf[sim]) != shard {
+				continue
+			}
 			r := schema.AttrRef{Source: id, Attr: a}
-			if sh.shardOfAttr(r) != shard {
-				continue
+			if hasGA {
+				if _, taken := sc.inCons[r]; taken {
+					continue
+				}
 			}
-			if _, taken := sc.inCons[r]; taken {
-				continue
-			}
-			c := sc.alloc()
-			c.ga = sc.seedRef(r)
-			c.names = sc.seedNames(m, c.ga)
-			sc.clusters = append(sc.clusters, c)
+			sc.seedAttr(r, sim)
 		}
 	}
+}
+
+// clusterShard runs Algorithm 1 on shard k seeded from members (ascending)
+// and appends the shard's GAs and qualities to sc.gas and sc.quals, in
+// canonical order. A shard with at most one member source and no constraint
+// GA is not run: it yields no GA. Attributes of one source never pass
+// CanMerge, so its singletons never merge or block a merge, and the first
+// round's prune removes every one of them.
+func (sh *Sharded) clusterShard(sc *matchScratch, members []schema.SourceID, k int32) {
+	if len(members) <= 1 && !sh.hasGA[k] {
+		return
+	}
+	sh.seedShard(sc, members, k)
+	sh.m.rounds(sc)
+	sh.m.collectInto(sc)
 }
 
 // shardResult is one shard's share of a cached base: the base members that
@@ -479,10 +476,7 @@ func (b *ShardedBase) addCover(r *shardResult, d int) {
 func (b *ShardedBase) computeShard(sc *matchScratch, k int32, seq []seqEntry) []seqEntry {
 	r := b.res[k]
 	start := len(sc.gas)
-	sc.resetRun()
-	b.sh.seedShard(sc, r.members, k)
-	b.sh.m.rounds(sc)
-	b.sh.m.collectInto(sc, start)
+	b.sh.clusterShard(sc, r.members, k)
 
 	gas := sc.gas[start:]
 	for i, g := range gas {
@@ -611,11 +605,7 @@ func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 			a = -1
 		}
 		sc.ids = flipInto(sc.ids[:0], members, a, drop)
-		start := len(sc.gas)
-		sc.resetRun()
-		sh.seedShard(sc, sc.ids, k)
-		sh.m.rounds(sc)
-		sh.m.collectInto(sc, start)
+		sh.clusterShard(sc, sc.ids, k)
 	}
 
 	// Coverage of the explicit source constraints: the unaffected shards'

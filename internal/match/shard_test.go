@@ -257,16 +257,24 @@ func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, 
 }
 
 // TestRebaseWalk walks one cached base through 40 accepted adds, drops and
-// swaps under three constraint sets: none, one required source, and a GA
-// bridging the two name families. After every Rebase, every single flip must
-// score as Matcher.Match does and as the same flip on a fresh NewBase. Each
-// walk also drops the last member of some shard, so Rebase must retire that
-// shard's cached entries.
+// swaps under four constraint sets: none, one required source, a GA bridging
+// the two name families, and a single-reference GA on a base source that no
+// other base member shares a shard with. After every Rebase, every single
+// flip must score as Matcher.Match does and as the same flip on a fresh
+// NewBase. Each walk also drops the last member of some shard, so Rebase
+// must retire that shard's cached entries. The lone GA's shard starts with
+// one member, the case where a shard must be clustered for its constraint
+// GA although one source alone can never merge.
 func TestRebaseWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const n = 14
 	u := randomUniverse(t, r, n)
 	m := MustNew(u, Config{Theta: 0.45})
+	base := []schema.SourceID{0, 1, 4, 7, 10}
+	lone, ok := loneRef(m.NewSharded(constraint.Set{}), base)
+	if !ok {
+		t.Fatalf("no attribute of base %v sits in a shard no other base member touches", base)
+	}
 	for _, tc := range []struct {
 		name string
 		cons constraint.Set
@@ -276,9 +284,9 @@ func TestRebaseWalk(t *testing.T) {
 		// Source 0 draws from the book names and source 1 from the flight
 		// names (randomUniverse alternates), so this GA bridges the families.
 		{"bridge", constraint.Set{GAs: []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0))}}},
+		{"lone", constraint.Set{GAs: []schema.GA{schema.NewGA(lone)}}},
 	} {
 		sh := m.NewSharded(tc.cons)
-		base := []schema.SourceID{0, 1, 4, 7, 10}
 		b, err := sh.NewBase(base)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -361,8 +369,58 @@ func TestRebaseWalk(t *testing.T) {
 	}
 }
 
+// loneRef returns an attribute of a source of base whose shard no other
+// source of base touches.
+func loneRef(sh *Sharded, base []schema.SourceID) (schema.AttrRef, bool) {
+	for _, s := range base {
+		for a, sim := range sh.m.simID[s] {
+			k := sh.overlay(sh.idx.shardOf[sim])
+			alone := true
+			for _, o := range base {
+				if o != s && containsShard(sh.sourceShards(o), k) {
+					alone = false
+				}
+			}
+			if alone {
+				return schema.AttrRef{Source: s, Attr: a}, true
+			}
+		}
+	}
+	return schema.AttrRef{}, false
+}
+
+// skipsAll reports whether the flip leaves every shard it touches with at
+// most one member source and no constraint GA, so that ScoreFlip runs no
+// clustering at all.
+func skipsAll(b *ShardedBase, add, drop schema.SourceID) bool {
+	var touched []int32
+	for _, s := range []schema.SourceID{add, drop} {
+		if s >= 0 {
+			touched = append(touched, b.sh.sourceShards(s)...)
+		}
+	}
+	for _, k := range touched {
+		n := 0
+		if r := b.res[k]; r != nil {
+			n = len(r.members)
+		}
+		if add >= 0 && containsShard(b.sh.sourceShards(add), k) {
+			n++
+		}
+		if drop >= 0 && containsShard(b.sh.sourceShards(drop), k) {
+			n--
+		}
+		if n > 1 || b.sh.hasGA[k] {
+			return false
+		}
+	}
+	return len(touched) > 0
+}
+
 // TestScoreFlipAllocs pins ScoreFlip's steady state: on a warmed base, an
-// add, a drop and a swap each allocate nothing.
+// add, a drop, a swap and a flip whose shards are all skipped each allocate
+// nothing. So does the whole-set Score on strictly ascending ids, what the
+// evaluator passes: only other orders pay for the id check's set.
 func TestScoreFlipAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -370,18 +428,43 @@ func TestScoreFlipAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	u := randomUniverse(t, r, 12)
 	m := MustNew(u, Config{Theta: 0.45})
-	b, err := m.NewSharded(constraint.Set{Sources: []schema.SourceID{2}}).NewBase(ids(0, 2, 3, 5, 8))
+	cons := constraint.Set{Sources: []schema.SourceID{2}}
+	b, err := m.NewSharded(cons).NewBase(ids(0, 2, 3, 5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
+	type flip struct {
 		name      string
 		add, drop schema.SourceID
-	}{{"add", 6, -1}, {"drop", -1, 5}, {"swap", 7, 3}} {
+	}
+	flips := []flip{{"add", 6, -1}, {"drop", -1, 5}, {"swap", 7, 3}}
+	for _, d := range b.Base() {
+		if d != 2 && skipsAll(b, -1, d) {
+			flips = append(flips, flip{"skipped", -1, d})
+			break
+		}
+	}
+	if len(flips) < 4 {
+		t.Fatalf("no drop off %v leaves its shards without a clustering run", b.Base())
+	}
+	if res, err := m.Match(flipped(b.Base(), flips[3].add, flips[3].drop), cons); err != nil {
+		t.Fatal(err)
+	} else if q, ok := b.ScoreFlip(flips[3].add, flips[3].drop); ok != res.OK ||
+		math.Float64bits(q) != math.Float64bits(res.Quality) {
+		t.Fatalf("skipped flip: ScoreFlip = (%v, %v), Match = (%v, %v)", q, ok, res.Quality, res.OK)
+	}
+	for _, f := range flips {
 		b.ScoreFlip(f.add, f.drop)
 		if a := testing.AllocsPerRun(100, func() { b.ScoreFlip(f.add, f.drop) }); a != 0 {
 			t.Errorf("%s: ScoreFlip allocates %v per call, want 0", f.name, a)
 		}
+	}
+	all := u.IDs()
+	if _, _, err := m.Score(all, cons); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _, _ = m.Score(all, cons) }); a != 0 {
+		t.Errorf("Score on ascending ids allocates %v per call, want 0", a)
 	}
 }
 
