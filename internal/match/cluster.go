@@ -85,11 +85,11 @@ type pair struct {
 // run writes no pointer the garbage collector must track until collectInto
 // hands out the surviving GAs.
 //
-// One operation (Match, Score, or a sharded flip score) may run the cluster
-// rounds several times — once per affected shard. Seeding starts each run
-// with an empty slab, and rounds resets live and h; the arenas and the
-// collected gas/quals keep growing so earlier runs' output stays valid for
-// the final merge.
+// One operation (a whole-set Match or Score, a base build, a rebase or a
+// flip score) runs the cluster rounds once per shard it clusters. Seeding
+// starts each run with an empty slab, and rounds resets live and h; the
+// arenas and the collected gas/quals keep growing so earlier runs' output
+// stays valid for the final merge.
 type matchScratch struct {
 	slab   []cluster        // this run's clusters, by Algorithm 1 number
 	live   []int32          // ascending slab indexes of the live clusters
@@ -101,9 +101,10 @@ type matchScratch struct {
 	inCons map[schema.AttrRef]struct{}
 
 	// Sharded-scoring state (see shard.go).
-	ids    []schema.SourceID // flipped member list / changed-source buffer
+	ids    []schema.SourceID // one shard's member list / changed-source buffer
 	shards []int32           // affected-shard buffer
-	fresh  []seqEntry        // a flip's re-clustered GAs, sorted by first reference
+	keys   []uint64          // a whole set's (overlay shard, source) pairs
+	fresh  []seqEntry        // the collected GAs, sorted by first reference
 }
 
 func newMatchScratch() *matchScratch {
@@ -176,84 +177,26 @@ func (m *Matcher) release(sc *matchScratch) { m.pool.Put(sc) }
 // every source required by cons (explicit source constraints and sources
 // implied by GA constraints); Match returns an error otherwise — µBE's
 // evaluator guarantees this precondition (§3: "we ensure for any call to
-// Match(S) that S contains C").
+// Match(S) that S contains C"). cons must also pass constraint.Set.Validate
+// on the matcher's universe, or Match returns that error: a GA constraint
+// naming a missing attribute, an empty one, or two sharing an attribute
+// would otherwise seed clusters no valid mediated schema can hold.
 //
 // Per the paper, if the resulting mediated schema is not valid on the source
 // constraints (some constrained source matches nothing at threshold θ), the
 // result has OK == false and Quality == 0.
+//
+// Match is NewSharded(cons).Match(ids): it clusters shard by shard, which
+// is exact (see shard.go), so callers that match many sets under one
+// constraint set should build the Sharded view once.
 func (m *Matcher) Match(ids []schema.SourceID, cons constraint.Set) (Result, error) {
 	if err := m.checkIDs(ids, cons); err != nil {
 		return Result{}, err
 	}
-
-	sc := m.scratch()
-	defer m.release(sc)
-	sc.reset()
-	m.seedInto(sc, ids, cons)
-	m.rounds(sc)
-	m.collectInto(sc)
-
-	// Deep-copy the schema out of the pooled arena: results outlive the
-	// scratch. One contiguous arena serves every GA of the result.
-	total := 0
-	for _, g := range sc.gas {
-		total += g.Size()
+	if err := cons.Validate(m.u); err != nil {
+		return Result{}, err
 	}
-	arena := make([]schema.AttrRef, 0, total)
-	gas := make([]schema.GA, len(sc.gas))
-	for i, g := range sc.gas {
-		start := len(arena)
-		arena = append(arena, g.Refs()...)
-		gas[i] = schema.GAFromSorted(arena[start:len(arena):len(arena)])
-	}
-	// sc.gas is already in canonical (GA.Compare) order — the order
-	// NewMediated would produce.
-	med := schema.Mediated{GAs: gas}
-
-	res := Result{Schema: med}
-	if med.Len() > 0 {
-		res.GAQuality = append([]float64(nil), sc.quals...)
-		sum := 0.0
-		for _, q := range sc.quals {
-			sum += q
-		}
-		res.Quality = sum / float64(med.Len())
-	}
-	// Validity on C: the schema must span every explicitly constrained
-	// source (disjointness and per-GA validity hold by construction).
-	if !spansOK(sc.gas, cons.Sources) {
-		return Result{OK: false}, nil
-	}
-	res.OK = true
-	return res, nil
-}
-
-// Score is Match without the materialized schema: it returns F1(S) and the
-// validity bit, allocating nothing in steady state. The quality is
-// bit-identical to Match(ids, cons).Quality — both sum per-GA qualities in
-// the canonical GA order — so the evaluator can use Score on every candidate
-// and reserve Match for reporting solutions.
-func (m *Matcher) Score(ids []schema.SourceID, cons constraint.Set) (float64, bool, error) {
-	if err := m.checkIDs(ids, cons); err != nil {
-		return 0, false, err
-	}
-	sc := m.scratch()
-	defer m.release(sc)
-	sc.reset()
-	m.seedInto(sc, ids, cons)
-	m.rounds(sc)
-	m.collectInto(sc)
-	if !spansOK(sc.gas, cons.Sources) {
-		return 0, false, nil
-	}
-	if len(sc.gas) == 0 {
-		return 0, true, nil
-	}
-	sum := 0.0
-	for _, q := range sc.quals {
-		sum += q
-	}
-	return sum / float64(len(sc.gas)), true, nil
+	return m.NewSharded(cons).Match(ids)
 }
 
 // checkIDs rejects ids that name a source outside the similarity table,
@@ -306,28 +249,6 @@ func coversSource(gas []schema.GA, id schema.SourceID) bool {
 		}
 	}
 	return false
-}
-
-// seedInto builds the initial cluster set: one cluster per user GA constraint
-// (keep = TRUE), then one singleton cluster per remaining attribute of every
-// source in ids (Algorithm 1, lines 1–4).
-func (m *Matcher) seedInto(sc *matchScratch, ids []schema.SourceID, cons constraint.Set) {
-	sc.slab = sc.slab[:0]
-	clear(sc.inCons)
-	for _, g := range cons.GAs {
-		sc.seedGA(m, g)
-	}
-	for _, id := range ids {
-		for a, sim := range m.simID[id] {
-			r := schema.AttrRef{Source: id, Attr: a}
-			if len(cons.GAs) > 0 {
-				if _, taken := sc.inCons[r]; taken {
-					continue
-				}
-			}
-			sc.seedAttr(r, sim)
-		}
-	}
 }
 
 // comparePairs orders the round's H_sim best first: by similarity

@@ -280,10 +280,10 @@ func TestMatchRequiresRequiredSources(t *testing.T) {
 	}
 }
 
-// TestMatchRejectsBadIDs pins the id check of the public Match and Score: an
-// id outside the universe the matcher was built on must be an error naming
-// it, not an index panic, and a repeated id must be an error, not a schema
-// that puts one attribute in two GAs.
+// TestMatchRejectsBadIDs pins the id check of the public Match and
+// Sharded.Score: an id outside the universe the matcher was built on must be
+// an error naming it, not an index panic, and a repeated id must be an error,
+// not a schema that puts one attribute in two GAs.
 func TestMatchRejectsBadIDs(t *testing.T) {
 	u := universe(t, []string{"title"}, []string{"title"}, []string{"title"})
 	m := MustNew(u, Config{})
@@ -292,7 +292,7 @@ func TestMatchRejectsBadIDs(t *testing.T) {
 		if _, err := m.Match(ids, constraint.Set{}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Match(%v): error %v, want one containing %q", ids, err, want)
 		}
-		if _, _, err := m.Score(ids, constraint.Set{}); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := m.NewSharded(constraint.Set{}).Score(ids); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Score(%v): error %v, want one containing %q", ids, err, want)
 		}
 	}
@@ -311,6 +311,29 @@ func TestMatchRejectsBadIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(ids(0, 3), "source id 3 outside")
+}
+
+// TestMatchValidatesConstraints pins Match's constraint check: a GA
+// constraint naming a missing attribute, an empty GA constraint and two GA
+// constraints sharing an attribute are errors, not an index panic, a schema
+// holding an empty GA, or one attribute in two GAs (Definition 2).
+func TestMatchValidatesConstraints(t *testing.T) {
+	u := universe(t, []string{"title"}, []string{"title", "author"}, []string{"title"})
+	m := MustNew(u, Config{})
+	for _, tc := range []struct {
+		name string
+		gas  []schema.GA
+		want string
+	}{
+		{"missing attribute", []schema.GA{schema.NewGA(ref(0, 5), ref(1, 0))}, "attribute s0.a5 out of range"},
+		{"empty GA", []schema.GA{schema.NewGA()}, "not a valid GA"},
+		{"shared attribute", []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0)), schema.NewGA(ref(0, 0), ref(2, 0))}, "share an attribute"},
+	} {
+		res, err := m.Match(ids(0, 1, 2), constraint.Set{GAs: tc.gas})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Match = (%+v, %v), want an error containing %q", tc.name, res, err, tc.want)
+		}
+	}
 }
 
 func TestMatchEmptySelection(t *testing.T) {

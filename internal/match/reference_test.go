@@ -10,6 +10,7 @@ import (
 	"mube/internal/constraint"
 	"mube/internal/schema"
 	"mube/internal/source"
+	"mube/internal/testutil"
 )
 
 // The pointer-based Algorithm 1 that the span-based kernel in cluster.go
@@ -256,7 +257,8 @@ func kernelCons(r *rand.Rand, m *Matcher, kind int) (constraint.Set, bool) {
 // sources, θ in [0.3, 0.8], β in {1, 2, 3}, both linkages, name and hybrid
 // similarity and every constraint kind, Match must return the oracle's GAs,
 // per-GA qualities, quality bits and validity, and Score must return Match's
-// quality bits and validity.
+// quality bits and validity. Both whole-set paths cluster shard by shard, so
+// this also pins the shard decomposition to the unsharded oracle.
 func TestKernelMatchesReference(t *testing.T) {
 	ran := make([]int, len(kernelConsKinds))
 	for seed := int64(0); seed < 80; seed++ {
@@ -297,7 +299,7 @@ func TestKernelMatchesReference(t *testing.T) {
 							i, g, got.GAQuality[i], want.Schema.GAs[i], want.GAQuality[i])
 					}
 				}
-				q, ok, err := m.Score(ids, cons)
+				q, ok, err := m.NewSharded(cons).Score(ids)
 				if err != nil || ok != got.OK || math.Float64bits(q) != math.Float64bits(got.Quality) {
 					t.Fatalf("%s: Score = (%v, %v, %v), Match = (%v, %v)", label, q, ok, err, got.Quality, got.OK)
 				}
@@ -307,6 +309,81 @@ func TestKernelMatchesReference(t *testing.T) {
 	for kind, c := range ran {
 		if c < 10 {
 			t.Errorf("%s: %d cases, want ≥ 10", kernelConsKinds[kind], c)
+		}
+	}
+}
+
+// TestShardedMatchesReferenceBooks pins every whole-set path to the unsharded
+// oracle on the Books fixture at θ = 0.45: for every nonempty subset of at
+// most five sources that satisfies the constraints, Sharded.Score,
+// Sharded.Match and Matcher.Match must return referenceMatch's validity,
+// quality bits, GAs and per-GA quality bits. The constraint sets are none,
+// source 3 required, and source 3 required plus the GA {s3.a0, s4.a1}, whose
+// references sit in different base shards, so the overlay fuses them.
+func TestShardedMatchesReferenceBooks(t *testing.T) {
+	u := testutil.BooksUniverse(t)
+	m := MustNew(u, Config{Theta: 0.45})
+	fused := constraint.Set{Sources: ids(3), GAs: []schema.GA{schema.NewGA(ref(3, 0), ref(4, 1))}}
+	if got, plain := m.NewSharded(fused).NumShards(), m.NewSharded(constraint.Set{}).NumShards(); got >= plain {
+		t.Fatalf("fusing GA: %d overlay shards, want fewer than the %d base shards", got, plain)
+	}
+	for _, tc := range []struct {
+		name string
+		cons constraint.Set
+		want int // subsets checked
+	}{
+		{"none", constraint.Set{}, 1585},
+		{"required", constraint.Set{Sources: ids(3)}, 562},
+		{"fused", fused, 176},
+	} {
+		sh := m.NewSharded(tc.cons)
+		checked := 0
+		for mask := 1; mask < 1<<u.Len(); mask++ {
+			var set []schema.SourceID
+			for s := 0; s < u.Len(); s++ {
+				if mask&(1<<s) != 0 {
+					set = append(set, schema.SourceID(s))
+				}
+			}
+			if len(set) > 5 || !tc.cons.SatisfiedBy(set) {
+				continue
+			}
+			checked++
+			label := fmt.Sprintf("%s %v", tc.name, set)
+			want := referenceMatch(m, set, tc.cons)
+			q, ok, err := sh.Score(set)
+			if err != nil || ok != want.OK || math.Float64bits(q) != math.Float64bits(want.Quality) {
+				t.Fatalf("%s: Sharded.Score = (%v, %v, %v), oracle = (%v, %v)", label, q, ok, err, want.Quality, want.OK)
+			}
+			got, err := sh.Match(set)
+			if err != nil {
+				t.Fatalf("%s: Sharded.Match: %v", label, err)
+			}
+			sameResult(t, label+" Sharded.Match", got, want)
+			if got, err = m.Match(set, tc.cons); err != nil {
+				t.Fatalf("%s: Matcher.Match: %v", label, err)
+			}
+			sameResult(t, label+" Matcher.Match", got, want)
+		}
+		if checked != tc.want {
+			t.Errorf("%s: checked %d subsets, want %d", tc.name, checked, tc.want)
+		}
+	}
+}
+
+// sameResult fails t unless got equals want bit for bit: validity, quality,
+// GAs and per-GA qualities.
+func sameResult(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	if got.OK != want.OK || math.Float64bits(got.Quality) != math.Float64bits(want.Quality) ||
+		len(got.Schema.GAs) != len(want.Schema.GAs) || len(got.GAQuality) != len(want.GAQuality) {
+		t.Fatalf("%s: (%v, %v, %v), oracle (%v, %v, %v)", label,
+			got.OK, got.Quality, got.Schema, want.OK, want.Quality, want.Schema)
+	}
+	for i, g := range got.Schema.GAs {
+		if !g.Equal(want.Schema.GAs[i]) || math.Float64bits(got.GAQuality[i]) != math.Float64bits(want.GAQuality[i]) {
+			t.Fatalf("%s: GA %d = %v (quality %v), oracle %v (quality %v)", label,
+				i, g, got.GAQuality[i], want.Schema.GAs[i], want.GAQuality[i])
 		}
 	}
 }

@@ -23,6 +23,11 @@ import (
 // bridge — a constraint GA seeds one cluster whose members may span shards —
 // so shards bridged by a constraint are fused into one overlay shard.
 //
+// A whole set S (Sharded.Score and Sharded.Match, and so Matcher.Match) is
+// therefore clustered one overlay shard at a time, each on the ascending list
+// of S's sources that touch it, and the shards' GAs are merged into canonical
+// order. No clustering run ever scores a pair of clusters from two shards.
+//
 // A flip candidate S ± {s} then only needs the shards s touches re-clustered,
 // each seeded from its cached ascending member list; every other shard's GAs
 // and qualities are reused from the cached base. The GAs of one match are
@@ -33,7 +38,7 @@ import (
 // takes the prefix sum at the first position the flip changes, then one
 // linear two-way merge of the rest of the cached sequence (affected shards
 // skipped) with the fresh GAs: the same qualities added in the same order as
-// the unsharded path, and so the exact same float bit pattern.
+// whole-set Score, and so the exact same float bit pattern.
 
 // pairCandidates counts similarity pairs tested against θ by shard-index
 // builds: n(n−1)/2 per build over n similarity ids.
@@ -106,6 +111,8 @@ func newUnionFind(n int) []int32 {
 }
 
 // finishShardIndex labels the components and builds the per-source lists.
+// Like checkIDs, the lists cover the len(m.simID) sources the matcher was
+// built on: a source added to the universe since has no similarity ids.
 func (m *Matcher) finishShardIndex(parent []int32) shardIndex {
 	n := m.n
 	idx := shardIndex{shardOf: make([]int32, n)}
@@ -122,7 +129,7 @@ func (m *Matcher) finishShardIndex(parent []int32) shardIndex {
 		idx.shardOf[i] = rootID[r]
 	}
 
-	nSrc := m.u.Len()
+	nSrc := len(m.simID)
 	idx.srcOff = make([]int32, nSrc+1)
 	var tmp []int32
 	for s := 0; s < nSrc; s++ {
@@ -194,7 +201,7 @@ func (m *Matcher) NewSharded(cons constraint.Set) *Sharded {
 		sh.srcOff, sh.srcShards = idx.srcOff, idx.srcShards
 	} else {
 		sh.overlayOf = overlayOf
-		nSrc := m.u.Len()
+		nSrc := len(m.simID)
 		sh.srcOff = make([]int32, nSrc+1)
 		var tmp []int32
 		for s := 0; s < nSrc; s++ {
@@ -242,14 +249,16 @@ func containsShard(list []int32, k int32) bool {
 	return false
 }
 
-// SourceGroups partitions the universe's sources into independent groups: two
-// sources share a group iff they touch a common overlay shard (transitively).
-// Clustering — and hence Match quality — of a source set decomposes over
-// these groups, which is what the partitioned solve mode exploits. Groups are
-// ordered by their smallest source id; sources within a group are ascending.
+// SourceGroups partitions the sources the matcher was built on (the first
+// len(simID) of its universe; see finishShardIndex) into independent groups:
+// two sources share a group iff they touch a common overlay shard
+// (transitively). Clustering — and hence Match quality — of a source set
+// decomposes over these groups, which is what the partitioned solve mode
+// exploits. Groups are ordered by their smallest source id; sources within a
+// group are ascending.
 func (sh *Sharded) SourceGroups() [][]schema.SourceID {
 	parent := newUnionFind(sh.nShards)
-	nSrc := sh.m.u.Len()
+	nSrc := len(sh.m.simID)
 	for s := 0; s < nSrc; s++ {
 		list := sh.sourceShards(schema.SourceID(s))
 		if len(list) < 2 {
@@ -284,12 +293,14 @@ func (sh *Sharded) SourceGroups() [][]schema.SourceID {
 	return groups
 }
 
-// seedShard seeds sc with shard's slice of Algorithm 1's initial clusters:
-// the constraint GAs assigned to the shard, then the singleton clusters of
-// every attribute of members (the ascending subset sources touching the
-// shard) whose similarity id lies in the shard, in subset order. This is
-// exactly the restriction of seedInto's output to the shard, in the same
-// relative order. Only a shard holding a constraint GA probes sc.inCons.
+// seedShard seeds sc with shard's slice of Algorithm 1's initial clusters
+// (lines 1–4): the constraint GAs assigned to the shard, then the singleton
+// clusters of every attribute of members (the ascending subset sources
+// touching the shard) whose similarity id lies in the shard and which no
+// constraint GA holds, in subset order. This is exactly the restriction to
+// the shard of seeding the whole subset, in the same relative order, and the
+// only place Algorithm 1 is seeded. Only a shard holding a constraint GA
+// probes sc.inCons.
 func (sh *Sharded) seedShard(sc *matchScratch, members []schema.SourceID, shard int32) {
 	m := sh.m
 	sc.slab = sc.slab[:0]
@@ -333,6 +344,111 @@ func (sh *Sharded) clusterShard(sc *matchScratch, members []schema.SourceID, k i
 	sh.m.collectInto(sc)
 }
 
+// canonical fills sc.fresh with an entry per GA collected in sc.gas and sorts
+// the entries by first reference. Each shard's run leaves its GAs in
+// canonical order, and the GAs of one match are pairwise disjoint, so this is
+// GA.Compare order over all of them. The sort is stable: should two entries
+// share a first reference, which overlapping GA constraints alone could cause
+// (refresh says where those are rejected), they keep their collection order.
+func (sc *matchScratch) canonical() []seqEntry {
+	fresh := sc.fresh[:0]
+	for i, g := range sc.gas {
+		fresh = append(fresh, seqEntry{first: g.Refs()[0], at: int32(i), q: sc.quals[i]})
+	}
+	slices.SortStableFunc(fresh, compareFirst)
+	sc.fresh = fresh
+	return fresh
+}
+
+// clusterSet runs Match(ids) shard by shard: it clusters every overlay shard
+// the sources of ids touch on that shard's ascending member list, and returns
+// the collected GAs in canonical order and whether they are valid on C: they
+// must span every explicitly constrained source (disjointness and per-GA
+// validity hold by construction). The member lists are sorted, so the result
+// does not depend on the order of ids.
+func (sh *Sharded) clusterSet(sc *matchScratch, ids []schema.SourceID) ([]seqEntry, bool, error) {
+	if err := sh.m.checkIDs(ids, sh.cons); err != nil {
+		return nil, false, err
+	}
+	sc.reset()
+	// One (overlay shard, source) key per shard a source touches, packed so
+	// that an integer sort groups them by shard with ascending members.
+	// checkIDs bounds every id by the universe size, far below 2³².
+	keys := sc.keys[:0]
+	for _, id := range ids {
+		for _, k := range sh.sourceShards(id) {
+			keys = append(keys, uint64(k)<<32|uint64(id))
+		}
+	}
+	slices.Sort(keys)
+	sc.keys = keys
+	for i := 0; i < len(keys); {
+		k := int32(keys[i] >> 32)
+		members := sc.ids[:0]
+		for ; i < len(keys) && int32(keys[i]>>32) == k; i++ {
+			members = append(members, schema.SourceID(uint32(keys[i])))
+		}
+		sc.ids = members
+		sh.clusterShard(sc, members, k)
+	}
+	return sc.canonical(), spansOK(sc.gas, sh.cons.Sources), nil
+}
+
+// Score is Match without the materialized schema: F1(ids) and the validity
+// bit, bit-identical to Match(ids).Quality, since both sum the same per-GA
+// qualities in canonical order. It allocates nothing in steady state on
+// strictly ascending ids, what the evaluator passes.
+func (sh *Sharded) Score(ids []schema.SourceID) (float64, bool, error) {
+	sc := sh.m.scratch()
+	defer sh.m.release(sc)
+	seq, ok, err := sh.clusterSet(sc, ids)
+	if err != nil || !ok {
+		return 0, false, err
+	}
+	if len(seq) == 0 {
+		return 0, true, nil
+	}
+	sum := 0.0
+	for _, e := range seq {
+		sum += e.q
+	}
+	return sum / float64(len(seq)), true, nil
+}
+
+// Match is Matcher.Match(ids, cons) for the view's constraint set, which it
+// assumes valid (constraint.Set.Validate) on the matcher's universe.
+func (sh *Sharded) Match(ids []schema.SourceID) (Result, error) {
+	sc := sh.m.scratch()
+	defer sh.m.release(sc)
+	seq, ok, err := sh.clusterSet(sc, ids)
+	if err != nil || !ok {
+		return Result{}, err
+	}
+	res := Result{OK: true, Schema: schema.Mediated{GAs: make([]schema.GA, len(seq))}}
+	if len(seq) == 0 {
+		return res, nil
+	}
+	// Deep-copy the schema out of the pooled arena in canonical order, the
+	// order NewMediated would produce: results outlive the scratch. One
+	// contiguous arena serves every GA of the result.
+	total := 0
+	for _, g := range sc.gas {
+		total += g.Size()
+	}
+	arena := make([]schema.AttrRef, 0, total)
+	res.GAQuality = make([]float64, len(seq))
+	sum := 0.0
+	for i, e := range seq {
+		start := len(arena)
+		arena = append(arena, sc.gas[e.at].Refs()...)
+		res.Schema.GAs[i] = schema.GAFromSorted(arena[start:len(arena):len(arena)])
+		res.GAQuality[i] = e.q
+		sum += e.q
+	}
+	res.Quality = sum / float64(len(seq))
+	return res, nil
+}
+
 // shardResult is one shard's share of a cached base: the base members that
 // touch it and what clustering them yields, beyond the sequence entries.
 type shardResult struct {
@@ -343,10 +459,12 @@ type shardResult struct {
 }
 
 // seqEntry is one GA of a base's merged sequence: its first reference (the
-// sort key), its overlay shard and its GAQuality.
+// sort key), its overlay shard and its GAQuality. In sc.fresh, the collected
+// GAs of one operation, at is the GA's index in sc.gas and shard is unset.
 type seqEntry struct {
 	first schema.AttrRef
 	shard int32
+	at    int32
 	q     float64
 }
 
@@ -448,9 +566,11 @@ func (b *ShardedBase) refresh(sc *matchScratch, shards []int32) {
 		seq = b.computeShard(sc, k, seq)
 		b.addCover(r, 1)
 	}
-	// Stable, so entries sharing a first reference (possible only under
-	// overlapping GA constraints, which constraint.Set.Validate rejects)
-	// keep their shard's canonical order.
+	// The GAs of one match are pairwise disjoint, so no two entries share a
+	// first reference once the constraints pass constraint.Set.Validate,
+	// which Matcher.Match, opt.Problem.Validate and sessions all check.
+	// NewSharded does not; the sort is stable so that even overlapping GA
+	// constraints keep each shard's canonical order.
 	slices.SortStableFunc(seq, compareFirst)
 	b.seq = seq
 	b.prefix = append(b.prefix[:0], 0)
@@ -563,11 +683,10 @@ func flipInto(dst, members []schema.SourceID, add, drop schema.SourceID) []schem
 // ScoreFlip scores the candidate base+{add}−{drop} (either may be negative
 // for "none"), re-clustering only the shards add and drop touch and reusing
 // the cached sequence everywhere else. The returned quality and validity are
-// bit-identical to Matcher.Score(candidate, cons) — and so to
-// Matcher.Match(candidate, cons).Quality: the fresh GAs are merged into the
-// cached canonical sequence, and the sequential float sum resumes from the
-// cached prefix at the first position the flip changes. Pure; safe for
-// concurrent use.
+// bit-identical to Score(candidate) — and so to Match(candidate).Quality: the
+// fresh GAs are merged into the cached canonical sequence, and the sequential
+// float sum resumes from the cached prefix at the first position the flip
+// changes. Pure; safe for concurrent use.
 func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 	sh := b.sh
 	sc := sh.m.scratch()
@@ -622,13 +741,7 @@ func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 		}
 	}
 
-	// The fresh GAs in canonical order (refresh says why the sort is stable).
-	fresh := sc.fresh[:0]
-	for i, g := range sc.gas {
-		fresh = append(fresh, seqEntry{first: g.Refs()[0], q: sc.quals[i]})
-	}
-	slices.SortStableFunc(fresh, compareFirst)
-	sc.fresh = fresh
+	fresh := sc.canonical()
 	if len(fresh) > 0 {
 		p = min(p, b.lowerBound(fresh[0].first))
 	}

@@ -63,7 +63,8 @@ func subset(r *rand.Rand, n, k int) []schema.SourceID {
 
 // TestScoreMatchesMatch pins the lean Score path to the full Match path: the
 // quality must be bit-identical (both sum per-GA qualities in the canonical
-// GA order) and the validity bit must agree.
+// GA order) and the validity bit must agree. Match here is the unsharded
+// oracle, referenceMatch, as Sharded.Score clusters shard by shard.
 func TestScoreMatchesMatch(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -79,16 +80,14 @@ func TestScoreMatchesMatch(t *testing.T) {
 			s2 := (s1 + 1) % n
 			cons.GAs = []schema.GA{schema.NewGA(ref(s1, 0), ref(s2, 0))}
 		}
+		sh := m.NewSharded(cons)
 		for trial := 0; trial < 10; trial++ {
 			ids := subset(r, n, 2+r.Intn(n-2))
 			if !cons.SatisfiedBy(ids) {
 				continue
 			}
-			res, err := m.Match(ids, cons)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			q, ok, err := m.Score(ids, cons)
+			res := referenceMatch(m, ids, cons)
+			q, ok, err := sh.Score(ids)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -119,8 +118,8 @@ func flipped(base []schema.SourceID, add, drop schema.SourceID) []schema.SourceI
 
 // TestShardedScoreFlipMatchesMatch is the differential test of the sharded
 // scorer: for random bases and every single-flip candidate, ScoreFlip must be
-// bit-identical to the unsharded Match on the flipped set — including after
-// Rebase moves the cached base.
+// bit-identical to the unsharded oracle, referenceMatch, on the flipped set —
+// including after Rebase moves the cached base.
 func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
@@ -160,10 +159,7 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 			if !cons.SatisfiedBy(cand) {
 				return
 			}
-			res, err := m.Match(cand, cons)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+			res := referenceMatch(m, cand, cons)
 			q, ok := b.ScoreFlip(add, drop)
 			if ok != res.OK || math.Float64bits(q) != math.Float64bits(res.Quality) {
 				t.Fatalf("seed %d base %v flip(+%d,-%d): ScoreFlip = (%v, %v), Match = (%v, %v)",
@@ -217,8 +213,8 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 
 // checkFlips asserts that every single flip off b's base — each add, each
 // drop and each swap that keeps cons satisfied — scores bit-identically to
-// Matcher.Match on the flipped set and to the same flip on fresh, a base
-// built by NewBase on the same subset.
+// the unsharded oracle, referenceMatch, on the flipped set and to the same
+// flip on fresh, a base built by NewBase on the same subset.
 func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, fresh *ShardedBase) {
 	t.Helper()
 	n := schema.SourceID(m.u.Len())
@@ -232,10 +228,7 @@ func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, 
 		if !cons.SatisfiedBy(cand) {
 			return
 		}
-		res, err := m.Match(cand, cons)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+		res := referenceMatch(m, cand, cons)
 		q, ok := b.ScoreFlip(add, drop)
 		fq, fok := fresh.ScoreFlip(add, drop)
 		if ok != res.OK || math.Float64bits(q) != math.Float64bits(res.Quality) ||
@@ -260,7 +253,7 @@ func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, 
 // swaps under four constraint sets: none, one required source, a GA bridging
 // the two name families, and a single-reference GA on a base source that no
 // other base member shares a shard with. After every Rebase, every single
-// flip must score as Matcher.Match does and as the same flip on a fresh
+// flip must score as the unsharded oracle does and as the same flip on a fresh
 // NewBase. Each walk also drops the last member of some shard, so Rebase
 // must retire that shard's cached entries. The lone GA's shard starts with
 // one member, the case where a shard must be clustered for its constraint
@@ -419,8 +412,8 @@ func skipsAll(b *ShardedBase, add, drop schema.SourceID) bool {
 
 // TestScoreFlipAllocs pins ScoreFlip's steady state: on a warmed base, an
 // add, a drop, a swap and a flip whose shards are all skipped each allocate
-// nothing. So does the whole-set Score on strictly ascending ids, what the
-// evaluator passes: only other orders pay for the id check's set.
+// nothing. So does the whole-set Sharded.Score on strictly ascending ids, what
+// the evaluator passes: only other orders pay for the id check's set.
 func TestScoreFlipAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -447,9 +440,8 @@ func TestScoreFlipAllocs(t *testing.T) {
 	if len(flips) < 4 {
 		t.Fatalf("no drop off %v leaves its shards without a clustering run", b.Base())
 	}
-	if res, err := m.Match(flipped(b.Base(), flips[3].add, flips[3].drop), cons); err != nil {
-		t.Fatal(err)
-	} else if q, ok := b.ScoreFlip(flips[3].add, flips[3].drop); ok != res.OK ||
+	res := referenceMatch(m, flipped(b.Base(), flips[3].add, flips[3].drop), cons)
+	if q, ok := b.ScoreFlip(flips[3].add, flips[3].drop); ok != res.OK ||
 		math.Float64bits(q) != math.Float64bits(res.Quality) {
 		t.Fatalf("skipped flip: ScoreFlip = (%v, %v), Match = (%v, %v)", q, ok, res.Quality, res.OK)
 	}
@@ -459,12 +451,13 @@ func TestScoreFlipAllocs(t *testing.T) {
 			t.Errorf("%s: ScoreFlip allocates %v per call, want 0", f.name, a)
 		}
 	}
+	sh := m.NewSharded(cons)
 	all := u.IDs()
-	if _, _, err := m.Score(all, cons); err != nil {
+	if _, _, err := sh.Score(all); err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(100, func() { _, _, _ = m.Score(all, cons) }); a != 0 {
-		t.Errorf("Score on ascending ids allocates %v per call, want 0", a)
+	if a := testing.AllocsPerRun(100, func() { _, _, _ = sh.Score(all) }); a != 0 {
+		t.Errorf("Sharded.Score on ascending ids allocates %v per call, want 0", a)
 	}
 }
 
@@ -588,6 +581,30 @@ func TestSourceGroupsPartition(t *testing.T) {
 	}
 	if in := groupOf("bridged", bridged); in[0] != in[1] {
 		t.Fatalf("bridged: sources 0 and 1 in groups %d and %d", in[0], in[1])
+	}
+}
+
+// TestShardIndexOnGrownUniverse builds the shard index, an identity view and
+// a fused overlay after a source joined the matcher's universe: like
+// checkIDs, they cover only the sources the matcher was built on, and the
+// late source, which has no similarity ids, is in no group.
+func TestShardIndexOnGrownUniverse(t *testing.T) {
+	u := universe(t, []string{"title"}, []string{"author"}, []string{"title"})
+	m := MustNew(u, Config{Theta: 0.45})
+	if _, err := u.Add(source.Uncooperative("late", schema.NewSchema("title"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cons constraint.Set
+		want string
+	}{
+		{"identity", constraint.Set{}, "[[0 2] [1]]"},
+		{"fused", constraint.Set{GAs: []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0))}}, "[[0 1 2]]"},
+	} {
+		if got := fmt.Sprint(m.NewSharded(tc.cons).SourceGroups()); got != tc.want {
+			t.Errorf("%s: SourceGroups = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -39,9 +39,9 @@ type deltaState struct {
 	// match, when non-nil, is the cluster-sharded match image of base: each
 	// flip re-clusters only the shards its add/drop sources touch and merges
 	// with the cached unaffected shards (match.ShardedBase.ScoreFlip — a pure
-	// concurrent-safe read, bit-identical to the full Match). nil when no QEF
-	// reads the match score or the base violates the constraints; flips then
-	// fall back to the lean full-recluster Score path inside the qef context.
+	// concurrent-safe read, bit-identical to the whole-set Sharded.Score).
+	// nil when no QEF reads the match score or the base violates the
+	// constraints; flips then fall back to the whole-set Sharded.Score.
 	match *match.ShardedBase
 }
 
@@ -238,12 +238,12 @@ func (e *Evaluator) acquireDelta(base []schema.SourceID) *deltaState {
 	if ops > 0 {
 		e.rec.Add("pcsa.counting_merges", int64(ops))
 	}
-	if sh := e.shardIndex(); sh == nil {
+	if !e.wantMatch {
 		ds.match = nil
 	} else if ds.match == nil {
 		// NewBase fails only on a base violating the constraints; flips from
 		// such a base are infeasible anyway, so the nil fallback is harmless.
-		if b, err := sh.NewBase(base); err == nil {
+		if b, err := e.sharded.NewBase(base); err == nil {
 			ds.match = b
 		}
 	} else if err := ds.match.Rebase(base); err != nil {
@@ -333,9 +333,9 @@ func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float
 }
 
 // computeFlip evaluates Q(base±flip) against the batch's immutable delta
-// state: flipStats derives the union statistics as a pure read, then the
-// QEFs run on a preset context. Pure; safe on any worker goroutine (counter
-// adds are commutative).
+// state: flipStats derives the union statistics and ScoreFlip F1 as pure
+// reads, then the QEFs run on a preset context. Pure; safe on any worker
+// goroutine (counter adds are commutative).
 func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState, sc *qef.Scratch) float64 {
 	if !e.p.Feasible(ids) {
 		return 0
@@ -344,12 +344,17 @@ func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState
 	if ops > 0 {
 		e.rec.Add("pcsa.counting_merges", int64(ops))
 	}
-	ctx := qef.NewContextScratch(e.p.Universe, e.p.Matcher, e.p.Constraints, ids, sc)
+	ctx := qef.NewContextScratch(e.p.Universe, ids, sc)
 	ctx.PresetUnionStats(st)
-	if ds.match != nil {
+	switch {
+	case ds.match != nil:
 		// Feasible(ids) above guarantees the flipped set satisfies the
 		// constraints, which ScoreFlip's cached coverage flags rely on.
-		ctx.PresetMatchScore(ds.match.ScoreFlip(flip.Add, flip.Drop))
+		if q, ok := ds.match.ScoreFlip(flip.Add, flip.Drop); ok {
+			ctx.F1 = q
+		}
+	case e.wantMatch:
+		ctx.F1 = e.f1(ids)
 	}
 	v := e.p.Quality.Eval(ctx)
 	m := ctx.Merges()

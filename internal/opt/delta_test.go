@@ -97,7 +97,9 @@ func assertSameEvaluator(t *testing.T, label string, a, b *Evaluator) {
 type neighborhoodScorer func(base []schema.SourceID, flips []Move) []float64
 
 // fullScorer is the oracle: EvalBatch over the applied subsets, which scores
-// every candidate from a fresh context with an unsharded Matcher.Score.
+// every candidate from a fresh context, its F1 from the whole-set
+// Sharded.Score rather than a flip off a cached base. The whole-set path is
+// pinned to the unsharded kernel inside package match.
 func fullScorer(e *Evaluator) neighborhoodScorer {
 	return func(base []schema.SourceID, flips []Move) []float64 {
 		return e.EvalBatch(appliedSubsets(base, flips))
@@ -248,7 +250,7 @@ func TestShardPathEngages(t *testing.T) {
 		if tc.p.Constraints.Empty() {
 			continue
 		}
-		fused := ev.shardIndex().NumShards()
+		fused := ev.sharded.NumShards()
 		if plain := tc.p.Matcher.NewSharded(constraint.Set{}).NumShards(); fused >= plain {
 			t.Errorf("%s: %d overlay shards, want fewer than the %d base shards", tc.name, fused, plain)
 		}

@@ -60,13 +60,14 @@ type Evaluator struct {
 	deltaMu     sync.Mutex
 	deltaCached *deltaState
 
-	// Cluster-sharded matching (see match.Sharded): flip candidates re-cluster
-	// only the shards their add/drop sources touch, presetting the match score
-	// on the flip context. Built lazily on first delta batch; wantMatch gates
-	// the whole path off when no positively weighted QEF reads Match(S).
-	wantMatch bool
-	shardOnce sync.Once
+	// sharded is the matcher's cluster-shard view of the problem's
+	// constraints, nil without a matcher: every Match(S) the evaluator runs,
+	// whole-set or flip (see match.Sharded), goes through it. NewEvaluator
+	// builds it, so workers only read it. wantMatch reports whether a
+	// positively weighted QEF reads F1(S); without one, no candidate runs
+	// Match(S).
 	sharded   *match.Sharded
+	wantMatch bool
 }
 
 // NewEvaluator builds an evaluator for p with an optional evaluation limit.
@@ -82,6 +83,10 @@ func NewEvaluator(p *Problem, maxEvals int) *Evaluator {
 		limit:   maxEvals,
 	}
 	e.scratch.New = func() any { return &qef.Scratch{} }
+	if p.Matcher == nil {
+		return e
+	}
+	e.sharded = p.Matcher.NewSharded(p.Constraints)
 	for _, f := range p.Quality.QEFs {
 		if _, ok := f.(qef.MatchQuality); ok && p.Quality.Weights[f.Name()] > 0 {
 			e.wantMatch = true
@@ -90,17 +95,14 @@ func NewEvaluator(p *Problem, maxEvals int) *Evaluator {
 	return e
 }
 
-// shardIndex lazily builds the matcher's cluster-shard view of the problem's
-// constraints, shared by every batch. Returns nil when no matcher is
-// configured or no QEF reads the match score.
-func (e *Evaluator) shardIndex() *match.Sharded {
-	if !e.wantMatch || e.p.Matcher == nil {
-		return nil
+// f1 returns F1(ids) through the whole-set sharded path: the match quality,
+// or 0 when Match(S) is not valid on the constraints.
+func (e *Evaluator) f1(ids []schema.SourceID) float64 {
+	q, ok, err := e.sharded.Score(ids)
+	if err != nil || !ok {
+		return 0
 	}
-	e.shardOnce.Do(func() {
-		e.sharded = e.p.Matcher.NewSharded(e.p.Constraints)
-	})
-	return e.sharded
+	return q
 }
 
 // Instrument attaches a telemetry recorder. A nil recorder (the default)
@@ -205,7 +207,10 @@ func (e *Evaluator) compute(ids []schema.SourceID, sc *qef.Scratch) float64 {
 	if !e.p.Feasible(ids) {
 		return 0
 	}
-	ctx := qef.NewContextScratch(e.p.Universe, e.p.Matcher, e.p.Constraints, ids, sc)
+	ctx := qef.NewContextScratch(e.p.Universe, ids, sc)
+	if e.wantMatch {
+		ctx.F1 = e.f1(ids)
+	}
 	v := e.p.Quality.Eval(ctx)
 	m := ctx.Merges()
 	sc.Release()
@@ -513,27 +518,28 @@ func (e *Evaluator) qualityOf(ids []schema.SourceID) float64 {
 }
 
 // Solution materializes the full solution report for a chosen subset,
-// re-deriving the mediated schema and per-QEF breakdown. The reported quality
-// is always the true Q(S) (computed outside the MaxEvals budget if needed),
-// and Status records how the solve ended.
+// re-deriving the mediated schema and per-QEF breakdown from one Match(S).
+// The reported quality is always the true Q(S) (computed outside the MaxEvals
+// budget if needed), and Status records how the solve ended.
 func (e *Evaluator) Solution(ids []schema.SourceID, solver string) *Solution {
 	sorted := SortIDs(append([]schema.SourceID(nil), ids...))
-	ctx := qef.NewContext(e.p.Universe, e.p.Matcher, e.p.Constraints, sorted)
 	sol := &Solution{
-		IDs:       sorted,
-		Quality:   e.qualityOf(sorted),
-		Breakdown: e.p.Quality.Breakdown(ctx),
-		Evals:     e.Evals(),
-		Solver:    solver,
-		Status:    e.Status(),
+		IDs:     sorted,
+		Quality: e.qualityOf(sorted),
+		Evals:   e.Evals(),
+		Solver:  solver,
+		Status:  e.Status(),
 	}
-	if e.p.Matcher != nil {
-		if res, err := ctx.MatchResult(); err == nil && res.OK {
+	ctx := qef.NewContext(e.p.Universe, sorted)
+	if e.sharded != nil {
+		if res, err := e.sharded.Match(sorted); err == nil && res.OK {
 			sol.Schema = res.Schema
 			sol.GAQuality = res.GAQuality
 			sol.MatchOK = true
+			ctx.F1 = res.Quality
 		}
 	}
+	sol.Breakdown = e.p.Quality.Breakdown(ctx)
 	e.rec.Emit("solver.done",
 		telemetry.Str("solver", solver),
 		telemetry.Float("best_q", sol.Quality),

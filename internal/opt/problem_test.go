@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -184,6 +185,27 @@ func TestEvaluatorSolution(t *testing.T) {
 	names := sol.SourceNames(p.Universe)
 	if len(names) != 3 || names[0] == "" {
 		t.Errorf("SourceNames = %v", names)
+	}
+}
+
+// TestEvaluatorInvalidMatchF1 pins F1(S) = 0 when Match(S) is not valid on
+// the source constraints: a required source alone forms no GA, so the
+// solution carries no schema and a zero match breakdown, and Q(S), which the
+// evaluator computes apart from the report, is the weighted sum of that
+// breakdown.
+func TestEvaluatorInvalidMatchF1(t *testing.T) {
+	p := problem(t, 4, constraint.Set{Sources: ids(3)})
+	sol := NewEvaluator(p, 0).Solution(ids(3), "test")
+	if sol.MatchOK || sol.Schema.Len() != 0 || sol.Breakdown[qef.NameMatchQuality] != 0 {
+		t.Fatalf("lone required source: MatchOK=%v, %d GAs, F1 %v; want no match and F1 0",
+			sol.MatchOK, sol.Schema.Len(), sol.Breakdown[qef.NameMatchQuality])
+	}
+	want := 0.0
+	for _, f := range p.Quality.QEFs {
+		want += p.Quality.Weights[f.Name()] * sol.Breakdown[f.Name()]
+	}
+	if math.Float64bits(sol.Quality) != math.Float64bits(want) {
+		t.Errorf("Q = %v, want the weighted breakdown %v", sol.Quality, want)
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 // TestDeltaPathDifferential checks every solver's production scoring path —
 // incremental counting-union flips and cluster-sharded match scores — against
 // the from-scratch oracle: Solution.Quality must equal opt.Score(p, sol.IDs),
-// which re-scores the chosen set from a fresh context with an unsharded
-// Matcher.Score, down to the float bits. Runs with a required source over 3
-// seeds and both 1 and 4 evaluator workers.
+// which re-scores the chosen set from a fresh context with the whole-set
+// Sharded.Score (itself pinned to the unsharded kernel inside package
+// match), down to the float bits. Runs with a required source over 3 seeds
+// and both 1 and 4 evaluator workers.
 func TestDeltaPathDifferential(t *testing.T) {
 	p := problem(t, 4, constraint.Set{Sources: ids(3)})
 	for _, s := range append(All(), Exhaustive()) {

@@ -18,9 +18,12 @@ import (
 // required and a GA pins its title (attr 0) to source 4's writer (attr 1),
 // two names that sit in different base shards at θ = 0.45. For every
 // local-search solver, across 3 seeds, Solution.Quality must equal the
-// unsharded opt.Score oracle down to the float bits, and the run with flips
-// scored concurrently on 4 evaluator workers must be bit-identical to the
-// 1-worker run — Quality, IDs, Evals, Status, and JSONL trace bytes.
+// opt.Score oracle, whose whole-set path is sharded too but shares no flip
+// machinery, down to the float bits, and the run with flips scored
+// concurrently on 4 evaluator workers must be bit-identical to the 1-worker
+// run — Quality, IDs, Evals, Status, and JSONL trace bytes. The shard
+// decomposition itself, overlay fusion included, is pinned to the unsharded
+// kernel inside package match.
 func TestShardPathDifferential(t *testing.T) {
 	p := problem(t, 4, constraint.Set{
 		Sources: ids(3),

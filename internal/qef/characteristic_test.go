@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mube/internal/constraint"
 	"mube/internal/schema"
 	"mube/internal/source"
 )
@@ -120,7 +119,7 @@ func checkColumnsAgainstOracle(t *testing.T, u *source.Universe, r *rand.Rand) {
 		if len(col) != u.Len() {
 			t.Fatalf("%s column has %d entries for %d sources", char, len(col), u.Len())
 		}
-		all := NewContext(u, nil, constraint.Set{}, u.IDs())
+		all := NewContext(u, u.IDs())
 		for id, v := range col {
 			if want := normValue(all, schema.SourceID(id), char); math.Float64bits(v) != math.Float64bits(want) {
 				t.Fatalf("%s column[%d] = %v, per-source normalization %v", char, id, v, want)
@@ -133,7 +132,7 @@ func checkColumnsAgainstOracle(t *testing.T, u *source.Universe, r *rand.Rand) {
 					sel = append(sel, schema.SourceID(id))
 				}
 			}
-			c := NewContext(u, nil, constraint.Set{}, sel)
+			c := NewContext(u, sel)
 			for _, name := range []string{"wsum", "mean", "min", "max"} {
 				agg, err := AggregatorByName(name)
 				if err != nil {

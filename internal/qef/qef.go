@@ -20,18 +20,16 @@ import (
 	"math"
 	"sort"
 
-	"mube/internal/constraint"
-	"mube/internal/match"
 	"mube/internal/pcsa"
 	"mube/internal/schema"
 	"mube/internal/source"
 )
 
 // Context carries everything a QEF may need to evaluate one candidate source
-// set. The schema-matching result is computed lazily and shared so that F1
-// and the final solution report reuse one Match(S) call; likewise the PCSA
-// union over S is merged once and shared by the Coverage and Redundancy QEFs
-// instead of each re-merging all signatures from zero.
+// set. F1(S) is an input: the caller runs Match(S) (package match), the one
+// QEF input a context cannot derive from the universe. The PCSA union over S
+// is merged once and shared by the Coverage and Redundancy QEFs instead of
+// each re-merging all signatures from zero.
 //
 // A Context is used by a single goroutine (one objective evaluation); the
 // parallel evaluator reuses one per worker, embedded in that worker's Scratch.
@@ -40,21 +38,10 @@ type Context struct {
 	U *source.Universe
 	// IDs is the candidate source set S (sorted, no duplicates).
 	IDs []schema.SourceID
-	// Matcher is the Match(S) operator; nil when schema matching is not
-	// evaluated.
-	Matcher *match.Matcher
-	// Constraints are the user constraints passed through to Match(S).
-	Constraints constraint.Set
-
-	matchOnce bool
-	matchRes  match.Result
-	matchErr  error
-
-	// Lean match score (F1 without the materialized schema), computed by
-	// Matcher.Score or preset by the sharded evaluator via PresetMatchScore.
-	scoreOnce bool
-	scoreQ    float64
-	scoreOK   bool
+	// F1 is the matching quality of S as the caller computed it: the
+	// Quality of Match(S) under the user constraints, or 0 when Match(S)
+	// is not valid on them (or was not run). MatchQuality returns it.
+	F1 float64
 
 	scratch *Scratch
 
@@ -131,8 +118,8 @@ type Scratch struct {
 
 // Release zeroes the context sc handed out, which must not be used
 // afterwards. Scorers call it once Q(S) is computed, so a pooled Scratch does
-// not keep the universe, the matcher or the candidate set reachable between
-// evaluations. A nil sc is a no-op.
+// not keep the universe or the candidate set reachable between evaluations.
+// A nil sc is a no-op.
 func (sc *Scratch) Release() {
 	if sc != nil {
 		sc.ctx = Context{}
@@ -150,19 +137,20 @@ func checkout(slot **pcsa.Signature, sig *pcsa.Signature) *pcsa.Signature {
 	return *slot
 }
 
-// NewContext builds an evaluation context for the source set ids.
-func NewContext(u *source.Universe, m *match.Matcher, cons constraint.Set, ids []schema.SourceID) *Context {
-	return &Context{U: u, IDs: ids, Matcher: m, Constraints: cons}
+// NewContext builds an evaluation context for the source set ids, with F1
+// left 0 for the caller to set.
+func NewContext(u *source.Universe, ids []schema.SourceID) *Context {
+	return &Context{U: u, IDs: ids}
 }
 
 // NewContextScratch is NewContext with reusable buffers; see Scratch. With a
 // non-nil sc the returned context lives inside sc: it is valid until the next
 // NewContextScratch or Release on sc.
-func NewContextScratch(u *source.Universe, m *match.Matcher, cons constraint.Set, ids []schema.SourceID, sc *Scratch) *Context {
+func NewContextScratch(u *source.Universe, ids []schema.SourceID, sc *Scratch) *Context {
 	if sc == nil {
-		return NewContext(u, m, cons, ids)
+		return NewContext(u, ids)
 	}
-	sc.ctx = Context{U: u, IDs: ids, Matcher: m, Constraints: cons, scratch: sc}
+	sc.ctx = Context{U: u, IDs: ids, scratch: sc}
 	return &sc.ctx
 }
 
@@ -240,53 +228,6 @@ func (c *Context) coopUnionEstimate() float64 {
 	return c.coopEst
 }
 
-// MatchResult returns the (memoized) result of Match(S) for this context.
-func (c *Context) MatchResult() (match.Result, error) {
-	if !c.matchOnce {
-		c.matchOnce = true
-		if c.Matcher == nil {
-			c.matchErr = fmt.Errorf("qef: no matcher configured")
-		} else {
-			c.matchRes, c.matchErr = c.Matcher.Match(c.IDs, c.Constraints)
-		}
-	}
-	return c.matchRes, c.matchErr
-}
-
-// PresetMatchScore primes the context with an externally computed matching
-// score, bypassing MatchScore's clustering run. The values must be
-// bit-identical to what Matcher.Score(IDs, Constraints) would return — the
-// sharded evaluator guarantees this. It must be called before any QEF
-// evaluates.
-func (c *Context) PresetMatchScore(q float64, ok bool) {
-	c.scoreOnce = true
-	c.scoreQ = q
-	c.scoreOK = ok
-}
-
-// MatchScore returns F1(S) and the validity bit without materializing the
-// mediated schema: preset values win, an already computed full MatchResult is
-// reused, and otherwise the allocation-free Matcher.Score path runs. The
-// score is bit-identical to MatchResult().Quality in all three cases.
-func (c *Context) MatchScore() (float64, bool) {
-	if c.scoreOnce {
-		return c.scoreQ, c.scoreOK
-	}
-	c.scoreOnce = true
-	if c.matchOnce || c.Matcher == nil {
-		res, err := c.MatchResult()
-		if err == nil && res.OK {
-			c.scoreQ, c.scoreOK = res.Quality, true
-		}
-		return c.scoreQ, c.scoreOK
-	}
-	q, ok, err := c.Matcher.Score(c.IDs, c.Constraints)
-	if err == nil && ok {
-		c.scoreQ, c.scoreOK = q, true
-	}
-	return c.scoreQ, c.scoreOK
-}
-
 // QEF is one quality dimension. Eval must return a value in [0,1]; higher is
 // better.
 type QEF interface {
@@ -308,20 +249,14 @@ const (
 // MatchQuality is F1: the quality of the best matching among the schemas of
 // the sources in S, as computed by the constrained clustering algorithm. A
 // failed match (no schema valid on the source constraints at threshold θ)
-// scores 0.
+// scores 0. The context carries the value (Context.F1).
 type MatchQuality struct{}
 
 // Name returns "match".
 func (MatchQuality) Name() string { return NameMatchQuality }
 
 // Eval returns the matching quality of S.
-func (MatchQuality) Eval(ctx *Context) float64 {
-	q, ok := ctx.MatchScore()
-	if !ok {
-		return 0
-	}
-	return q
-}
+func (MatchQuality) Eval(ctx *Context) float64 { return ctx.F1 }
 
 // Cardinality is F2 = Card(S) = Σ_{s∈S}|s| / Σ_{t∈U}|t|: the fraction of the
 // universe's tuples held by S. Uncooperative sources contribute 0.

@@ -56,7 +56,7 @@ func ids(ns ...int) []schema.SourceID {
 
 func ctx(t testing.TB, u *source.Universe, sel []schema.SourceID) *Context {
 	t.Helper()
-	return NewContext(u, nil, constraint.Set{}, sel)
+	return NewContext(u, sel)
 }
 
 func TestCardinality(t *testing.T) {
@@ -142,27 +142,35 @@ func TestRedundancy(t *testing.T) {
 	}
 }
 
+// TestMatchQualityQEF pins F1 to the context's input: MatchQuality returns
+// the F1 the caller computed, and 0 when the caller set none.
 func TestMatchQualityQEF(t *testing.T) {
 	u := dataUniverse(t)
-	m := match.MustNew(u, match.Config{Theta: 0.3})
-	c := NewContext(u, m, constraint.Set{}, ids(0, 1, 2))
-	q := MatchQuality{}.Eval(c)
-	if q <= 0 || q > 1 {
-		t.Errorf("match quality = %v, want (0,1]", q)
+	c := ctx(t, u, ids(0, 1, 2))
+	c.F1 = matchF1(t, u, c.IDs)
+	if c.F1 <= 0 || c.F1 > 1 {
+		t.Fatalf("match quality = %v, want (0,1]", c.F1)
 	}
-	// Memoization: second eval hits the cached result (same value).
-	if q2 := (MatchQuality{}).Eval(c); !testutil.AlmostEqual(q2, q) {
-		t.Errorf("memoized eval differs: %v vs %v", q2, q)
+	if q := (MatchQuality{}).Eval(c); math.Float64bits(q) != math.Float64bits(c.F1) {
+		t.Errorf("MatchQuality = %v, want the context's F1 %v", q, c.F1)
 	}
-	// Without a matcher, F1 is 0.
 	if got := (MatchQuality{}).Eval(ctx(t, u, ids(0))); got != 0 {
-		t.Errorf("no matcher: F1 = %v, want 0", got)
+		t.Errorf("unset F1: MatchQuality = %v, want 0", got)
 	}
-	// Unsatisfiable source constraint → 0.
-	bad := NewContext(u, m, constraint.Set{Sources: ids(3)}, ids(0, 3))
-	if got := (MatchQuality{}).Eval(bad); got != 0 {
-		t.Errorf("invalid-on-C match: F1 = %v, want 0", got)
+}
+
+// matchF1 returns F1(sel) on u at θ = 0.3 without constraints, as an
+// evaluator would set it: the match quality, or 0 when Match(S) fails.
+func matchF1(t testing.TB, u *source.Universe, sel []schema.SourceID) float64 {
+	t.Helper()
+	res, err := match.MustNew(u, match.Config{Theta: 0.3}).Match(sel, constraint.Set{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !res.OK {
+		return 0
+	}
+	return res.Quality
 }
 
 func TestWeightsValidate(t *testing.T) {
@@ -230,13 +238,13 @@ func TestUniform(t *testing.T) {
 
 func TestQualityEvalAndBreakdown(t *testing.T) {
 	u := dataUniverse(t)
-	m := match.MustNew(u, match.Config{Theta: 0.3})
 	qefs := MainQEFs()
 	q, err := NewQuality(qefs, Uniform(qefs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewContext(u, m, constraint.Set{}, ids(0, 1))
+	c := NewContext(u, ids(0, 1))
+	c.F1 = matchF1(t, u, c.IDs)
 	total := q.Eval(c)
 	br := q.Breakdown(c)
 	sum := 0.0
@@ -369,7 +377,6 @@ func TestAggregatorByName(t *testing.T) {
 // stays within [0,1] — the contract the optimization problem depends on.
 func TestQEFRangeProperty(t *testing.T) {
 	u := dataUniverse(t)
-	m := match.MustNew(u, match.Config{Theta: 0.3})
 	qefs := append(MainQEFs(), Characteristic{Char: "mttf", Agg: WSum{}})
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
@@ -379,7 +386,8 @@ func TestQEFRangeProperty(t *testing.T) {
 				sel = append(sel, schema.SourceID(id))
 			}
 		}
-		c := NewContext(u, m, constraint.Set{}, sel)
+		c := NewContext(u, sel)
+		c.F1 = matchF1(t, u, sel)
 		for _, q := range qefs {
 			v := q.Eval(c)
 			if v < 0 || v > 1 || math.IsNaN(v) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"mube/internal/constraint"
 	"mube/internal/schema"
 	"mube/internal/source"
 )
@@ -52,8 +51,8 @@ func TestScratchReuseStress(t *testing.T) {
 			sel[j] = all[perm[j]]
 		}
 		sortIDs(sel)
-		scCtx := NewContextScratch(u, nil, constraint.Set{}, sel, sc)
-		fresh := NewContext(u, nil, constraint.Set{}, sel)
+		scCtx := NewContextScratch(u, sel, sc)
+		fresh := NewContext(u, sel)
 		got, want := evalAll(scCtx), evalAll(fresh)
 		for k := range got {
 			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
@@ -87,7 +86,7 @@ func TestScratchPerWorker(t *testing.T) {
 	}
 	want := make([][3]float64, len(subsets))
 	for i, sel := range subsets {
-		want[i] = evalAll(NewContext(u, nil, constraint.Set{}, sel))
+		want[i] = evalAll(NewContext(u, sel))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -97,7 +96,7 @@ func TestScratchPerWorker(t *testing.T) {
 			sc := &Scratch{}
 			for rep := 0; rep < 50; rep++ {
 				for i, sel := range subsets {
-					got := evalAll(NewContextScratch(u, nil, constraint.Set{}, sel, sc))
+					got := evalAll(NewContextScratch(u, sel, sc))
 					for k := range got {
 						if math.Float64bits(got[k]) != math.Float64bits(want[i][k]) {
 							t.Errorf("subset %v qef %d: %v != %v", sel, k, got[k], want[i][k])
@@ -120,9 +119,9 @@ func TestPresetUnionStats(t *testing.T) {
 	for _, sel := range [][]schema.SourceID{
 		ids(0, 1, 2), ids(0, 4), ids(1, 2, 4), ids(3), ids(0, 1, 2, 3, 4),
 	} {
-		ref := NewContext(u, nil, constraint.Set{}, sel)
+		ref := NewContext(u, sel)
 		want := evalAll(ref)
-		preset := NewContext(u, nil, constraint.Set{}, sel)
+		preset := NewContext(u, sel)
 		preset.PresetUnionStats(UnionStats{
 			UnionEst:  ref.unionEst,
 			CoopN:     ref.coopN,

@@ -262,9 +262,11 @@ func meanCharacteristic(u *source.Universe, name string) float64 {
 	return sum / float64(n)
 }
 
-// problem materializes the current universe, matcher, and constraints as an
-// opt.Problem, clamping MaxSources to the shrunken universe when needed.
-func (l *Loop) problem() (*opt.Problem, error) {
+// problem materializes u, its matcher m and the loop's constraints as an
+// opt.Problem, clamping MaxSources to the shrunken universe when needed. The
+// epoch's solve passes the loop's own universe and matcher, the cold
+// reference its rebuilt ones, whose IDs align with the loop's.
+func (l *Loop) problem(u *source.Universe, m *match.Matcher) (*opt.Problem, error) {
 	quality, err := qef.NewQuality(l.qefs, l.weights)
 	if err != nil {
 		return nil, err
@@ -273,12 +275,12 @@ func (l *Loop) problem() (*opt.Problem, error) {
 	if maxS == 0 {
 		maxS = 20
 	}
-	if n := l.u.Len(); maxS > n {
+	if n := u.Len(); maxS > n {
 		maxS = n
 	}
 	return &opt.Problem{
-		Universe:    l.u,
-		Matcher:     l.m,
+		Universe:    u,
+		Matcher:     m,
 		Quality:     quality,
 		MaxSources:  maxS,
 		Constraints: l.cons.Clone(),
@@ -363,7 +365,7 @@ func (l *Loop) Run(ctx context.Context) ([]DeltaReport, error) {
 
 // baseline solves the unchurned universe to seed the warm-start chain.
 func (l *Loop) baseline(ctx context.Context) (DeltaReport, error) {
-	p, err := l.problem()
+	p, err := l.problem(l.u, l.m)
 	if err != nil {
 		return DeltaReport{}, err
 	}
@@ -464,7 +466,7 @@ func (l *Loop) Tick(ctx context.Context) (DeltaReport, error) {
 
 	// 7. Re-score the previous solution on the churned world, then
 	// warm-start the re-solve from it.
-	p, err := l.problem()
+	p, err := l.problem(l.u, l.m)
 	if err != nil {
 		resolve.End()
 		return rep, err
@@ -519,23 +521,9 @@ func (l *Loop) coldReference(ctx context.Context, rep *DeltaReport) error {
 	if err != nil {
 		return err
 	}
-	quality, err := qef.NewQuality(l.qefs, l.weights)
+	p, err := l.problem(nu, cm)
 	if err != nil {
 		return err
-	}
-	maxS := l.cfg.MaxSources
-	if maxS == 0 {
-		maxS = 20
-	}
-	if n := nu.Len(); maxS > n {
-		maxS = n
-	}
-	p := &opt.Problem{
-		Universe:    nu,
-		Matcher:     cm,
-		Quality:     quality,
-		MaxSources:  maxS,
-		Constraints: l.cons.Clone(), // IDs align: the rebuild preserves order
 	}
 	sol, err := l.solve(ctx, p, nil, nil)
 	if err != nil {
