@@ -86,16 +86,18 @@ type pair struct {
 // hands out the surviving GAs.
 //
 // One operation (a whole-set Match or Score, a base build, a rebase or a
-// flip score) runs the cluster rounds once per shard it clusters. Seeding
-// starts each run with an empty slab, and rounds resets live and h; the
-// arenas and the collected gas/quals keep growing so earlier runs' output
-// stays valid for the final merge.
+// flip score) runs Algorithm 1 once per shard it clusters, by the merge
+// rounds or by oneGA's single pass. Seeding starts each run with an empty
+// slab, rounds resets live and h, and oneGA resets uf; the arenas and the
+// collected gas/quals keep growing so earlier runs' output stays valid for
+// the final merge.
 type matchScratch struct {
 	slab   []cluster        // this run's clusters, by Algorithm 1 number
 	live   []int32          // ascending slab indexes of the live clusters
 	names  []int            // arena: cluster member similarity ids
 	refs   []schema.AttrRef // arena: cluster GA references
 	h      []pair
+	uf     []int32     // oneGA's union-find parents, one per seed
 	gas    []schema.GA // collected surviving GAs, canonically sorted per run
 	quals  []float64   // per-GA qualities aligned with gas
 	inCons map[schema.AttrRef]struct{}

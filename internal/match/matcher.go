@@ -222,6 +222,11 @@ func (m *Matcher) packed(i, j int) int {
 // over (distinct normalized names in name mode, attributes in hybrid mode).
 func (m *Matcher) SimIDs() int { return m.n }
 
+// NumSources returns the number of sources the similarity table covers: the
+// first NumSources of the universe, as it was when New or Rebind built the
+// matcher. Match rejects any other source id.
+func (m *Matcher) NumSources() int { return len(m.simID) }
+
 // simByID returns the similarity of two similarity ids.
 func (m *Matcher) simByID(a, b int) float64 {
 	if a > b {

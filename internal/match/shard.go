@@ -131,18 +131,30 @@ func (m *Matcher) finishShardIndex(parent []int32) shardIndex {
 
 	nSrc := len(m.simID)
 	idx.srcOff = make([]int32, nSrc+1)
-	var tmp []int32
+	// A source touches at most one shard per attribute, so the attribute
+	// total bounds the flat list: it is allocated once, whatever nSrc is.
+	total := 0
+	for _, row := range m.simID {
+		total += len(row)
+	}
+	idx.srcShards = make([]int32, 0, total)
 	for s := 0; s < nSrc; s++ {
-		tmp = tmp[:0]
+		start := len(idx.srcShards)
 		for _, sim := range m.simID[s] {
-			tmp = append(tmp, idx.shardOf[sim])
+			idx.srcShards = append(idx.srcShards, idx.shardOf[sim])
 		}
-		slices.Sort(tmp)
-		tmp = slices.Compact(tmp)
-		idx.srcShards = append(idx.srcShards, tmp...)
+		idx.srcShards = sortedDistinct(idx.srcShards, start)
 		idx.srcOff[s+1] = int32(len(idx.srcShards))
 	}
 	return idx
+}
+
+// sortedDistinct sorts list[start:] in place, drops its repeats and returns
+// list cut to the kept prefix.
+func sortedDistinct(list []int32, start int) []int32 {
+	tail := list[start:]
+	slices.Sort(tail)
+	return list[:start+len(slices.Compact(tail))]
 }
 
 // Sharded binds a matcher's shard index to one constraint set: base shards
@@ -157,15 +169,21 @@ type Sharded struct {
 	nShards   int
 	overlayOf []int32 // base shard -> overlay shard; nil when identity
 	gaShard   []int32 // cons.GAs[k] -> overlay shard
-	hasGA     []bool  // overlay shard -> some constraint GA is assigned to it
+	hasGA     []bool  // overlay shard -> some constraint GA is assigned to it; nil when none is
 	srcOff    []int32
 	srcShards []int32
 }
 
-// NewSharded builds the constraint-overlaid shard view for cons.
+// NewSharded builds the constraint-overlaid shard view for cons. Without GA
+// constraints the overlay is the identity: the view shares the index's
+// per-source lists and allocates nothing else.
 func (m *Matcher) NewSharded(cons constraint.Set) *Sharded {
 	idx := m.shardIdx()
-	sh := &Sharded{m: m, cons: cons.Clone(), idx: idx}
+	sh := &Sharded{m: m, cons: cons.Clone(), idx: idx,
+		nShards: idx.nShards, srcOff: idx.srcOff, srcShards: idx.srcShards}
+	if len(cons.GAs) == 0 {
+		return sh
+	}
 
 	parent := newUnionFind(idx.nShards)
 	for _, g := range cons.GAs {
@@ -183,35 +201,31 @@ func (m *Matcher) NewSharded(cons constraint.Set) *Sharded {
 	for i := range rootID {
 		rootID[i] = -1
 	}
-	identity := true
+	n := 0
 	for i := 0; i < idx.nShards; i++ {
 		r := ufFind(parent, int32(i))
 		if rootID[r] == -1 {
-			rootID[r] = int32(sh.nShards)
-			sh.nShards++
+			rootID[r] = int32(n)
+			n++
 		}
 		overlayOf[i] = rootID[r]
-		if overlayOf[i] != int32(i) {
-			identity = false
-		}
 	}
-	if identity {
-		// Common case (no cross-shard constraints): share the index's flat
-		// per-source lists instead of remapping 100k of them.
-		sh.srcOff, sh.srcShards = idx.srcOff, idx.srcShards
-	} else {
+	// Labels follow first members, so the overlay is the identity unless a
+	// constraint fused two shards. Only then are the index's flat per-source
+	// lists, 100k of them at scale, remapped.
+	if n < idx.nShards {
+		sh.nShards = n
 		sh.overlayOf = overlayOf
 		nSrc := len(m.simID)
 		sh.srcOff = make([]int32, nSrc+1)
-		var tmp []int32
+		// Fusing shards only shortens the lists.
+		sh.srcShards = make([]int32, 0, len(idx.srcShards))
 		for s := 0; s < nSrc; s++ {
-			tmp = tmp[:0]
+			start := len(sh.srcShards)
 			for _, bs := range idx.srcShards[idx.srcOff[s]:idx.srcOff[s+1]] {
-				tmp = append(tmp, overlayOf[bs])
+				sh.srcShards = append(sh.srcShards, overlayOf[bs])
 			}
-			slices.Sort(tmp)
-			tmp = slices.Compact(tmp)
-			sh.srcShards = append(sh.srcShards, tmp...)
+			sh.srcShards = sortedDistinct(sh.srcShards, start)
 			sh.srcOff[s+1] = int32(len(sh.srcShards))
 		}
 	}
@@ -231,6 +245,9 @@ func (sh *Sharded) overlay(base int32) int32 {
 	}
 	return sh.overlayOf[base]
 }
+
+// pinned reports whether a constraint GA is assigned to overlay shard k.
+func (sh *Sharded) pinned(k int32) bool { return sh.hasGA != nil && sh.hasGA[k] }
 
 // NumShards returns the number of overlay shards.
 func (sh *Sharded) NumShards() int { return sh.nShards }
@@ -304,7 +321,7 @@ func (sh *Sharded) SourceGroups() [][]schema.SourceID {
 func (sh *Sharded) seedShard(sc *matchScratch, members []schema.SourceID, shard int32) {
 	m := sh.m
 	sc.slab = sc.slab[:0]
-	hasGA := sh.hasGA[shard]
+	hasGA := sh.pinned(shard)
 	if hasGA {
 		clear(sc.inCons)
 		for k, g := range sh.cons.GAs {
@@ -334,14 +351,70 @@ func (sh *Sharded) seedShard(sc *matchScratch, members []schema.SourceID, shard 
 // canonical order. A shard with at most one member source and no constraint
 // GA is not run: it yields no GA. Attributes of one source never pass
 // CanMerge, so its singletons never merge or block a merge, and the first
-// round's prune removes every one of them.
+// round's prune removes every one of them. A run that oneGA accepts is
+// settled by it; every other run goes through the merge rounds.
 func (sh *Sharded) clusterShard(sc *matchScratch, members []schema.SourceID, k int32) {
-	if len(members) <= 1 && !sh.hasGA[k] {
+	if len(members) <= 1 && !sh.pinned(k) {
 		return
 	}
 	sh.seedShard(sc, members, k)
+	if sh.oneGA(sc, members, k) {
+		return
+	}
 	sh.m.rounds(sc)
 	sh.m.collectInto(sc)
+}
+
+// oneGA settles a seeded run of shard k that Algorithm 1 provably ends as one
+// GA holding every seed, and reports whether it did; otherwise it writes
+// nothing. That holds when no constraint GA is pinned to the shard, every
+// member brings exactly one attribute, the linkage is max linkage, and the
+// seeds' θ-graph (an edge wherever two seeds' similarity reaches θ) is
+// connected. DESIGN.md, "The clustering kernel", has the proof. The GA is
+// the seeded references, sorted because the members ascend; its quality is
+// the largest similarity over the seed pairs, as collectInto's maxSim over
+// the same pairs would give; it is emitted iff it has at least β members.
+// One pass over the seed pairs finds both the maximum and the connectivity,
+// with union-find over pooled scratch for any number of seeds. The proof
+// needs at least two seeds; clusterShard's skip guarantees them.
+func (sh *Sharded) oneGA(sc *matchScratch, members []schema.SourceID, k int32) bool {
+	m := sh.m
+	if sh.pinned(k) || len(sc.slab) != len(members) || m.cfg.Linkage != MaxLinkage {
+		return false
+	}
+	lo, hi := sc.slab[0].lo, int32(len(sc.names))
+	names := sc.names[lo:hi]
+	parent := sc.uf[:0]
+	for i := range names {
+		parent = append(parent, int32(i))
+	}
+	sc.uf = parent
+	theta := m.cfg.Theta
+	parts, best := len(names), 0.0
+	for x, a := range names {
+		for y := x + 1; y < len(names); y++ {
+			s := m.simByID(a, names[y])
+			if s > best {
+				best = s
+			}
+			// The comparison rounds makes.
+			if s >= theta && parts > 1 {
+				rx, ry := ufFind(parent, int32(x)), ufFind(parent, int32(y))
+				if rx != ry {
+					parent[ry] = rx
+					parts--
+				}
+			}
+		}
+	}
+	if parts > 1 {
+		return false
+	}
+	if len(names) >= m.cfg.Beta {
+		sc.gas = append(sc.gas, schema.GAFromSorted(sc.refs[lo:hi:hi]))
+		sc.quals = append(sc.quals, best)
+	}
+	return true
 }
 
 // canonical fills sc.fresh with an entry per GA collected in sc.gas and sorts

@@ -403,17 +403,54 @@ func skipsAll(b *ShardedBase, add, drop schema.SourceID) bool {
 		if drop >= 0 && containsShard(b.sh.sourceShards(drop), k) {
 			n--
 		}
-		if n > 1 || b.sh.hasGA[k] {
+		if n > 1 || b.sh.pinned(k) {
 			return false
 		}
 	}
 	return len(touched) > 0
 }
 
+// oneGAOnly reports whether the flip re-clusters at least one shard and
+// oneGA settles every shard it re-clusters, so that ScoreFlip runs no merge
+// round.
+func oneGAOnly(b *ShardedBase, add, drop schema.SourceID) bool {
+	sh := b.sh
+	var touched []int32
+	for _, s := range []schema.SourceID{add, drop} {
+		if s >= 0 {
+			touched = append(touched, sh.sourceShards(s)...)
+		}
+	}
+	slices.Sort(touched)
+	runs := 0
+	for _, k := range slices.Compact(touched) {
+		var members []schema.SourceID
+		if r := b.res[k]; r != nil {
+			members = r.members
+		}
+		a := add
+		if a >= 0 && !containsShard(sh.sourceShards(a), k) {
+			a = -1
+		}
+		members = flipInto(nil, members, a, drop)
+		if len(members) <= 1 && !sh.pinned(k) {
+			continue
+		}
+		sc := newMatchScratch()
+		sh.seedShard(sc, members, k)
+		if !sh.oneGA(sc, members, k) {
+			return false
+		}
+		runs++
+	}
+	return runs > 0
+}
+
 // TestScoreFlipAllocs pins ScoreFlip's steady state: on a warmed base, an
-// add, a drop, a swap and a flip whose shards are all skipped each allocate
-// nothing. So does the whole-set Sharded.Score on strictly ascending ids, what
-// the evaluator passes: only other orders pay for the id check's set.
+// add, a drop, a swap, a flip whose shards are all skipped and a flip whose
+// re-clustered shards oneGA all settles each allocate nothing. So does the
+// whole-set Sharded.Score on strictly ascending ids, what the evaluator
+// passes: only other orders pay for the id check's set.
 func TestScoreFlipAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -440,10 +477,19 @@ func TestScoreFlipAllocs(t *testing.T) {
 	if len(flips) < 4 {
 		t.Fatalf("no drop off %v leaves its shards without a clustering run", b.Base())
 	}
-	res := referenceMatch(m, flipped(b.Base(), flips[3].add, flips[3].drop), cons)
-	if q, ok := b.ScoreFlip(flips[3].add, flips[3].drop); ok != res.OK ||
-		math.Float64bits(q) != math.Float64bits(res.Quality) {
-		t.Fatalf("skipped flip: ScoreFlip = (%v, %v), Match = (%v, %v)", q, ok, res.Quality, res.OK)
+	for s := schema.SourceID(0); int(s) < u.Len() && len(flips) < 5; s++ {
+		if !slices.Contains(b.Base(), s) && oneGAOnly(b, s, -1) {
+			flips = append(flips, flip{"one GA", s, -1})
+		}
+	}
+	if len(flips) < 5 {
+		t.Fatalf("no add to %v has every re-clustered shard settled by oneGA", b.Base())
+	}
+	for _, f := range flips[3:] {
+		res := referenceMatch(m, flipped(b.Base(), f.add, f.drop), cons)
+		if q, ok := b.ScoreFlip(f.add, f.drop); ok != res.OK || math.Float64bits(q) != math.Float64bits(res.Quality) {
+			t.Fatalf("%s flip: ScoreFlip = (%v, %v), Match = (%v, %v)", f.name, q, ok, res.Quality, res.OK)
+		}
 	}
 	for _, f := range flips {
 		b.ScoreFlip(f.add, f.drop)
@@ -458,6 +504,44 @@ func TestScoreFlipAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { _, _, _ = sh.Score(all) }); a != 0 {
 		t.Errorf("Sharded.Score on ascending ids allocates %v per call, want 0", a)
+	}
+}
+
+// TestShardIndexAllocs pins the shard index build to a fixed number of
+// allocations whatever the number of sources: the union-find, the component
+// labels and their roots, and the per-source offsets and flat lists, the
+// last presized from the attribute total.
+func TestShardIndexAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	var allocs []int
+	for _, n := range []int{150, 2400} {
+		m := MustNew(randomUniverse(t, rand.New(rand.NewSource(5)), n), Config{Theta: 0.45})
+		// AllocsPerRun reports a whole number: total allocations / runs.
+		allocs = append(allocs, int(testing.AllocsPerRun(5, func() { m.buildShardIndex() })))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 5 {
+		t.Errorf("buildShardIndex: %v allocs at 150 sources, %v at 2400; want the same, at most 5", allocs[0], allocs[1])
+	}
+}
+
+// TestMatchNoConstraintsAllocs pins Matcher.Match on five Books sources with
+// no constraints at four allocations: the Sharded view, and the result's GA
+// slice, reference arena and quality slice. Without a GA constraint the view
+// builds no overlay.
+func TestMatchNoConstraintsAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	m := MustNew(testutil.BooksUniverse(t), Config{Theta: 0.45})
+	set := ids(0, 1, 2, 3, 4)
+	res, err := m.Match(set, constraint.Set{})
+	if err != nil || len(res.Schema.GAs) == 0 {
+		t.Fatalf("Match = (%v, %v), want GAs", res.Schema, err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = m.Match(set, constraint.Set{}) }); a > 4 {
+		t.Errorf("Matcher.Match without constraints allocates %v per call, want at most 4", a)
 	}
 }
 

@@ -51,8 +51,12 @@ type Evaluator struct {
 	pending map[string]int
 
 	// scratch buffers (PCSA union signatures) recycled across evaluations;
-	// each in-flight evaluation checks one out for exclusive use.
-	scratch sync.Pool
+	// each in-flight evaluation checks one out for exclusive use. A pointer:
+	// the runtime lists every used pool until two collections pass, and a
+	// pool embedded by value would keep the whole evaluator reachable
+	// through that list (its problem's universe and its memo with it) after
+	// the solve drops it.
+	scratch *sync.Pool
 
 	// Incremental-scoring state (see delta.go): the counting union of the
 	// most recent delta batch's base, cached across batches so a moving
@@ -82,7 +86,7 @@ func NewEvaluator(p *Problem, maxEvals int) *Evaluator {
 		pending: make(map[string]int),
 		limit:   maxEvals,
 	}
-	e.scratch.New = func() any { return &qef.Scratch{} }
+	e.scratch = &sync.Pool{New: func() any { return &qef.Scratch{} }}
 	if p.Matcher == nil {
 		return e
 	}

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -317,5 +318,26 @@ func TestSetWorkers(t *testing.T) {
 	e.SetWorkers(0)
 	if e.Workers() < 1 {
 		t.Errorf("SetWorkers(0) → %d, want GOMAXPROCS", e.Workers())
+	}
+}
+
+// TestDroppedEvaluatorIsCollected checks that an evaluator, and with it the
+// problem's universe and the memo, becomes garbage as soon as its solve drops
+// it. The runtime keeps every sync.Pool used since the previous collection
+// reachable through one more; a pool embedded in the evaluator kept the
+// whole evaluator alive for that cycle, so a new universe built after one
+// solve could find the old one still live at the next collection.
+func TestDroppedEvaluatorIsCollected(t *testing.T) {
+	p := problem(t, 5, constraint.Set{})
+	ev := NewEvaluator(p, 0)
+	ev.Eval(ids(0, 1, 2)) // checks a scratch out of the pool and back in
+	collected := make(chan struct{})
+	runtime.SetFinalizer(ev, func(*Evaluator) { close(collected) })
+	ev = nil
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped evaluator outlived the next collection")
 	}
 }

@@ -70,6 +70,10 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("opt: matching-quality QEF requires a Matcher")
 		}
 	}
+	if p.Matcher != nil && p.Matcher.NumSources() < p.Universe.Len() {
+		return fmt.Errorf("opt: matcher covers %d sources, universe has %d (rebuild or Rebind it after the universe grew)",
+			p.Matcher.NumSources(), p.Universe.Len())
+	}
 	return nil
 }
 
