@@ -483,10 +483,19 @@ func BenchmarkPCSAAdd(b *testing.B) {
 // union — the Coverage QEF's inner loop.
 func BenchmarkPCSAUnion(b *testing.B) {
 	res := benchUniverse(b)
-	ids := res.Universe.IDs()[:20]
+	var sigs []*pcsa.Signature
+	for _, s := range res.Universe.Sources()[:20] {
+		if s.Signature != nil {
+			sigs = append(sigs, s.Signature)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if est := res.Universe.UnionEstimate(ids); est <= 0 {
+		un, err := pcsa.Union(sigs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if un.Estimate() <= 0 {
 			b.Fatal("empty union")
 		}
 	}

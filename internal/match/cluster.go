@@ -182,7 +182,9 @@ func (m *Matcher) release(sc *matchScratch) { m.pool.Put(sc) }
 // Match(S) that S contains C"). cons must also pass constraint.Set.Validate
 // on the matcher's universe, or Match returns that error: a GA constraint
 // naming a missing attribute, an empty one, or two sharing an attribute
-// would otherwise seed clusters no valid mediated schema can hold.
+// would otherwise seed clusters no valid mediated schema can hold. A
+// matcher built before the universe's last Add or Remove is an error too
+// (see SchemaVersion): its similarity rows describe other sources.
 //
 // Per the paper, if the resulting mediated schema is not valid on the source
 // constraints (some constrained source matches nothing at threshold θ), the
@@ -194,6 +196,9 @@ func (m *Matcher) release(sc *matchScratch) { m.pool.Put(sc) }
 func (m *Matcher) Match(ids []schema.SourceID, cons constraint.Set) (Result, error) {
 	if err := m.checkIDs(ids, cons); err != nil {
 		return Result{}, err
+	}
+	if v := m.u.SchemaVersion(); v != m.version {
+		return Result{}, fmt.Errorf("match: matcher built at universe schema version %d, universe is at %d (rebuild or Rebind it)", m.version, v)
 	}
 	if err := cons.Validate(m.u); err != nil {
 		return Result{}, err

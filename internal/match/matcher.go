@@ -110,6 +110,8 @@ func (c Config) validate() error {
 type Matcher struct {
 	u   *source.Universe
 	cfg Config
+	// version is u's SchemaVersion when New or Rebind built the matcher.
+	version uint64
 
 	// simID[s][a] is the similarity id of attribute a of source s: an
 	// interned-name id in the default (name-only) mode, or a global
@@ -146,7 +148,7 @@ func New(u *source.Universe, cfg Config) (*Matcher, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Matcher{u: u, cfg: cfg, interning: newInterning()}
+	m := &Matcher{u: u, cfg: cfg, version: u.SchemaVersion(), interning: newInterning()}
 	m.pool = &sync.Pool{New: func() any { return newMatchScratch() }}
 	m.shardc = &shardCache{}
 	// Intern normalized names and compute the distinct-name similarity
@@ -227,6 +229,12 @@ func (m *Matcher) SimIDs() int { return m.n }
 // matcher. Match rejects any other source id.
 func (m *Matcher) NumSources() int { return len(m.simID) }
 
+// SchemaVersion returns the universe's SchemaVersion as it was when New or
+// Rebind built the matcher. The similarity rows describe the sources that
+// held each id then, so the matcher is stale once the universe's count moves
+// on: Match rejects it, and so does opt.Problem.Validate.
+func (m *Matcher) SchemaVersion() uint64 { return m.version }
+
 // simByID returns the similarity of two similarity ids.
 func (m *Matcher) simByID(a, b int) float64 {
 	if a > b {
@@ -280,6 +288,7 @@ func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 	}
 	clone := *m
 	clone.u = nu
+	clone.version = nu.SchemaVersion()
 	// The shard index is a function of the universe; give the clone its own
 	// cache. The scratch pool carries no universe state and stays shared.
 	clone.shardc = &shardCache{}

@@ -86,3 +86,45 @@ func TestEvalBatchDeltaAllocs(t *testing.T) {
 		t.Errorf("fresh batch: %v allocs/op, want ≤ 70", fresh)
 	}
 }
+
+// TestEvalBatchAllocs pins the allocation budget of the full path: fresh
+// EvalBatch candidates, each merged from its signatures and matched as a
+// whole set, through one warm evaluator. A batch costs a constant (the
+// candidate and result slices and the job slab) plus one memo key per job;
+// the union signatures and the context come from the worker's pooled
+// scratch, so a signature cloned per candidate (two allocations each) fails
+// it.
+func TestEvalBatchAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	p := opttest.Problem(t, 6, constraint.Set{})
+	// Every subset of 2 to 6 of the 12 sources, so no batch hits the memo.
+	var subsets [][]schema.SourceID
+	for mask := 1; mask < 1<<12; mask++ {
+		var ids []schema.SourceID
+		for b := 0; b < 12; b++ {
+			if mask&(1<<b) != 0 {
+				ids = append(ids, schema.SourceID(b))
+			}
+		}
+		if len(ids) >= 2 && len(ids) <= p.MaxSources {
+			subsets = append(subsets, ids)
+		}
+	}
+	// Measured 3 per batch; one more absorbs the memo map's growth.
+	const perBatch = 4
+	for _, k := range []int{1, 8} {
+		ev := opt.NewEvaluator(p, 0)
+		ev.SetWorkers(1)
+		next := 0
+		batch := func() {
+			ev.EvalBatch(subsets[next : next+k])
+			next += k
+		}
+		batch() // warm the scratch pool and the match scratch
+		if got := testing.AllocsPerRun(50, batch); got > float64(perBatch+k) {
+			t.Errorf("batch of %d fresh subsets: %v allocs, want ≤ %d", k, got, perBatch+k)
+		}
+	}
+}

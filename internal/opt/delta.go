@@ -19,9 +19,9 @@ import (
 const rebaseLimit = 4
 
 // deltaState is the incremental image of one base subset S: the subtractable
-// counting union over the signatures of S plus the exact integer tallies the
-// union statistics need. From it, any single-source flip S±{s} is scored as a
-// pure O(1-source) read (see flipStats) instead of an O(|S|) re-merge.
+// counting union over the signatures of S plus the tally of S. From it, any
+// single-source flip S±{s} is scored as a pure O(1-source) read (see
+// flipStats) instead of an O(|S|) re-merge.
 //
 // The state is mutated only between batches, on the solve goroutine
 // (acquireDelta rebases or rebuilds it); during a batch's fan-out every
@@ -31,10 +31,7 @@ type deltaState struct {
 	// counting is the subtractable union over the signatures of base; nil
 	// when the universe carries no signature configuration use at all.
 	counting *pcsa.Counting
-	sigN     int   // members of base with a signature
-	coopN    int   // cooperative members of base
-	mixedN   int   // members with a signature but no cardinality
-	coopSum  int64 // Σ|s| over cooperative members
+	tally    tally // the tally of base
 
 	// match, when non-nil, is the cluster-sharded match image of base: each
 	// flip re-clusters only the shards its add/drop sources touch and merges
@@ -49,7 +46,7 @@ type deltaState struct {
 // counting-merge operations performed.
 func (ds *deltaState) rebuild(u *source.Universe, base []schema.SourceID) int {
 	ds.base = append(ds.base[:0], base...)
-	ds.sigN, ds.coopN, ds.mixedN, ds.coopSum = 0, 0, 0, 0
+	ds.tally = tally{}
 	if ds.counting == nil {
 		// An invalid signature config means no source can carry a signature
 		// (Universe.Add enforces the match), so a nil counting union is fine:
@@ -62,8 +59,9 @@ func (ds *deltaState) rebuild(u *source.Universe, base []schema.SourceID) int {
 	}
 	ops := 0
 	for _, id := range base {
-		ds.include(u, id)
-		if s := u.Source(id); s.Signature != nil {
+		s := u.Source(id)
+		ds.tally = count(ds.tally, s, 1)
+		if s.Signature != nil {
 			if err := ds.counting.Add(s.Signature); err != nil {
 				// Unreachable: Universe.Add enforces a uniform config, and
 				// no base comes near math.MaxUint32 sources.
@@ -73,34 +71,6 @@ func (ds *deltaState) rebuild(u *source.Universe, base []schema.SourceID) int {
 		}
 	}
 	return ops
-}
-
-// include adjusts the exact tallies for id joining the base.
-func (ds *deltaState) include(u *source.Universe, id schema.SourceID) {
-	s := u.Source(id)
-	if s.Signature != nil {
-		ds.sigN++
-	}
-	if s.Cooperative() {
-		ds.coopN++
-		ds.coopSum += s.Cardinality
-	} else if s.Signature != nil {
-		ds.mixedN++
-	}
-}
-
-// exclude adjusts the exact tallies for id leaving the base.
-func (ds *deltaState) exclude(u *source.Universe, id schema.SourceID) {
-	s := u.Source(id)
-	if s.Signature != nil {
-		ds.sigN--
-	}
-	if s.Cooperative() {
-		ds.coopN--
-		ds.coopSum -= s.Cardinality
-	} else if s.Signature != nil {
-		ds.mixedN--
-	}
 }
 
 // rebase moves ds from its current base to base, incrementally when they
@@ -116,7 +86,8 @@ func (ds *deltaState) rebase(u *source.Universe, base []schema.SourceID) int {
 	}
 	ops := 0
 	for _, id := range removed {
-		if s := u.Source(id); s.Signature != nil {
+		s := u.Source(id)
+		if s.Signature != nil {
 			if err := ds.counting.Remove(s.Signature); err != nil {
 				// Underflow leaves the counting state inconsistent; the only
 				// safe recovery is a full rebuild.
@@ -124,77 +95,20 @@ func (ds *deltaState) rebase(u *source.Universe, base []schema.SourceID) int {
 			}
 			ops++
 		}
-		ds.exclude(u, id)
+		ds.tally = count(ds.tally, s, -1)
 	}
 	for _, id := range added {
-		if s := u.Source(id); s.Signature != nil {
+		s := u.Source(id)
+		if s.Signature != nil {
 			if err := ds.counting.Add(s.Signature); err != nil {
 				panic(fmt.Sprintf("opt: counting union add: %v", err))
 			}
 			ops++
 		}
-		ds.include(u, id)
+		ds.tally = count(ds.tally, s, 1)
 	}
 	ds.base = append(ds.base[:0], base...)
 	return ops
-}
-
-// flipStats derives the union statistics of base±flip as a pure read against
-// the immutable delta state — safe from any worker goroutine. The estimate
-// comes from the counting union's fused EstimateDelta kernel and the tallies
-// from exact integer arithmetic, so the result is bit-identical to what
-// qef.Context.unionStats would compute for the flipped subset. Returns the
-// stats and the number of counting-merge operations.
-//
-// The caller must have verified the flip against the base (validFlip).
-func (ds *deltaState) flipStats(u *source.Universe, flip Move) (qef.UnionStats, int) {
-	sigN, coopN, mixedN := ds.sigN, ds.coopN, ds.mixedN
-	coopSum := ds.coopSum
-	var addSig, dropSig *pcsa.Signature
-	if flip.Add >= 0 {
-		s := u.Source(flip.Add)
-		if s.Signature != nil {
-			addSig = s.Signature
-			sigN++
-		}
-		if s.Cooperative() {
-			coopN++
-			coopSum += s.Cardinality
-		} else if s.Signature != nil {
-			mixedN++
-		}
-	}
-	if flip.Drop >= 0 {
-		s := u.Source(flip.Drop)
-		if s.Signature != nil {
-			dropSig = s.Signature
-			sigN--
-		}
-		if s.Cooperative() {
-			coopN--
-			coopSum -= s.Cardinality
-		} else if s.Signature != nil {
-			mixedN--
-		}
-	}
-	st := qef.UnionStats{CoopN: coopN, CoopSum: coopSum, CoopMixed: mixedN > 0}
-	ops := 0
-	// sigN == 0 mirrors the full path's nil accumulator: UnionEst stays 0.
-	if sigN > 0 {
-		est, err := ds.counting.EstimateDelta(addSig, dropSig)
-		if err != nil {
-			// Unreachable: Universe.Add enforces a uniform config.
-			panic(fmt.Sprintf("opt: counting union estimate: %v", err))
-		}
-		st.UnionEst = est
-		if addSig != nil {
-			ops++
-		}
-		if dropSig != nil {
-			ops++
-		}
-	}
-	return st, ops
 }
 
 // diffSorted returns the elements of b not in a (added) and of a not in b
@@ -333,10 +247,10 @@ func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float
 }
 
 // computeFlip evaluates Q(base±flip) against the batch's immutable delta
-// state: flipStats derives the union statistics and ScoreFlip F1 as pure
-// reads, then the QEFs run on a preset context. Pure; safe on any worker
-// goroutine (counter adds are commutative).
-func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState, sc *qef.Scratch) float64 {
+// state: flipStats derives the union statistics and ScoreFlip F1, both as
+// pure reads. Pure; safe on any worker goroutine (counter adds are
+// commutative).
+func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState, sc *scratch) float64 {
 	if !e.p.Feasible(ids) {
 		return 0
 	}
@@ -344,23 +258,23 @@ func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState
 	if ops > 0 {
 		e.rec.Add("pcsa.counting_merges", int64(ops))
 	}
-	ctx := qef.NewContextScratch(e.p.Universe, ids, sc)
-	ctx.PresetUnionStats(st)
+	if e.wantCoop {
+		if m := coopUnion(e.p.Universe, ids, sc, &st); m > 0 {
+			e.rec.Add("pcsa.merges", int64(m))
+		}
+	}
+	sc.ctx = qef.Context{U: e.p.Universe, IDs: ids, Union: st}
 	switch {
 	case ds.match != nil:
 		// Feasible(ids) above guarantees the flipped set satisfies the
 		// constraints, which ScoreFlip's cached coverage flags rely on.
 		if q, ok := ds.match.ScoreFlip(flip.Add, flip.Drop); ok {
-			ctx.F1 = q
+			sc.ctx.F1 = q
 		}
 	case e.wantMatch:
-		ctx.F1 = e.f1(ids)
+		sc.ctx.F1 = e.f1(ids)
 	}
-	v := e.p.Quality.Eval(ctx)
-	m := ctx.Merges()
-	sc.Release()
-	if m > 0 {
-		e.rec.Add("pcsa.merges", int64(m))
-	}
+	v := e.p.Quality.Eval(&sc.ctx)
+	sc.ctx = qef.Context{}
 	return v
 }

@@ -269,11 +269,8 @@ func TestDeltaRebase(t *testing.T) {
 		ds := ev.acquireDelta(base)
 		fresh := &deltaState{}
 		fresh.rebuild(p.Universe, base)
-		if ds.sigN != fresh.sigN || ds.coopN != fresh.coopN ||
-			ds.mixedN != fresh.mixedN || ds.coopSum != fresh.coopSum {
-			t.Errorf("%s: tallies (%d,%d,%d,%d) != fresh (%d,%d,%d,%d)", label,
-				ds.sigN, ds.coopN, ds.mixedN, ds.coopSum,
-				fresh.sigN, fresh.coopN, fresh.mixedN, fresh.coopSum)
+		if ds.tally != fresh.tally {
+			t.Errorf("%s: tally %+v != fresh %+v", label, ds.tally, fresh.tally)
 		}
 		gotEst, wantEst := ds.counting.Estimate(), fresh.counting.Estimate()
 		if math.Float64bits(gotEst) != math.Float64bits(wantEst) {

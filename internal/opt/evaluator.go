@@ -50,13 +50,13 @@ type Evaluator struct {
 	// under mu, and empty whenever mu is free.
 	pending map[string]int
 
-	// scratch buffers (PCSA union signatures) recycled across evaluations;
-	// each in-flight evaluation checks one out for exclusive use. A pointer:
-	// the runtime lists every used pool until two collections pass, and a
-	// pool embedded by value would keep the whole evaluator reachable
-	// through that list (its problem's universe and its memo with it) after
-	// the solve drops it.
-	scratch *sync.Pool
+	// scratchPool recycles *scratch values across evaluations; each
+	// in-flight evaluation checks one out for exclusive use. A pointer: the
+	// runtime lists every used pool until two collections pass, and a pool
+	// embedded by value would keep the whole evaluator reachable through
+	// that list (its problem's universe and its memo with it) after the
+	// solve drops it.
+	scratchPool *sync.Pool
 
 	// Incremental-scoring state (see delta.go): the counting union of the
 	// most recent delta batch's base, cached across batches so a moving
@@ -67,11 +67,13 @@ type Evaluator struct {
 	// sharded is the matcher's cluster-shard view of the problem's
 	// constraints, nil without a matcher: every Match(S) the evaluator runs,
 	// whole-set or flip (see match.Sharded), goes through it. NewEvaluator
-	// builds it, so workers only read it. wantMatch reports whether a
-	// positively weighted QEF reads F1(S); without one, no candidate runs
-	// Match(S).
-	sharded   *match.Sharded
-	wantMatch bool
+	// builds it, so workers only read it.
+	sharded *match.Sharded
+	// The inputs a candidate derives are those a positively weighted QEF
+	// reads: wantMatch for F1(S), so without it no candidate runs Match(S);
+	// wantUnion for the union statistics (Coverage or Redundancy); and
+	// wantCoop for Redundancy's cooperative-only union.
+	wantMatch, wantUnion, wantCoop bool
 }
 
 // NewEvaluator builds an evaluator for p with an optional evaluation limit.
@@ -86,14 +88,21 @@ func NewEvaluator(p *Problem, maxEvals int) *Evaluator {
 		pending: make(map[string]int),
 		limit:   maxEvals,
 	}
-	e.scratch = &sync.Pool{New: func() any { return &qef.Scratch{} }}
-	if p.Matcher == nil {
-		return e
+	e.scratchPool = &sync.Pool{New: func() any { return &scratch{} }}
+	if p.Matcher != nil {
+		e.sharded = p.Matcher.NewSharded(p.Constraints)
 	}
-	e.sharded = p.Matcher.NewSharded(p.Constraints)
 	for _, f := range p.Quality.QEFs {
-		if _, ok := f.(qef.MatchQuality); ok && p.Quality.Weights[f.Name()] > 0 {
-			e.wantMatch = true
+		if p.Quality.Weights[f.Name()] <= 0 {
+			continue
+		}
+		switch f.(type) {
+		case qef.MatchQuality:
+			e.wantMatch = e.sharded != nil
+		case qef.Coverage:
+			e.wantUnion = true
+		case qef.Redundancy:
+			e.wantUnion, e.wantCoop = true, true
 		}
 	}
 	return e
@@ -205,23 +214,27 @@ func (e *Evaluator) Calls() int {
 	return e.calls
 }
 
-// compute evaluates Q(ids) from scratch: the pure, side-effect-free part of
-// an evaluation, safe to run on any worker goroutine.
-func (e *Evaluator) compute(ids []schema.SourceID, sc *qef.Scratch) float64 {
+// compute evaluates Q(ids) from scratch, deriving the union statistics by
+// the full merge: the pure, side-effect-free part of an evaluation, safe to
+// run on any worker goroutine.
+func (e *Evaluator) compute(ids []schema.SourceID, sc *scratch) float64 {
 	if !e.p.Feasible(ids) {
 		return 0
 	}
-	ctx := qef.NewContextScratch(e.p.Universe, ids, sc)
+	sc.ctx = qef.Context{U: e.p.Universe, IDs: ids}
+	if e.wantUnion {
+		st, merges := mergeUnion(e.p.Universe, ids, sc, e.wantCoop)
+		sc.ctx.Union = st
+		// Counter adds are commutative, so this is safe from worker goroutines.
+		if merges > 0 {
+			e.rec.Add("pcsa.merges", int64(merges))
+		}
+	}
 	if e.wantMatch {
-		ctx.F1 = e.f1(ids)
+		sc.ctx.F1 = e.f1(ids)
 	}
-	v := e.p.Quality.Eval(ctx)
-	m := ctx.Merges()
-	sc.Release()
-	// Counter adds are commutative, so this is safe from worker goroutines.
-	if m > 0 {
-		e.rec.Add("pcsa.merges", int64(m))
-	}
+	v := e.p.Quality.Eval(&sc.ctx)
+	sc.ctx = qef.Context{}
 	return v
 }
 
@@ -248,9 +261,9 @@ func (e *Evaluator) Eval(ids []schema.SourceID) float64 {
 	k := string(e.keyBuf)
 	e.mu.Unlock()
 
-	sc := e.scratch.Get().(*qef.Scratch)
+	sc := e.scratchPool.Get().(*scratch)
 	v := e.compute(ids, sc)
-	e.scratch.Put(sc)
+	e.scratchPool.Put(sc)
 	e.rec.Add("eval.computed", 1)
 
 	e.mu.Lock()
@@ -412,11 +425,11 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 			workers = len(jobs)
 		}
 		if workers <= 1 {
-			sc := e.scratch.Get().(*qef.Scratch)
+			sc := e.scratchPool.Get().(*scratch)
 			for i := range jobs {
 				jobs[i].v = e.computeJob(&jobs[i], ds, sc)
 			}
-			e.scratch.Put(sc)
+			e.scratchPool.Put(sc)
 		} else {
 			// Workers pull jobs off a shared cursor. Which worker computes
 			// which job is scheduler-dependent, but each job's value is a
@@ -430,8 +443,8 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 				wg.Add(1)
 				go func(jobs []batchJob, ds *deltaState) {
 					defer wg.Done()
-					sc := e.scratch.Get().(*qef.Scratch)
-					defer e.scratch.Put(sc)
+					sc := e.scratchPool.Get().(*scratch)
+					defer e.scratchPool.Put(sc)
 					for {
 						i := int(cursor.Add(1)) - 1
 						if i >= len(jobs) {
@@ -477,7 +490,7 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 // computeJob dispatches one job to its scoring path: a flip against the
 // delta state, or the full re-merge. Both return bit-identical values for
 // the same subset.
-func (e *Evaluator) computeJob(j *batchJob, ds *deltaState, sc *qef.Scratch) float64 {
+func (e *Evaluator) computeJob(j *batchJob, ds *deltaState, sc *scratch) float64 {
 	if j.delta {
 		return e.computeFlip(j.ids, j.flip, ds, sc)
 	}
@@ -512,9 +525,9 @@ func (e *Evaluator) qualityOf(ids []schema.SourceID) float64 {
 		return v
 	}
 	e.mu.Unlock()
-	sc := e.scratch.Get().(*qef.Scratch)
+	sc := e.scratchPool.Get().(*scratch)
 	v := e.compute(ids, sc)
-	e.scratch.Put(sc)
+	e.scratchPool.Put(sc)
 	e.mu.Lock()
 	e.memo[k] = v
 	e.mu.Unlock()
@@ -535,6 +548,9 @@ func (e *Evaluator) Solution(ids []schema.SourceID, solver string) *Solution {
 		Status:  e.Status(),
 	}
 	ctx := qef.NewContext(e.p.Universe, sorted)
+	// The breakdown reads every QEF, so the union is merged whatever the
+	// weights. It is no evaluation: its merges stay out of pcsa.merges.
+	ctx.Union, _ = mergeUnion(e.p.Universe, sorted, &scratch{}, true)
 	if e.sharded != nil {
 		if res, err := e.sharded.Match(sorted); err == nil && res.OK {
 			sol.Schema = res.Schema

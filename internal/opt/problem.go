@@ -74,6 +74,10 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("opt: matcher covers %d sources, universe has %d (rebuild or Rebind it after the universe grew)",
 			p.Matcher.NumSources(), p.Universe.Len())
 	}
+	if p.Matcher != nil && p.Matcher.SchemaVersion() != p.Universe.SchemaVersion() {
+		return fmt.Errorf("opt: matcher built at universe schema version %d, universe is at %d (rebuild or Rebind it after a Remove or Add)",
+			p.Matcher.SchemaVersion(), p.Universe.SchemaVersion())
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package pcsa
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -147,8 +148,9 @@ func TestMergeIncompatible(t *testing.T) {
 }
 
 func TestMergeProperties(t *testing.T) {
-	// OR-merge is commutative, associative, and idempotent — checked on the
-	// resulting estimates (which are a pure function of the bitmaps).
+	// OR-merge is commutative, associative, and idempotent bit for bit: the
+	// merged words (their binary encoding) and the estimates' float64 bits
+	// agree exactly.
 	mk := func(seed int64, n int) *Signature {
 		s := MustNew(Config{NumMaps: 64})
 		r := rand.New(rand.NewSource(seed))
@@ -157,23 +159,32 @@ func TestMergeProperties(t *testing.T) {
 		}
 		return s
 	}
+	union := func(sigs ...*Signature) *Signature {
+		u, err := Union(sigs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	same := func(a, b *Signature) bool {
+		ab, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(ab, bb) && math.Float64bits(a.Estimate()) == math.Float64bits(b.Estimate())
+	}
 	prop := func(sa, sb, sc int64) bool {
 		a, b, c := mk(sa, 500), mk(sb, 700), mk(sc, 300)
-		ab, _ := Union(a, b)
-		ba, _ := Union(b, a)
-		if !approx.AlmostEqual(ab.Estimate(), ba.Estimate()) {
-			return false
-		}
-		abc1, _ := Union(ab, c)
-		bc, _ := Union(b, c)
-		abc2, _ := Union(a, bc)
-		if !approx.AlmostEqual(abc1.Estimate(), abc2.Estimate()) {
-			return false
-		}
-		aa, _ := Union(a, a)
-		return approx.AlmostEqual(aa.Estimate(), a.Estimate())
+		return same(union(a, b), union(b, a)) &&
+			same(union(union(a, b), c), union(a, union(b, c))) &&
+			same(union(a, a), a)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(17))}
+	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
 	}
 }

@@ -20,19 +20,15 @@ import (
 	"math"
 	"sort"
 
-	"mube/internal/pcsa"
 	"mube/internal/schema"
 	"mube/internal/source"
 )
 
-// Context carries everything a QEF may need to evaluate one candidate source
-// set. F1(S) is an input: the caller runs Match(S) (package match), the one
-// QEF input a context cannot derive from the universe. The PCSA union over S
-// is merged once and shared by the Coverage and Redundancy QEFs instead of
-// each re-merging all signatures from zero.
-//
-// A Context is used by a single goroutine (one objective evaluation); the
-// parallel evaluator reuses one per worker, embedded in that worker's Scratch.
+// Context carries the inputs the QEFs score one candidate source set S
+// from. The caller derives two of them: F1(S), from Match(S) (package
+// match), and the union statistics over S, from the PCSA signatures of S.
+// The evaluator (package opt) derives both. A Context is plain data that
+// QEFs only read.
 type Context struct {
 	// U is the universe the candidate set is drawn from.
 	U *source.Universe
@@ -42,34 +38,14 @@ type Context struct {
 	// Quality of Match(S) under the user constraints, or 0 when Match(S)
 	// is not valid on them (or was not run). MatchQuality returns it.
 	F1 float64
-
-	scratch *Scratch
-
-	// Union statistics over S, computed once by unionStats — or preset by
-	// the incremental evaluator via PresetUnionStats.
-	statsOnce bool
-	unionEst  float64 // estimate of |∪ s| over sources of S with a signature
-	coopN     int     // number of cooperative sources in S
-	coopSum   int64   // Σ|s| over cooperative sources of S
-	// coopMixed flags the unusual case of a source that exports a signature
-	// but no cardinality: it contributes to the Coverage union but not to
-	// Redundancy's, so the two unions cannot be shared.
-	coopMixed bool
-
-	// Cooperative-only union estimate, computed on demand for the coopMixed
-	// Redundancy fallback and cached.
-	coopOnce bool
-	coopEst  float64
-
-	// merges counts pairwise signature merges this context performed, for
-	// telemetry (the evaluator folds it into the pcsa.merges counter).
-	merges int
+	// Union holds the union statistics over S that Coverage and Redundancy
+	// read; the zero value describes a set with no signature and no
+	// cooperative source.
+	Union UnionStats
 }
 
 // UnionStats are the union statistics over a candidate set S that the
-// Coverage and Redundancy QEFs consume. The incremental evaluator derives
-// them in O(1 source) from a counting union and injects them with
-// PresetUnionStats instead of letting the context re-merge all of S.
+// Coverage and Redundancy QEFs consume.
 type UnionStats struct {
 	// UnionEst is the estimate of |∪ s| over the sources of S that export a
 	// signature; 0 when none does.
@@ -78,154 +54,21 @@ type UnionStats struct {
 	CoopN int
 	// CoopSum is Σ|s| over the cooperative sources of S.
 	CoopSum int64
-	// CoopMixed reports whether S contains a source with a signature but no
-	// cardinality (see Context.coopMixed).
+	// CoopMixed reports whether S contains a source that exports a
+	// signature but no cardinality. Such a source counts towards Coverage's
+	// union but not towards Redundancy's, so Redundancy then reads
+	// CoopUnionEst instead of UnionEst.
 	CoopMixed bool
-}
-
-// PresetUnionStats primes the context with externally computed union
-// statistics, bypassing unionStats' O(|S|) signature re-merge. It must be
-// called before any QEF evaluates; the values must equal what unionStats
-// would have computed (the incremental evaluator guarantees this
-// bit-exactly). The cooperative-only union of the CoopMixed fallback is
-// still derived lazily by the context itself.
-func (c *Context) PresetUnionStats(st UnionStats) {
-	c.statsOnce = true
-	c.unionEst = st.UnionEst
-	c.coopN = st.CoopN
-	c.coopSum = st.CoopSum
-	c.coopMixed = st.CoopMixed
-}
-
-// Merges returns the number of pairwise PCSA signature merges this context's
-// union computation performed (0 until a union-based QEF has run).
-func (c *Context) Merges() int { return c.merges }
-
-// Scratch is the per-worker evaluation arena: reusable buffers a long-lived
-// evaluator keeps per worker and threads through successive contexts, so the
-// context itself, the union signature (2 KiB at the default PCSA
-// configuration) and the cooperative-only fallback union are allocated once
-// instead of once per candidate subset. A nil *Scratch is valid everywhere
-// one is accepted and simply allocates per use. A Scratch must only ever be
-// used by one evaluation at a time; contexts leave no cross-candidate state
-// behind in it (NewContextScratch resets the context, and every signature
-// buffer is overwritten before it is read).
-type Scratch struct {
-	ctx   Context         // the context NewContextScratch hands out
-	union *pcsa.Signature // full union over S
-	coop  *pcsa.Signature // cooperative-only union (coopMixed fallback)
-}
-
-// Release zeroes the context sc handed out, which must not be used
-// afterwards. Scorers call it once Q(S) is computed, so a pooled Scratch does
-// not keep the universe or the candidate set reachable between evaluations.
-// A nil sc is a no-op.
-func (sc *Scratch) Release() {
-	if sc != nil {
-		sc.ctx = Context{}
-	}
-}
-
-// checkout returns a scratch signature slot primed with sig's contents,
-// reusing *slot when present.
-func checkout(slot **pcsa.Signature, sig *pcsa.Signature) *pcsa.Signature {
-	if *slot == nil {
-		*slot = sig.Clone()
-	} else {
-		(*slot).CopyFrom(sig)
-	}
-	return *slot
+	// CoopUnionEst is the estimate of |∪ s| over only the cooperative
+	// sources of S. Redundancy reads it only when CoopMixed is set and
+	// CoopN ≥ 2; otherwise it may be left 0.
+	CoopUnionEst float64
 }
 
 // NewContext builds an evaluation context for the source set ids, with F1
-// left 0 for the caller to set.
+// and Union left zero for the caller to set.
 func NewContext(u *source.Universe, ids []schema.SourceID) *Context {
 	return &Context{U: u, IDs: ids}
-}
-
-// NewContextScratch is NewContext with reusable buffers; see Scratch. With a
-// non-nil sc the returned context lives inside sc: it is valid until the next
-// NewContextScratch or Release on sc.
-func NewContextScratch(u *source.Universe, ids []schema.SourceID, sc *Scratch) *Context {
-	if sc == nil {
-		return NewContext(u, ids)
-	}
-	sc.ctx = Context{U: u, IDs: ids, scratch: sc}
-	return &sc.ctx
-}
-
-// unionStats merges the signatures of S once — into the scratch buffer when
-// one is attached — and caches the union estimate plus the cooperative-source
-// tallies, so Coverage and Redundancy do not each redo the merge.
-func (c *Context) unionStats() {
-	if c.statsOnce {
-		return
-	}
-	c.statsOnce = true
-	var acc *pcsa.Signature
-	for _, id := range c.IDs {
-		s := c.U.Source(id)
-		if sig := s.Signature; sig != nil {
-			if acc == nil {
-				if c.scratch != nil {
-					acc = checkout(&c.scratch.union, sig)
-				} else {
-					acc = sig.Clone()
-				}
-			} else {
-				c.merges++
-				if err := acc.MergeFrom(sig); err != nil {
-					// Unreachable: Universe.Add enforces a uniform config.
-					panic(fmt.Sprintf("qef: union of signatures: %v", err))
-				}
-			}
-		}
-		if s.Cooperative() {
-			c.coopN++
-			c.coopSum += s.Cardinality
-		} else if s.Signature != nil {
-			c.coopMixed = true
-		}
-	}
-	if acc != nil {
-		c.unionEst = acc.Estimate()
-	}
-}
-
-// coopUnionEstimate returns the estimated union over only the cooperative
-// sources of S — the Redundancy denominator in the coopMixed case — merging
-// into the scratch arena when one is attached. The merge walks IDs in sorted
-// order, so the resulting bitmap (and with it the estimate, bit for bit)
-// matches any other order-independent derivation of the same union.
-func (c *Context) coopUnionEstimate() float64 {
-	if c.coopOnce {
-		return c.coopEst
-	}
-	c.coopOnce = true
-	var acc *pcsa.Signature
-	for _, id := range c.IDs {
-		s := c.U.Source(id)
-		if !s.Cooperative() {
-			continue
-		}
-		if acc == nil {
-			if c.scratch != nil {
-				acc = checkout(&c.scratch.coop, s.Signature)
-			} else {
-				acc = s.Signature.Clone()
-			}
-			continue
-		}
-		c.merges++
-		if err := acc.MergeFrom(s.Signature); err != nil {
-			// Unreachable: Universe.Add enforces a uniform config.
-			panic(fmt.Sprintf("qef: union of cooperative signatures: %v", err))
-		}
-	}
-	if acc != nil {
-		c.coopEst = acc.Estimate()
-	}
-	return c.coopEst
 }
 
 // QEF is one quality dimension. Eval must return a value in [0,1]; higher is
@@ -288,8 +131,7 @@ func (Coverage) Eval(ctx *Context) float64 {
 	if denom == 0 {
 		return 0
 	}
-	ctx.unionStats()
-	return clamp01(ctx.unionEst / denom)
+	return clamp01(ctx.Union.UnionEst / denom)
 }
 
 // Redundancy is F4: a measure of the overlap among the sources of S,
@@ -309,24 +151,24 @@ func (Redundancy) Name() string { return NameRedundancy }
 
 // Eval returns Redundancy(S).
 func (Redundancy) Eval(ctx *Context) float64 {
-	ctx.unionStats()
-	if ctx.coopN == 0 {
+	st := ctx.Union
+	if st.CoopN == 0 {
 		return 0
 	}
-	if ctx.coopN == 1 {
+	if st.CoopN == 1 {
 		return 1
 	}
-	union := ctx.unionEst
-	if ctx.coopMixed {
+	union := st.UnionEst
+	if st.CoopMixed {
 		// A source exported a signature without a cardinality: restrict the
 		// union to the cooperative sources, as the formula requires.
-		union = ctx.coopUnionEstimate()
+		union = st.CoopUnionEst
 	}
-	if union <= 0 || ctx.coopSum == 0 {
+	if union <= 0 || st.CoopSum == 0 {
 		return 0
 	}
-	ratio := float64(ctx.coopSum) / union // ∈ [1, |S|] up to estimation noise
-	v := (float64(ctx.coopN) - ratio) / float64(ctx.coopN-1)
+	ratio := float64(st.CoopSum) / union // ∈ [1, |S|] up to estimation noise
+	v := (float64(st.CoopN) - ratio) / float64(st.CoopN-1)
 	return clamp01(v)
 }
 

@@ -54,9 +54,50 @@ func ids(ns ...int) []schema.SourceID {
 	return out
 }
 
+// ctx builds the context of sel, its union statistics from unionStats.
 func ctx(t testing.TB, u *source.Universe, sel []schema.SourceID) *Context {
 	t.Helper()
-	return NewContext(u, sel)
+	c := NewContext(u, sel)
+	c.Union = unionStats(t, u, sel)
+	return c
+}
+
+// unionStats is the reference for Context.Union: the tallies counted source
+// by source, and the estimates from pcsa.Union over the signatures of sel
+// and over those of its cooperative sources alone.
+func unionStats(t testing.TB, u *source.Universe, sel []schema.SourceID) UnionStats {
+	t.Helper()
+	var st UnionStats
+	var all, coop []*pcsa.Signature
+	for _, id := range sel {
+		s := u.Source(id)
+		if s.Signature != nil {
+			all = append(all, s.Signature)
+		}
+		if s.Cooperative() {
+			st.CoopN++
+			st.CoopSum += s.Cardinality
+			coop = append(coop, s.Signature)
+		} else if s.Signature != nil {
+			st.CoopMixed = true
+		}
+	}
+	st.UnionEst = unionEstimate(t, all)
+	st.CoopUnionEst = unionEstimate(t, coop)
+	return st
+}
+
+// unionEstimate returns the estimate of pcsa.Union over sigs, 0 for none.
+func unionEstimate(t testing.TB, sigs []*pcsa.Signature) float64 {
+	t.Helper()
+	if len(sigs) == 0 {
+		return 0
+	}
+	un, err := pcsa.Union(sigs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return un.Estimate()
 }
 
 func TestCardinality(t *testing.T) {
@@ -74,6 +115,33 @@ func TestCardinality(t *testing.T) {
 	}
 	if got := (Cardinality{}).Eval(ctx(t, u, nil)); got != 0 {
 		t.Errorf("Card(∅) = %v, want 0", got)
+	}
+}
+
+// TestCardinalityMonotone checks Card(S) ≤ Card(T) for seeded random pairs
+// S ⊆ T over cooperative, uncooperative and coop-mixed sources: joining a
+// set never lowers its cardinality.
+func TestCardinalityMonotone(t *testing.T) {
+	u := dataUniverse(t)
+	mixed := tupleRange(t, 40000, 90000, "isbn")
+	mixed.Cardinality = -1 // signature kept, cardinality withheld
+	mustAdd(t, u, mixed)
+	mustAdd(t, u, tupleRange(t, 60000, 61000, "pages"))
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		var sub, super []schema.SourceID
+		for _, id := range u.IDs() {
+			switch r.Intn(3) {
+			case 0:
+				sub = append(sub, id)
+				super = append(super, id)
+			case 1:
+				super = append(super, id)
+			}
+		}
+		if cs, ct := (Cardinality{}).Eval(ctx(t, u, sub)), (Cardinality{}).Eval(ctx(t, u, super)); cs > ct {
+			t.Fatalf("Card(%v) = %v > Card(%v) = %v", sub, cs, super, ct)
+		}
 	}
 }
 
@@ -243,7 +311,7 @@ func TestQualityEvalAndBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewContext(u, ids(0, 1))
+	c := ctx(t, u, ids(0, 1))
 	c.F1 = matchF1(t, u, c.IDs)
 	total := q.Eval(c)
 	br := q.Breakdown(c)
@@ -386,7 +454,7 @@ func TestQEFRangeProperty(t *testing.T) {
 				sel = append(sel, schema.SourceID(id))
 			}
 		}
-		c := NewContext(u, sel)
+		c := ctx(t, u, sel)
 		c.F1 = matchF1(t, u, sel)
 		for _, q := range qefs {
 			v := q.Eval(c)

@@ -160,6 +160,8 @@ func Uncooperative(name string, sch schema.Schema) *Source {
 type Universe struct {
 	sources []*Source
 	sigCfg  pcsa.Config
+	// schemaVersion counts the schema-changing mutations; see SchemaVersion.
+	schemaVersion uint64
 
 	// all is the subtractable counting union over every signature-bearing
 	// source. Add/Remove/UpdateSynopsis maintain it incrementally, so after
@@ -185,11 +187,6 @@ type Universe struct {
 type aggregates struct {
 	totalCard   int64
 	unionAllEst float64
-	// mixed counts sources that export a signature but no cardinality — the
-	// unusual shape that forces Redundancy onto its cooperative-only union
-	// fallback. The incremental evaluator uses mixed == 0 to skip that
-	// bookkeeping entirely.
-	mixed int
 }
 
 // NewUniverse returns an empty universe whose cooperative sources use the
@@ -230,6 +227,7 @@ func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	}
 	s.ID = schema.SourceID(len(u.sources))
 	u.sources = append(u.sources, s)
+	u.schemaVersion++
 	u.mu.Lock()
 	u.countingAddLocked(s.Signature)
 	u.mu.Unlock()
@@ -295,9 +293,17 @@ func (u *Universe) Remove(drop []schema.SourceID) ([]schema.SourceID, error) {
 		u.sources[i] = nil // release the dropped tails
 	}
 	u.sources = out
+	u.schemaVersion++
 	u.invalidate()
 	return kept, nil
 }
+
+// SchemaVersion counts the universe's schema-changing mutations: every Add,
+// and every Remove that removes a source. Anything derived from the sources'
+// schemas by id, such as a match.Matcher's similarity rows, is current
+// exactly while the count is unchanged. UpdateSynopsis and Degrade change no
+// schema and leave it alone.
+func (u *Universe) SchemaVersion() uint64 { return u.schemaVersion }
 
 // UpdateSynopsis replaces a source's data synopses in place — the source
 // keeps its ID, schema, and characteristics, but reports a new cardinality
@@ -367,10 +373,10 @@ func (u *Universe) invalidate() {
 }
 
 // Precompute eagerly materializes the universe-wide aggregates (total
-// cardinality, union-of-all estimate, mixed-source count) so the hot QEF
-// read paths never pay the first-computation cost mid-solve. Builders
-// (synthetic generation, probe.BuildUniverse/ReprobeUniverse, session load)
-// call it once after the last Add; it is also safe to call at any time.
+// cardinality, union-of-all estimate) so the hot QEF read paths never pay
+// the first-computation cost mid-solve. Builders (synthetic generation,
+// probe.BuildUniverse/ReprobeUniverse, session load) call it once after the
+// last Add; it is also safe to call at any time.
 func (u *Universe) Precompute() { u.aggregates() }
 
 // aggregates returns the cached universe-wide aggregates, computing them on
@@ -392,9 +398,6 @@ func (u *Universe) aggregates() *aggregates {
 		}
 		if s.Signature != nil {
 			withSig = true
-			if !s.Cooperative() {
-				a.mixed++
-			}
 		}
 	}
 	if withSig {
@@ -458,35 +461,6 @@ func (u *Universe) TotalCardinality() int64 { return u.aggregates().totalCard }
 // sources — the denominator of the Coverage QEF. It returns 0 when no source
 // exports a signature. After Precompute the read is one atomic load.
 func (u *Universe) UnionAllEstimate() float64 { return u.aggregates().unionAllEst }
-
-// MixedCount returns the number of sources that export a signature but no
-// cardinality. When it is 0, the Redundancy QEF's cooperative-only union
-// fallback can never trigger, which the incremental evaluator exploits.
-func (u *Universe) MixedCount() int { return u.aggregates().mixed }
-
-// UnionEstimate returns the estimated number of distinct tuples in the union
-// of the given sources, skipping uncooperative ones. It returns 0 when none
-// of the sources has a signature.
-func (u *Universe) UnionEstimate(ids []schema.SourceID) float64 {
-	var acc *pcsa.Signature
-	for _, id := range ids {
-		s := u.sources[id]
-		if s.Signature == nil {
-			continue
-		}
-		if acc == nil {
-			acc = s.Signature.Clone()
-			continue
-		}
-		if err := acc.MergeFrom(s.Signature); err != nil {
-			panic(fmt.Sprintf("source: union of signatures: %v", err))
-		}
-	}
-	if acc == nil {
-		return 0
-	}
-	return acc.Estimate()
-}
 
 // SumCardinality returns Σ_{s∈ids} |s| over cooperative sources.
 func (u *Universe) SumCardinality(ids []schema.SourceID) int64 {

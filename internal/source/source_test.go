@@ -90,14 +90,13 @@ func TestTotalCardinalityAndUnion(t *testing.T) {
 	if math.Abs(est-15000)/15000 > 0.20 {
 		t.Errorf("UnionAllEstimate = %v, want ≈15000", est)
 	}
-	// Union of a subset.
-	sub := u.UnionEstimate([]schema.SourceID{0, 1})
-	if !approx.AlmostEqual(sub, est) {
-		t.Errorf("subset union %v should equal all-cooperative union %v", sub, est)
+	// The union of the cooperative sources is the union of all.
+	sub, err := pcsa.Union(u.Source(0).Signature, u.Source(1).Signature)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Union over only uncooperative sources is 0.
-	if got := u.UnionEstimate([]schema.SourceID{2}); got != 0 {
-		t.Errorf("uncooperative union = %v, want 0", got)
+	if !approx.AlmostEqual(sub.Estimate(), est) {
+		t.Errorf("subset union %v should equal all-cooperative union %v", sub.Estimate(), est)
 	}
 	if got := u.SumCardinality([]schema.SourceID{0, 2}); got != 10000 {
 		t.Errorf("SumCardinality = %d, want 10000", got)
@@ -268,8 +267,15 @@ func TestUnionEstimateRandomizedMatchesExact(t *testing.T) {
 	for _, e := range exact {
 		all.MergeFrom(e)
 	}
-	est := u.UnionEstimate(u.IDs())
-	got, want := est, float64(all.Count())
+	sigs := make([]*pcsa.Signature, 0, u.Len())
+	for _, s := range u.Sources() {
+		sigs = append(sigs, s.Signature)
+	}
+	un, err := pcsa.Union(sigs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := un.Estimate(), float64(all.Count())
 	if math.Abs(got-want)/want > 0.25 {
 		t.Errorf("union estimate %v vs exact %v", got, want)
 	}
@@ -310,9 +316,6 @@ func checkAggregates(t *testing.T, u *Universe) {
 	}
 	if got, want := u.UnionAllEstimate(), ref.UnionAllEstimate(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("UnionAllEstimate = %v, rebuild says %v", got, want)
-	}
-	if got, want := u.MixedCount(), ref.MixedCount(); got != want {
-		t.Errorf("MixedCount = %d, rebuild says %d", got, want)
 	}
 	live := 0
 	for _, s := range u.Sources() {
@@ -384,6 +387,46 @@ func TestRemoveCompactsIDsAndAggregates(t *testing.T) {
 	if kept, err := u.Remove(nil); err != nil || len(kept) != 7 {
 		t.Errorf("empty Remove = (%v, %v), want identity", kept, err)
 	}
+}
+
+// TestSchemaVersion pins what counts as a schema edit: every Add and every
+// Remove that removes a source move the version on; a failed Add, an empty
+// Remove, UpdateSynopsis and Degrade do not.
+func TestSchemaVersion(t *testing.T) {
+	u := NewUniverse(testCfg)
+	step := func(label string, want uint64) {
+		t.Helper()
+		if got := u.SchemaVersion(); got != want {
+			t.Errorf("%s: SchemaVersion = %d, want %d", label, got, want)
+		}
+	}
+	step("empty", 0)
+	for i := uint64(0); i < 3; i++ {
+		mustAdd(t, u, makeSource(t, "s", i*100, (i+1)*100, "a"))
+	}
+	step("three adds", 3)
+	bad := Uncooperative("bad", schema.NewSchema("a"))
+	bad.SetCharacteristic("fees", -1)
+	if _, err := u.Add(bad); err == nil {
+		t.Fatal("Add accepted a negative characteristic")
+	}
+	step("failed add", 3)
+	if _, err := u.Remove(nil); err != nil {
+		t.Fatal(err)
+	}
+	step("empty remove", 3)
+	drifted := makeSource(t, "s", 500, 700, "a")
+	if err := u.UpdateSynopsis(1, drifted.Cardinality, drifted.Signature); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Degrade(2); err != nil {
+		t.Fatal(err)
+	}
+	step("synopsis updates", 3)
+	if _, err := u.Remove([]schema.SourceID{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	step("remove", 4)
 }
 
 func TestUpdateSynopsisDriftAndDegrade(t *testing.T) {
