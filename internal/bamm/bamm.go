@@ -154,6 +154,30 @@ var baseSchemas = [][]string{
 	{"isbn", "author", "title", "publisher", "price", "in stock"}, // 49
 }
 
+// baseConcepts[i][a] is the concept attribute a of base schema i expresses,
+// or -1 for an off-domain name; like conceptIndex it is built once, since
+// the corpus never changes.
+var baseConcepts = func() [][]int {
+	out := make([][]int, len(baseSchemas))
+	for i, attrs := range baseSchemas {
+		out[i] = make([]int, len(attrs))
+		for a, name := range attrs {
+			out[i][a] = -1
+			if ci, ok := ConceptOf(name); ok {
+				out[i][a] = ci
+			}
+		}
+	}
+	return out
+}()
+
+// Base returns base schema i's attribute names and the concept each one
+// expresses (-1 for an off-domain name). Both slices are shared by every
+// caller and must not be modified; Schemas returns copies.
+func Base(i int) (attrs []string, concepts []int) {
+	return baseSchemas[i], baseConcepts[i]
+}
+
 // Schemas returns the 50 base Books schemas.
 func Schemas() []schema.Schema {
 	out := make([]schema.Schema, len(baseSchemas))

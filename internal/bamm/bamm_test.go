@@ -20,6 +20,26 @@ func TestCorpusShape(t *testing.T) {
 	}
 }
 
+// TestBaseMatchesSchemasAndConceptOf pins the shared tables Base hands out:
+// the attributes are Schemas' and each concept is ConceptOf's, -1 off-domain.
+func TestBaseMatchesSchemasAndConceptOf(t *testing.T) {
+	for i, s := range Schemas() {
+		attrs, concepts := Base(i)
+		if len(attrs) != s.Len() || len(concepts) != s.Len() {
+			t.Fatalf("schema %d: Base has %d names and %d concepts, schema %d attributes", i, len(attrs), len(concepts), s.Len())
+		}
+		for a, name := range attrs {
+			want := -1
+			if ci, ok := ConceptOf(name); ok {
+				want = ci
+			}
+			if name != s.Name(a) || concepts[a] != want {
+				t.Errorf("schema %d attribute %d: Base says (%q, %d), want (%q, %d)", i, a, name, concepts[a], s.Name(a), want)
+			}
+		}
+	}
+}
+
 func TestNoDuplicateAttributesWithinSchema(t *testing.T) {
 	for i, s := range Schemas() {
 		seen := map[string]bool{}

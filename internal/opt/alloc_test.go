@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"context"
 	"testing"
 
 	"mube/internal/constraint"
@@ -126,5 +127,30 @@ func TestEvalBatchAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(50, batch); got > float64(perBatch+k) {
 			t.Errorf("batch of %d fresh subsets: %v allocs, want ≤ %d", k, got, perBatch+k)
 		}
+	}
+}
+
+// TestSearchNeighborhoodAllocs pins what one local-search iteration costs
+// once its Search has sized its buffers. Moves and EvalMoves reuse the
+// Search's neighborhood, candidates, applied subsets, job slab and results,
+// so an iteration whose neighborhood is all memo hits allocates nothing; a
+// neighborhood or batch buffer allocated per iteration fails it.
+func TestSearchNeighborhoodAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	p := opttest.Problem(t, 6, constraint.Set{})
+	s, err := opt.NewSearch(context.Background(), p, opt.Options{Seed: 5, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := s.NewSubset([]schema.SourceID{0, 1, 2, 3})
+	iter := func() { s.EvalMoves(cur, s.Moves(cur, 20)) }
+	// cur has 44 neighbors; 200 sampled iterations memoize every one.
+	for i := 0; i < 200; i++ {
+		iter()
+	}
+	if got := testing.AllocsPerRun(50, iter); got != 0 {
+		t.Errorf("memo-hit iteration: %v allocs, want 0", got)
 	}
 }

@@ -231,9 +231,22 @@ func appendFlip(dst, base []schema.SourceID, mv Move) []schema.SourceID {
 //
 // base must be sorted and must not be mutated until the call returns.
 func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float64 {
-	cands := make([]candidate, len(flips))
+	var b batchBufs
+	return e.evalBatchDelta(base, flips, &b)
+}
+
+// evalBatchDelta is EvalBatchDelta over the buffers b, which the returned
+// slice belongs to.
+func (e *Evaluator) evalBatchDelta(base []schema.SourceID, flips []Move, b *batchBufs) []float64 {
+	if cap(b.cands) < len(flips) {
+		b.cands = make([]candidate, len(flips))
+	}
+	cands := b.cands[:len(flips)]
 	// No applied subset is longer than len(base)+1, so buf never regrows.
-	buf := make([]schema.SourceID, 0, len(flips)*(len(base)+1))
+	if n := len(flips) * (len(base) + 1); cap(b.ids) < n {
+		b.ids = make([]schema.SourceID, 0, n)
+	}
+	buf := b.ids[:0]
 	for i, mv := range flips {
 		start := len(buf)
 		buf = appendFlip(buf, base, mv)
@@ -243,7 +256,7 @@ func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float
 			cands[i].hasFlip = true
 		}
 	}
-	return e.evalCandidates(cands, base)
+	return e.evalCandidates(cands, base, b)
 }
 
 // computeFlip evaluates Q(base±flip) against the batch's immutable delta

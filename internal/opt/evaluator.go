@@ -292,6 +292,18 @@ type batchJob struct {
 // batch (an index into the batch's job slab).
 type batchDup struct{ cand, job int }
 
+// batchBufs are the buffers of one batch: its candidates, the one buffer
+// holding a delta batch's applied subsets, its job slab and its results.
+// EvalBatch and EvalBatchDelta start from empty ones. A Search keeps one set
+// for every neighborhood it scores, so its batches allocate none of them
+// once the first has sized them.
+type batchBufs struct {
+	cands []candidate
+	ids   []schema.SourceID
+	jobs  []batchJob
+	out   []float64
+}
+
 // candidate pairs one batch entry with its incremental-scoring plan.
 type candidate struct {
 	ids  []schema.SourceID
@@ -316,7 +328,8 @@ func (e *Evaluator) EvalBatch(cands [][]schema.SourceID) []float64 {
 	for i, ids := range cands {
 		wrapped[i] = candidate{ids: ids}
 	}
-	return e.evalCandidates(wrapped, nil)
+	var b batchBufs
+	return e.evalCandidates(wrapped, nil, &b)
 }
 
 // evalCandidates is the shared batch engine behind EvalBatch and
@@ -329,15 +342,22 @@ func (e *Evaluator) EvalBatch(cands [][]schema.SourceID) []float64 {
 // job is scored by the full re-merge or a flip against the delta state never
 // changes its value (the flip path is bit-exact), so results are identical
 // at any worker count and to EvalBatch over the same subsets.
-func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []float64 {
-	out := make([]float64, len(cands))
+//
+// The results and the job slab come from b, and the returned slice is b's:
+// it stays valid until b serves the next batch.
+func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID, b *batchBufs) []float64 {
+	if cap(b.out) < len(cands) {
+		b.out = make([]float64, len(cands))
+	}
+	out := b.out[:len(cands)]
+	clear(out)
 
 	// Planning pass: resolve memo hits and budget debits sequentially in
 	// candidate order. Everything order-dependent happens here, under the
 	// lock; only pure Q(S) computations remain afterwards. The distinct jobs
 	// live by value in one slab per batch.
 	var hits, refused int
-	var jobs []batchJob
+	jobs := b.jobs[:0]
 	var dups []batchDup
 	e.mu.Lock()
 	for i, c := range cands {
@@ -362,7 +382,7 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		}
 		e.evals++
 		k := string(e.keyBuf)
-		if jobs == nil {
+		if cap(jobs) == 0 {
 			jobs = make([]batchJob, 0, len(cands)-i)
 		}
 		e.pending[k] = len(jobs)
@@ -372,6 +392,7 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID) []
 		clear(e.pending)
 	}
 	e.mu.Unlock()
+	b.jobs = jobs
 
 	// The planning-vs-fan-out split: of len(cands) candidates, hits+dups+
 	// refused were resolved during planning and len(jobs) fan out to workers.
@@ -588,6 +609,8 @@ type Search struct {
 	ctx       context.Context
 	addable   []schema.SourceID // Moves' scratch
 	droppable []schema.SourceID // Moves' scratch
+	moves     []Move            // Moves' result, reused by the next call
+	batch     batchBufs         // EvalMoves' buffers, reused by the next call
 }
 
 // TraceIter records one solver iteration: the current and best-so-far Q plus
@@ -755,6 +778,9 @@ func (s *Search) required(id schema.SourceID) bool {
 // neighborhood of ss: adds (if below m), drops of non-required members, and
 // swaps. The full swap neighborhood is |S|·(N−|S|) moves — far too large for
 // Internet-scale universes — so moves are sampled uniformly.
+//
+// The returned slice is the Search's own and is overwritten by the next call,
+// so an iteration of a local search allocates no neighborhood.
 func (s *Search) Moves(ss *Subset, limit int) []Move {
 	canAdd := ss.Len() < s.MaxSources
 	droppable := s.droppable[:0]
@@ -780,7 +806,10 @@ func (s *Search) Moves(ss *Subset, limit int) []Move {
 
 	// Sized up front: at Internet scale the adds alone are a group's whole
 	// optional pool, on every iteration.
-	moves := make([]Move, 0, len(addable)+len(droppable)+max(limit, 0))
+	if n := len(addable) + len(droppable) + max(limit, 0); cap(s.moves) < n {
+		s.moves = make([]Move, 0, n)
+	}
+	moves := s.moves[:0]
 	if canAdd {
 		for _, id := range addable {
 			moves = append(moves, Move{Add: id, Drop: -1})
@@ -806,6 +835,7 @@ func (s *Search) Moves(ss *Subset, limit int) []Move {
 		s.Rand.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
 		moves = moves[:limit]
 	}
+	s.moves = moves
 	return moves
 }
 
@@ -822,7 +852,8 @@ func (s *Search) EvalMove(ss *Subset, mv Move) float64 {
 // through the evaluator's delta batch API — single flips against the current
 // subset score incrementally from the shared counting union. Results,
 // memoization, and budget accounting are identical to calling EvalMove on
-// each move in order.
+// each move in order. The batch's buffers are the Search's own: the returned
+// slice is overwritten by the next call.
 func (s *Search) EvalMoves(ss *Subset, moves []Move) []float64 {
-	return s.Eval.EvalBatchDelta(ss.members, moves)
+	return s.Eval.evalBatchDelta(ss.members, moves, &s.batch)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -183,9 +184,13 @@ func TestEvalBatchConcurrentStress(t *testing.T) {
 }
 
 // TestEvalMovesMatchesEvalMove checks the Search-level batch helper returns
-// exactly what per-move scoring would.
+// exactly what per-move scoring would, on a walk through subsets of changing
+// size. Moves and EvalMoves hand back the Search's own buffers, overwritten
+// by every step, so no batch may return a value an earlier one left behind.
+// Each batch also carries two moves that are no single flip (adding a member,
+// dropping a non-member), so valid and invalid flips share batch slots.
 func TestEvalMovesMatchesEvalMove(t *testing.T) {
-	p := problem(t, 3, constraint.Set{})
+	p := problem(t, 5, constraint.Set{})
 	sA, err := NewSearch(context.Background(), p, Options{Seed: 6, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -194,15 +199,34 @@ func TestEvalMovesMatchesEvalMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subA := sA.NewSubset(sA.RandomSubset())
-	subB := sB.NewSubset(subA.IDs())
-	moves := sA.Moves(subA, 20)
-	batch := sA.EvalMoves(subA, moves)
-	for i, mv := range moves {
-		//mube:vet-ignore floatcmp — the contract is bit-identical, not approximate
-		if one := sB.EvalMove(subB, mv); one != batch[i] {
-			t.Errorf("move %d (%+v): batch %v != single %v", i, mv, batch[i], one)
+	r := rand.New(rand.NewSource(9))
+	sub := sA.NewSubset(sA.RandomSubset())
+	sizes := map[int]bool{}
+	for step := 0; step < 60; step++ {
+		sizes[sub.Len()] = true
+		in := sub.IDs()
+		var out []schema.SourceID
+		for id := schema.SourceID(0); int(id) < p.Universe.Len(); id++ {
+			if !slices.Contains(in, id) {
+				out = append(out, id)
+			}
 		}
+		moves := append(sA.Moves(sub, 12),
+			Move{Add: in[r.Intn(len(in))], Drop: -1},
+			Move{Add: out[r.Intn(len(out))], Drop: out[r.Intn(len(out))]})
+		r.Shuffle(len(moves), func(i, j int) { moves[i], moves[j] = moves[j], moves[i] })
+		qs := sA.EvalMoves(sub, moves)
+		subB := sB.NewSubset(in)
+		for i, mv := range moves {
+			//mube:vet-ignore floatcmp — the contract is bit-identical, not approximate
+			if one := sB.EvalMove(subB, mv); one != qs[i] {
+				t.Fatalf("step %d move %d (%+v): batch %v != single %v", step, i, mv, qs[i], one)
+			}
+		}
+		sub.Apply(moves[r.Intn(len(moves))])
+	}
+	if len(sizes) < 3 {
+		t.Errorf("walk visited subset sizes %v; want at least 3", sizes)
 	}
 }
 

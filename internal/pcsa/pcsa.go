@@ -62,7 +62,10 @@ func (c Config) Validate() error {
 // Signature is a PCSA synopsis: m bitmaps of 64 bits each. The zero value is
 // not usable; construct with New.
 type Signature struct {
-	cfg  Config
+	cfg Config
+	// mix is splitmix64(cfg.Seed), the seed term of every tuple's hash; it
+	// is set wherever cfg is, so AddUint64 mixes each tuple once.
+	mix  uint64
 	maps []uint64
 }
 
@@ -71,7 +74,7 @@ func New(cfg Config) (*Signature, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Signature{cfg: cfg, maps: make([]uint64, cfg.NumMaps)}, nil
+	return &Signature{cfg: cfg, mix: splitmix64(cfg.Seed), maps: make([]uint64, cfg.NumMaps)}, nil
 }
 
 // MustNew is New that panics on an invalid configuration; intended for
@@ -98,7 +101,7 @@ func splitmix64(x uint64) uint64 {
 
 // AddUint64 records one tuple identified by x.
 func (s *Signature) AddUint64(x uint64) {
-	h := splitmix64(x ^ splitmix64(s.cfg.Seed))
+	h := splitmix64(x ^ s.mix)
 	m := uint64(s.cfg.NumMaps)
 	idx := h & (m - 1)
 	rest := h >> uint(bits.TrailingZeros64(m)) // remaining hash bits
@@ -210,7 +213,7 @@ func (s *Signature) Empty() bool {
 
 // Clone returns a deep copy of the signature.
 func (s *Signature) Clone() *Signature {
-	c := &Signature{cfg: s.cfg, maps: make([]uint64, len(s.maps))}
+	c := &Signature{cfg: s.cfg, mix: s.mix, maps: make([]uint64, len(s.maps))}
 	copy(c.maps, s.maps)
 	return c
 }
@@ -231,7 +234,7 @@ func (s *Signature) CopyFrom(o *Signature) {
 	if len(s.maps) != len(o.maps) {
 		s.maps = make([]uint64, len(o.maps))
 	}
-	s.cfg = o.cfg
+	s.cfg, s.mix = o.cfg, o.mix
 	copy(s.maps, o.maps)
 }
 
@@ -272,7 +275,7 @@ func Union(sigs ...*Signature) (*Signature, error) {
 			return nil, configMismatch(first.cfg, o.cfg)
 		}
 	}
-	out := &Signature{cfg: first.cfg, maps: make([]uint64, len(first.maps))}
+	out := &Signature{cfg: first.cfg, mix: first.mix, maps: make([]uint64, len(first.maps))}
 	copy(out.maps, first.maps)
 	for _, o := range sigs[1:] {
 		orWords(out.maps, o.maps)
@@ -329,7 +332,7 @@ func (s *Signature) UnmarshalBinary(data []byte) error {
 	for i := range maps {
 		maps[i] = binary.LittleEndian.Uint64(data[17+8*i:])
 	}
-	s.cfg = cfg
+	s.cfg, s.mix = cfg, splitmix64(cfg.Seed)
 	s.maps = maps
 	return nil
 }

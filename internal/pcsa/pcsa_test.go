@@ -3,6 +3,7 @@ package pcsa
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -262,5 +263,65 @@ func TestExactCounter(t *testing.T) {
 func TestSizeBytes(t *testing.T) {
 	if got := MustNew(DefaultConfig).SizeBytes(); got != 2048 {
 		t.Errorf("DefaultConfig signature = %d bytes, want 2048", got)
+	}
+}
+
+// TestSignatureConstructorsHashAlike pins the seed mix a signature stores
+// beside its config: however a signature comes to hold a nonzero Seed — New,
+// Clone, CopyFrom over another config, Union or a binary round trip — it
+// must hash tuples exactly as one built with New, and New must hash them as
+// splitmix64(x ^ splitmix64(Seed)).
+func TestSignatureConstructorsHashAlike(t *testing.T) {
+	cfg := Config{NumMaps: 64, Seed: 0x5eed_cafe}
+	tuples := make([]uint64, 5000)
+	r := rand.New(rand.NewSource(3))
+	for i := range tuples {
+		tuples[i] = r.Uint64()
+	}
+
+	want := make([]uint64, cfg.NumMaps)
+	idxBits := bits.TrailingZeros64(uint64(cfg.NumMaps))
+	for _, x := range tuples {
+		h := splitmix64(x ^ splitmix64(cfg.Seed))
+		want[h&uint64(cfg.NumMaps-1)] |= 1 << uint(min(bits.TrailingZeros64(h>>idxBits), 63))
+	}
+
+	copied := MustNew(Config{NumMaps: 16, Seed: 9})
+	copied.CopyFrom(MustNew(cfg))
+	union, err := Union(MustNew(cfg), MustNew(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := MustNew(cfg).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Signature
+	if err := decoded.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	built := []struct {
+		how string
+		sig *Signature
+	}{
+		{"New", MustNew(cfg)},
+		{"Clone", MustNew(cfg).Clone()},
+		{"CopyFrom", copied},
+		{"Union", union},
+		{"UnmarshalBinary", &decoded},
+	}
+	for _, b := range built {
+		for _, x := range tuples {
+			b.sig.AddUint64(x)
+		}
+		if b.sig.Config() != cfg {
+			t.Errorf("%s: config %+v, want %+v", b.how, b.sig.Config(), cfg)
+		}
+		for i, w := range b.sig.maps {
+			if w != want[i] {
+				t.Errorf("%s: map %d = %#x, want %#x", b.how, i, w, want[i])
+				break
+			}
+		}
 	}
 }

@@ -282,10 +282,13 @@ func PaperDefaults() Weights {
 }
 
 // Quality combines a set of QEFs with weights into the overall objective
-// Q(S) = Σ w_i · F_i(S).
+// Q(S) = Σ w_i · F_i(S). Build it with NewQuality and change neither field
+// afterwards: Eval reads the weights from a copy aligned with QEFs.
 type Quality struct {
 	QEFs    []QEF
 	Weights Weights
+	// weights[i] is Weights[QEFs[i].Name()], so Eval looks up no name.
+	weights []float64
 }
 
 // NewQuality validates and builds the composite objective.
@@ -303,14 +306,18 @@ func NewQuality(qefs []QEF, w Weights) (*Quality, error) {
 	if err := w.Validate(qefs); err != nil {
 		return nil, err
 	}
-	return &Quality{QEFs: qefs, Weights: w.Clone()}, nil
+	weights := make([]float64, len(qefs))
+	for i, q := range qefs {
+		weights[i] = w[q.Name()]
+	}
+	return &Quality{QEFs: qefs, Weights: w.Clone(), weights: weights}, nil
 }
 
 // Eval returns Q(S) for the context's source set.
 func (q *Quality) Eval(ctx *Context) float64 {
 	total := 0.0
-	for _, f := range q.QEFs {
-		if w := q.Weights[f.Name()]; w > 0 {
+	for i, f := range q.QEFs {
+		if w := q.weights[i]; w > 0 {
 			total += w * f.Eval(ctx)
 		}
 	}

@@ -153,6 +153,13 @@ func Uncooperative(name string, sch schema.Schema) *Source {
 // builders call Precompute so every Coverage.Eval afterwards is a lock-free
 // load instead of re-deriving the cache under a mutex.
 //
+// The union of all signatures is not maintained across mutations. The first
+// aggregate read after a mutation epoch (a build, a churn tick) ORs the live
+// signatures into one signature, reading each signature's words once. A
+// subtractable counting union kept current instead pays a lane update per set
+// bit of every signature added, removed or replaced, which costs more than
+// the one OR at every measured shape (DESIGN.md, "Online integration").
+//
 // Concurrency: Add (and any other mutation) must happen-before concurrent
 // use. After that, all read methods — including the cached aggregates — are
 // safe to call from multiple goroutines, which is what the parallel
@@ -162,14 +169,6 @@ type Universe struct {
 	sigCfg  pcsa.Config
 	// schemaVersion counts the schema-changing mutations; see SchemaVersion.
 	schemaVersion uint64
-
-	// all is the subtractable counting union over every signature-bearing
-	// source. Add/Remove/UpdateSynopsis maintain it incrementally, so after
-	// a churn tick the Coverage denominator costs a handful of counting
-	// flips instead of re-merging 10⁵ signatures. nil until the first
-	// aggregate read builds it, and again after a failed update, which
-	// makes the next read rebuild it. Guarded by mu.
-	all *pcsa.Counting
 
 	// agg caches the universe-wide aggregates; nil after a mutation. Reads
 	// are a single atomic load; the (re)computation is serialized by mu.
@@ -228,9 +227,6 @@ func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	s.ID = schema.SourceID(len(u.sources))
 	u.sources = append(u.sources, s)
 	u.schemaVersion++
-	u.mu.Lock()
-	u.countingAddLocked(s.Signature)
-	u.mu.Unlock()
 	u.invalidate()
 	return s.ID, nil
 }
@@ -259,9 +255,7 @@ var ErrUnknownSource = errors.New("source: unknown source id")
 // they stay dense (ID == slice index, which every downstream layer assumes).
 // It returns the kept-ID list in ReprobeUniverse's convention —
 // kept[newID] == oldID — so callers can remap constraints and solutions.
-// Removed sources get ID -1; duplicate drop entries are tolerated. The
-// maintained counting union is updated by subtraction, so the next aggregate
-// read stays cheap.
+// Removed sources get ID -1; duplicate drop entries are tolerated.
 func (u *Universe) Remove(drop []schema.SourceID) ([]schema.SourceID, error) {
 	set := make(map[schema.SourceID]bool, len(drop))
 	for _, id := range drop {
@@ -273,11 +267,6 @@ func (u *Universe) Remove(drop []schema.SourceID) ([]schema.SourceID, error) {
 	if len(set) == 0 {
 		return u.IDs(), nil
 	}
-	u.mu.Lock()
-	for id := range set {
-		u.countingDropLocked(u.sources[id].Signature)
-	}
-	u.mu.Unlock()
 	kept := make([]schema.SourceID, 0, len(u.sources)-len(set))
 	out := u.sources[:0]
 	for old, s := range u.sources {
@@ -309,8 +298,7 @@ func (u *Universe) SchemaVersion() uint64 { return u.schemaVersion }
 // keeps its ID, schema, and characteristics, but reports a new cardinality
 // and signature (a drifted vocabulary, or a recovered source re-exporting
 // its data). Passing cardinality -1 and a nil signature degrades the source
-// to uncooperative. The source keeps sig as Add does, and the counting
-// union is flipped old→new.
+// to uncooperative. The source keeps sig as Add does.
 func (u *Universe) UpdateSynopsis(id schema.SourceID, cardinality int64, sig *pcsa.Signature) error {
 	if id < 0 || int(id) >= len(u.sources) {
 		return fmt.Errorf("%w: %d (universe has %d sources)", ErrUnknownSource, id, len(u.sources))
@@ -319,12 +307,6 @@ func (u *Universe) UpdateSynopsis(id schema.SourceID, cardinality int64, sig *pc
 		return ErrSignatureConfig
 	}
 	s := u.sources[id]
-	u.mu.Lock()
-	if s.Signature != sig {
-		u.countingDropLocked(s.Signature)
-		u.countingAddLocked(sig)
-	}
-	u.mu.Unlock()
 	s.Cardinality = cardinality
 	s.Signature = sig
 	u.invalidate()
@@ -337,30 +319,6 @@ func (u *Universe) UpdateSynopsis(id schema.SourceID, cardinality int64, sig *pc
 // budget.
 func (u *Universe) Degrade(id schema.SourceID) error {
 	return u.UpdateSynopsis(id, -1, nil)
-}
-
-// countingAddLocked folds sig into the maintained counting union. A nil
-// union means aggregates() has not materialized one yet — nothing to
-// maintain, the first read builds it from scratch. mu must be held.
-func (u *Universe) countingAddLocked(sig *pcsa.Signature) {
-	if sig == nil || u.all == nil {
-		return
-	}
-	if err := u.all.Add(sig); err != nil {
-		u.all = nil
-	}
-}
-
-// countingDropLocked subtracts sig from the maintained counting union. A
-// failed subtraction leaves the union inconsistent, so it is dropped and the
-// next read rebuilds it. mu must be held.
-func (u *Universe) countingDropLocked(sig *pcsa.Signature) {
-	if sig == nil || u.all == nil {
-		return
-	}
-	if err := u.all.Remove(sig); err != nil {
-		u.all = nil
-	}
 }
 
 // invalidate clears cached aggregates after a mutation.
@@ -407,26 +365,22 @@ func (u *Universe) aggregates() *aggregates {
 	return a
 }
 
-// unionAllLocked returns the estimate over all signature-bearing sources via
-// the maintained counting union, building it when there is none. Counting
-// estimates share the rho-sum kernel with pcsa.Union, so the value is
-// bit-identical to a full merge. mu must be held.
+// unionAllLocked ORs every live signature into one signature and returns its
+// estimate: the rho-sum kernel of pcsa.Union, so the value is bit-identical
+// to a full merge. mu must be held.
 func (u *Universe) unionAllLocked() float64 {
-	if u.all == nil {
-		c, err := pcsa.NewCounting(u.sigCfg)
-		for _, s := range u.sources {
-			if err == nil && s.Signature != nil {
-				err = c.Add(s.Signature)
-			}
+	all, err := pcsa.New(u.sigCfg)
+	for _, s := range u.sources {
+		if err == nil && s.Signature != nil {
+			err = all.MergeFrom(s.Signature)
 		}
-		if err != nil {
-			// Unreachable: Add and UpdateSynopsis admit only signatures of
-			// the universe's configuration.
-			panic(fmt.Sprintf("source: union of universe signatures: %v", err))
-		}
-		u.all = c
 	}
-	return u.all.Estimate()
+	if err != nil {
+		// Unreachable: Add and UpdateSynopsis admit only signatures of the
+		// universe's configuration.
+		panic(fmt.Sprintf("source: union of universe signatures: %v", err))
+	}
+	return all.Estimate()
 }
 
 // Len returns the number of sources N.

@@ -305,8 +305,8 @@ func rebuiltUniverse(t *testing.T, u *Universe) *Universe {
 }
 
 // checkAggregates asserts u's cached aggregates equal a from-scratch
-// rebuild's, exactly (the counting union shares its estimate kernel with the
-// full merge, so even the float must be bit-identical), and that
+// rebuild's, exactly (even the union estimate's float must be
+// bit-identical), and that
 // SignatureBytes counts only the signatures u's sources still hold.
 func checkAggregates(t *testing.T, u *Universe) {
 	t.Helper()
@@ -477,36 +477,103 @@ func TestUpdateSynopsisDriftAndDegrade(t *testing.T) {
 }
 
 // TestRemoveWithLanesPast255 stacks 300 sources over the same tuples, so
-// every set bit's counting lane passes the 255 a byte could hold, then
-// churns the universe: each aggregate must match a from-scratch universe
-// exactly, and every tick must subtract from the maintained counting union
-// rather than rebuild it.
+// every set bit is set by 300 signatures, then churns the universe: after
+// each step every aggregate must match a from-scratch universe exactly.
 func TestRemoveWithLanesPast255(t *testing.T) {
 	u := NewUniverse(testCfg)
 	for i := 0; i < 300; i++ {
 		mustAdd(t, u, makeSource(t, "clone", 0, 50, "a"))
 	}
 	u.Precompute()
-	all := u.all
-	if all == nil {
-		t.Fatal("Precompute built no counting union")
-	}
-	same := func(step string) {
-		t.Helper()
-		checkAggregates(t, u)
-		if u.all != all {
-			t.Fatalf("%s rebuilt the counting union instead of updating it", step)
-		}
-	}
+	checkAggregates(t, u)
 	if _, err := u.Remove([]schema.SourceID{0, 150, 299}); err != nil {
 		t.Fatal(err)
 	}
-	same("Remove")
+	checkAggregates(t, u)
 	if err := u.Degrade(7); err != nil {
 		t.Fatal(err)
 	}
-	same("Degrade")
+	checkAggregates(t, u)
 	mustAdd(t, u, makeSource(t, "new", 50, 200, "b"))
 	u.Precompute()
-	same("Add and Precompute")
+	checkAggregates(t, u)
+}
+
+// TestAggregatesFollowMutations drives seeded random runs of Add, Remove,
+// UpdateSynopsis and Degrade, one to three between reads, over sources that
+// share signatures and sources that never cooperated. After every read
+// UnionAllEstimate must be bit-equal to pcsa.Union of the live signatures
+// and TotalCardinality the sum of the cooperative cardinalities, so no
+// mutation may leave a stale aggregate behind.
+func TestAggregatesFollowMutations(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var made []*pcsa.Signature // earlier signatures, re-used to share one
+		fresh := func() (int64, *pcsa.Signature) {
+			if len(made) > 0 && r.Intn(4) == 0 {
+				sig := made[r.Intn(len(made))]
+				return 1 + r.Int63n(500), sig
+			}
+			lo := uint64(r.Intn(20000))
+			s := makeSource(t, "s", lo, lo+1+uint64(r.Intn(3000)), "a")
+			made = append(made, s.Signature)
+			return s.Cardinality, s.Signature
+		}
+		u := NewUniverse(testCfg)
+		for step := 0; step < 150; step++ {
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				var err error
+				switch op := r.Intn(10); {
+				case op < 4 || u.Len() == 0:
+					if r.Intn(5) == 0 {
+						_, err = u.Add(Uncooperative("u", schema.NewSchema("a")))
+					} else {
+						c, sig := fresh()
+						_, err = u.Add(&Source{Name: "s", Schema: schema.NewSchema("a"), Cardinality: c, Signature: sig})
+					}
+				case op < 6:
+					drop := []schema.SourceID{schema.SourceID(r.Intn(u.Len()))}
+					if r.Intn(2) == 0 {
+						drop = append(drop, schema.SourceID(r.Intn(u.Len())))
+					}
+					_, err = u.Remove(drop)
+				case op < 8:
+					c, sig := fresh()
+					err = u.UpdateSynopsis(schema.SourceID(r.Intn(u.Len())), c, sig)
+				default:
+					err = u.Degrade(schema.SourceID(r.Intn(u.Len())))
+				}
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+			if r.Intn(2) == 0 {
+				u.Precompute()
+			}
+			var live []*pcsa.Signature
+			var card int64
+			for _, s := range u.Sources() {
+				if s.Signature != nil {
+					live = append(live, s.Signature)
+				}
+				if s.Cardinality > 0 {
+					card += s.Cardinality
+				}
+			}
+			want := 0.0
+			if len(live) > 0 {
+				all, err := pcsa.Union(live...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = all.Estimate()
+			}
+			if got := u.UnionAllEstimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: UnionAllEstimate = %v, union of %d live signatures = %v", seed, step, got, len(live), want)
+			}
+			if got := u.TotalCardinality(); got != card {
+				t.Fatalf("seed %d step %d: TotalCardinality = %d, want %d", seed, step, got, card)
+			}
+		}
+	}
 }

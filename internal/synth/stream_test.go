@@ -10,6 +10,7 @@ import (
 	"mube/internal/pcsa"
 	"mube/internal/schema"
 	"mube/internal/source"
+	"mube/internal/testutil"
 )
 
 // smallCfg keeps tuple counts tiny so tests run in milliseconds.
@@ -134,6 +135,78 @@ func TestDomainVocabDisjoint(t *testing.T) {
 				t.Fatalf("vocab name %q not 12 chars", n)
 			}
 			seen[n] = true
+		}
+	}
+}
+
+// TestSourceNamesMatchSprintf pins both generators' names to their fmt
+// spelling, "src-%03d-b%02d" and "src-%06d-d%03d" after the NamePrefix,
+// including numbers wider than the padding, and checks that streamed
+// sources carry exactly those names.
+func TestSourceNamesMatchSprintf(t *testing.T) {
+	for _, prefix := range []string{"", "e007-"} {
+		for _, i := range []int{0, 7, 999, 1000, 999999, 1000000} {
+			for _, d := range []int{0, 99, 100, 999, 1000} {
+				if got, want := string(bammName(nil, prefix, i, d)), prefix+fmt.Sprintf("src-%03d-b%02d", i, d); got != want {
+					t.Errorf("bammName(%q, %d, %d) = %q, want %q", prefix, i, d, got, want)
+				}
+				if got, want := string(domainName(nil, prefix, i, d)), prefix+fmt.Sprintf("src-%06d-d%03d", i, d); got != want {
+					t.Errorf("domainName(%q, %d, %d) = %q, want %q", prefix, i, d, got, want)
+				}
+			}
+		}
+	}
+	for _, domains := range []int{0, 7} {
+		cfg := smallCfg(120)
+		cfg.Domains = domains
+		cfg.NamePrefix = "e012-"
+		i := 0
+		err := Stream(cfg, func(s *source.Source, m SourceMeta) error {
+			want := cfg.NamePrefix + fmt.Sprintf("src-%03d-b%02d", i, m.BaseSchema)
+			if domains > 1 {
+				want = cfg.NamePrefix + fmt.Sprintf("src-%06d-d%03d", i, m.BaseSchema)
+			}
+			if s.Name != want {
+				return fmt.Errorf("domains=%d source %d: name %q, want %q", domains, i, s.Name, want)
+			}
+			i++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStreamAllocs budgets generation's allocations per source at 2 000
+// sources and 64 maps, in both modes, with a yield that keeps nothing. A
+// source needs its signature (two allocations), its schema's attribute
+// slice, its name, its characteristics map, the Source itself and its
+// origins; BAMM mode's perturbation adds its own slices and dedup set.
+func TestStreamAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	for _, tc := range []struct {
+		mode    string
+		domains int
+		budget  float64
+	}{
+		{"domains", 32, 9},
+		{"bamm", 0, 9.5},
+	} {
+		cfg := smallCfg(2000)
+		cfg.Domains = tc.domains
+		drop := func(*source.Source, SourceMeta) error { return nil }
+		perRun := testing.AllocsPerRun(3, func() {
+			if err := Stream(cfg, drop); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := perRun / float64(cfg.NumSources); got > tc.budget {
+			t.Errorf("%s: %.2f allocs per source, budget %v", tc.mode, got, tc.budget)
+		} else {
+			t.Logf("%s: %.2f allocs per source", tc.mode, got)
 		}
 	}
 }

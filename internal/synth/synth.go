@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"mube/internal/bamm"
 	"mube/internal/minhash"
@@ -162,7 +163,8 @@ type Result struct {
 	// source i, or -1 for genuine noise. A perturbation that *renames* an
 	// attribute to a noise word keeps its origin: the site changed its
 	// label, not its data — which is exactly the situation data-based
-	// similarity exists to recover.
+	// similarity exists to recover. Read-only: a conformant BAMM source's
+	// slice is the bamm corpus's shared table.
 	AttrOrigins [][]int
 	// Config echoes the generation parameters.
 	Config Config
@@ -180,7 +182,8 @@ type SourceMeta struct {
 	// Specialty reports whether the source carries specialty tuples.
 	Specialty bool
 	// AttrOrigins[a] is the ground-truth concept behind attribute a, -1 for
-	// genuine noise.
+	// genuine noise. Read-only: a conformant BAMM source's slice is the bamm
+	// corpus's shared table.
 	AttrOrigins []int
 	// Tuples holds the source's tuple IDs when Config.KeepTuples is set.
 	Tuples []source.TupleID
@@ -255,17 +258,7 @@ func GenerateUniverse(cfg Config) (*source.Universe, error) {
 // the exact universes of archived experiment runs — so edits must not
 // insert, remove, or reorder draws.
 func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta) error) error {
-	base := bamm.Schemas()
-	baseOrigins := make([][]int, len(base))
-	for i, sch := range base {
-		baseOrigins[i] = make([]int, sch.Len())
-		for a := 0; a < sch.Len(); a++ {
-			baseOrigins[i][a] = -1
-			if ci, ok := bamm.ConceptOf(sch.Name(a)); ok {
-				baseOrigins[i][a] = ci
-			}
-		}
-	}
+	numBase := bamm.NumSchemas()
 	minhashK := cfg.MinHashK
 	if minhashK == 0 {
 		minhashK = minhash.DefaultK
@@ -278,12 +271,12 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 	ranks := r.Perm(cfg.NumSources)
 	generalPool := cfg.PoolSize / 2
 	vocabScale := VocabScale(cfg)
+	var name []byte
 
 	for i := 0; i < cfg.NumSources; i++ {
-		baseIdx := i % len(base)
-		conformant := i < len(base)
-		attrs := base[baseIdx].Attrs
-		origins := baseOrigins[baseIdx]
+		baseIdx := i % numBase
+		conformant := i < numBase
+		attrs, origins := bamm.Base(baseIdx)
 		if !conformant {
 			attrs, origins = perturb(r, attrs, origins, cfg)
 		}
@@ -337,8 +330,9 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 		if mttf < 1 {
 			mttf = 1
 		}
+		name = bammName(name[:0], cfg.NamePrefix, i, baseIdx)
 		s := &source.Source{
-			Name:           cfg.NamePrefix + fmt.Sprintf("src-%03d-b%02d", i, baseIdx),
+			Name:           string(name),
 			Schema:         schema.NewSchema(attrs...),
 			Cardinality:    card,
 			Signature:      sig,
@@ -381,11 +375,15 @@ func streamDomains(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMe
 	vocab := domainVocab(cfg.Seed, nd, nc)
 	ranks := r.Perm(cfg.NumSources)
 	generalPool := cfg.PoolSize / 2
+	// attrs is scratch: schema.NewSchema copies it. origins goes into the
+	// source's SourceMeta, which callers keep, so it is fresh per source.
+	attrs := make([]string, 0, nc)
+	var name []byte
 
 	for i := 0; i < cfg.NumSources; i++ {
 		d := i % nd
 		conformant := i < nd // one full-vocabulary source per domain
-		attrs := make([]string, 0, nc)
+		attrs = attrs[:0]
 		origins := make([]int, 0, nc)
 		for c := 0; c < nc; c++ {
 			if !conformant && r.Float64() < cfg.PRemove {
@@ -435,8 +433,9 @@ func streamDomains(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMe
 		if mttf < 1 {
 			mttf = 1
 		}
+		name = domainName(name[:0], cfg.NamePrefix, i, d)
 		s := &source.Source{
-			Name:        cfg.NamePrefix + fmt.Sprintf("src-%06d-d%03d", i, d),
+			Name:        string(name),
 			Schema:      schema.NewSchema(attrs...),
 			Cardinality: card,
 			Signature:   sig,
@@ -457,6 +456,35 @@ func streamDomains(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMe
 		}
 	}
 	return nil
+}
+
+// bammName appends prefix + fmt.Sprintf("src-%03d-b%02d", i, b) to buf.
+func bammName(buf []byte, prefix string, i, b int) []byte {
+	buf = append(append(buf, prefix...), "src-"...)
+	buf = appendPadded(buf, i, 3)
+	buf = append(buf, "-b"...)
+	return appendPadded(buf, b, 2)
+}
+
+// domainName appends prefix + fmt.Sprintf("src-%06d-d%03d", i, d) to buf.
+func domainName(buf []byte, prefix string, i, d int) []byte {
+	buf = append(append(buf, prefix...), "src-"...)
+	buf = appendPadded(buf, i, 6)
+	buf = append(buf, "-d"...)
+	return appendPadded(buf, d, 3)
+}
+
+// appendPadded appends the non-negative v in decimal, zero-padded on the left
+// to width digits, as fmt's %0<width>d spells it: a wider v keeps every digit.
+func appendPadded(buf []byte, v, width int) []byte {
+	n := 1
+	for x := v; x >= 10; x /= 10 {
+		n++
+	}
+	for ; n < width; n++ {
+		buf = append(buf, '0')
+	}
+	return strconv.AppendInt(buf, int64(v), 10)
 }
 
 // domainVocab derives nd disjoint vocabularies of nc attribute names each
