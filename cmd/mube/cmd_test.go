@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -51,6 +53,29 @@ func TestCmdGenAndInspect(t *testing.T) {
 	out = captureStdout(t, func() error { return cmdInspect([]string{"-u", path, "-source", "3"}) })
 	if !strings.Contains(out, "source 3:") || !strings.Contains(out, "schema:") {
 		t.Errorf("inspect detail:\n%s", out)
+	}
+	// The characteristic lines close the detail, in name order, with the
+	// file's values.
+	var file struct {
+		Sources []struct {
+			Characteristics map[string]float64 `json:"characteristics"`
+		} `json:"sources"`
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || json.Unmarshal(data, &file) != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	chars := file.Sources[3].Characteristics
+	var want strings.Builder
+	for _, name := range []string{"latency", "mttf"} {
+		v, ok := chars[name]
+		if !ok || len(chars) != 2 {
+			t.Fatalf("source 3 characteristics %v, want latency and mttf", chars)
+		}
+		fmt.Fprintf(&want, "  %-12s %.2f\n", name+":", v)
+	}
+	if !strings.HasSuffix(out, want.String()) {
+		t.Errorf("inspect detail:\n%s\nwant it to end with:\n%s", out, want.String())
 	}
 	if err := cmdInspect([]string{"-u", path, "-source", "999"}); err == nil {
 		t.Error("out-of-range source accepted")

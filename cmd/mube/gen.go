@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"mube/internal/schema"
 	"mube/internal/source"
@@ -66,13 +65,9 @@ func cmdInspect(args []string) error {
 		} else {
 			fmt.Printf("  cardinality: (uncooperative)\n")
 		}
-		names := make([]string, 0, len(s.Characteristics))
-		for k := range s.Characteristics {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		for _, k := range names {
-			fmt.Printf("  %-12s %.2f\n", k+":", s.Characteristics[k])
+		// ReadJSON leaves each source's characteristics in name order.
+		for _, c := range s.Characteristics {
+			fmt.Printf("  %-12s %.2f\n", c.Name+":", c.Value)
 		}
 		return nil
 	}

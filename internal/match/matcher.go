@@ -277,11 +277,12 @@ func (m *Matcher) WithParams(theta float64, beta int, linkage Linkage) (*Matcher
 // similarity already in the table and computes only the pairs involving
 // genuinely new attribute names. With churn touching a few percent of
 // sources per epoch the distinct-name set barely moves, so a rebind is
-// usually a re-interning pass (normalizing only unseen spellings) plus
-// scoring the few pairs with a new name. Similarities of pairs present in
-// both tables are copied bit-for-bit, so clustering over the rebound matcher
-// scores identically to a from-scratch build. Hybrid (data-weighted) tables
-// are keyed per attribute, not per distinct name, so they fall back to New.
+// usually one pass over the sources' vocabulary ids (normalizing only names
+// the interning has not met in that vocabulary) plus scoring the few pairs
+// with a new name. Similarities of pairs present in both tables are copied
+// bit-for-bit, so clustering over the rebound matcher scores identically to
+// a from-scratch build. Hybrid (data-weighted) tables are keyed per
+// attribute, not per distinct name, so they fall back to New.
 func (m *Matcher) Rebind(nu *source.Universe) (*Matcher, error) {
 	if m.cfg.DataWeight != 0 {
 		return New(nu, m.cfg)

@@ -2,39 +2,55 @@ package match
 
 import (
 	"maps"
+	"slices"
 
+	"mube/internal/schema"
 	"mube/internal/source"
 	"mube/internal/strutil"
 )
 
-// interning maps attribute spellings to dense ids of their normalized names.
-// Ids are numbered in first-seen order over sources and attributes, so they
-// are a pure function of the universes interned so far. Read-only once a
-// matcher is built; Rebind extends a clone.
+// interning maps attributes to dense ids of their normalized names. Ids are
+// numbered in first-seen order over sources and attributes, so they are a
+// pure function of the universes interned so far, whatever order their
+// vocabularies hold the names in. Read-only once a matcher is built; Rebind
+// extends a clone.
 type interning struct {
-	// raw caches each distinct spelling's name id, so a spelling is
-	// normalized once however many attributes share it.
-	raw   map[string]int
+	// vocab is the vocabulary row indexes, that of the universe last
+	// interned.
+	vocab *schema.Vocab
+	// row[v] is the name id of vocab's name v, or -1 while no attribute has
+	// used it, so a spelling is normalized once however many attributes
+	// share it.
+	row   []int32
 	ids   map[string]int // normalized name → name id
 	names []string       // name id → normalized name
 }
 
 func newInterning() interning {
-	return interning{raw: make(map[string]int), ids: make(map[string]int)}
+	return interning{ids: make(map[string]int)}
 }
 
 // clone returns an interning that can be extended without touching in.
 func (in interning) clone() interning {
 	return interning{
-		raw:   maps.Clone(in.raw),
+		vocab: in.vocab,
+		row:   slices.Clone(in.row),
 		ids:   maps.Clone(in.ids),
 		names: in.names[:len(in.names):len(in.names)], // append must copy
 	}
 }
 
 // assign interns every attribute name of u and returns nameID[s][a], the
-// name id of attribute a of source s.
+// name id of attribute a of source s. The row follows u's vocabulary: it
+// starts over when the vocabulary is another one, and grows with it.
 func (in *interning) assign(u *source.Universe) [][]int {
+	v := u.Vocab()
+	if v != in.vocab {
+		in.vocab, in.row = v, in.row[:0]
+	}
+	for len(in.row) < v.Len() {
+		in.row = append(in.row, -1)
+	}
 	total := 0
 	for _, s := range u.Sources() {
 		total += s.Schema.Len()
@@ -44,23 +60,38 @@ func (in *interning) assign(u *source.Universe) [][]int {
 	for si, s := range u.Sources() {
 		row := flat[:s.Schema.Len():s.Schema.Len()]
 		flat = flat[len(row):]
-		for ai := range row {
-			spelling := s.Schema.Name(ai)
-			id, ok := in.raw[spelling]
-			if !ok {
-				norm := strutil.Normalize(spelling)
-				if id, ok = in.ids[norm]; !ok {
-					id = len(in.names)
-					in.ids[norm] = id
-					in.names = append(in.names, norm)
-				}
-				in.raw[spelling] = id
-			}
-			row[ai] = id
-		}
 		nameID[si] = row
+		if s.Schema.Vocab() != v {
+			// A schema replaced after Add is off the universe's vocabulary.
+			for ai := range row {
+				row[ai] = in.nameOf(s.Schema.Name(ai))
+			}
+			continue
+		}
+		for ai := range row {
+			vid := s.Schema.ID(ai)
+			id := in.row[vid]
+			if id < 0 {
+				id = int32(in.nameOf(v.Name(vid)))
+				in.row[vid] = id
+			}
+			row[ai] = int(id)
+		}
 	}
 	return nameID
+}
+
+// nameOf returns the name id of a spelling's normalized name, giving the
+// name the next id if it is new.
+func (in *interning) nameOf(spelling string) int {
+	norm := strutil.Normalize(spelling)
+	id, ok := in.ids[norm]
+	if !ok {
+		id = len(in.names)
+		in.ids[norm] = id
+		in.names = append(in.names, norm)
+	}
+	return id
 }
 
 // nameTable returns the packed upper-triangular similarity table over

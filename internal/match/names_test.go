@@ -85,7 +85,11 @@ func TestNameTableMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var random [][]string
 	for _, s := range randomUniverse(t, r, 60).Sources() {
-		random = append(random, s.Schema.Attrs)
+		names := make([]string, s.Schema.Len())
+		for i := range names {
+			names[i] = s.Schema.Name(i)
+		}
+		random = append(random, names)
 	}
 	for _, schemas := range [][][]string{edge, random, append(append([][]string{}, random...), edge...)} {
 		full := universe(t, schemas...)
@@ -135,5 +139,23 @@ func TestNewAllocsScaleWithSourcesAndNames(t *testing.T) {
 	if got > budget {
 		t.Errorf("New: %v allocs for %d sources, %d attributes, %d names; budget %v",
 			got, sources, sources*attrs, names, budget)
+	}
+
+	// A Rebind that brings no new name allocates as many times at 2 400
+	// sources as at 150: nothing it allocates is per source or attribute.
+	rebindAllocs := func(u *source.Universe) int {
+		m := MustNew(u, Config{})
+		return int(testing.AllocsPerRun(5, func() {
+			if _, err := m.Rebind(u); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	var big [][]string
+	for i := 0; i < 16; i++ {
+		big = append(big, schemas...)
+	}
+	if small, large := rebindAllocs(u), rebindAllocs(universe(t, big...)); small != large {
+		t.Errorf("Rebind with no new name: %v allocs at %d sources, %v at %d", small, sources, large, len(big))
 	}
 }

@@ -93,7 +93,7 @@ func (p Policy) WithDefaults() Policy {
 type Candidate struct {
 	Name            string
 	Schema          schema.Schema
-	Characteristics map[string]float64
+	Characteristics []source.Characteristic
 	// Open starts one fresh tuple scan; the prober calls it once per
 	// attempt.
 	Open func() source.TupleIterator

@@ -40,7 +40,7 @@ func candidates(n int) []Candidate {
 		cands[i] = Candidate{
 			Name:            fmt.Sprintf("src-%03d", i),
 			Schema:          schema.NewSchema("title", "year"),
-			Characteristics: map[string]float64{"freshness": float64(i)},
+			Characteristics: []source.Characteristic{{Name: "freshness", Value: float64(i)}},
 			Open:            func() source.TupleIterator { return &sliceIter{tuples: tuples} },
 		}
 	}

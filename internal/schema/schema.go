@@ -54,27 +54,89 @@ func (r AttrRef) Compare(o AttrRef) int {
 	return 0
 }
 
-// Schema is the exported schema of a single data source: an ordered list of
-// attribute names.
-type Schema struct {
-	Attrs []string
+// Vocab is an append-only vocabulary of attribute names: each distinct name
+// gets a dense int32 id in the order it is first interned, and keeps it for
+// the vocabulary's life. A source.Universe owns one, shared by all its
+// sources' schemas, so a name repeated across sources is stored and hashed
+// once. Intern must happen-before concurrent reads, as Universe.Add must.
+type Vocab struct {
+	ids   map[string]int32
+	names []string
 }
 
-// NewSchema returns a schema over the given attribute names.
-func NewSchema(attrs ...string) Schema {
-	return Schema{Attrs: append([]string(nil), attrs...)}
+// NewVocab returns an empty vocabulary.
+func NewVocab() *Vocab { return &Vocab{ids: make(map[string]int32)} }
+
+// Intern returns name's id, giving it the next id if it is new.
+func (v *Vocab) Intern(name string) int32 {
+	if id, ok := v.ids[name]; ok {
+		return id
+	}
+	id := int32(len(v.names))
+	v.ids[name] = id
+	v.names = append(v.names, name)
+	return id
 }
+
+// Name returns the name with the given id.
+func (v *Vocab) Name(id int32) string { return v.names[id] }
+
+// Len returns the number of names interned so far.
+func (v *Vocab) Len() int { return len(v.names) }
+
+// Schema is the exported schema of a single data source: an ordered list of
+// attribute names, held as ids into a vocabulary. A name may repeat; the
+// schema keeps every position.
+type Schema struct {
+	vocab *Vocab
+	ids   []int32
+}
+
+// NewSchema returns a schema over the given attribute names, on a private
+// vocabulary. Universe.Add moves it onto the universe's vocabulary.
+func NewSchema(names ...string) Schema {
+	v := NewVocab()
+	ids := make([]int32, len(names))
+	for i, n := range names {
+		ids[i] = v.Intern(n)
+	}
+	return Schema{vocab: v, ids: ids}
+}
+
+// FromIDs adopts ids, names interned in v, as a schema without copying. The
+// caller never mutates ids afterwards; schemas may share one ids slice.
+func FromIDs(v *Vocab, ids []int32) Schema { return Schema{vocab: v, ids: ids} }
+
+// Rehome returns the schema on v: s itself when it is already there, else a
+// copy whose ids are its names interned in v.
+func (s Schema) Rehome(v *Vocab) Schema {
+	if s.vocab == v {
+		return s
+	}
+	ids := make([]int32, len(s.ids))
+	for i, id := range s.ids {
+		ids[i] = v.Intern(s.vocab.Name(id))
+	}
+	return Schema{vocab: v, ids: ids}
+}
+
+// Vocab returns the vocabulary the schema's ids index.
+func (s Schema) Vocab() *Vocab { return s.vocab }
+
+// ID returns the vocabulary id of attribute i's name.
+func (s Schema) ID(i int) int32 { return s.ids[i] }
 
 // Len returns the number of attributes.
-func (s Schema) Len() int { return len(s.Attrs) }
+func (s Schema) Len() int { return len(s.ids) }
 
 // Name returns the name of attribute i.
-func (s Schema) Name(i int) string { return s.Attrs[i] }
+func (s Schema) Name(i int) string { return s.vocab.Name(s.ids[i]) }
 
-// IndexOf returns the index of the attribute with the given name, or -1.
+// IndexOf returns the index of the first attribute with the given name, or
+// -1.
 func (s Schema) IndexOf(name string) int {
-	for i, a := range s.Attrs {
-		if a == name {
+	for i, id := range s.ids {
+		if s.vocab.Name(id) == name {
 			return i
 		}
 	}
@@ -82,7 +144,18 @@ func (s Schema) IndexOf(name string) int {
 }
 
 // String renders the schema as "{a, b, c}".
-func (s Schema) String() string { return "{" + strings.Join(s.Attrs, ", ") + "}" }
+func (s Schema) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i := range s.ids {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(s.Name(i))
+	}
+	b.WriteByte('}')
+	return b.String()
+}
 
 // GA is a Global Attribute (Definition 1): a set of attributes, each from a
 // distinct source, that map to the same mediated-schema attribute. The

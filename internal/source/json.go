@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"mube/internal/minhash"
 	"mube/internal/pcsa"
@@ -12,7 +14,9 @@ import (
 )
 
 // sourceJSON is the wire form of a Source. Signatures are base64-encoded
-// binary; uncooperative sources omit cardinality and signature.
+// binary; uncooperative sources omit cardinality and signature. The
+// characteristics travel as an object, whose keys encoding/json writes in
+// sorted order.
 type sourceJSON struct {
 	Name            string             `json:"name"`
 	Attrs           []string           `json:"attrs"`
@@ -59,11 +63,20 @@ func (u *Universe) WriteJSON(w io.Writer) error {
 		base64.StdEncoding.Encode(b64, raw)
 		return string(b64), nil
 	}
+	// Every source's names are slices of one flat buffer.
+	names := make([]string, u.NumAttrs())
 	for _, s := range u.sources {
-		sj := sourceJSON{
-			Name:            s.Name,
-			Attrs:           s.Schema.Attrs,
-			Characteristics: s.Characteristics,
+		attrs := names[:s.Schema.Len():s.Schema.Len()]
+		names = names[len(attrs):]
+		for i := range attrs {
+			attrs[i] = s.Schema.Name(i)
+		}
+		sj := sourceJSON{Name: s.Name, Attrs: attrs}
+		if len(s.Characteristics) > 0 {
+			sj.Characteristics = make(map[string]float64, len(s.Characteristics))
+			for _, c := range s.Characteristics {
+				sj.Characteristics[c.Name] = c.Value
+			}
 		}
 		if s.Cardinality >= 0 {
 			c := s.Cardinality
@@ -95,7 +108,9 @@ func (u *Universe) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON deserializes a universe written by WriteJSON.
+// ReadJSON deserializes a universe written by WriteJSON. Schemas are built
+// on the universe's vocabulary, and each source's characteristics are in
+// name order.
 func ReadJSON(r io.Reader) (*Universe, error) {
 	var in universeJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -111,11 +126,21 @@ func ReadJSON(r io.Reader) (*Universe, error) {
 	}
 	u := NewUniverse(cfg)
 	for i, sj := range in.Sources {
+		ids := make([]int32, len(sj.Attrs))
+		for a, name := range sj.Attrs {
+			ids[a] = u.vocab.Intern(name)
+		}
 		s := &Source{
-			Name:            sj.Name,
-			Schema:          schema.NewSchema(sj.Attrs...),
-			Cardinality:     -1,
-			Characteristics: sj.Characteristics,
+			Name:        sj.Name,
+			Schema:      schema.FromIDs(u.vocab, ids),
+			Cardinality: -1,
+		}
+		if len(sj.Characteristics) > 0 {
+			s.Characteristics = make([]Characteristic, 0, len(sj.Characteristics))
+			for name, v := range sj.Characteristics {
+				s.Characteristics = append(s.Characteristics, Characteristic{Name: name, Value: v})
+			}
+			slices.SortFunc(s.Characteristics, func(a, b Characteristic) int { return strings.Compare(a.Name, b.Name) })
 		}
 		if sj.Cardinality != nil {
 			s.Cardinality = *sj.Cardinality

@@ -78,12 +78,20 @@ type Source struct {
 	// based"); nil or per-slot nil means the source did not provide one.
 	AttrSignatures []*minhash.Signature
 	// Characteristics holds named non-functional properties (§5): MTTF,
-	// latency, fees, reputation, … Values are finite non-negative reals of
-	// any magnitude (Universe.Add refuses anything else); QEF aggregators
+	// latency, fees, reputation, … as name/value pairs in the source's own
+	// order, each name at most once; Characteristic looks one up by name.
+	// Values are finite non-negative reals of any magnitude (Universe.Add
+	// refuses anything else, and a repeated name); QEF aggregators
 	// normalize them per-universe. Like the synopses, they are fixed once
 	// the source is in a universe: the universe memoizes their normalized
-	// columns.
-	Characteristics map[string]float64
+	// columns, and sources may share one slice.
+	Characteristics []Characteristic
+}
+
+// Characteristic is one named characteristic value of a source.
+type Characteristic struct {
+	Name  string
+	Value float64
 }
 
 // Cooperative reports whether the source provided the data synopses µBE
@@ -101,17 +109,25 @@ func (s *Source) AttrSignature(a int) *minhash.Signature {
 
 // Characteristic returns the named characteristic and whether it is set.
 func (s *Source) Characteristic(name string) (float64, bool) {
-	v, ok := s.Characteristics[name]
-	return v, ok
+	for _, c := range s.Characteristics {
+		if c.Name == name {
+			return c.Value, true
+		}
+	}
+	return 0, false
 }
 
-// SetCharacteristic sets a named characteristic, allocating the map if
-// needed. Set characteristics before the source joins a universe.
+// SetCharacteristic sets a named characteristic, replacing its value if the
+// source has it already. Set characteristics before the source joins a
+// universe.
 func (s *Source) SetCharacteristic(name string, v float64) {
-	if s.Characteristics == nil {
-		s.Characteristics = make(map[string]float64)
+	for i, c := range s.Characteristics {
+		if c.Name == name {
+			s.Characteristics[i].Value = v
+			return
+		}
 	}
-	s.Characteristics[name] = v
+	s.Characteristics = append(s.Characteristics, Characteristic{Name: name, Value: v})
 }
 
 // FromTuples builds a cooperative source by scanning its tuples once,
@@ -153,6 +169,11 @@ func Uncooperative(name string, sch schema.Schema) *Source {
 // builders call Precompute so every Coverage.Eval afterwards is a lock-free
 // load instead of re-deriving the cache under a mutex.
 //
+// The universe owns one attribute-name vocabulary (Vocab), and every
+// source's schema holds ids into it: Add moves a schema built on any other
+// vocabulary onto it by name. The vocabulary only grows; names of removed
+// sources stay interned.
+//
 // The union of all signatures is not maintained across mutations. The first
 // aggregate read after a mutation epoch (a build, a churn tick) ORs the live
 // signatures into one signature, reading each signature's words once. A
@@ -160,25 +181,34 @@ func Uncooperative(name string, sch schema.Schema) *Source {
 // bit of every signature added, removed or replaced, which costs more than
 // the one OR at every measured shape (DESIGN.md, "Online integration").
 //
-// Concurrency: Add (and any other mutation) must happen-before concurrent
-// use. After that, all read methods — including the cached aggregates — are
-// safe to call from multiple goroutines, which is what the parallel
-// objective evaluator (internal/opt) relies on.
+// Concurrency: Add (and any other mutation, interning into Vocab included)
+// must happen-before concurrent use. After that, all read methods —
+// including the cached aggregates — are safe to call from multiple
+// goroutines, which is what the parallel objective evaluator (internal/opt)
+// relies on.
 type Universe struct {
 	sources []*Source
 	sigCfg  pcsa.Config
+	vocab   *schema.Vocab
 	// schemaVersion counts the schema-changing mutations; see SchemaVersion.
 	schemaVersion uint64
 
 	// agg caches the universe-wide aggregates; nil after a mutation. Reads
 	// are a single atomic load; the (re)computation is serialized by mu.
 	agg atomic.Pointer[aggregates]
+	mu  sync.Mutex // guards the aggregate recomputation
 
-	// mu guards the aggregate recomputation and the characteristic memos:
-	// the (min, max) ranges and the normalized columns built from them.
-	mu           sync.Mutex
-	charRangeMem map[string][2]float64
-	charColMem   map[string][]float64
+	// chars memoizes the characteristic ranges and columns; nil after a
+	// mutation, so invalidating takes no lock.
+	chars atomic.Pointer[charMemo]
+}
+
+// charMemo holds one universe version's characteristic (min, max) ranges and
+// the normalized columns built from them.
+type charMemo struct {
+	mu     sync.Mutex
+	ranges map[string][2]float64
+	cols   map[string][]float64
 }
 
 // aggregates are the universe-wide QEF denominators, computed in one pass
@@ -191,32 +221,34 @@ type aggregates struct {
 // NewUniverse returns an empty universe whose cooperative sources use the
 // given signature configuration.
 func NewUniverse(cfg pcsa.Config) *Universe {
-	return &Universe{
-		sigCfg:       cfg,
-		charRangeMem: make(map[string][2]float64),
-		charColMem:   make(map[string][]float64),
-	}
+	return &Universe{sigCfg: cfg, vocab: schema.NewVocab()}
 }
 
 // SignatureConfig returns the signature configuration shared by the
 // universe's cooperative sources.
 func (u *Universe) SignatureConfig() pcsa.Config { return u.sigCfg }
 
+// Vocab returns the universe's attribute-name vocabulary. Schemas built on
+// it (schema.FromIDs) join the universe without being moved.
+func (u *Universe) Vocab() *schema.Vocab { return u.vocab }
+
 // ErrSignatureConfig is returned when a cooperative source's signature does
 // not match the universe's configuration.
 var ErrSignatureConfig = errors.New("source: signature config does not match universe")
 
 // ErrCharacteristic is returned when a source carries a characteristic
-// that is negative, NaN or infinite. Normalization divides by a
-// characteristic's range, which such a value would overflow or poison.
-var ErrCharacteristic = errors.New("source: characteristic is not a finite non-negative real")
+// that is negative, NaN or infinite, or names one characteristic twice.
+// Normalization divides by a characteristic's range, which such a value
+// would overflow or poison.
+var ErrCharacteristic = errors.New("source: invalid characteristic")
 
-// Add inserts s into the universe, assigns its ID, and returns it. The
-// universe keeps s and its signature as they are, without copying: synopses
-// and characteristics are immutable once added, so one signature may be
-// shared by several sources or universes (probe.ReprobeUniverse and watch's
-// cold reference re-add the same *pcsa.Signature), and the GC reclaims it
-// once no source holds it.
+// Add inserts s into the universe, assigns its ID, and returns it. A schema
+// on another vocabulary is re-homed onto the universe's (same names, new
+// ids) and stored on s. Otherwise the universe keeps s and its signature as
+// they are, without copying: synopses and characteristics are immutable once
+// added, so one signature may be shared by several sources or universes
+// (probe.ReprobeUniverse and watch's cold reference re-add the same
+// *pcsa.Signature), and the GC reclaims it once no source holds it.
 func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	if s.Signature != nil && s.Signature.Config() != u.sigCfg {
 		return -1, ErrSignatureConfig
@@ -224,6 +256,7 @@ func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 	if err := checkCharacteristics(s.Characteristics); err != nil {
 		return -1, err
 	}
+	s.Schema = s.Schema.Rehome(u.vocab)
 	s.ID = schema.SourceID(len(u.sources))
 	u.sources = append(u.sources, s)
 	u.schemaVersion++
@@ -232,19 +265,51 @@ func (u *Universe) Add(s *Source) (schema.SourceID, error) {
 }
 
 // checkCharacteristics reports the alphabetically first characteristic that
-// is not a finite non-negative real, so the error does not depend on map
-// order.
-func checkCharacteristics(chars map[string]float64) error {
-	bad, found := "", false
-	for name, v := range chars {
-		if (v < 0 || math.IsNaN(v) || math.IsInf(v, 0)) && (!found || name < bad) {
-			bad, found = name, true
+// is not a finite non-negative real, so the error does not depend on the
+// slice's order, or else the alphabetically first name that repeats.
+func checkCharacteristics(chars []Characteristic) error {
+	bad := -1
+	for i, c := range chars {
+		if (c.Value < 0 || math.IsNaN(c.Value) || math.IsInf(c.Value, 0)) && (bad < 0 || c.Name < chars[bad].Name) {
+			bad = i
 		}
 	}
-	if !found {
-		return nil
+	if bad >= 0 {
+		return fmt.Errorf("%w: %q = %v", ErrCharacteristic, chars[bad].Name, chars[bad].Value)
 	}
-	return fmt.Errorf("%w: %q = %v", ErrCharacteristic, bad, chars[bad])
+	if name, ok := repeatedName(chars); ok {
+		return fmt.Errorf("%w: %q is set twice", ErrCharacteristic, name)
+	}
+	return nil
+}
+
+// repeatedName returns the alphabetically first name that two of chars
+// carry. A source has a handful of characteristics, which it compares
+// pairwise; a long list, such as a hostile universe file's, sorts a copy of
+// its names instead of paying a quadratic scan.
+func repeatedName(chars []Characteristic) (string, bool) {
+	if len(chars) > 16 {
+		names := make([]string, len(chars))
+		for i, c := range chars {
+			names[i] = c.Name
+		}
+		sort.Strings(names)
+		for i := 1; i < len(names); i++ {
+			if names[i] == names[i-1] {
+				return names[i], true
+			}
+		}
+		return "", false
+	}
+	name, found := "", false
+	for i, c := range chars {
+		for _, d := range chars[:i] {
+			if c.Name == d.Name && (!found || c.Name < name) {
+				name, found = c.Name, true
+			}
+		}
+	}
+	return name, found
 }
 
 // ErrUnknownSource is returned by the mutating universe operations when a
@@ -321,13 +386,24 @@ func (u *Universe) Degrade(id schema.SourceID) error {
 	return u.UpdateSynopsis(id, -1, nil)
 }
 
-// invalidate clears cached aggregates after a mutation.
+// invalidate drops the cached aggregates and characteristic memos after a
+// mutation: two atomic stores, no lock.
 func (u *Universe) invalidate() {
 	u.agg.Store(nil)
-	u.mu.Lock()
-	clear(u.charRangeMem)
-	clear(u.charColMem)
-	u.mu.Unlock()
+	u.chars.Store(nil)
+}
+
+// charMemo returns the characteristic memo of the current universe version,
+// making it on first use after a mutation.
+func (u *Universe) charMemo() *charMemo {
+	if c := u.chars.Load(); c != nil {
+		return c
+	}
+	c := &charMemo{ranges: make(map[string][2]float64), cols: make(map[string][]float64)}
+	if u.chars.CompareAndSwap(nil, c) {
+		return c
+	}
+	return u.chars.Load()
 }
 
 // Precompute eagerly materializes the universe-wide aggregates (total
@@ -431,19 +507,20 @@ func (u *Universe) SumCardinality(ids []schema.SourceID) int64 {
 // all sources that define it, used for normalization by aggregators (§5).
 // ok is false when no source defines the characteristic.
 func (u *Universe) CharacteristicRange(name string) (min, max float64, ok bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.characteristicRangeLocked(name)
+	c := u.charMemo()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return u.characteristicRangeLocked(c, name)
 }
 
-// characteristicRangeLocked is CharacteristicRange with mu held.
-func (u *Universe) characteristicRangeLocked(name string) (min, max float64, ok bool) {
-	if r, hit := u.charRangeMem[name]; hit {
+// characteristicRangeLocked is CharacteristicRange with c.mu held.
+func (u *Universe) characteristicRangeLocked(c *charMemo, name string) (min, max float64, ok bool) {
+	if r, hit := c.ranges[name]; hit {
 		return r[0], r[1], true
 	}
 	first := true
 	for _, s := range u.sources {
-		v, has := s.Characteristics[name]
+		v, has := s.Characteristic(name)
 		if !has {
 			continue
 		}
@@ -461,7 +538,7 @@ func (u *Universe) characteristicRangeLocked(name string) (min, max float64, ok 
 	if first {
 		return 0, 0, false
 	}
-	u.charRangeMem[name] = [2]float64{min, max}
+	c.ranges[name] = [2]float64{min, max}
 	return min, max, true
 }
 
@@ -473,15 +550,16 @@ func (u *Universe) characteristicRangeLocked(name string) (min, max float64, ok 
 // universe version and shared, so QEF aggregators pay one lookup per
 // evaluation instead of one per source. The slice must not be modified.
 func (u *Universe) NormalizedCharacteristic(name string) []float64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if col, hit := u.charColMem[name]; hit {
+	c := u.charMemo()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if col, hit := c.cols[name]; hit {
 		return col
 	}
 	col := make([]float64, len(u.sources))
-	if min, max, ok := u.characteristicRangeLocked(name); ok {
+	if min, max, ok := u.characteristicRangeLocked(c, name); ok {
 		for i, s := range u.sources {
-			v, has := s.Characteristics[name]
+			v, has := s.Characteristic(name)
 			switch {
 			case !has:
 			case max <= min:
@@ -491,7 +569,7 @@ func (u *Universe) NormalizedCharacteristic(name string) []float64 {
 			}
 		}
 	}
-	u.charColMem[name] = col
+	c.cols[name] = col
 	return col
 }
 
@@ -500,8 +578,8 @@ func (u *Universe) NormalizedCharacteristic(name string) []float64 {
 func (u *Universe) CharacteristicNames() []string {
 	set := make(map[string]struct{})
 	for _, s := range u.sources {
-		for name := range s.Characteristics {
-			set[name] = struct{}{}
+		for _, c := range s.Characteristics {
+			set[c.Name] = struct{}{}
 		}
 	}
 	names := make([]string, 0, len(set))

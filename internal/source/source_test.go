@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"mube/internal/pcsa"
@@ -159,7 +162,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	a := makeSource(t, "coop", 0, 2000, "title", "author")
 	a.SetCharacteristic("mttf", 93.5)
 	mustAdd(t, u, a)
-	mustAdd(t, u, Uncooperative("shy", schema.NewSchema("keyword")))
+	shy := Uncooperative("shy", schema.NewSchema("keyword"))
+	for _, name := range []string{"zeta", "fees", "mttf", "latency", "beta", "kappa", "alpha", "reputation"} {
+		shy.SetCharacteristic(name, float64(len(name)))
+	}
+	mustAdd(t, u, shy)
 
 	var buf bytes.Buffer
 	if err := u.WriteJSON(&buf); err != nil {
@@ -176,7 +183,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if s0.Name != "coop" || s0.Cardinality != 2000 || !s0.Cooperative() {
 		t.Errorf("source 0 mangled: %+v", s0)
 	}
-	if got := s0.Characteristics["mttf"]; !approx.AlmostEqual(got, 93.5) {
+	if got, _ := s0.Characteristic("mttf"); !approx.AlmostEqual(got, 93.5) {
 		t.Errorf("mttf = %v", got)
 	}
 	if !approx.AlmostEqual(s0.Signature.Estimate(), a.Signature.Estimate()) {
@@ -187,6 +194,16 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if s1.Schema.Name(0) != "keyword" {
 		t.Errorf("schema mangled: %v", s1.Schema)
+	}
+	// ReadJSON leaves the characteristics in name order, with their values.
+	if len(s1.Characteristics) != len(shy.Characteristics) ||
+		!slices.IsSortedFunc(s1.Characteristics, func(a, b Characteristic) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Errorf("characteristics read back as %v", s1.Characteristics)
+	}
+	for _, c := range shy.Characteristics {
+		if v, ok := s1.Characteristic(c.Name); !ok || math.Float64bits(v) != math.Float64bits(c.Value) {
+			t.Errorf("characteristic %q read back as %v, %v", c.Name, v, ok)
+		}
 	}
 	if back.SignatureConfig() != testCfg {
 		t.Errorf("config = %+v", back.SignatureConfig())
@@ -239,6 +256,126 @@ func TestCharacteristicRangeOverflow(t *testing.T) {
 	}
 	if col := u.NormalizedCharacteristic("mttf"); col[0] != 0 || math.Float64bits(col[1]) != math.Float64bits(1) {
 		t.Errorf("column over {0, MaxFloat64} = %v, want [0 1]", col)
+	}
+}
+
+// TestAddRehomesSchemas: Add moves a schema built on another vocabulary
+// onto the universe's by name, so Len, Name, IndexOf and String read as
+// before, a repeated name included, and every source of the universe then
+// reports the universe's vocabulary. The schema a source was given is not
+// touched, so another universe holding it still reads its names.
+func TestAddRehomesSchemas(t *testing.T) {
+	other := NewUniverse(testCfg)
+	held := Uncooperative("held", schema.NewSchema("isbn", "title"))
+	mustAdd(t, other, held)
+	u := NewUniverse(testCfg)
+	u.Vocab().Intern("zeta") // the universe's ids differ from the private ones
+	for _, sch := range []schema.Schema{
+		schema.NewSchema("title", "author", "title", "price"),
+		schema.NewSchema(),
+		{},
+		held.Schema,
+		schema.FromIDs(u.Vocab(), []int32{u.Vocab().Intern("zeta"), u.Vocab().Intern("isbn")}),
+	} {
+		s := Uncooperative("s", sch)
+		names := make([]string, sch.Len())
+		for i := range names {
+			names[i] = sch.Name(i)
+		}
+		str := sch.String()
+		mustAdd(t, u, s)
+		if s.Schema.Len() != len(names) || s.Schema.String() != str {
+			t.Errorf("re-homed %v reads %v", str, s.Schema)
+		}
+		for i, name := range names {
+			if s.Schema.Name(i) != name || s.Schema.IndexOf(name) != sch.IndexOf(name) {
+				t.Errorf("re-homed %v: attribute %d is %q at IndexOf %d, want %q at %d",
+					str, i, s.Schema.Name(i), s.Schema.IndexOf(name), name, sch.IndexOf(name))
+			}
+		}
+		if s.Schema.IndexOf("missing") != -1 {
+			t.Errorf("re-homed %v finds a missing name", str)
+		}
+	}
+	if i := u.Source(0).Schema.IndexOf("title"); i != 0 {
+		t.Errorf("IndexOf a repeated name = %d, want its first position 0", i)
+	}
+	for _, s := range u.Sources() {
+		if s.Schema.Vocab() != u.Vocab() {
+			t.Errorf("source %d is not on the universe's vocabulary", s.ID)
+		}
+	}
+	if held.Schema.Vocab() != other.Vocab() || held.Schema.String() != "{isbn, title}" {
+		t.Errorf("the other universe's source now reads %v", held.Schema)
+	}
+}
+
+// TestCharacteristicErrors: Add refuses a characteristic name set twice,
+// however long the list, naming the alphabetically first repeated name; a
+// bad value is reported under the alphabetically first bad name whatever the
+// slice's order; SetCharacteristic replaces a value instead of repeating its
+// name.
+func TestCharacteristicErrors(t *testing.T) {
+	long := make([]Characteristic, 0, 40)
+	for i := 39; i >= 0; i-- {
+		long = append(long, Characteristic{Name: fmt.Sprintf("c%02d", i%30), Value: 1})
+	}
+	for _, tc := range []struct {
+		chars []Characteristic
+		name  string
+	}{
+		{[]Characteristic{{"mttf", 1}, {"fees", 2}, {"mttf", 1}}, `"mttf"`},
+		{[]Characteristic{{"zz", 1}, {"fees", 2}, {"zz", 3}, {"fees", 2}}, `"fees"`},
+		{long, `"c00"`},
+		{[]Characteristic{{"zz", -1}, {"aa", math.NaN()}, {"mm", 1}}, `"aa"`},
+		{[]Characteristic{{"mm", 1}, {"zz", math.Inf(1)}, {"kk", -2}, {"mm", 1}}, `"kk"`},
+	} {
+		u := NewUniverse(testCfg)
+		s := Uncooperative("s", schema.NewSchema("x"))
+		s.Characteristics = tc.chars
+		_, err := u.Add(s)
+		if !errors.Is(err, ErrCharacteristic) || !strings.Contains(err.Error(), tc.name) || u.Len() != 0 {
+			t.Errorf("Add with %v = %v (universe of %d), want ErrCharacteristic naming %s", tc.chars, err, u.Len(), tc.name)
+		}
+	}
+	s := Uncooperative("s", schema.NewSchema("x"))
+	s.SetCharacteristic("mttf", 1)
+	s.SetCharacteristic("fees", 2)
+	s.SetCharacteristic("mttf", 3)
+	if v, ok := s.Characteristic("mttf"); len(s.Characteristics) != 2 || !ok || math.Float64bits(v) != math.Float64bits(3) {
+		t.Errorf("SetCharacteristic twice gives %v", s.Characteristics)
+	}
+	mustAdd(t, NewUniverse(testCfg), s)
+}
+
+// TestCharacteristicMemoConcurrentReads: after each mutation, concurrent
+// first reads race to make the universe's characteristic memo, and every
+// reader gets the one memoized column of the new universe. Run it under
+// -race.
+func TestCharacteristicMemoConcurrentReads(t *testing.T) {
+	u := NewUniverse(testCfg)
+	for round := 0; round < 4; round++ {
+		s := Uncooperative(fmt.Sprint("s", round), schema.NewSchema("x"))
+		s.SetCharacteristic("mttf", float64(10+round))
+		mustAdd(t, u, s)
+		cols := make([][]float64, 8)
+		var wg sync.WaitGroup
+		for g := range cols {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, max, ok := u.CharacteristicRange("mttf"); !ok || math.Float64bits(max) != math.Float64bits(float64(10+round)) {
+					t.Errorf("round %d: range max %v, %v", round, max, ok)
+				}
+				cols[g] = u.NormalizedCharacteristic("mttf")
+			}()
+		}
+		wg.Wait()
+		for g, col := range cols {
+			if len(col) != u.Len() || &col[0] != &cols[0][0] {
+				t.Errorf("round %d: reader %d got column %v, not the one memoized column %v", round, g, col, cols[0])
+			}
+		}
 	}
 }
 

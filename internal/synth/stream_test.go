@@ -31,7 +31,7 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	err = Stream(cfg, func(s *source.Source, m SourceMeta) error {
+	err = Stream(cfg, schema.NewVocab(), func(s *source.Source, m SourceMeta) error {
 		want := res.Universe.Source(schema.SourceID(i))
 		if s.Name != want.Name {
 			return fmt.Errorf("source %d: name %q != %q", i, s.Name, want.Name)
@@ -39,7 +39,7 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		if s.Cardinality != want.Cardinality {
 			return fmt.Errorf("source %d: cardinality %d != %d", i, s.Cardinality, want.Cardinality)
 		}
-		if got, want := fmt.Sprint(s.Schema.Attrs), fmt.Sprint(want.Schema.Attrs); got != want {
+		if got, want := s.Schema.String(), want.Schema.String(); got != want {
 			return fmt.Errorf("source %d: attrs %v != %v", i, got, want)
 		}
 		if math.Float64bits(s.Signature.Estimate()) != math.Float64bits(want.Signature.Estimate()) {
@@ -161,7 +161,7 @@ func TestSourceNamesMatchSprintf(t *testing.T) {
 		cfg.Domains = domains
 		cfg.NamePrefix = "e012-"
 		i := 0
-		err := Stream(cfg, func(s *source.Source, m SourceMeta) error {
+		err := Stream(cfg, schema.NewVocab(), func(s *source.Source, m SourceMeta) error {
 			want := cfg.NamePrefix + fmt.Sprintf("src-%03d-b%02d", i, m.BaseSchema)
 			if domains > 1 {
 				want = cfg.NamePrefix + fmt.Sprintf("src-%06d-d%03d", i, m.BaseSchema)
@@ -179,10 +179,11 @@ func TestSourceNamesMatchSprintf(t *testing.T) {
 }
 
 // TestStreamAllocs budgets generation's allocations per source at 2 000
-// sources and 64 maps, in both modes, with a yield that keeps nothing. A
-// source needs its signature (two allocations), its schema's attribute
-// slice, its name, its characteristics map, the Source itself and its
-// origins; BAMM mode's perturbation adds its own slices and dedup set.
+// sources and 64 maps, in both modes, with a yield that keeps nothing and a
+// vocabulary that already holds every name. A source needs its signature
+// (two allocations), its schema's id slice, its name, its characteristics
+// slice, the Source itself and its origins; BAMM mode's perturbation makes
+// the id and origin slices, and a conformant copy shares its base's.
 func TestStreamAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -192,14 +193,15 @@ func TestStreamAllocs(t *testing.T) {
 		domains int
 		budget  float64
 	}{
-		{"domains", 32, 9},
-		{"bamm", 0, 9.5},
+		{"domains", 32, 8},
+		{"bamm", 0, 8.5},
 	} {
 		cfg := smallCfg(2000)
 		cfg.Domains = tc.domains
 		drop := func(*source.Source, SourceMeta) error { return nil }
+		vocab := schema.NewVocab()
 		perRun := testing.AllocsPerRun(3, func() {
-			if err := Stream(cfg, drop); err != nil {
+			if err := Stream(cfg, vocab, drop); err != nil {
 				t.Fatal(err)
 			}
 		})

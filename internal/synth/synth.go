@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"mube/internal/bamm"
@@ -196,24 +197,29 @@ type SourceMeta struct {
 // keeps each source's signature as it arrives). A yield error aborts
 // generation and is returned as-is.
 //
+// Schemas are built on vocab, normally the destination universe's
+// (Universe.Vocab), so that Universe.Add adopts them as they are. Each
+// generator interns its names into vocab once per call and then emits ids;
+// Stream interns while it runs, so nothing may read vocab concurrently.
+//
 // Generation is fully deterministic per seed, and the BAMM mode's random
 // stream is identical to historical Generate output.
-func Stream(cfg Config, yield func(*source.Source, SourceMeta) error) error {
+func Stream(cfg Config, vocab *schema.Vocab, yield func(*source.Source, SourceMeta) error) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Domains > 1 {
-		return streamDomains(cfg, r, yield)
+		return streamDomains(cfg, r, vocab, yield)
 	}
-	return streamBAMM(cfg, r, yield)
+	return streamBAMM(cfg, r, vocab, yield)
 }
 
 // Generate builds a synthetic universe with full ground-truth metadata, by
 // streaming and collecting.
 func Generate(cfg Config) (*Result, error) {
 	res := &Result{Universe: source.NewUniverse(cfg.Sig), Config: cfg}
-	err := Stream(cfg, func(s *source.Source, m SourceMeta) error {
+	err := Stream(cfg, res.Universe.Vocab(), func(s *source.Source, m SourceMeta) error {
 		id, err := res.Universe.Add(s)
 		if err != nil {
 			return err
@@ -242,7 +248,7 @@ func Generate(cfg Config) (*Result, error) {
 // metadata or tuples — the memory-lean entry point for scale benchmarks.
 func GenerateUniverse(cfg Config) (*source.Universe, error) {
 	u := source.NewUniverse(cfg.Sig)
-	err := Stream(cfg, func(s *source.Source, _ SourceMeta) error {
+	err := Stream(cfg, u.Vocab(), func(s *source.Source, _ SourceMeta) error {
 		_, err := u.Add(s)
 		return err
 	})
@@ -253,12 +259,47 @@ func GenerateUniverse(cfg Config) (*source.Universe, error) {
 	return u, nil
 }
 
+// bammIDs resolves the BAMM generator's names into one vocabulary on first
+// use, at most once per Stream call: a base schema when a source first
+// derives from it, a noise word when it is first drawn.
+type bammIDs struct {
+	v     *schema.Vocab
+	base  [][]int32 // base schema i's ids; nil until used
+	noise []int32   // noise word k's id + 1; 0 until drawn
+}
+
+func newBAMMIDs(v *schema.Vocab) *bammIDs {
+	return &bammIDs{v: v, base: make([][]int32, bamm.NumSchemas()), noise: make([]int32, len(noiseWords))}
+}
+
+// schema returns base schema i's ids. Sources share the slice read-only.
+func (b *bammIDs) schema(i int) []int32 {
+	if b.base[i] == nil {
+		names, _ := bamm.Base(i)
+		ids := make([]int32, len(names))
+		for j, n := range names {
+			ids[j] = b.v.Intern(n)
+		}
+		b.base[i] = ids
+	}
+	return b.base[i]
+}
+
+// noiseWord returns noise word k's id.
+func (b *bammIDs) noiseWord(k int) int32 {
+	if b.noise[k] == 0 {
+		b.noise[k] = b.v.Intern(noiseWords[k]) + 1
+	}
+	return b.noise[k] - 1
+}
+
 // streamBAMM is the paper's §7.1 generator: BAMM Books schemas plus
 // perturbed copies. The RNG call sequence is load-bearing — it reproduces
 // the exact universes of archived experiment runs — so edits must not
 // insert, remove, or reorder draws.
-func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta) error) error {
+func streamBAMM(cfg Config, r *rand.Rand, vocab *schema.Vocab, yield func(*source.Source, SourceMeta) error) error {
 	numBase := bamm.NumSchemas()
+	ids := newBAMMIDs(vocab)
 	minhashK := cfg.MinHashK
 	if minhashK == 0 {
 		minhashK = minhash.DefaultK
@@ -272,13 +313,15 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 	generalPool := cfg.PoolSize / 2
 	vocabScale := VocabScale(cfg)
 	var name []byte
+	var attrNames []string // the attribute names ValueID hashes
 
 	for i := 0; i < cfg.NumSources; i++ {
 		baseIdx := i % numBase
 		conformant := i < numBase
-		attrs, origins := bamm.Base(baseIdx)
+		_, origins := bamm.Base(baseIdx)
+		attrs := ids.schema(baseIdx)
 		if !conformant {
-			attrs, origins = perturb(r, attrs, origins, cfg)
+			attrs, origins = perturb(r, attrs, origins, cfg, ids)
 		}
 
 		card := int64(float64(cfg.MaxCard) / math.Pow(float64(ranks[i]+1), cfg.ZipfS))
@@ -301,6 +344,10 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 		}
 		var attrSigs []*minhash.Signature
 		if cfg.AttrSignatures {
+			attrNames = attrNames[:0]
+			for _, id := range attrs {
+				attrNames = append(attrNames, vocab.Name(id))
+			}
 			attrSigs = make([]*minhash.Signature, len(attrs))
 			for a := range attrSigs {
 				s, err := minhash.New(minhashK, 0)
@@ -322,7 +369,7 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 				kept = append(kept, tuple)
 			}
 			for a := range attrSigs {
-				attrSigs[a].AddUint64(ValueID(tuple, origins[a], attrs[a], vocabScale))
+				attrSigs[a].AddUint64(ValueID(tuple, origins[a], attrNames[a], vocabScale))
 			}
 		}
 
@@ -333,15 +380,15 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 		name = bammName(name[:0], cfg.NamePrefix, i, baseIdx)
 		s := &source.Source{
 			Name:           string(name),
-			Schema:         schema.NewSchema(attrs...),
+			Schema:         schema.FromIDs(vocab, attrs),
 			Cardinality:    card,
 			Signature:      sig,
 			AttrSignatures: attrSigs,
-			Characteristics: map[string]float64{
-				"mttf": mttf,
+			Characteristics: []source.Characteristic{
+				{Name: "mttf", Value: mttf},
 				// Per-source query latency in milliseconds, used by the
 				// mediator's cost simulation and available as a QEF.
-				"latency": 50 + r.Float64()*450,
+				{Name: "latency", Value: 50 + r.Float64()*450},
 			},
 		}
 		meta := SourceMeta{
@@ -366,18 +413,26 @@ func streamBAMM(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta)
 // into per-domain components — the structure cluster-sharded matching and
 // the partitioned solver exploit. Data shape (Zipf cardinalities, the
 // General/Specialty tuple pool, MTTF, latency) matches the BAMM mode.
-func streamDomains(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMeta) error) error {
+func streamDomains(cfg Config, r *rand.Rand, vocab *schema.Vocab, yield func(*source.Source, SourceMeta) error) error {
 	nd := cfg.Domains
 	nc := cfg.DomainConcepts
 	if nc == 0 {
 		nc = 12
 	}
-	vocab := domainVocab(cfg.Seed, nd, nc)
+	// concept[d][c] is the id of domain d's concept c in vocab.
+	concept := make([][]int32, nd)
+	for d, names := range domainVocab(cfg.Seed, nd, nc) {
+		concept[d] = make([]int32, nc)
+		for c, n := range names {
+			concept[d][c] = vocab.Intern(n)
+		}
+	}
 	ranks := r.Perm(cfg.NumSources)
 	generalPool := cfg.PoolSize / 2
-	// attrs is scratch: schema.NewSchema copies it. origins goes into the
-	// source's SourceMeta, which callers keep, so it is fresh per source.
-	attrs := make([]string, 0, nc)
+	// attrs is scratch, which each schema copies at its exact length.
+	// origins goes into the source's SourceMeta, which callers keep, so it
+	// is fresh per source.
+	attrs := make([]int32, 0, nc)
 	var name []byte
 
 	for i := 0; i < cfg.NumSources; i++ {
@@ -389,12 +444,12 @@ func streamDomains(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMe
 			if !conformant && r.Float64() < cfg.PRemove {
 				continue
 			}
-			attrs = append(attrs, vocab[d][c])
+			attrs = append(attrs, concept[d][c])
 			origins = append(origins, d*nc+c)
 		}
 		if len(attrs) == 0 {
 			c := r.Intn(nc)
-			attrs = append(attrs, vocab[d][c])
+			attrs = append(attrs, concept[d][c])
 			origins = append(origins, d*nc+c)
 		}
 
@@ -436,12 +491,12 @@ func streamDomains(cfg Config, r *rand.Rand, yield func(*source.Source, SourceMe
 		name = domainName(name[:0], cfg.NamePrefix, i, d)
 		s := &source.Source{
 			Name:        string(name),
-			Schema:      schema.NewSchema(attrs...),
+			Schema:      schema.FromIDs(vocab, slices.Clone(attrs)),
 			Cardinality: card,
 			Signature:   sig,
-			Characteristics: map[string]float64{
-				"mttf":    mttf,
-				"latency": 50 + r.Float64()*450,
+			Characteristics: []source.Characteristic{
+				{Name: "mttf", Value: mttf},
+				{Name: "latency", Value: 50 + r.Float64()*450},
 			},
 		}
 		meta := SourceMeta{
@@ -529,9 +584,10 @@ func nameMix(xs ...uint64) uint64 {
 // PRemove or replace its *name* with a noise word with PReplace (the data
 // behind it is unchanged, so the origin concept is kept); then append up to
 // MaxAdd genuine noise attributes (origin -1). The result always keeps at
-// least one attribute.
-func perturb(r *rand.Rand, attrs []string, origins []int, cfg Config) ([]string, []int) {
-	outAttrs := make([]string, 0, len(attrs)+cfg.MaxAdd)
+// least one attribute. Attributes are name ids; noise words resolve through
+// ids.
+func perturb(r *rand.Rand, attrs []int32, origins []int, cfg Config, ids *bammIDs) ([]int32, []int) {
+	outAttrs := make([]int32, 0, len(attrs)+cfg.MaxAdd)
 	outOrigins := make([]int, 0, len(attrs)+cfg.MaxAdd)
 	for i, a := range attrs {
 		roll := r.Float64()
@@ -539,7 +595,7 @@ func perturb(r *rand.Rand, attrs []string, origins []int, cfg Config) ([]string,
 		case roll < cfg.PRemove:
 			// removed
 		case roll < cfg.PRemove+cfg.PReplace:
-			outAttrs = append(outAttrs, noiseWords[r.Intn(len(noiseWords))])
+			outAttrs = append(outAttrs, ids.noiseWord(r.Intn(len(noiseWords))))
 			outOrigins = append(outOrigins, origins[i]) // renamed, not re-sourced
 		default:
 			outAttrs = append(outAttrs, a)
@@ -548,7 +604,7 @@ func perturb(r *rand.Rand, attrs []string, origins []int, cfg Config) ([]string,
 	}
 	if cfg.MaxAdd > 0 {
 		for n := r.Intn(cfg.MaxAdd + 1); n > 0; n-- {
-			outAttrs = append(outAttrs, noiseWords[r.Intn(len(noiseWords))])
+			outAttrs = append(outAttrs, ids.noiseWord(r.Intn(len(noiseWords))))
 			outOrigins = append(outOrigins, -1)
 		}
 	}
@@ -560,17 +616,17 @@ func perturb(r *rand.Rand, attrs []string, origins []int, cfg Config) ([]string,
 	return dedup(outAttrs, outOrigins)
 }
 
-// dedup removes duplicate attribute names (keeping first occurrences, with
-// their origins) so that source schemas remain lists of distinct attributes.
-func dedup(attrs []string, origins []int) ([]string, []int) {
-	seen := make(map[string]struct{}, len(attrs))
+// dedup removes duplicate attribute name ids in place (keeping first
+// occurrences, with their origins) so that source schemas remain lists of
+// distinct attributes. A schema has a handful of attributes, so each is
+// checked against those kept so far.
+func dedup(attrs []int32, origins []int) ([]int32, []int) {
 	outA := attrs[:0]
 	outO := origins[:0]
 	for i, a := range attrs {
-		if _, dup := seen[a]; dup {
+		if slices.Contains(outA, a) {
 			continue
 		}
-		seen[a] = struct{}{}
 		outA = append(outA, a)
 		outO = append(outO, origins[i])
 	}

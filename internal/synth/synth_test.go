@@ -74,7 +74,9 @@ func TestGenerateDeterministic(t *testing.T) {
 		if !testutil.AlmostEqual(sa.Signature.Estimate(), sb.Signature.Estimate()) {
 			t.Fatalf("source %d signatures differ", i)
 		}
-		if !testutil.AlmostEqual(sa.Characteristics["mttf"], sb.Characteristics["mttf"]) {
+		ma, _ := sa.Characteristic("mttf")
+		mb, _ := sb.Characteristic("mttf")
+		if !testutil.AlmostEqual(ma, mb) {
 			t.Fatalf("source %d mttf differs", i)
 		}
 	}

@@ -144,7 +144,7 @@ func (l *Loop) scheduleArrivals(n int, rep *DeltaReport) error {
 	cfg.NumSources = n
 	cfg.Seed = l.cfg.Seed + int64(l.epoch)*2_000_003
 	cfg.NamePrefix = fmt.Sprintf("e%03d-", l.epoch)
-	err := synth.Stream(cfg, func(s *source.Source, _ synth.SourceMeta) error {
+	err := synth.Stream(cfg, l.u.Vocab(), func(s *source.Source, _ synth.SourceMeta) error {
 		id, err := l.u.Add(s)
 		if err != nil {
 			return err

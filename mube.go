@@ -64,6 +64,9 @@ type (
 	// Source is one candidate data source: schema, data synopses, and
 	// characteristics.
 	Source = source.Source
+	// SourceCharacteristic is one named characteristic value of a source
+	// (Source.Characteristics, ProbeCandidate.Characteristics).
+	SourceCharacteristic = source.Characteristic
 	// TupleIterator streams a source's tuples for synopsis construction.
 	TupleIterator = source.TupleIterator
 	// SourceID identifies a source within a universe.
