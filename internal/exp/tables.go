@@ -189,9 +189,11 @@ func Sensitivity(sc Scale) (*SensitivityResult, error) {
 	r := rand.New(rand.NewSource(sc.Seed + 77))
 	out := &SensitivityResult{Trials: 5 * sc.Repeats}
 	for trial := 0; trial < out.Trials; trial++ {
+		// Draw in QEF order: a map-order draw would hand each trial's
+		// perturbations to different QEFs from run to run.
 		w := make(qef.Weights, len(baseWeights))
-		for name, v := range baseWeights {
-			w[name] = v * (1 + (r.Float64()*2-1)*0.15)
+		for _, f := range qefs {
+			w[f.Name()] = baseWeights[f.Name()] * (1 + (r.Float64()*2-1)*0.15)
 		}
 		w = w.Normalized()
 		// Re-optimize *deterministically* from the baseline solution under

@@ -225,9 +225,11 @@ func (w Weights) Validate(qefs []QEF) error {
 // weights are zero it distributes weight uniformly.
 func (w Weights) Normalized() Weights {
 	out := make(Weights, len(w))
+	// Sum in name order: float addition is not associative, and map order
+	// would make the last bit of every weight vary from run to run.
 	sum := 0.0
-	for _, v := range w {
-		sum += v
+	for _, k := range w.Names() {
+		sum += w[k]
 	}
 	if sum == 0 {
 		for k := range w {

@@ -282,6 +282,17 @@ func TestWeightsNormalized(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("Names = %v", names)
 	}
+	// The sum does not follow map order: these weights sum to different
+	// floats in different orders, and every call must agree bit for bit.
+	odd := Weights{"a": 0.33, "b": 0.2, "c": 0.6, "d": 0.1, "e": 0.3}
+	first := odd.Normalized()
+	for i := 0; i < 100; i++ {
+		for name, v := range odd.Normalized() {
+			if math.Float64bits(v) != math.Float64bits(first[name]) {
+				t.Fatalf("call %d: %s = %v, first call %v", i, name, v, first[name])
+			}
+		}
+	}
 }
 
 func TestPaperDefaultsSumToOne(t *testing.T) {

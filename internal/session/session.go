@@ -268,10 +268,12 @@ func (s *Session) SetWeight(name string, w float64) error {
 	if w < 0 || w > 1 {
 		return fmt.Errorf("session: weight %v out of [0,1]", w)
 	}
+	// Sum in QEF order, not map order: float addition is not associative,
+	// so map order would vary the last bit of the rescaled weights.
 	rest := 0.0
-	for n, v := range s.spec.Weights {
-		if n != name {
-			rest += v
+	for _, q := range s.qefs {
+		if n := q.Name(); n != name {
+			rest += s.spec.Weights[n]
 		}
 	}
 	next := s.spec.Weights.Clone()

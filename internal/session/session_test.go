@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -202,6 +203,32 @@ func TestPinSolutionGABounds(t *testing.T) {
 	}
 	if err := s.PinSolutionGA(5, 0); err == nil {
 		t.Error("iteration out of range accepted")
+	}
+}
+
+// TestSetWeightDeterministic moves one weight on 200 fresh sessions opened
+// with the paper's default weights: every session must end with the same
+// weight vector, bit for bit. Summing the other weights in map order gave
+// two vectors that differed in the last bit of three weights.
+func TestSetWeightDeterministic(t *testing.T) {
+	var want map[string]uint64
+	for i := 0; i < 200; i++ {
+		s, err := New(Config{Universe: testutil.BooksUniverse(t), Weights: qef.PaperDefaults()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetWeight("mttf", 0.3); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]uint64)
+		for name, v := range s.Spec().Weights {
+			got[name] = math.Float64bits(v)
+		}
+		if want == nil {
+			want = got
+		} else if !maps.Equal(got, want) {
+			t.Fatalf("session %d: weight bits %v, first session %v", i, got, want)
+		}
 	}
 }
 
