@@ -1,13 +1,15 @@
-// Benchmarks regenerating the paper's evaluation artifacts (one benchmark
-// per figure/table, at a reduced "bench" scale so `go test -bench=.` stays
-// in the minutes range) plus micro-benchmarks of the hot paths: schema
-// matching, PCSA synopses, and objective evaluation.
+// Benchmarks regenerating the paper's evaluation artifacts (one
+// sub-benchmark of BenchmarkExperiments per entry of exp.Experiments(), at a
+// reduced "bench" scale so `go test -bench=.` stays in the minutes range)
+// plus micro-benchmarks of the hot paths: schema matching, PCSA synopses,
+// and objective evaluation.
 //
 // The full-scale console harness is `go run ./cmd/mube-bench -scale full`.
 package mube_test
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"mube/internal/constraint"
@@ -38,24 +40,25 @@ func benchScale() exp.Scale {
 	}
 }
 
-// BenchmarkFig5 regenerates Figure 5 (execution time vs universe size).
-func BenchmarkFig5(b *testing.B) {
+// BenchmarkExperiments regenerates and renders every experiment of
+// exp.Experiments() at the bench scale, one sub-benchmark per entry
+// (BenchmarkExperiments/fig5, …/ablation-hybrid, …). Each entry runs once
+// before the timer starts, so every sample measures warm runs: the cached
+// universes and matchers are built by then.
+func BenchmarkExperiments(b *testing.B) {
 	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig5(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig67 regenerates Figures 6–7 (time and quality vs sources to
-// choose).
-func BenchmarkFig67(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig67(sc); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range exp.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			if err := e.Run(sc, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(sc, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -78,77 +81,6 @@ func BenchmarkFig67Parallel(b *testing.B) {
 	sc.Parallel = 0
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.Fig67(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8 (solution cardinality vs Card weight).
-func BenchmarkFig8(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig8(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1 (quality of GAs).
-func BenchmarkTable1(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table1(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPCSAExperiment regenerates the §7.3 accuracy claim.
-func BenchmarkPCSAExperiment(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.PCSA(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSensitivity regenerates the §7.4 robustness experiment.
-func BenchmarkSensitivity(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Sensitivity(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolvers regenerates the solver comparison (§6).
-func BenchmarkSolvers(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Solvers(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryCost regenerates the query-cost experiment (mediator
-// execution over growing solutions).
-func BenchmarkQueryCost(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.QueryCost(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationTenure regenerates the tabu-tenure ablation.
-func BenchmarkAblationTenure(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationTenure(sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,16 +154,6 @@ func BenchmarkMatcherBuildHybrid(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHybrid regenerates the data-based-similarity ablation.
-func BenchmarkAblationHybrid(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationHybrid(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMinHashAdd measures value-sketch insertion (the per-tuple cost of
 // cooperating with data-based matching).
 func BenchmarkMinHashAdd(b *testing.B) {
@@ -247,7 +169,7 @@ func BenchmarkMinHashAdd(b *testing.B) {
 func BenchmarkObjectiveEval(b *testing.B) {
 	sc := benchScale()
 	res := benchUniverse(b)
-	p, err := sc.Problem(res, 20, constraint.Set{})
+	p, err := sc.Problem(res, 20, constraint.Set{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +188,7 @@ func BenchmarkObjectiveEval(b *testing.B) {
 func benchEvalBatch(b *testing.B, workers int) {
 	sc := benchScale()
 	res := benchUniverse(b)
-	p, err := sc.Problem(res, 20, constraint.Set{})
+	p, err := sc.Problem(res, 20, constraint.Set{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -297,7 +219,7 @@ func BenchmarkEvalBatch64Parallel(b *testing.B) { benchEvalBatch(b, 0) }
 func BenchmarkTabuSolve(b *testing.B) {
 	sc := benchScale()
 	res := benchUniverse(b)
-	p, err := sc.Problem(res, 20, constraint.Set{})
+	p, err := sc.Problem(res, 20, constraint.Set{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +305,7 @@ func BenchmarkDeltaNeighborhoodFull(b *testing.B) {
 func benchNeighborhood(b *testing.B) (*opt.Problem, []schema.SourceID, []opt.Move) {
 	sc := benchScale()
 	res := benchUniverse(b)
-	p, err := sc.Problem(res, 20, constraint.Set{})
+	p, err := sc.Problem(res, 20, constraint.Set{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,10 +12,12 @@
 // 1 = sequential). Results are identical at any setting — only wall-clock
 // changes — and the run header prints the effective worker count.
 //
-// Experiments: fig5, fig67 (time and quality: Figures 6 and 7), fig8,
-// table1, pcsa, sensitivity, solvers, convergence, querycost, ablation-sim,
-// ablation-linkage, ablation-tenure, ablation-hybrid, ablation-pairwise,
-// ablation-pcsa, faults, churn, partition, all.
+// The experiments are exp.Experiments(), in display order: fig5, fig67
+// (time and quality: Figures 6 and 7), fig8, table1, pcsa, sensitivity,
+// solvers, convergence, querycost, ablation-sim, ablation-linkage,
+// ablation-tenure, ablation-hybrid, ablation-pairwise, ablation-pcsa,
+// faults, churn, partition; -exp all runs every one. An unknown name
+// prints the list.
 //
 // The -universe flag switches to the universe-scale benchmark ladder
 // (50 | 10k | 100k | 1m | all): build a streamed synthetic universe at the
@@ -48,158 +50,40 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"mube/internal/exp"
 	"mube/internal/fault"
 	"mube/internal/telemetry"
 )
 
-// experiments maps experiment names to runners in display order.
-var experiments = []struct {
-	name  string
-	title string
-	run   func(exp.Scale, io.Writer) error
-}{
-	{"fig5", "Figure 5: execution time vs universe size (choose 20)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Fig5(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderFig5(w, rows)
-	}},
-	{"fig67", "Figures 6–7: execution time and overall quality vs sources to choose", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Fig67(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderFig67(w, rows)
-	}},
-	{"fig8", "Figure 8: solution cardinality vs Card-QEF weight", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Fig8(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderFig8(w, rows)
-	}},
-	{"table1", "Table 1: quality of GAs vs sources selected", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Table1(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderTable1(w, rows)
-	}},
-	{"pcsa", "PCSA accuracy vs exact counting (§7.3: worst case ≈7%)", func(sc exp.Scale, w io.Writer) error {
-		res, err := exp.PCSA(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderPCSA(w, res)
-	}},
-	{"sensitivity", "Sensitivity: ±15% weight perturbation (§7.4)", func(sc exp.Scale, w io.Writer) error {
-		res, err := exp.Sensitivity(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderSensitivity(w, res)
-	}},
-	{"solvers", "Solver comparison at equal evaluation budgets (§6)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Solvers(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderSolvers(w, rows)
-	}},
-	{"convergence", "Convergence: Q(S) trajectory per solver, from telemetry traces", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Convergence(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderConvergence(w, rows)
-	}},
-	{"querycost", "Query cost vs solution size (§1 motivation, via the mediator)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.QueryCost(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderQueryCost(w, rows)
-	}},
-	{"ablation-sim", "Ablation: attribute similarity measures", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.AblationSimilarity(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderSimilarity(w, rows)
-	}},
-	{"ablation-linkage", "Ablation: cluster linkage (max vs avg)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.AblationLinkage(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderLinkage(w, rows)
-	}},
-	{"ablation-tenure", "Ablation: tabu tenure", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.AblationTenure(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderTenure(w, rows)
-	}},
-	{"ablation-hybrid", "Ablation: data-based similarity (MinHash value sketches) vs name-only", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.AblationHybrid(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderHybrid(w, rows)
-	}},
-	{"ablation-pairwise", "Ablation: holistic clustering vs pairwise star mediation (§8)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.AblationPairwise(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderPairwise(w, rows)
-	}},
-	{"ablation-pcsa", "Ablation: PCSA bitmap count vs estimation error", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.AblationPCSAMaps(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderPCSAMaps(w, rows)
-	}},
-	{"faults", "Graceful degradation: Q(S) vs probe failure rate (§4 fallback)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Faults(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderFaults(w, rows)
-	}},
-	{"churn", "Online integration: warm vs cold re-solve cost under churn (watch loop)", func(sc exp.Scale, w io.Writer) error {
-		rows, err := exp.Churn(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderChurn(w, rows)
-	}},
-	{"partition", "Parallel partitioned solving: group-worker invariance, speedup", func(sc exp.Scale, w io.Writer) error {
-		res, err := exp.Partition(sc)
-		if err != nil {
-			return err
-		}
-		return exp.RenderPartition(w, res)
-	}},
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	expName := flag.String("exp", "all", "experiment to run (or 'all')")
-	scaleName := flag.String("scale", "quick", "experiment scale: full | quick")
-	universe := flag.String("universe", "", "run the universe-scale benchmark instead: 50 | 10k | 100k | 1m | all")
-	smoke := flag.Bool("smoke", false, "with -universe: reduce solver budgets to CI smoke size")
-	groupWorkers := flag.Int("group-workers", 0, "with -universe: partitioned-solver group pool size (0 = preset default)")
-	seed := flag.Int64("seed", 0, "override the scale's base seed (0 = keep)")
-	parallel := flag.Int("parallel", 0, "evaluator worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	faults := flag.String("faults", "", "fault plan applied to universe acquisition, e.g. rate=0.3,seed=7 (\"\" or \"none\" = clean)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /spans, expvar, and pprof on this address, e.g. localhost:6060 (\"\" = off)")
-	flag.Parse()
+// run is mube-bench with its arguments and output streams: it returns the
+// exit code (0 ok, 1 a failed run, 2 a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mube-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	expName := fs.String("exp", "all", "experiment to run (or 'all')")
+	scaleName := fs.String("scale", "quick", "experiment scale: full | quick")
+	universe := fs.String("universe", "", "run the universe-scale benchmark instead: 50 | 10k | 100k | 1m | all")
+	smoke := fs.Bool("smoke", false, "with -universe: reduce solver budgets to CI smoke size")
+	groupWorkers := fs.Int("group-workers", 0, "with -universe: partitioned-solver group pool size (0 = preset default)")
+	seed := fs.Int64("seed", 0, "override the scale's base seed (0 = keep)")
+	parallel := fs.Int("parallel", 0, "evaluator worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
+	faults := fs.String("faults", "", "fault plan applied to universe acquisition, e.g. rate=0.3,seed=7 (\"\" or \"none\" = clean)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /spans, expvar, and pprof on this address, e.g. localhost:6060 (\"\" = off)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "mube-bench: "+format+"\n", a...)
+		return code
+	}
 
 	var sc exp.Scale
 	switch *scaleName {
@@ -208,24 +92,36 @@ func main() {
 	case "quick":
 		sc = exp.Quick()
 	default:
-		fmt.Fprintf(os.Stderr, "mube-bench: unknown scale %q (want full or quick)\n", *scaleName)
-		os.Exit(2)
+		return fail(2, "unknown scale %q (want full or quick)", *scaleName)
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
 	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "mube-bench: -parallel must be >= 0, got %d\n", *parallel)
-		os.Exit(2)
+		return fail(2, "-parallel must be >= 0, got %d", *parallel)
 	}
 	sc.Parallel = *parallel
 	plan, err := fault.ParsePlan(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mube-bench: %v\n", err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	if plan.Enabled() {
 		sc.Faults = &plan
+	}
+	var selected []exp.Experiment
+	if *universe == "" {
+		for _, e := range exp.Experiments() {
+			if *expName == "all" || *expName == e.Name {
+				selected = append(selected, e)
+			}
+		}
+		if len(selected) == 0 {
+			var names []string
+			for _, e := range exp.Experiments() {
+				names = append(names, e.Name)
+			}
+			return fail(2, "unknown experiment %q\navailable: %s all", *expName, strings.Join(names, " "))
+		}
 	}
 
 	if *debugAddr != "" {
@@ -237,11 +133,10 @@ func main() {
 		sc.Rec = rec
 		srv, err := telemetry.Serve(*debugAddr, rec, ring)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mube-bench: debug server: %v\n", err)
-			os.Exit(2)
+			return fail(2, "debug server: %v", err)
 		}
 		defer srv.Close()
-		fmt.Printf("debug: /metrics, /spans, expvar, and pprof on http://%s/\n", srv.Addr())
+		fmt.Fprintf(stdout, "debug: /metrics, /spans, expvar, and pprof on http://%s/\n", srv.Addr())
 	}
 
 	// Universe-scale mode: build a streamed universe at the preset size and
@@ -254,7 +149,7 @@ func main() {
 				names = append(names, p.Name)
 			}
 		}
-		fmt.Println(telemetry.Header("mube-bench",
+		fmt.Fprintln(stdout, telemetry.Header("mube-bench",
 			telemetry.KVStr("universe", *universe),
 			telemetry.KVStr("smoke", strconv.FormatBool(*smoke)),
 			telemetry.KVInt("eval-workers", sc.Workers()),
@@ -264,8 +159,7 @@ func main() {
 		for _, name := range names {
 			preset, err := exp.ScalePresetByName(name)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mube-bench: %v\n", err)
-				os.Exit(2)
+				return fail(2, "%v", err)
 			}
 			if *smoke {
 				preset = preset.Reduced()
@@ -273,26 +167,23 @@ func main() {
 			if *groupWorkers != 0 {
 				preset.GroupWorkers = *groupWorkers
 			}
-			start := time.Now()
-			row, err := exp.ScaleBench(preset, sc.Parallel, sc.Rec)
+			row, ms, err := exp.Timed(func() (*exp.ScaleBenchRow, error) { return exp.ScaleBench(preset, sc.Parallel, sc.Rec) })
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mube-bench: universe %s: %v\n", name, err)
-				os.Exit(1)
+				return fail(1, "universe %s: %v", name, err)
 			}
 			rows = append(rows, row)
-			fmt.Printf("(universe %s in %.1fs)\n", name, time.Since(start).Seconds())
+			fmt.Fprintf(stdout, "(universe %s in %.1fs)\n", name, ms/1000)
 		}
-		fmt.Println()
-		if err := exp.RenderScaleBench(os.Stdout, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "mube-bench: %v\n", err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := exp.RenderScaleBench(stdout, rows); err != nil {
+			return fail(1, "%v", err)
 		}
-		return
+		return 0
 	}
 
 	// Run header: make every printed number attributable to a worker count
 	// and a fault plan — degraded runs must never read as clean ones.
-	fmt.Println(telemetry.Header("mube-bench",
+	fmt.Fprintln(stdout, telemetry.Header("mube-bench",
 		telemetry.KVStr("scale", sc.Name),
 		telemetry.KVStr("seed", strconv.FormatInt(sc.Seed, 10)),
 		telemetry.KVInt("eval-workers", sc.Workers()),
@@ -302,40 +193,25 @@ func main() {
 	if plan.Enabled() {
 		health, err := sc.Health(sc.BaseUniverse)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mube-bench: acquire base universe: %v\n", err)
-			os.Exit(1)
+			return fail(1, "acquire base universe: %v", err)
 		}
-		fmt.Printf("base universe (N=%d) acquisition: %s\n", sc.BaseUniverse, health)
+		fmt.Fprintf(stdout, "base universe (N=%d) acquisition: %s\n", sc.BaseUniverse, health)
 		if names := health.DegradedNames(); len(names) > 0 {
-			fmt.Printf("  degraded: %s\n", strings.Join(names, " "))
+			fmt.Fprintf(stdout, "  degraded: %s\n", strings.Join(names, " "))
 		}
 		if names := health.DroppedNames(); len(names) > 0 {
-			fmt.Printf("  dropped: %s\n", strings.Join(names, " "))
+			fmt.Fprintf(stdout, "  dropped: %s\n", strings.Join(names, " "))
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
-	ran := 0
-	for _, e := range experiments {
-		if *expName != "all" && *expName != e.name {
-			continue
+	for _, e := range selected {
+		fmt.Fprintf(stdout, "== %s [%s scale] ==\n", e.Title, sc.Name)
+		_, ms, err := exp.Timed(func() (any, error) { return nil, e.Run(sc, stdout) })
+		if err != nil {
+			return fail(1, "%s: %v", e.Name, err)
 		}
-		ran++
-		fmt.Printf("== %s [%s scale] ==\n", e.title, sc.Name)
-		start := time.Now()
-		if err := e.run(sc, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mube-bench: %s: %v\n", e.name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s in %.1fs)\n\n", e.name, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", e.Name, ms/1000)
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "mube-bench: unknown experiment %q\n", *expName)
-		fmt.Fprintf(os.Stderr, "available:")
-		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, " %s", e.name)
-		}
-		fmt.Fprintln(os.Stderr, " all")
-		os.Exit(2)
-	}
+	return 0
 }

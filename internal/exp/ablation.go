@@ -1,18 +1,18 @@
 package exp
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"time"
 
 	"mube/internal/constraint"
 	"mube/internal/eval"
 	"mube/internal/match"
 	"mube/internal/opt"
 	"mube/internal/opt/solvers"
+	"mube/internal/opt/tabu"
 	"mube/internal/pcsa"
 	"mube/internal/schema"
+	"mube/internal/source"
 	"mube/internal/strutil"
 )
 
@@ -24,93 +24,100 @@ func allSolvers(sc Scale) []opt.Solver {
 	return all
 }
 
-// SimilarityRow is one line of the similarity-measure ablation: matching a
-// fixed source selection with a different attribute similarity measure.
-type SimilarityRow struct {
-	Measure        string
+// MatchRow is one line of a matching ablation (similarity measure, linkage,
+// mediation topology, data weight): a fixed source selection matched under
+// one setting and scored against the ground truth.
+type MatchRow struct {
+	// Setting is the ablated setting: the measure, linkage, method or data
+	// weight.
+	Setting        string
 	Quality        float64
 	GAs            int
 	TrueGAs        int
 	FalseGAs       int
 	AttrsInTrueGAs int
-	Millis         float64
+	// Renamed counts attributes in true GAs whose *names* are off-domain —
+	// matches only data-based similarity can make (hybrid ablation only).
+	Renamed int
+	// Millis is the wall time of the Match(S) call.
+	Millis float64
+}
+
+// matchRows builds a matching ablation's rows over one fixed selection.
+type matchRows struct {
+	u   *source.Universe
+	sel []schema.SourceID
+	// conceptOf is the ground truth per attribute reference; nil scores by
+	// attribute name against the BAMM vocabulary.
+	conceptOf eval.RefConceptFn
+	rows      []MatchRow
+}
+
+// add times one Match(S) call of the selection under setting, scores its
+// schema, and appends the row; it returns the match result.
+func (b *matchRows) add(setting string, run func() (match.Result, error)) (match.Result, error) {
+	mr, ms, err := Timed(run)
+	if err != nil {
+		return mr, err
+	}
+	var stats eval.GAStats
+	if b.conceptOf == nil {
+		stats = eval.Evaluate(b.u, b.sel, mr.Schema, nil)
+	} else {
+		stats = eval.EvaluateRefs(b.u, b.sel, mr.Schema, b.conceptOf)
+	}
+	b.rows = append(b.rows, MatchRow{
+		Setting:        setting,
+		Quality:        mr.Quality,
+		GAs:            mr.Schema.Len(),
+		TrueGAs:        stats.TrueGAs,
+		FalseGAs:       stats.FalseGAs,
+		AttrsInTrueGAs: stats.AttrsInTrueGAs,
+		Millis:         ms,
+	})
+	return mr, nil
 }
 
 // AblationSimilarity evaluates every built-in similarity measure on a fixed
 // selection from the base universe. The paper fixes 3-gram Jaccard; this
 // ablation shows the matching layer is measure-agnostic (§3: "Match(S) can
 // use any attribute similarity measure").
-func AblationSimilarity(sc Scale) ([]SimilarityRow, error) {
+func AblationSimilarity(sc Scale) ([]MatchRow, error) {
 	res, err := sc.Universe(sc.BaseUniverse)
 	if err != nil {
 		return nil, err
 	}
-	sel := fixedSelection(res.Universe.Len(), 30)
-	var rows []SimilarityRow
+	b := matchRows{u: res.Universe, sel: fixedSelection(res.Universe.Len(), 30)}
 	for _, measure := range strutil.Measures() {
 		m, err := match.New(res.Universe, match.Config{Similarity: measure, Theta: match.DefaultTheta})
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		mr, err := m.Match(sel, constraint.Set{})
-		if err != nil {
+		if _, err := b.add(measure.Name(), func() (match.Result, error) { return m.Match(b.sel, constraint.Set{}) }); err != nil {
 			return nil, err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		stats := eval.Evaluate(res.Universe, sel, mr.Schema, nil)
-		rows = append(rows, SimilarityRow{
-			Measure:        measure.Name(),
-			Quality:        mr.Quality,
-			GAs:            mr.Schema.Len(),
-			TrueGAs:        stats.TrueGAs,
-			FalseGAs:       stats.FalseGAs,
-			AttrsInTrueGAs: stats.AttrsInTrueGAs,
-			Millis:         ms,
-		})
 	}
-	return rows, nil
-}
-
-// LinkageRow is one line of the linkage ablation.
-type LinkageRow struct {
-	Linkage        string
-	Quality        float64
-	GAs            int
-	TrueGAs        int
-	FalseGAs       int
-	AttrsInTrueGAs int
+	return b.rows, nil
 }
 
 // AblationLinkage compares max linkage (the paper's choice, which enables
 // GA-constraint bridging) against average linkage on a fixed selection.
-func AblationLinkage(sc Scale) ([]LinkageRow, error) {
+func AblationLinkage(sc Scale) ([]MatchRow, error) {
 	res, err := sc.Universe(sc.BaseUniverse)
 	if err != nil {
 		return nil, err
 	}
-	sel := fixedSelection(res.Universe.Len(), 30)
-	var rows []LinkageRow
+	b := matchRows{u: res.Universe, sel: fixedSelection(res.Universe.Len(), 30)}
 	for _, linkage := range []match.Linkage{match.MaxLinkage, match.AvgLinkage} {
 		m, err := match.New(res.Universe, match.Config{Theta: match.DefaultTheta, Linkage: linkage})
 		if err != nil {
 			return nil, err
 		}
-		mr, err := m.Match(sel, constraint.Set{})
-		if err != nil {
+		if _, err := b.add(linkage.String(), func() (match.Result, error) { return m.Match(b.sel, constraint.Set{}) }); err != nil {
 			return nil, err
 		}
-		stats := eval.Evaluate(res.Universe, sel, mr.Schema, nil)
-		rows = append(rows, LinkageRow{
-			Linkage:        linkage.String(),
-			Quality:        mr.Quality,
-			GAs:            mr.Schema.Len(),
-			TrueGAs:        stats.TrueGAs,
-			FalseGAs:       stats.FalseGAs,
-			AttrsInTrueGAs: stats.AttrsInTrueGAs,
-		})
 	}
-	return rows, nil
+	return b.rows, nil
 }
 
 // TenureRow is one line of the tabu-tenure ablation.
@@ -127,53 +134,28 @@ func AblationTenure(sc Scale) ([]TenureRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{})
+	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	nb := sc.BaseUniverse / 10
-	if nb < 30 {
-		nb = 30
-	}
 	var rows []TenureRow
 	for _, tenure := range []int{2, 4, 8, 16, 32} {
-		s := tabuWithTenure(tenure, nb)
-		var q, ms float64
-		for rep := 0; rep < sc.Repeats; rep++ {
-			start := time.Now()
-			sol, err := s.Solve(context.Background(), p, sc.Options(sc.Seed+int64(rep)))
-			if err != nil {
-				return nil, err
-			}
-			ms += float64(time.Since(start).Microseconds()) / 1000
-			q += sol.Quality
+		s := sc.Solver(sc.BaseUniverse).(tabu.Solver)
+		s.Tenure = tenure
+		r, err := sc.repeatSolve(s, p, sc.Options(0))
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, TenureRow{
-			Tenure:  tenure,
-			Quality: q / float64(sc.Repeats),
-			Millis:  ms / float64(sc.Repeats),
-		})
+		rows = append(rows, TenureRow{Tenure: tenure, Quality: r.quality, Millis: r.millis})
 	}
 	return rows, nil
-}
-
-// PairwiseRow is one line of the mediation-topology ablation: µBE's holistic
-// clustering vs the traditional star of pairwise (Hungarian) matchings.
-type PairwiseRow struct {
-	Method         string
-	Quality        float64
-	GAs            int
-	TrueGAs        int
-	FalseGAs       int
-	AttrsInTrueGAs int
-	Millis         float64
 }
 
 // AblationPairwise compares µBE's constrained clustering against the
 // pairwise star baseline (§8: traditional matchers match two schemas at a
 // time) on a fixed selection. The star topology structurally misses every
 // concept its hub does not expose.
-func AblationPairwise(sc Scale) ([]PairwiseRow, error) {
+func AblationPairwise(sc Scale) ([]MatchRow, error) {
 	res, err := sc.Universe(sc.BaseUniverse)
 	if err != nil {
 		return nil, err
@@ -182,46 +164,21 @@ func AblationPairwise(sc Scale) ([]PairwiseRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel := fixedSelection(res.Universe.Len(), 30)
-	theta := matcher.Config().Theta
-	beta := matcher.Config().Beta
-
-	var rows []PairwiseRow
-	score := func(method string, run func() (match.Result, error)) error {
-		start := time.Now()
-		mr, err := run()
-		if err != nil {
-			return err
+	b := matchRows{u: res.Universe, sel: fixedSelection(res.Universe.Len(), 30)}
+	theta, beta := matcher.Config().Theta, matcher.Config().Beta
+	for _, m := range []struct {
+		method string
+		run    func() (match.Result, error)
+	}{
+		{"clustering", func() (match.Result, error) { return matcher.Match(b.sel, constraint.Set{}) }},
+		{"star-first", func() (match.Result, error) { return matcher.StarMediate(b.sel[0], b.sel, theta, beta), nil }},
+		{"star-best", func() (match.Result, error) { return matcher.BestStarMediate(b.sel, theta, beta), nil }},
+	} {
+		if _, err := b.add(m.method, m.run); err != nil {
+			return nil, err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		stats := eval.Evaluate(res.Universe, sel, mr.Schema, nil)
-		rows = append(rows, PairwiseRow{
-			Method:         method,
-			Quality:        mr.Quality,
-			GAs:            mr.Schema.Len(),
-			TrueGAs:        stats.TrueGAs,
-			FalseGAs:       stats.FalseGAs,
-			AttrsInTrueGAs: stats.AttrsInTrueGAs,
-			Millis:         ms,
-		})
-		return nil
 	}
-	if err := score("clustering", func() (match.Result, error) {
-		return matcher.Match(sel, constraint.Set{})
-	}); err != nil {
-		return nil, err
-	}
-	if err := score("star-first", func() (match.Result, error) {
-		return matcher.StarMediate(sel[0], sel, theta, beta), nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := score("star-best", func() (match.Result, error) {
-		return matcher.BestStarMediate(sel, theta, beta), nil
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return b.rows, nil
 }
 
 // PCSAMapsRow is one line of the PCSA bitmap-count ablation.

@@ -52,7 +52,6 @@ const ChurnEpochs = 10
 // The universes are generated fresh rather than through the scale's cache:
 // the loop mutates its world in place.
 func Churn(sc Scale) ([]ChurnRow, error) {
-	qefs := append(qef.MainQEFs(), qef.Characteristic{Char: "mttf", Agg: qef.WSum{}})
 	rows := make([]ChurnRow, 0, len(ChurnRates))
 	for _, rate := range ChurnRates {
 		cfg := synth.Scaled(sc.DataFactor)
@@ -73,7 +72,7 @@ func Churn(sc Scale) ([]ChurnRow, error) {
 			Arrivals:   arrivals,
 			MaxSources: sc.ChooseDefault,
 			Solver:     "tabu",
-			QEFs:       qefs,
+			QEFs:       paperQEFs(),
 			Weights:    qef.PaperDefaults(),
 			Options:    sc.Options(sc.Seed),
 			Probe:      probe.Policy{},

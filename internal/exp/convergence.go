@@ -29,7 +29,7 @@ func Convergence(sc Scale) ([]ConvergenceRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{})
+	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,18 +1,27 @@
 // Package exp contains the runners that regenerate every figure and table of
-// the paper's evaluation (§7), plus the ablations DESIGN.md calls out. The
-// runners are shared by cmd/mube-bench (full console harness) and the
-// repository's Go benchmarks.
+// the paper's evaluation (§7), plus the ablations DESIGN.md calls out.
+// Experiments() is the harness's one list of them: cmd/mube-bench prints
+// each entry (mube-bench -exp <name>), and the root package's
+// BenchmarkExperiments/<name> times it. Every time column is measured by
+// Timed, the harness's only clock.
 //
-// Experiment index (see DESIGN.md for the mapping to paper artifacts):
+// Experiment index by registry name (see DESIGN.md for the mapping to paper
+// artifacts):
 //
-//	Fig5        execution time vs universe size (choose 20 of 100..700)
-//	Fig67       execution time and overall quality vs sources to choose
-//	Fig8        solution cardinality vs weight on the Card QEF
-//	Table1      quality of GAs (true GAs / attributes / missed)
-//	PCSA        probabilistic-counting accuracy vs exact counting
-//	Sensitivity ±15% weight perturbation robustness
-//	Solvers     tabu vs SLS vs annealing vs PSO vs random
-//	Ablations   similarity measure, linkage, tabu tenure, PCSA maps
+//	fig5          execution time vs universe size (choose 20 of 100..700)
+//	fig67         execution time and overall quality vs sources to choose
+//	fig8          solution cardinality vs weight on the Card QEF
+//	table1        quality of GAs (true GAs / attributes / missed)
+//	pcsa          probabilistic-counting accuracy vs exact counting
+//	sensitivity   ±15% weight perturbation robustness
+//	solvers       tabu vs SLS vs annealing vs PSO vs random
+//	convergence   Q(S) trajectory per solver, from telemetry traces
+//	querycost     mediator query cost vs solution size
+//	ablation-*    similarity measure, linkage, tabu tenure, data-based
+//	              similarity, pairwise star mediation, PCSA maps
+//	faults        Q(S) vs probe failure rate
+//	churn         warm vs cold re-solves under churn
+//	partition     partitioned-solver group-worker invariance and speedup
 package exp
 
 import (
@@ -228,20 +237,30 @@ func (sc Scale) Matcher(res *synth.Result) (*match.Matcher, error) {
 	return m, nil
 }
 
+// paperQEFs is the §7.1 objective's QEF list: the four main QEFs plus the
+// MTTF wsum QEF.
+func paperQEFs() []qef.QEF {
+	return append(qef.MainQEFs(), qef.Characteristic{Char: "mttf", Agg: qef.WSum{}})
+}
+
 // PaperQuality assembles the §7.1 default objective: the four main QEFs plus
 // the MTTF wsum QEF, with weights 0.25/0.25/0.2/0.15/0.15.
 func PaperQuality() (*qef.Quality, error) {
-	qefs := append(qef.MainQEFs(), qef.Characteristic{Char: "mttf", Agg: qef.WSum{}})
-	return qef.NewQuality(qefs, qef.PaperDefaults())
+	return qef.NewQuality(paperQEFs(), qef.PaperDefaults())
 }
 
-// Problem assembles the standard experiment problem over res.
-func (sc Scale) Problem(res *synth.Result, m int, cons constraint.Set) (*opt.Problem, error) {
+// Problem assembles the experiment problem over res: choose m sources under
+// cons, scored by the §7.1 QEFs under weights w (nil = the paper's defaults)
+// with the cached default matcher.
+func (sc Scale) Problem(res *synth.Result, m int, cons constraint.Set, w qef.Weights) (*opt.Problem, error) {
 	matcher, err := sc.Matcher(res)
 	if err != nil {
 		return nil, err
 	}
-	quality, err := PaperQuality()
+	if w == nil {
+		w = qef.PaperDefaults()
+	}
+	quality, err := qef.NewQuality(paperQEFs(), w)
 	if err != nil {
 		return nil, err
 	}
@@ -263,12 +282,6 @@ func (sc Scale) Solver(universeSize int) opt.Solver {
 		nb = 30
 	}
 	return tabu.Solver{Neighbors: nb}
-}
-
-// tabuWithTenure builds a tabu solver with an explicit tenure, for the
-// tenure ablation.
-func tabuWithTenure(tenure, neighbors int) opt.Solver {
-	return tabu.Solver{Tenure: tenure, Neighbors: neighbors}
 }
 
 // Options returns the solver budget for one run.

@@ -416,7 +416,7 @@ func TestAblations(t *testing.T) {
 	}
 	foundDefault := false
 	for _, r := range sim {
-		if r.Measure == "3gram-jaccard" {
+		if r.Setting == "3gram-jaccard" {
 			foundDefault = true
 			if r.TrueGAs == 0 {
 				t.Error("default measure found no true GAs")
@@ -431,7 +431,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(link) != 2 || link[0].Linkage != "max" {
+	if len(link) != 2 || link[0].Setting != "max" {
 		t.Errorf("linkage rows = %+v", link)
 	}
 
@@ -456,12 +456,6 @@ func TestAblations(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := RenderSimilarity(&buf, sim); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderLinkage(&buf, link); err != nil {
-		t.Fatal(err)
-	}
 	if err := RenderTenure(&buf, ten); err != nil {
 		t.Fatal(err)
 	}
@@ -506,12 +500,12 @@ func TestAblationPairwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || rows[0].Method != "clustering" {
+	if len(rows) != 3 || rows[0].Setting != "clustering" {
 		t.Fatalf("rows = %+v", rows)
 	}
-	var clustering, starBest PairwiseRow
+	var clustering, starBest MatchRow
 	for _, r := range rows {
-		switch r.Method {
+		switch r.Setting {
 		case "clustering":
 			clustering = r
 		case "star-best":
@@ -523,10 +517,6 @@ func TestAblationPairwise(t *testing.T) {
 	if clustering.TrueGAs < starBest.TrueGAs {
 		t.Errorf("clustering found %d concepts, star-best %d", clustering.TrueGAs, starBest.TrueGAs)
 	}
-	var buf bytes.Buffer
-	if err := RenderPairwise(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAblationHybrid(t *testing.T) {
@@ -534,7 +524,7 @@ func TestAblationHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || rows[0].DataWeight != 0 {
+	if len(rows) != 4 || rows[0].Setting != "0.00" {
 		t.Fatalf("rows = %+v", rows)
 	}
 	// Name-only matching recovers no renamed attributes; any positive data
@@ -555,10 +545,6 @@ func TestAblationHybrid(t *testing.T) {
 	// least as many attributes as name-only.
 	if rows[2].AttrsInTrueGAs < rows[0].AttrsInTrueGAs {
 		t.Errorf("w=0.5 covers %d attrs < name-only %d", rows[2].AttrsInTrueGAs, rows[0].AttrsInTrueGAs)
-	}
-	var buf bytes.Buffer
-	if err := RenderHybrid(&buf, rows); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -60,7 +60,7 @@ func Faults(sc Scale) ([]FaultsRow, error) {
 		if n := res.Universe.Len(); m > n {
 			m = n
 		}
-		p, err := fsc.Problem(res, m, constraint.Set{})
+		p, err := fsc.Problem(res, m, constraint.Set{}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -2,18 +2,21 @@ package exp
 
 import (
 	"context"
+	"math"
 	"math/rand"
-	"time"
 
+	"mube/internal/constraint"
 	"mube/internal/opt"
 	"mube/internal/qef"
 	"mube/internal/schema"
 )
 
-// Fig5Row is one point of Figure 5: execution time to choose ChooseDefault
-// sources from a universe of Size sources under one constraint config.
-type Fig5Row struct {
+// SweepRow is one point of Figures 5–7: the mean execution time, overall
+// quality and evaluation count of choosing Choose sources from a universe of
+// Size sources under one constraint config.
+type SweepRow struct {
 	Size    int
+	Choose  int
 	Config  string
 	Millis  float64
 	Quality float64
@@ -22,101 +25,74 @@ type Fig5Row struct {
 
 // Fig5 reproduces Figure 5: execution time vs universe size (100..700),
 // choosing 20 sources, across the five constraint configurations.
-func Fig5(sc Scale) ([]Fig5Row, error) {
-	var rows []Fig5Row
-	for _, n := range sc.UniverseSizes {
-		res, err := sc.Universe(n)
-		if err != nil {
-			return nil, err
-		}
-		for _, cc := range ConstraintConfigs() {
-			r := rand.New(rand.NewSource(sc.Seed + int64(n)))
-			cons, err := BuildConstraints(res, cc, sc.ChooseDefault, r)
-			if err != nil {
-				return nil, err
-			}
-			p, err := sc.Problem(res, sc.ChooseDefault, cons)
-			if err != nil {
-				return nil, err
-			}
-			solver := sc.Solver(n)
-			var totalMS, totalQ float64
-			var evals int
-			for rep := 0; rep < sc.Repeats; rep++ {
-				start := time.Now()
-				sol, err := solver.Solve(context.Background(), p, sc.Options(sc.Seed+int64(rep)))
-				if err != nil {
-					return nil, err
-				}
-				totalMS += float64(time.Since(start).Microseconds()) / 1000
-				totalQ += sol.Quality
-				evals += sol.Evals
-			}
-			rows = append(rows, Fig5Row{
-				Size:    n,
-				Config:  cc.Label,
-				Millis:  totalMS / float64(sc.Repeats),
-				Quality: totalQ / float64(sc.Repeats),
-				Evals:   evals / sc.Repeats,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// Fig67Row is one point of Figures 6 and 7: execution time and overall
-// quality when choosing Choose sources from the base universe.
-type Fig67Row struct {
-	Choose  int
-	Config  string
-	Millis  float64
-	Quality float64
-	Evals   int
+func Fig5(sc Scale) ([]SweepRow, error) {
+	return sc.sweep(sc.UniverseSizes, func(n int) (int, int) { return n, sc.ChooseDefault })
 }
 
 // Fig67 reproduces Figures 6 (time) and 7 (overall quality) in one sweep:
 // choose 10..50 sources from a universe of 200 under the five constraint
 // configurations.
-func Fig67(sc Scale) ([]Fig67Row, error) {
-	res, err := sc.Universe(sc.BaseUniverse)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig67Row
-	for _, m := range sc.ChooseCounts {
+func Fig67(sc Scale) ([]SweepRow, error) {
+	return sc.sweep(sc.ChooseCounts, func(m int) (int, int) { return sc.BaseUniverse, m })
+}
+
+// sweep is the constraint sweep of Figs 5–7: for every x of xs it chooses m
+// of n sources, (n, m) = at(x), under each constraint config, drawing the
+// constraints from seed Seed+x, and solves each problem Repeats times.
+func (sc Scale) sweep(xs []int, at func(x int) (n, m int)) ([]SweepRow, error) {
+	var rows []SweepRow
+	for _, x := range xs {
+		n, m := at(x)
+		res, err := sc.Universe(n)
+		if err != nil {
+			return nil, err
+		}
 		for _, cc := range ConstraintConfigs() {
-			r := rand.New(rand.NewSource(sc.Seed + int64(m)))
-			cons, err := BuildConstraints(res, cc, m, r)
+			cons, err := BuildConstraints(res, cc, m, rand.New(rand.NewSource(sc.Seed+int64(x))))
 			if err != nil {
 				return nil, err
 			}
-			p, err := sc.Problem(res, m, cons)
+			p, err := sc.Problem(res, m, cons, nil)
 			if err != nil {
 				return nil, err
 			}
-			solver := sc.Solver(sc.BaseUniverse)
-			var totalMS, totalQ float64
-			var evals int
-			for rep := 0; rep < sc.Repeats; rep++ {
-				start := time.Now()
-				sol, err := solver.Solve(context.Background(), p, sc.Options(sc.Seed+int64(rep)))
-				if err != nil {
-					return nil, err
-				}
-				totalMS += float64(time.Since(start).Microseconds()) / 1000
-				totalQ += sol.Quality
-				evals += sol.Evals
+			r, err := sc.repeatSolve(sc.Solver(n), p, sc.Options(0))
+			if err != nil {
+				return nil, err
 			}
-			rows = append(rows, Fig67Row{
-				Choose:  m,
-				Config:  cc.Label,
-				Millis:  totalMS / float64(sc.Repeats),
-				Quality: totalQ / float64(sc.Repeats),
-				Evals:   evals / sc.Repeats,
-			})
+			rows = append(rows, SweepRow{Size: n, Choose: m, Config: cc.Label, Millis: r.millis, Quality: r.quality, Evals: r.evals})
 		}
 	}
 	return rows, nil
+}
+
+// repeated is the outcome of Repeats timed solves of one problem.
+type repeated struct {
+	quality, best, worst float64 // mean, largest and smallest Q(S)
+	millis               float64 // mean wall time
+	evals                int     // mean evaluation count
+}
+
+// repeatSolve solves p Repeats times with s under opts, seeding run rep
+// with Seed+rep, and times each solve.
+func (sc Scale) repeatSolve(s opt.Solver, p *opt.Problem, opts opt.Options) (repeated, error) {
+	r := repeated{best: math.Inf(-1), worst: math.Inf(1)}
+	for rep := 0; rep < sc.Repeats; rep++ {
+		opts.Seed = sc.Seed + int64(rep)
+		sol, ms, err := Timed(func() (*opt.Solution, error) { return s.Solve(context.Background(), p, opts) })
+		if err != nil {
+			return r, err
+		}
+		r.millis += ms
+		r.quality += sol.Quality
+		r.best = math.Max(r.best, sol.Quality)
+		r.worst = math.Min(r.worst, sol.Quality)
+		r.evals += sol.Evals
+	}
+	r.quality /= float64(sc.Repeats)
+	r.millis /= float64(sc.Repeats)
+	r.evals /= sc.Repeats
+	return r, nil
 }
 
 // Fig8Row is one point of Figure 8: the cardinality of the chosen solution
@@ -140,11 +116,7 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	matcher, err := sc.Matcher(res)
-	if err != nil {
-		return nil, err
-	}
-	qefs := append(qef.MainQEFs(), qef.Characteristic{Char: "mttf", Agg: qef.WSum{}})
+	qefs := paperQEFs()
 	var rows []Fig8Row
 	// Each repeat sweeps the weight upward, warm-starting every step from
 	// the previous step's solution — the iterative-session dynamic of a
@@ -160,15 +132,9 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 				weights[f.Name()] = rest
 			}
 		}
-		quality, err := qef.NewQuality(qefs, weights)
+		p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{}, weights)
 		if err != nil {
 			return nil, err
-		}
-		p := &opt.Problem{
-			Universe:   res.Universe,
-			Matcher:    matcher,
-			Quality:    quality,
-			MaxSources: sc.ChooseDefault,
 		}
 		var cardSum int64
 		var fracSum, qSum float64

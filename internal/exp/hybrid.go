@@ -2,33 +2,14 @@ package exp
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"mube/internal/bamm"
 	"mube/internal/constraint"
-	"mube/internal/eval"
 	"mube/internal/match"
 	"mube/internal/pcsa"
 	"mube/internal/schema"
 	"mube/internal/synth"
 )
-
-// HybridRow is one line of the data-based-similarity ablation: matching a
-// fixed selection at one data weight, scored against the *origin* ground
-// truth (renamed attributes keep their concept).
-type HybridRow struct {
-	DataWeight     float64
-	Quality        float64
-	GAs            int
-	TrueGAs        int
-	FalseGAs       int
-	AttrsInTrueGAs int
-	// Renamed counts attributes in true GAs whose *names* are off-domain —
-	// matches only data-based similarity can make.
-	Renamed int
-	Millis  float64
-}
 
 // AblationHybrid measures what data-based similarity buys (§3: "Match(S)
 // can use any attribute similarity measure, whether it is schema based or
@@ -37,8 +18,8 @@ type HybridRow struct {
 // value sketches, then sweeps the data weight. Name-only matching (w=0)
 // cannot recover a renamed attribute; blended matching can — and the origin
 // ground truth makes the recovery measurable.
-func AblationHybrid(sc Scale) ([]HybridRow, error) {
-	cfg := synth.Scaled(minF(sc.DataFactor, 0.01))
+func AblationHybrid(sc Scale) ([]MatchRow, error) {
+	cfg := synth.Scaled(min(sc.DataFactor, 0.01))
 	cfg.NumSources = sc.BaseUniverse
 	cfg.Seed = sc.Seed
 	cfg.Sig = pcsa.Config{NumMaps: 128}
@@ -48,59 +29,44 @@ func AblationHybrid(sc Scale) ([]HybridRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	originOf := func(r schema.AttrRef) (int, bool) {
+	// Select from the *perturbed* region (sources ≥ 50 carry renames); the
+	// conformant copies have nothing to recover. Score against the origin
+	// ground truth: a renamed attribute keeps its concept.
+	n := res.Universe.Len()
+	b := matchRows{u: res.Universe, sel: make([]schema.SourceID, 0, 30), conceptOf: func(r schema.AttrRef) (int, bool) {
 		ci := res.AttrOrigins[r.Source][r.Attr]
 		return ci, ci >= 0
-	}
-	// Select from the *perturbed* region (sources ≥ 50 carry renames); the
-	// conformant copies have nothing to recover.
-	n := res.Universe.Len()
-	sel := make([]schema.SourceID, 0, 30)
+	}}
 	for id := n - 30; id < n; id++ {
-		sel = append(sel, schema.SourceID(id))
+		b.sel = append(b.sel, schema.SourceID(id))
 	}
 
-	var rows []HybridRow
 	for _, w := range []float64{0, 0.25, 0.5, 0.75} {
 		m, err := match.New(res.Universe, match.Config{Theta: match.DefaultTheta, DataWeight: w})
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		mr, err := m.Match(sel, constraint.Set{})
+		mr, err := b.add(fmt.Sprintf("%.2f", w), func() (match.Result, error) { return m.Match(b.sel, constraint.Set{}) })
 		if err != nil {
 			return nil, err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
 		if !mr.OK {
 			return nil, fmt.Errorf("exp: hybrid match failed at w=%v", w)
 		}
-		stats := eval.EvaluateRefs(res.Universe, sel, mr.Schema, originOf)
-
 		// Count recovered renamed attributes: members of pure GAs whose
 		// name is off-domain (origin says concept, name says noise).
-		renamed := 0
+		row := &b.rows[len(b.rows)-1]
 		for _, g := range mr.Schema.GAs {
 			if ci, pure := pureConcept(res, g); pure && ci >= 0 {
 				for _, r := range g.Refs() {
 					if _, byName := nameConcept(res, r); !byName {
-						renamed++
+						row.Renamed++
 					}
 				}
 			}
 		}
-		rows = append(rows, HybridRow{
-			DataWeight:     w,
-			Quality:        mr.Quality,
-			GAs:            mr.Schema.Len(),
-			TrueGAs:        stats.TrueGAs,
-			FalseGAs:       stats.FalseGAs,
-			AttrsInTrueGAs: stats.AttrsInTrueGAs,
-			Renamed:        renamed,
-			Millis:         ms,
-		})
 	}
-	return rows, nil
+	return b.rows, nil
 }
 
 // pureConcept reports whether every attribute of g has the same origin
@@ -124,15 +90,4 @@ func pureConcept(res *synth.Result, g schema.GA) (int, bool) {
 // nameConcept resolves a reference's concept by its (possibly renamed) name.
 func nameConcept(res *synth.Result, r schema.AttrRef) (int, bool) {
 	return bamm.ConceptOf(res.Universe.AttrName(r))
-}
-
-// RenderHybrid prints the data-based-similarity ablation.
-func RenderHybrid(w io.Writer, rows []HybridRow) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "data_weight\tquality\tGAs\ttrue_GAs\tfalse_GAs\tattrs_covered\trenamed_recovered\ttime_ms")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.2f\t%.4f\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
-			r.DataWeight, r.Quality, r.GAs, r.TrueGAs, r.FalseGAs, r.AttrsInTrueGAs, r.Renamed, r.Millis)
-	}
-	return tw.Flush()
 }

@@ -53,13 +53,13 @@ func Partition(sc Scale) (*PartitionResult, error) {
 	}
 	res := &PartitionResult{Groups: l.groups, ShardMS: l.shardMS}
 	for _, workers := range []int{1, 4} {
-		sol, solveSec, err := l.solve(sc.Parallel, workers, sc.Rec)
+		sol, solveMS, err := l.solve(sc.Parallel, workers, sc.Rec)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, PartitionRow{
 			Workers: workers,
-			SolveMS: solveSec * 1000,
+			SolveMS: solveMS,
 			Quality: sol.Quality,
 			Evals:   sol.Evals,
 		})

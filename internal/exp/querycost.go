@@ -31,7 +31,7 @@ type QueryCostRow struct {
 // solutions with growing m. It always runs at ≤1% data scale so row tables
 // fit comfortably in memory.
 func QueryCost(sc Scale) ([]QueryCostRow, error) {
-	cfg := synth.Scaled(minF(sc.DataFactor, 0.01))
+	cfg := synth.Scaled(min(sc.DataFactor, 0.01))
 	cfg.NumSources = sc.BaseUniverse
 	cfg.Seed = sc.Seed
 	cfg.Sig = pcsa.Config{NumMaps: 128}
@@ -107,14 +107,6 @@ func workload(numGAs int) []mediator.Query {
 		)
 	}
 	return qs
-}
-
-// minF returns the smaller float.
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RenderQueryCost prints the query-cost experiment.

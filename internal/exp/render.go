@@ -11,23 +11,24 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// RenderFig5 prints Figure 5 as an aligned table.
-func RenderFig5(w io.Writer, rows []Fig5Row) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "universe\tconstraints\ttime_ms\tquality\tevals")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%.1f\t%.4f\t%d\n", r.Size, r.Config, r.Millis, r.Quality, r.Evals)
-	}
-	return tw.Flush()
+// RenderFig5 prints Figure 5 as an aligned table, one row per universe size
+// and constraint config.
+func RenderFig5(w io.Writer, rows []SweepRow) error {
+	return renderSweep(w, "universe", rows, func(r SweepRow) int { return r.Size })
 }
 
 // RenderFig67 prints Figures 6 and 7 as one aligned table (time and quality
-// columns).
-func RenderFig67(w io.Writer, rows []Fig67Row) error {
+// columns), one row per number of sources to choose and constraint config.
+func RenderFig67(w io.Writer, rows []SweepRow) error {
+	return renderSweep(w, "choose", rows, func(r SweepRow) int { return r.Choose })
+}
+
+// renderSweep prints a sweep of Figs 5–7 led by the swept parameter x.
+func renderSweep(w io.Writer, x string, rows []SweepRow, at func(SweepRow) int) error {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "choose\tconstraints\ttime_ms\tquality\tevals")
+	fmt.Fprintf(tw, "%s\tconstraints\ttime_ms\tquality\tevals\n", x)
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%.1f\t%.4f\t%d\n", r.Choose, r.Config, r.Millis, r.Quality, r.Evals)
+		fmt.Fprintf(tw, "%d\t%s\t%.1f\t%.4f\t%d\n", at(r), r.Config, r.Millis, r.Quality, r.Evals)
 	}
 	return tw.Flush()
 }
@@ -97,24 +98,32 @@ func RenderConvergence(w io.Writer, rows []ConvergenceRow) error {
 	return tw.Flush()
 }
 
-// RenderSimilarity prints the similarity-measure ablation.
-func RenderSimilarity(w io.Writer, rows []SimilarityRow) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "measure\tquality\tGAs\ttrue_GAs\tfalse_GAs\tattrs_covered\ttime_ms")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.4f\t%d\t%d\t%d\t%d\t%.1f\n",
-			r.Measure, r.Quality, r.GAs, r.TrueGAs, r.FalseGAs, r.AttrsInTrueGAs, r.Millis)
-	}
-	return tw.Flush()
+// matchTable renders a matching ablation: setting heads the first column,
+// and the renamed_recovered and time_ms columns print only when set.
+type matchTable struct {
+	setting        string
+	renamed, timed bool
 }
 
-// RenderLinkage prints the linkage ablation.
-func RenderLinkage(w io.Writer, rows []LinkageRow) error {
+func (t matchTable) render(w io.Writer, rows []MatchRow) error {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "linkage\tquality\tGAs\ttrue_GAs\tfalse_GAs\tattrs_covered")
+	fmt.Fprintf(tw, "%s\tquality\tGAs\ttrue_GAs\tfalse_GAs\tattrs_covered", t.setting)
+	if t.renamed {
+		fmt.Fprint(tw, "\trenamed_recovered")
+	}
+	if t.timed {
+		fmt.Fprint(tw, "\ttime_ms")
+	}
+	fmt.Fprintln(tw)
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.4f\t%d\t%d\t%d\t%d\n",
-			r.Linkage, r.Quality, r.GAs, r.TrueGAs, r.FalseGAs, r.AttrsInTrueGAs)
+		fmt.Fprintf(tw, "%s\t%.4f\t%d\t%d\t%d\t%d", r.Setting, r.Quality, r.GAs, r.TrueGAs, r.FalseGAs, r.AttrsInTrueGAs)
+		if t.renamed {
+			fmt.Fprintf(tw, "\t%d", r.Renamed)
+		}
+		if t.timed {
+			fmt.Fprintf(tw, "\t%.1f", r.Millis)
+		}
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }
@@ -125,17 +134,6 @@ func RenderTenure(w io.Writer, rows []TenureRow) error {
 	fmt.Fprintln(tw, "tenure\tquality\ttime_ms")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%d\t%.4f\t%.1f\n", r.Tenure, r.Quality, r.Millis)
-	}
-	return tw.Flush()
-}
-
-// RenderPairwise prints the mediation-topology ablation.
-func RenderPairwise(w io.Writer, rows []PairwiseRow) error {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "method\tquality\tGAs\ttrue_GAs\tfalse_GAs\tattrs_covered\ttime_ms")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.4f\t%d\t%d\t%d\t%d\t%.1f\n",
-			r.Method, r.Quality, r.GAs, r.TrueGAs, r.FalseGAs, r.AttrsInTrueGAs, r.Millis)
 	}
 	return tw.Flush()
 }

@@ -27,10 +27,10 @@ func TestRenderGolden(t *testing.T) {
 		render func(io.Writer) error
 	}{
 		{"fig5", func(w io.Writer) error {
-			return RenderFig5(w, []Fig5Row{{Size: 300, Config: "5C+2G", Millis: 12.345, Quality: 0.61234, Evals: 1419}})
+			return RenderFig5(w, []SweepRow{{Size: 300, Choose: 20, Config: "5C+2G", Millis: 12.345, Quality: 0.61234, Evals: 1419}})
 		}},
 		{"fig67", func(w io.Writer) error {
-			return RenderFig67(w, []Fig67Row{{Choose: 30, Config: "3C", Millis: 7.25, Quality: 0.56785, Evals: 840}})
+			return RenderFig67(w, []SweepRow{{Size: 200, Choose: 30, Config: "3C", Millis: 7.25, Quality: 0.56785, Evals: 840}})
 		}},
 		{"fig8", func(w io.Writer) error {
 			return RenderFig8(w, []Fig8Row{{CardWeight: 0.3, SolutionCard: 123456, CardFraction: 0.43215, Quality: 0.65435}})
@@ -63,28 +63,28 @@ func TestRenderGolden(t *testing.T) {
 			}})
 		}},
 		{"ablation-sim", func(w io.Writer) error {
-			return RenderSimilarity(w, []SimilarityRow{{
-				Measure: "3gram-jaccard", Quality: 0.81235, GAs: 14, TrueGAs: 13, FalseGAs: 1,
+			return matchTable{setting: "measure", timed: true}.render(w, []MatchRow{{
+				Setting: "3gram-jaccard", Quality: 0.81235, GAs: 14, TrueGAs: 13, FalseGAs: 1,
 				AttrsInTrueGAs: 210, Millis: 3.25,
 			}})
 		}},
 		{"ablation-linkage", func(w io.Writer) error {
-			return RenderLinkage(w, []LinkageRow{{
-				Linkage: "avg", Quality: 0.7, GAs: 12, TrueGAs: 11, FalseGAs: 1, AttrsInTrueGAs: 190,
+			return matchTable{setting: "linkage"}.render(w, []MatchRow{{
+				Setting: "avg", Quality: 0.7, GAs: 12, TrueGAs: 11, FalseGAs: 1, AttrsInTrueGAs: 190,
 			}})
 		}},
 		{"ablation-tenure", func(w io.Writer) error {
 			return RenderTenure(w, []TenureRow{{Tenure: 8, Quality: 0.70005, Millis: 33.35}})
 		}},
 		{"ablation-hybrid", func(w io.Writer) error {
-			return RenderHybrid(w, []HybridRow{{
-				DataWeight: 0.25, Quality: 0.66, GAs: 15, TrueGAs: 14, FalseGAs: 1,
+			return matchTable{setting: "data_weight", renamed: true, timed: true}.render(w, []MatchRow{{
+				Setting: "0.25", Quality: 0.66, GAs: 15, TrueGAs: 14, FalseGAs: 1,
 				AttrsInTrueGAs: 220, Renamed: 9, Millis: 4.55,
 			}})
 		}},
 		{"ablation-pairwise", func(w io.Writer) error {
-			return RenderPairwise(w, []PairwiseRow{{
-				Method: "star-best", Quality: 0.5, GAs: 9, TrueGAs: 8, FalseGAs: 0,
+			return matchTable{setting: "method", timed: true}.render(w, []MatchRow{{
+				Setting: "star-best", Quality: 0.5, GAs: 9, TrueGAs: 8, FalseGAs: 0,
 				AttrsInTrueGAs: 101, Millis: 0.75,
 			}})
 		}},
@@ -141,5 +141,23 @@ func TestRenderGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("renderers diverged from %s\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// TestExperimentsRegistry checks the harness's experiment list: names are
+// unique, and every entry runs at the micro scale and prints a table.
+func TestExperimentsRegistry(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, e := range Experiments() {
+		if e.Name == "" || e.Title == "" || seen[e.Name] {
+			t.Errorf("entry %q (title %q): empty or repeated name", e.Name, e.Title)
+		}
+		seen[e.Name] = true
+		var buf bytes.Buffer
+		if err := e.Run(micro(), &buf); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		} else if buf.Len() == 0 {
+			t.Errorf("%s rendered nothing", e.Name)
+		}
 	}
 }

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"mube/internal/constraint"
 	"mube/internal/match"
 	"mube/internal/opt"
 	"mube/internal/opt/solvers"
 	"mube/internal/pcsa"
+	"mube/internal/source"
 	"mube/internal/synth"
 	"mube/internal/telemetry"
 )
@@ -198,59 +198,54 @@ func newLadder(p ScalePreset) (*ladder, error) {
 		sigMaps = 64
 	}
 	cfg.Sig = pcsa.Config{NumMaps: sigMaps}
-	l := &ladder{preset: p}
-
-	genStart := time.Now()
-	u, err := synth.GenerateUniverse(cfg)
+	u, genMS, err := Timed(func() (*source.Universe, error) { return synth.GenerateUniverse(cfg) })
 	if err != nil {
 		return nil, err
 	}
-	l.genMS = float64(time.Since(genStart).Microseconds()) / 1000
-
-	matchStart := time.Now()
-	matcher, err := match.New(u, match.Config{Theta: match.DefaultTheta})
+	matcher, matchMS, err := Timed(func() (*match.Matcher, error) {
+		return match.New(u, match.Config{Theta: match.DefaultTheta})
+	})
 	if err != nil {
 		return nil, err
 	}
-	l.matchMS = float64(time.Since(matchStart).Microseconds()) / 1000
-
 	// Build the shard index up front and time it; the solves reuse the
 	// cached index.
-	shardStart := time.Now()
-	l.groups = len(matcher.NewSharded(constraint.Set{}).SourceGroups())
-	l.shardMS = float64(time.Since(shardStart).Microseconds()) / 1000
-
+	groups, shardMS, _ := Timed(func() (int, error) { return len(matcher.NewSharded(constraint.Set{}).SourceGroups()), nil })
 	quality, err := PaperQuality()
 	if err != nil {
 		return nil, err
 	}
-	l.prob = &opt.Problem{
-		Universe:   u,
-		Matcher:    matcher,
-		Quality:    quality,
-		MaxSources: p.Choose,
-	}
-	if l.solver, err = solvers.ByName(p.Solver); err != nil {
+	solver, err := solvers.ByName(p.Solver)
+	if err != nil {
 		return nil, err
+	}
+	l := &ladder{
+		preset:  p,
+		prob:    &opt.Problem{Universe: u, Matcher: matcher, Quality: quality, MaxSources: p.Choose},
+		solver:  solver,
+		groups:  groups,
+		genMS:   genMS,
+		matchMS: matchMS,
+		shardMS: shardMS,
 	}
 	return l, nil
 }
 
 // solve runs the preset's solver once under its budget at the given pool
-// sizes, returning the solution and the solve's wall time in seconds.
+// sizes, returning the solution and the solve's wall time in milliseconds.
 func (l *ladder) solve(parallel, groupWorkers int, rec *telemetry.Recorder) (*opt.Solution, float64, error) {
 	p := l.preset
-	start := time.Now()
-	sol, err := l.solver.Solve(context.Background(), l.prob, opt.Options{
-		Seed:         p.Seed,
-		MaxEvals:     p.MaxEvals,
-		MaxIters:     p.MaxIters,
-		Patience:     p.Patience,
-		Parallel:     parallel,
-		GroupWorkers: groupWorkers,
-		Recorder:     rec,
+	return Timed(func() (*opt.Solution, error) {
+		return l.solver.Solve(context.Background(), l.prob, opt.Options{
+			Seed:         p.Seed,
+			MaxEvals:     p.MaxEvals,
+			MaxIters:     p.MaxIters,
+			Patience:     p.Patience,
+			Parallel:     parallel,
+			GroupWorkers: groupWorkers,
+			Recorder:     rec,
+		})
 	})
-	return sol, time.Since(start).Seconds(), err
 }
 
 // ScaleBench builds the preset's universe through the streaming generator and
@@ -262,7 +257,7 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sol, solveSec, err := l.solve(parallel, p.GroupWorkers, rec)
+	sol, solveMS, err := l.solve(parallel, p.GroupWorkers, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +272,7 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 		GenMS:        l.genMS,
 		MatchMS:      l.matchMS,
 		ShardMS:      l.shardMS,
-		SolveMS:      solveSec * 1000,
+		SolveMS:      solveMS,
 		GroupWorkers: p.GroupWorkers,
 		Evals:        sol.Evals,
 		SolveMallocs: after.Mallocs - before.Mallocs,
@@ -286,8 +281,8 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 		Quality:      sol.Quality,
 		Status:       string(sol.Status),
 	}
-	if solveSec > 0 {
-		row.EvalsPerSec = float64(sol.Evals) / solveSec
+	if solveMS > 0 {
+		row.EvalsPerSec = float64(sol.Evals) / (solveMS / 1000)
 	}
 	return row, nil
 }

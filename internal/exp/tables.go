@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"time"
 
 	"mube/internal/bamm"
 	"mube/internal/constraint"
@@ -35,7 +34,7 @@ func Table1(sc Scale) ([]Table1Row, error) {
 	}
 	var rows []Table1Row
 	for _, m := range sc.ChooseCounts {
-		p, err := sc.Problem(res, m, constraint.Set{})
+		p, err := sc.Problem(res, m, constraint.Set{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -147,23 +146,9 @@ func Sensitivity(sc Scale) (*SensitivityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	qefs := append(qef.MainQEFs(), qef.Characteristic{Char: "mttf", Agg: qef.WSum{}})
+	qefs := paperQEFs()
 	baseWeights := qef.PaperDefaults()
-
-	problem := func(w qef.Weights) (*opt.Problem, error) {
-		quality, err := qef.NewQuality(qefs, w)
-		if err != nil {
-			return nil, err
-		}
-		return &opt.Problem{
-			Universe:   res.Universe,
-			Matcher:    matcher,
-			Quality:    quality,
-			MaxSources: sc.ChooseDefault,
-		}, nil
-	}
-
-	baseP, err := problem(baseWeights)
+	baseP, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{}, baseWeights)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +187,7 @@ func Sensitivity(sc Scale) (*SensitivityResult, error) {
 		// weights' effect on the solution from tabu's stochastic path —
 		// the question the paper asks is whether slightly different weights
 		// change what µBE recommends.
-		p, err := problem(w)
+		p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{}, w)
 		if err != nil {
 			return nil, err
 		}
@@ -215,8 +200,8 @@ func Sensitivity(sc Scale) (*SensitivityResult, error) {
 			return nil, err
 		}
 		gaDiff := symDiff(baseGAs, gaKeySet(med.Schema))
-		srcDiff := symDiffIDs(baseSrc, idSet(ids))
-		conceptDiff := symDiffInts(baseConcepts, conceptSet(res.Universe, med.Schema))
+		srcDiff := symDiff(baseSrc, idSet(ids))
+		conceptDiff := symDiff(baseConcepts, conceptSet(res.Universe, med.Schema))
 		out.MeanGAChanges += float64(gaDiff)
 		out.MeanSourceChanges += float64(srcDiff)
 		out.MeanConceptChanges += float64(conceptDiff)
@@ -260,22 +245,6 @@ func conceptSet(u *source.Universe, m schema.Mediated) map[int]struct{} {
 		}
 	}
 	return set
-}
-
-// symDiffInts counts ints in exactly one of a, b.
-func symDiffInts(a, b map[int]struct{}) int {
-	n := 0
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			n++
-		}
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			n++
-		}
-	}
-	return n
 }
 
 // polish runs deterministic steepest-ascent hill climbing from start until
@@ -323,24 +292,8 @@ func idSet(ids []schema.SourceID) map[schema.SourceID]struct{} {
 	return set
 }
 
-// symDiff counts elements in exactly one of a, b.
-func symDiff(a, b map[string]struct{}) int {
-	n := 0
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			n++
-		}
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			n++
-		}
-	}
-	return n
-}
-
-// symDiffIDs counts source ids in exactly one of a, b.
-func symDiffIDs(a, b map[schema.SourceID]struct{}) int {
+// symDiff counts the keys in exactly one of a and b.
+func symDiff[K comparable](a, b map[K]struct{}) int {
 	n := 0
 	for k := range a {
 		if _, ok := b[k]; !ok {
@@ -372,7 +325,7 @@ func Solvers(sc Scale) ([]SolverRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{})
+	p, err := sc.Problem(res, sc.ChooseDefault, constraint.Set{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -386,26 +339,13 @@ func Solvers(sc Scale) ([]SolverRow, error) {
 		MaxIters: 1 << 20, // bounded by evaluations
 		Patience: 1 << 20,
 	}
-
 	var rows []SolverRow
 	for _, s := range allSolvers(sc) {
-		row := SolverRow{Solver: s.Name(), Worst: math.Inf(1), Best: math.Inf(-1)}
-		for rep := 0; rep < sc.Repeats; rep++ {
-			b := budget
-			b.Seed = sc.Seed + int64(rep)
-			start := time.Now()
-			sol, err := s.Solve(context.Background(), p, b)
-			if err != nil {
-				return nil, err
-			}
-			row.Millis += float64(time.Since(start).Microseconds()) / 1000
-			row.Quality += sol.Quality
-			row.Best = math.Max(row.Best, sol.Quality)
-			row.Worst = math.Min(row.Worst, sol.Quality)
+		r, err := sc.repeatSolve(s, p, budget)
+		if err != nil {
+			return nil, err
 		}
-		row.Quality /= float64(sc.Repeats)
-		row.Millis /= float64(sc.Repeats)
-		rows = append(rows, row)
+		rows = append(rows, SolverRow{Solver: s.Name(), Quality: r.quality, Best: r.best, Worst: r.worst, Millis: r.millis})
 	}
 	return rows, nil
 }
