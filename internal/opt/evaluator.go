@@ -534,39 +534,17 @@ func (e *Evaluator) Status() Status {
 	return StatusCompleted
 }
 
-// qualityOf returns the true Q(ids) via memo-or-compute WITHOUT debiting the
-// evaluation budget, so the final solution report is truthful even when the
-// solve stopped on budget exhaustion or cancellation (Eval would return the
-// Unscored sentinel then).
-func (e *Evaluator) qualityOf(ids []schema.SourceID) float64 {
-	k := key(ids)
-	e.mu.Lock()
-	if v, ok := e.memo[k]; ok {
-		e.mu.Unlock()
-		return v
-	}
-	e.mu.Unlock()
-	sc := e.scratchPool.Get().(*scratch)
-	v := e.compute(ids, sc)
-	e.scratchPool.Put(sc)
-	e.mu.Lock()
-	e.memo[k] = v
-	e.mu.Unlock()
-	return v
-}
-
 // Solution materializes the full solution report for a chosen subset,
 // re-deriving the mediated schema and per-QEF breakdown from one Match(S).
-// The reported quality is always the true Q(S) (computed outside the MaxEvals
-// budget if needed), and Status records how the solve ended.
+// The reported quality is the true Q(S), read from the breakdown's context
+// outside the MaxEvals budget, and Status records how the solve ended.
 func (e *Evaluator) Solution(ids []schema.SourceID, solver string) *Solution {
 	sorted := SortIDs(append([]schema.SourceID(nil), ids...))
 	sol := &Solution{
-		IDs:     sorted,
-		Quality: e.qualityOf(sorted),
-		Evals:   e.Evals(),
-		Solver:  solver,
-		Status:  e.Status(),
+		IDs:    sorted,
+		Evals:  e.Evals(),
+		Solver: solver,
+		Status: e.Status(),
 	}
 	ctx := qef.NewContext(e.p.Universe, sorted)
 	// The breakdown reads every QEF, so the union is merged whatever the
@@ -581,6 +559,13 @@ func (e *Evaluator) Solution(ids []schema.SourceID, solver string) *Solution {
 		}
 	}
 	sol.Breakdown = e.p.Quality.Breakdown(ctx)
+	// Q(S) from the same context is bit-identical to compute's: Eval skips
+	// every QEF of weight <= 0, and this context differs from compute's only
+	// in inputs that only such QEFs read (F1, the union, the cooperative
+	// union). An infeasible set scores 0, as in compute.
+	if e.p.Feasible(sorted) {
+		sol.Quality = e.p.Quality.Eval(ctx)
+	}
 	e.rec.Emit("solver.done",
 		telemetry.Str("solver", solver),
 		telemetry.Float("best_q", sol.Quality),

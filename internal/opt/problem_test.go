@@ -209,6 +209,41 @@ func TestEvaluatorInvalidMatchF1(t *testing.T) {
 	}
 }
 
+// TestSolutionQualityMatchesScore pins Solution's Q(S), read from the
+// context its breakdown uses, bit-equal to Score's on a fresh evaluator that
+// never scored the set: for a feasible and an infeasible set, under the
+// paper's weights and under weights that zero the QEFs reading F1, the union
+// or the cooperative union, which the breakdown's context always carries and
+// the evaluator's skips.
+func TestSolutionQualityMatchesScore(t *testing.T) {
+	for _, w := range []qef.Weights{
+		{qef.NameMatchQuality: 0.25, qef.NameCardinality: 0.25, qef.NameCoverage: 0.2, qef.NameRedundancy: 0.15, "mttf": 0.15},
+		{qef.NameMatchQuality: 0, qef.NameCardinality: 0.4, qef.NameCoverage: 0.2, qef.NameRedundancy: 0.2, "mttf": 0.2},
+		{qef.NameMatchQuality: 0.5, qef.NameCardinality: 0.3, qef.NameCoverage: 0, qef.NameRedundancy: 0, "mttf": 0.2},
+		{qef.NameMatchQuality: 0.4, qef.NameCardinality: 0.2, qef.NameCoverage: 0.2, qef.NameRedundancy: 0, "mttf": 0.2},
+	} {
+		p := problem(t, 4, constraint.Set{Sources: ids(2)})
+		q, err := qef.NewQuality(p.Quality.QEFs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Quality = q
+		for _, set := range [][]schema.SourceID{ids(0, 2, 5), ids(0, 1, 3)} {
+			want, err := Score(p, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := NewEvaluator(p, 0).Solution(set, "test").Quality
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("weights %v, set %v: Solution Q = %v, Score %v", w, set, got, want)
+			}
+			if feasible := p.Feasible(set); feasible != (want > 0) {
+				t.Errorf("weights %v, set %v: feasible %v but Score %v", w, set, feasible, want)
+			}
+		}
+	}
+}
+
 func TestSearchRandomSubsetAlwaysFeasible(t *testing.T) {
 	cons := constraint.Set{Sources: ids(7)}
 	p := problem(t, 5, cons)
