@@ -221,28 +221,60 @@ func New(policy Policy, clock fault.Clock, inj *fault.Injector, seed int64) *Pro
 // construction: the returned source is nil only when Status is
 // StatusDropped.
 func (p *Prober) Probe(c Candidate, cfg pcsa.Config) (*source.Source, Result) {
-	res := Result{Name: c.Name, ID: -1}
 	if c.Open == nil {
 		// Uncooperative by design: nothing to probe.
-		res.Status = StatusHealthy
+		res := Result{Name: c.Name, ID: -1, Status: StatusHealthy}
 		p.record(res)
 		return p.schemaOnly(c), res
 	}
+	var s *source.Source
+	res := p.attempts(c.Name, func(fate fault.Fate) (err error) {
+		s, err = p.synopsis(c, cfg, fate)
+		return err
+	})
+	switch res.Status {
+	case StatusHealthy:
+		return s, res
+	case StatusDropped:
+		return nil, res
+	}
+	// Retries exhausted but the source answered at least once: degrade to
+	// uncooperative (§4 — it still exports schema and characteristics).
+	return p.schemaOnly(c), res
+}
+
+// attempts runs the retry/breaker state machine for the named source: each
+// attempt draws its fate, pays the fate's latency, and fails past the probe
+// deadline or at a handshake failure; otherwise scan, when non-nil, reads
+// the stream. Without a scan the fate's own error decides the attempt, as
+// the scan would: fault.Stream fails whenever its fate fails. BreakerLimit
+// consecutive handshake failures drop the source; retries are spaced by
+// jittered backoff, and exhausting them degrades the source. Breaker state
+// is local to the call.
+func (p *Prober) attempts(name string, scan func(fault.Fate) error) Result {
+	res := Result{Name: name, ID: -1}
 	consecHandshake := 0
 	for attempt := 1; attempt <= p.policy.MaxAttempts; attempt++ {
 		res.Attempts = attempt
 		res.Retries = attempt - 1
-		s, err := p.probeOnce(c, cfg, attempt)
+		fate := p.inj.Attempt(name, attempt, p.clock.Now())
+		p.clock.Sleep(fate.Latency)
+		err := fate.Err
+		if p.policy.ProbeTimeout > 0 && fate.Latency > p.policy.ProbeTimeout {
+			err = fault.ErrDeadline
+		} else if scan != nil && !fate.Handshake() {
+			err = scan(fate)
+		}
 		if err == nil {
 			res.Status = StatusHealthy
 			res.Err = ""
 			p.record(res)
-			return s, res
+			return res
 		}
 		res.Err = err.Error()
 		if p.rec != nil {
 			p.rec.Emit("probe.attempt",
-				telemetry.Str("source", c.Name),
+				telemetry.Str("source", name),
 				telemetry.Int("attempt", attempt),
 				telemetry.Str("err", err.Error()))
 		}
@@ -255,7 +287,7 @@ func (p *Prober) Probe(c Candidate, cfg pcsa.Config) (*source.Source, Result) {
 				res.Status = StatusDropped
 				p.rec.Add("probe.breaker_trips", 1)
 				p.record(res)
-				return nil, res
+				return res
 			}
 		} else {
 			consecHandshake = 0
@@ -265,18 +297,16 @@ func (p *Prober) Probe(c Candidate, cfg pcsa.Config) (*source.Source, Result) {
 			if p.rec != nil {
 				p.rec.Add("probe.backoff_ns", d.Nanoseconds())
 				p.rec.Emit("probe.backoff",
-					telemetry.Str("source", c.Name),
+					telemetry.Str("source", name),
 					telemetry.Int("attempt", attempt),
 					telemetry.Int64("wait_ns", d.Nanoseconds()))
 			}
 			p.clock.Sleep(d)
 		}
 	}
-	// Retries exhausted but the source answered at least once: degrade to
-	// uncooperative (§4 — it still exports schema and characteristics).
 	res.Status = StatusDegraded
 	p.record(res)
-	return p.schemaOnly(c), res
+	return res
 }
 
 // record tallies one finished probe into the run's metrics and emits the
@@ -295,18 +325,9 @@ func (p *Prober) record(res Result) {
 		telemetry.Int("attempts", res.Attempts))
 }
 
-// probeOnce runs one scan attempt: draw the fate, pay its latency, enforce
-// the probe deadline, then scan the (possibly fault-wrapped) stream into a
-// fresh synopsis.
-func (p *Prober) probeOnce(c Candidate, cfg pcsa.Config, attempt int) (*source.Source, error) {
-	fate := p.inj.Attempt(c.Name, attempt, p.clock.Now())
-	p.clock.Sleep(fate.Latency)
-	if p.policy.ProbeTimeout > 0 && fate.Latency > p.policy.ProbeTimeout {
-		return nil, fault.ErrDeadline
-	}
-	if fate.Handshake() {
-		return nil, fate.Err
-	}
+// synopsis reads one attempt's (possibly fault-wrapped) stream into a fresh
+// synopsis.
+func (p *Prober) synopsis(c Candidate, cfg pcsa.Config, fate fault.Fate) (*source.Source, error) {
 	st := fault.NewStream(c.Open(), fate)
 	sig, err := pcsa.New(cfg)
 	if err != nil {
@@ -440,40 +461,10 @@ func (p *Prober) ReprobeUniverse(u *source.Universe) (*source.Universe, *HealthR
 // call: a source that recovers between reprobe rounds starts the next round
 // with a clean slate, which is what lets a watch loop re-admit flapping
 // sources. Unlike ReprobeUniverse it emits no health report — callers
-// aggregate the Results themselves.
+// aggregate the Results themselves; an instrumented prober records the same
+// probe.* telemetry as Probe.
 func (p *Prober) ReprobeOne(s *source.Source) Result {
-	res := Result{Name: s.Name, ID: -1}
-	consecHandshake := 0
-	for attempt := 1; attempt <= p.policy.MaxAttempts; attempt++ {
-		res.Attempts = attempt
-		res.Retries = attempt - 1
-		fate := p.inj.Attempt(s.Name, attempt, p.clock.Now())
-		p.clock.Sleep(fate.Latency)
-		err := fate.Err
-		if p.policy.ProbeTimeout > 0 && fate.Latency > p.policy.ProbeTimeout {
-			err = fault.ErrDeadline
-		}
-		if err == nil {
-			res.Status = StatusHealthy
-			res.Err = ""
-			return res
-		}
-		res.Err = err.Error()
-		if errors.Is(err, fault.ErrUnreachable) {
-			consecHandshake++
-			if consecHandshake >= p.policy.BreakerLimit {
-				res.Status = StatusDropped
-				return res
-			}
-		} else {
-			consecHandshake = 0
-		}
-		if attempt < p.policy.MaxAttempts {
-			p.clock.Sleep(p.backoff(attempt))
-		}
-	}
-	res.Status = StatusDegraded
-	return res
+	return p.attempts(s.Name, nil)
 }
 
 // cloneSource shallow-copies s so it can be re-added to a fresh universe

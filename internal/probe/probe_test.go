@@ -10,6 +10,7 @@ import (
 	"mube/internal/pcsa"
 	"mube/internal/schema"
 	"mube/internal/source"
+	"mube/internal/testutil"
 )
 
 var testCfg = pcsa.Config{NumMaps: 64}
@@ -361,5 +362,62 @@ func TestBreakerResetsAcrossReprobeRounds(t *testing.T) {
 	}
 	if res.Attempts != 1 || res.Retries != 0 {
 		t.Errorf("round 2 took %d attempts; breaker state leaked across rounds", res.Attempts)
+	}
+}
+
+// unifiedPlan is a seeded plan whose attempts flap, retry, miss the probe
+// deadline and trip the breaker, for the Probe/ReprobeOne comparisons.
+var (
+	unifiedPlan   = fault.Plan{Seed: 11, Rate: 0.5, Latency: 200 * time.Millisecond, FlapPeriod: time.Hour, FlapDuty: 0.3}
+	unifiedPolicy = Policy{MaxAttempts: 4, BreakerLimit: 2, ProbeTimeout: 280 * time.Millisecond}
+)
+
+// TestProbeAndReprobeOneAgree runs Probe on every candidate and ReprobeOne on
+// a source of the same name, each on its own prober and virtual clock from
+// the same start: both walk one retry/breaker loop, so every outcome and
+// every clock advance must be equal. The plan must produce healthy, degraded
+// and dropped outcomes and retries, or the comparison proves little.
+func TestProbeAndReprobeOneAgree(t *testing.T) {
+	start := time.Unix(0, 0)
+	probeClock, reprobeClock := fault.NewVirtualClock(start), fault.NewVirtualClock(start)
+	prober := New(unifiedPolicy, probeClock, fault.NewInjector(unifiedPlan), 3)
+	reprober := New(unifiedPolicy, reprobeClock, fault.NewInjector(unifiedPlan), 3)
+	seen := make(map[Status]int)
+	retries := 0
+	for _, c := range candidates(60) {
+		_, got := prober.Probe(c, testCfg)
+		want := reprober.ReprobeOne(&source.Source{Name: c.Name})
+		if got != want {
+			t.Errorf("%s: Probe %+v, ReprobeOne %+v", c.Name, got, want)
+		}
+		if !probeClock.Now().Equal(reprobeClock.Now()) {
+			t.Fatalf("%s: Probe's clock at %v, ReprobeOne's at %v", c.Name, probeClock.Now(), reprobeClock.Now())
+		}
+		seen[got.Status]++
+		retries += got.Retries
+	}
+	if seen[StatusHealthy] == 0 || seen[StatusDegraded] == 0 || seen[StatusDropped] == 0 || retries == 0 {
+		t.Errorf("plan too tame: outcomes %v, %d retries", seen, retries)
+	}
+}
+
+// TestReprobeOneAllocs pins ReprobeOne, which a churning watch loop calls for
+// every cooperative source each epoch, at zero allocations on an
+// uninstrumented prober.
+func TestReprobeOneAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	p := New(unifiedPolicy, nil, fault.NewInjector(unifiedPlan), 3)
+	srcs := make([]*source.Source, 16)
+	for i := range srcs {
+		srcs[i] = &source.Source{Name: fmt.Sprintf("src-%03d", i)}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		for _, s := range srcs {
+			p.ReprobeOne(s)
+		}
+	}); got != 0 {
+		t.Errorf("ReprobeOne: %v allocations per 16 calls, want 0", got)
 	}
 }
