@@ -387,10 +387,16 @@ func (u *Universe) Degrade(id schema.SourceID) error {
 }
 
 // invalidate drops the cached aggregates and characteristic memos after a
-// mutation: two atomic stores, no lock.
+// mutation, without a lock. It loads each pointer before storing to it: in a
+// run of Adds both are already nil after the first, and a load is cheaper
+// than a store.
 func (u *Universe) invalidate() {
-	u.agg.Store(nil)
-	u.chars.Store(nil)
+	if u.agg.Load() != nil {
+		u.agg.Store(nil)
+	}
+	if u.chars.Load() != nil {
+		u.chars.Store(nil)
+	}
 }
 
 // charMemo returns the characteristic memo of the current universe version,
