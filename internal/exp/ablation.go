@@ -146,7 +146,11 @@ func AblationTenure(sc Scale) ([]TenureRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, TenureRow{Tenure: tenure, Quality: r.quality, Millis: r.millis})
+		rows = append(rows, TenureRow{
+			Tenure:  tenure,
+			Quality: r.quality,
+			Millis:  r.millis,
+		})
 	}
 	return rows, nil
 }
@@ -165,7 +169,8 @@ func AblationPairwise(sc Scale) ([]MatchRow, error) {
 		return nil, err
 	}
 	b := matchRows{u: res.Universe, sel: fixedSelection(res.Universe.Len(), 30)}
-	theta, beta := matcher.Config().Theta, matcher.Config().Beta
+	theta := matcher.Config().Theta
+	beta := matcher.Config().Beta
 	for _, m := range []struct {
 		method string
 		run    func() (match.Result, error)

@@ -60,7 +60,14 @@ func (sc Scale) sweep(xs []int, at func(x int) (n, m int)) ([]SweepRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, SweepRow{Size: n, Choose: m, Config: cc.Label, Millis: r.millis, Quality: r.quality, Evals: r.evals})
+			rows = append(rows, SweepRow{
+				Size:    n,
+				Choose:  m,
+				Config:  cc.Label,
+				Millis:  r.millis,
+				Quality: r.quality,
+				Evals:   r.evals,
+			})
 		}
 	}
 	return rows, nil

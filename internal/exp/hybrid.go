@@ -32,11 +32,11 @@ func AblationHybrid(sc Scale) ([]MatchRow, error) {
 	// Select from the *perturbed* region (sources ≥ 50 carry renames); the
 	// conformant copies have nothing to recover. Score against the origin
 	// ground truth: a renamed attribute keeps its concept.
-	n := res.Universe.Len()
-	b := matchRows{u: res.Universe, sel: make([]schema.SourceID, 0, 30), conceptOf: func(r schema.AttrRef) (int, bool) {
+	b := matchRows{u: res.Universe, conceptOf: func(r schema.AttrRef) (int, bool) {
 		ci := res.AttrOrigins[r.Source][r.Attr]
 		return ci, ci >= 0
 	}}
+	n := res.Universe.Len()
 	for id := n - 30; id < n; id++ {
 		b.sel = append(b.sel, schema.SourceID(id))
 	}

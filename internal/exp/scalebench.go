@@ -220,8 +220,13 @@ func newLadder(p ScalePreset) (*ladder, error) {
 		return nil, err
 	}
 	l := &ladder{
-		preset:  p,
-		prob:    &opt.Problem{Universe: u, Matcher: matcher, Quality: quality, MaxSources: p.Choose},
+		preset: p,
+		prob: &opt.Problem{
+			Universe:   u,
+			Matcher:    matcher,
+			Quality:    quality,
+			MaxSources: p.Choose,
+		},
 		solver:  solver,
 		groups:  groups,
 		genMS:   genMS,

@@ -345,7 +345,13 @@ func Solvers(sc Scale) ([]SolverRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SolverRow{Solver: s.Name(), Quality: r.quality, Best: r.best, Worst: r.worst, Millis: r.millis})
+		rows = append(rows, SolverRow{
+			Solver:  s.Name(),
+			Quality: r.quality,
+			Best:    r.best,
+			Worst:   r.worst,
+			Millis:  r.millis,
+		})
 	}
 	return rows, nil
 }
