@@ -83,6 +83,9 @@ trace-golden:
 	$(GO) test ./internal/watch/ -run TestGoldenChurnTrace -update -count=1
 	$(GO) test ./cmd/mube-trace -update -count=1
 
+# benchall runs every Go benchmark of the root module once, as CI does, to
+# prove each still runs; `go vet` only compiles them. Its timings are not
+# measurements (see perfbench for those).
 benchall:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 

@@ -253,8 +253,8 @@ func benchFlips(all []schema.SourceID) (base []schema.SourceID, flips []opt.Move
 }
 
 // BenchmarkDeltaNeighborhood scores the 64-flip neighborhood incrementally
-// through EvalBatchDelta on a fresh evaluator (no memo hits): one
-// counting-union build per batch, O(1 source) per flip.
+// through EvalBatchDelta on a fresh evaluator (no memo hits): one flip-union
+// image per batch, O(1 source) per flip.
 func BenchmarkDeltaNeighborhood(b *testing.B) {
 	p, base, flips := benchNeighborhood(b)
 	b.ResetTimer()
@@ -313,51 +313,48 @@ func benchNeighborhood(b *testing.B) (*opt.Problem, []schema.SourceID, []opt.Mov
 	return p, base, flips
 }
 
-// BenchmarkDeltaCountingChurn measures the subtractable union's mutation
-// kernel: one Add plus one Remove of a 128-map signature, the per-batch
-// rebase cost when a local-search base drifts one source.
-func BenchmarkDeltaCountingChurn(b *testing.B) {
+// benchSignatures returns the bench universe's signatures in id order and a
+// flip union of their configuration.
+func benchSignatures(b *testing.B) ([]*pcsa.Signature, *pcsa.FlipUnion) {
 	res := benchUniverse(b)
-	all := res.Universe.IDs()
-	c := pcsa.MustNewCounting(res.Universe.SignatureConfig())
 	var sigs []*pcsa.Signature
-	for _, id := range all[:20] {
+	for _, id := range res.Universe.IDs() {
 		if sig := res.Universe.Source(id).Signature; sig != nil {
 			sigs = append(sigs, sig)
-			if err := c.Add(sig); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
-	if len(sigs) == 0 {
-		b.Fatal("no signatures in bench universe")
+	if len(sigs) <= 20 {
+		b.Fatal("bench universe has too few signatures")
 	}
+	f, err := pcsa.NewFlipUnion(res.Universe.SignatureConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sigs, f
+}
+
+// BenchmarkDeltaImage measures what a delta batch pays for its flip union:
+// Reset plus 20 Adds of 128-map signatures, the image of a 20-source base.
+func BenchmarkDeltaImage(b *testing.B) {
+	sigs, f := benchSignatures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sigs[i%len(sigs)]
-		if err := c.Remove(s); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Add(s); err != nil {
-			b.Fatal(err)
+		f.Reset()
+		for _, sig := range sigs[:20] {
+			if err := f.Add(sig); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
 // BenchmarkDeltaEstimate measures the fused flip-estimate kernel: estimate
-// of (union − drop + add) as a pure read over the counting lanes.
+// of (union − drop + add) as a pure read over the flip union's two words
+// per map.
 func BenchmarkDeltaEstimate(b *testing.B) {
-	res := benchUniverse(b)
-	all := res.Universe.IDs()
-	c := pcsa.MustNewCounting(res.Universe.SignatureConfig())
-	var sigs []*pcsa.Signature
-	for _, id := range all {
-		if sig := res.Universe.Source(id).Signature; sig != nil {
-			sigs = append(sigs, sig)
-		}
-	}
+	sigs, f := benchSignatures(b)
 	for _, sig := range sigs[:20] {
-		if err := c.Add(sig); err != nil {
+		if err := f.Add(sig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,7 +362,7 @@ func BenchmarkDeltaEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		add := sigs[20+i%(len(sigs)-20)]
 		drop := sigs[i%20]
-		if _, err := c.EstimateDelta(add, drop); err != nil {
+		if _, err := f.EstimateDelta(add, drop); err != nil {
 			b.Fatal(err)
 		}
 	}

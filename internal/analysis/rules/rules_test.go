@@ -56,7 +56,7 @@ func TestDeterminismRestricted(t *testing.T) {
 }
 
 func TestDeterminismPCSA(t *testing.T) {
-	// The sketch layer (counting unions, fused estimate kernels) is in scope:
+	// The sketch layer (flip unions, fused estimate kernels) is in scope:
 	// ambient randomness or clock reads there would break the bit-identity
 	// contract of the incremental evaluation paths.
 	analysistest.Run(t, fixture("determinism", "pcsa"), "mube/internal/pcsa/fixture", rules.Determinism)

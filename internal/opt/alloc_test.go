@@ -2,6 +2,7 @@ package opt_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"mube/internal/constraint"
@@ -10,6 +11,20 @@ import (
 	"mube/internal/schema"
 	"mube/internal/testutil"
 )
+
+// deltaBatch returns the delta batch the allocation tests score on the
+// opttest problem: a 4-source base, its 8 adds and 3 of its drops.
+func deltaBatch() ([]schema.SourceID, []opt.Move) {
+	base := []schema.SourceID{0, 1, 2, 3}
+	var flips []opt.Move
+	for s := schema.SourceID(4); s < 12; s++ {
+		flips = append(flips, opt.Move{Add: s, Drop: -1})
+	}
+	for _, s := range base[1:] {
+		flips = append(flips, opt.Move{Add: -1, Drop: s})
+	}
+	return base, flips
+}
 
 // TestEvalBatchDeltaAllocs pins the steady-state allocation budget of the
 // evaluator's hot loop. Two regimes are pinned separately:
@@ -30,15 +45,7 @@ func TestEvalBatchDeltaAllocs(t *testing.T) {
 	p := opttest.Problem(t, 6, constraint.Set{})
 	ev := opt.NewEvaluator(p, 0)
 	ev.SetWorkers(1)
-
-	base := []schema.SourceID{0, 1, 2, 3}
-	var flips []opt.Move
-	for s := schema.SourceID(4); s < 12; s++ {
-		flips = append(flips, opt.Move{Add: s, Drop: -1})
-	}
-	for _, s := range base[1:] {
-		flips = append(flips, opt.Move{Add: -1, Drop: s})
-	}
+	base, flips := deltaBatch()
 
 	// Warm up: builds the delta state, shard base, scratch pools, and
 	// memoizes every candidate.
@@ -85,6 +92,36 @@ func TestEvalBatchDeltaAllocs(t *testing.T) {
 	// per-flip recluster/re-merge churn (which costs thousands).
 	if fresh > 70 {
 		t.Errorf("fresh batch: %v allocs/op, want ≤ 70", fresh)
+	}
+}
+
+// TestFirstDeltaBatchAllocBytes pins the bytes a fresh evaluator's first
+// EvalBatchDelta allocates: the delta state with its flip union, the shard
+// base, the batch's buffers and memo keys. It reads runtime.MemStats around
+// 200 first batches, each on its own evaluator with one worker. A flip union
+// at 64 maps is 1 KiB; a counting union with a uint32 lane per bucket bit
+// adds 16 KiB more, and with one the batch allocated 22.7 KB. Measured
+// 6.1–6.3 KB.
+func TestFirstDeltaBatchAllocBytes(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	p := opttest.Problem(t, 6, constraint.Set{})
+	base, flips := deltaBatch()
+	evs := make([]*opt.Evaluator, 200)
+	for i := range evs {
+		evs[i] = opt.NewEvaluator(p, 0)
+		evs[i].SetWorkers(1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ev := range evs {
+		ev.EvalBatchDelta(base, flips)
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / uint64(len(evs))
+	if perBatch > 8<<10 {
+		t.Errorf("first delta batch of a fresh evaluator: %d bytes, want ≤ 8 KiB", perBatch)
 	}
 }
 

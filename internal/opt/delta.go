@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mube/internal/match"
@@ -11,27 +12,21 @@ import (
 	"mube/internal/source"
 )
 
-// rebaseLimit caps how far a cached delta state may drift from the next
-// batch's base before it is cheaper (and simpler to reason about) to rebuild
-// the counting union from scratch. Local-search bases move by at most two
-// sources per accepted step, so the cache survives the entire trajectory of
-// tabu, SLS, and annealing; restarts and intensification jumps rebuild.
-const rebaseLimit = 4
-
-// deltaState is the incremental image of one base subset S: the subtractable
-// counting union over the signatures of S plus the tally of S. From it, any
-// single-source flip S±{s} is scored as a pure O(1-source) read (see
-// flipStats) instead of an O(|S|) re-merge.
+// deltaState is the image of one base subset S: the flip union over the
+// signatures of S plus the tally of S. From it, any single-source flip S±{s}
+// is scored as a pure read (see flipStats) instead of an O(|S|) re-merge.
 //
 // The state is mutated only between batches, on the solve goroutine
-// (acquireDelta rebases or rebuilds it); during a batch's fan-out every
+// (acquireDelta images the batch's base); during a batch's fan-out every
 // worker reads it concurrently without mutation.
 type deltaState struct {
 	base []schema.SourceID // the subset the state images, sorted
-	// counting is the subtractable union over the signatures of base; nil
-	// when the universe carries no signature configuration use at all.
-	counting *pcsa.Counting
-	tally    tally // the tally of base
+	// union is the flip union over the signatures of base, and tally the
+	// tally of base; both are built only when a QEF reads the union
+	// statistics. union is nil when the universe's signature configuration
+	// is invalid, since then no source carries a signature.
+	union *pcsa.FlipUnion
+	tally tally
 
 	// match, when non-nil, is the cluster-sharded match image of base: each
 	// flip re-clusters only the shards its add/drop sources touch and merges
@@ -42,115 +37,57 @@ type deltaState struct {
 	match *match.ShardedBase
 }
 
-// rebuild resets ds to image base from scratch. Returns the number of
-// counting-merge operations performed.
-func (ds *deltaState) rebuild(u *source.Universe, base []schema.SourceID) int {
-	ds.base = append(ds.base[:0], base...)
+// image builds the tally of base and the flip union of its signatures in one
+// pass. Returns the number of signatures added to the union.
+func (ds *deltaState) image(u *source.Universe, base []schema.SourceID) int {
 	ds.tally = tally{}
-	if ds.counting == nil {
-		// An invalid signature config means no source can carry a signature
-		// (Universe.Add enforces the match), so a nil counting union is fine:
-		// sigN stays 0 and the estimate is never read.
-		if c, err := pcsa.NewCounting(u.SignatureConfig()); err == nil {
-			ds.counting = c
+	if ds.union == nil {
+		if f, err := pcsa.NewFlipUnion(u.SignatureConfig()); err == nil {
+			ds.union = f
 		}
 	} else {
-		ds.counting.Reset()
+		ds.union.Reset()
 	}
-	ops := 0
+	added := 0
 	for _, id := range base {
 		s := u.Source(id)
 		ds.tally = count(ds.tally, s, 1)
 		if s.Signature != nil {
-			if err := ds.counting.Add(s.Signature); err != nil {
-				// Unreachable: Universe.Add enforces a uniform config, and
-				// no base comes near math.MaxUint32 sources.
-				panic(fmt.Sprintf("opt: counting union add: %v", err))
+			if err := ds.union.Add(s.Signature); err != nil {
+				// Unreachable: Universe.Add enforces a uniform config.
+				panic(fmt.Sprintf("opt: flip union add: %v", err))
 			}
-			ops++
+			added++
 		}
 	}
-	return ops
+	return added
 }
 
-// rebase moves ds from its current base to base, incrementally when they
-// differ by at most rebaseLimit sources — this is where the counting union's
-// subtractability pays: an annealing chain whose base advances one accepted
-// move at a time updates in O(1 source) per batch instead of re-merging |S|
-// signatures. Falls back to rebuild on large diffs or on a Remove underflow.
-// Returns the number of counting-merge operations performed.
-func (ds *deltaState) rebase(u *source.Universe, base []schema.SourceID) int {
-	added, removed := diffSorted(ds.base, base)
-	if len(added)+len(removed) > rebaseLimit {
-		return ds.rebuild(u, base)
-	}
-	ops := 0
-	for _, id := range removed {
-		s := u.Source(id)
-		if s.Signature != nil {
-			if err := ds.counting.Remove(s.Signature); err != nil {
-				// Underflow leaves the counting state inconsistent; the only
-				// safe recovery is a full rebuild.
-				return ds.rebuild(u, base)
-			}
-			ops++
-		}
-		ds.tally = count(ds.tally, s, -1)
-	}
-	for _, id := range added {
-		s := u.Source(id)
-		if s.Signature != nil {
-			if err := ds.counting.Add(s.Signature); err != nil {
-				panic(fmt.Sprintf("opt: counting union add: %v", err))
-			}
-			ops++
-		}
-		ds.tally = count(ds.tally, s, 1)
-	}
-	ds.base = append(ds.base[:0], base...)
-	return ops
-}
-
-// diffSorted returns the elements of b not in a (added) and of a not in b
-// (removed); both inputs must be sorted.
-func diffSorted(a, b []schema.SourceID) (added, removed []schema.SourceID) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			removed = append(removed, a[i])
-			i++
-		default:
-			added = append(added, b[j])
-			j++
-		}
-	}
-	removed = append(removed, a[i:]...)
-	added = append(added, b[j:]...)
-	return added, removed
-}
-
-// acquireDelta checks the cached delta state out for one batch, rebasing it
-// onto base (or building it fresh). Runs on the batch's calling goroutine
-// before the worker fan-out; the returned state is then immutable until
-// releaseDelta.
+// acquireDelta checks the cached delta state out for one batch and makes it
+// the image of base. Tabu, SLS and the partitioned refinement move their
+// base after every batch they continue from, so the union and tally are
+// built again whenever base differs from the cached one; a repeated base,
+// such as the one an annealing rejection leaves, reuses the image as it
+// stands. The shard view moves by ShardedBase.Rebase, which re-clusters only
+// the shards the changed sources touch. Runs on the batch's calling
+// goroutine before the worker fan-out; the returned state is then immutable
+// until releaseDelta.
 func (e *Evaluator) acquireDelta(base []schema.SourceID) *deltaState {
 	e.deltaMu.Lock()
 	ds := e.deltaCached
 	e.deltaCached = nil
 	e.deltaMu.Unlock()
-	var ops int
+	if ds != nil && slices.Equal(ds.base, base) {
+		return ds
+	}
 	if ds == nil {
 		ds = &deltaState{}
-		ops = ds.rebuild(e.p.Universe, base)
-	} else {
-		ops = ds.rebase(e.p.Universe, base)
 	}
-	if ops > 0 {
-		e.rec.Add("pcsa.counting_merges", int64(ops))
+	ds.base = append(ds.base[:0], base...)
+	if e.wantUnion {
+		if n := ds.image(e.p.Universe, base); n > 0 {
+			e.rec.Add("pcsa.counting_merges", int64(n))
+		}
 	}
 	if !e.wantMatch {
 		ds.match = nil
@@ -167,7 +104,7 @@ func (e *Evaluator) acquireDelta(base []schema.SourceID) *deltaState {
 }
 
 // releaseDelta checks the delta state back in after a batch's fan-out has
-// joined, so the next batch can rebase it instead of rebuilding.
+// joined, so the next batch can reuse its storage and shard view.
 func (e *Evaluator) releaseDelta(ds *deltaState) {
 	e.deltaMu.Lock()
 	e.deltaCached = ds
@@ -224,7 +161,7 @@ func appendFlip(dst, base []schema.SourceID, mv Move) []schema.SourceID {
 
 // EvalBatchDelta scores a whole neighborhood of flips against one base
 // subset, returning Q(base±flip) for each flip in order. True single flips
-// are scored incrementally — O(1 source) against the batch's shared counting
+// are scored incrementally — O(1 source) against the batch's shared flip
 // union — and invalid flips take the full re-merge path. Memoization, budget
 // accounting, and every returned quality are bit-identical to EvalBatch over
 // the applied subsets. The applied subsets share one buffer per batch.
@@ -267,16 +204,19 @@ func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState
 	if !e.p.Feasible(ids) {
 		return 0
 	}
-	st, ops := ds.flipStats(e.p.Universe, flip)
-	if ops > 0 {
-		e.rec.Add("pcsa.counting_merges", int64(ops))
-	}
-	if e.wantCoop {
-		if m := coopUnion(e.p.Universe, ids, sc, &st); m > 0 {
-			e.rec.Add("pcsa.merges", int64(m))
+	sc.ctx = qef.Context{U: e.p.Universe, IDs: ids}
+	if e.wantUnion {
+		st, reads := ds.flipStats(e.p.Universe, flip)
+		if reads > 0 {
+			e.rec.Add("pcsa.counting_merges", int64(reads))
 		}
+		if e.wantCoop {
+			if m := coopUnion(e.p.Universe, ids, sc, &st); m > 0 {
+				e.rec.Add("pcsa.merges", int64(m))
+			}
+		}
+		sc.ctx.Union = st
 	}
-	sc.ctx = qef.Context{U: e.p.Universe, IDs: ids, Union: st}
 	switch {
 	case ds.match != nil:
 		// Feasible(ids) above guarantees the flipped set satisfies the

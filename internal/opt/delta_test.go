@@ -12,6 +12,7 @@ import (
 	"mube/internal/qef"
 	"mube/internal/schema"
 	"mube/internal/source"
+	"mube/internal/telemetry"
 )
 
 // mixedProblem builds a problem over a hand-made universe containing every
@@ -257,33 +258,63 @@ func TestShardPathEngages(t *testing.T) {
 	}
 }
 
-// TestDeltaRebase pins the cache-rebase behavior: a base drifting within the
-// rebase limit reuses the counting union incrementally, a jump rebuilds it,
-// and in both cases the resulting state matches a fresh rebuild exactly.
-func TestDeltaRebase(t *testing.T) {
+// TestDeltaImage walks one evaluator's cached delta state through a sequence
+// of bases: grow, swap, jump, repeat, shrink, and shrink to empty. After
+// every acquisition the union statistics of every flip (none, each drop of a
+// member, each add of a non-member) must equal those read off a fresh image
+// of the base. The acquisition must count the signatures that image adds,
+// and a repeated base must reuse the image and count none.
+func TestDeltaImage(t *testing.T) {
 	p := mixedProblem(t, 5)
+	u := p.Universe
+	rec := telemetry.New(nil)
 	ev := NewEvaluator(p, 0)
-
-	check := func(label string, base []schema.SourceID) {
-		t.Helper()
-		ds := ev.acquireDelta(base)
+	ev.Instrument(rec)
+	var prev *deltaState
+	for _, step := range []struct {
+		name   string
+		base   []schema.SourceID
+		repeat bool
+	}{
+		{"initial", ids(0, 1, 2), false},
+		{"grow", ids(0, 1, 2, 3), false},
+		{"swap", ids(0, 1, 3, 5), false},
+		{"jump", ids(2, 4, 6, 7), false},
+		{"repeat", ids(2, 4, 6, 7), true},
+		{"shrink", ids(2, 4, 6), false},
+		{"empty", ids(), false},
+	} {
+		before := rec.Snapshot().Counter("pcsa.counting_merges")
+		ds := ev.acquireDelta(step.base)
+		added := rec.Snapshot().Counter("pcsa.counting_merges") - before
 		fresh := &deltaState{}
-		fresh.rebuild(p.Universe, base)
-		if ds.tally != fresh.tally {
-			t.Errorf("%s: tally %+v != fresh %+v", label, ds.tally, fresh.tally)
+		want := int64(fresh.image(u, step.base))
+		if step.repeat {
+			want = 0
+			if ds != prev {
+				t.Errorf("%s: a repeated base got a new delta state", step.name)
+			}
 		}
-		gotEst, wantEst := ds.counting.Estimate(), fresh.counting.Estimate()
-		if math.Float64bits(gotEst) != math.Float64bits(wantEst) {
-			t.Errorf("%s: counting estimate %v != fresh %v", label, gotEst, wantEst)
+		if added != want {
+			t.Errorf("%s: acquisition counted %d counting merges, want %d", step.name, added, want)
+		}
+		flips := []Move{NoMove}
+		for _, id := range u.IDs() {
+			if slices.Contains(step.base, id) {
+				flips = append(flips, Move{Add: -1, Drop: id})
+			} else {
+				flips = append(flips, Move{Add: id, Drop: -1})
+			}
+		}
+		for _, mv := range flips {
+			got, _ := ds.flipStats(u, mv)
+			if want, _ := fresh.flipStats(u, mv); !sameStats(got, want) {
+				t.Errorf("%s: flip %+v reads %+v, fresh image %+v", step.name, mv, got, want)
+			}
 		}
 		ev.releaseDelta(ds)
+		prev = ds
 	}
-
-	check("initial", SortIDs([]schema.SourceID{0, 1, 2}))
-	check("drift+1", SortIDs([]schema.SourceID{0, 1, 2, 3}))
-	check("swap", SortIDs([]schema.SourceID{0, 1, 3, 5}))
-	check("jump", SortIDs([]schema.SourceID{2, 4, 6, 7})) // full diff: rebuild
-	check("drop", SortIDs([]schema.SourceID{2, 4, 6}))
 }
 
 // TestValidFlipAndApplyFlip pins the flip helpers against Subset semantics.

@@ -58,9 +58,9 @@ type Evaluator struct {
 	// solve drops it.
 	scratchPool *sync.Pool
 
-	// Incremental-scoring state (see delta.go): the counting union of the
-	// most recent delta batch's base, cached across batches so a moving
-	// local-search base rebases in O(diff) instead of rebuilding in O(|S|).
+	// Incremental-scoring state (see delta.go): the image of the most recent
+	// delta batch's base, cached across batches so a repeated base reuses it
+	// and the shard view rebases instead of being built again.
 	deltaMu     sync.Mutex
 	deltaCached *deltaState
 
@@ -432,9 +432,9 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID, b 
 				deltaHits++
 			}
 		}
-		// Acquire (build or rebase) the shared delta state once per batch,
-		// before the fan-out: workers then read it concurrently without
-		// mutation.
+		// Acquire the shared delta state, the image of the batch's base, once
+		// per batch, before the fan-out: workers then read it concurrently
+		// without mutation.
 		var ds *deltaState
 		if deltaHits > 0 {
 			ds = e.acquireDelta(base)
@@ -835,7 +835,7 @@ func (s *Search) EvalMove(ss *Subset, mv Move) float64 {
 // EvalMoves scores a whole neighborhood at once: it returns Q(S') for each
 // move applied to ss (without mutating it), fanning the candidates out
 // through the evaluator's delta batch API — single flips against the current
-// subset score incrementally from the shared counting union. Results,
+// subset score incrementally from the shared flip union. Results,
 // memoization, and budget accounting are identical to calling EvalMove on
 // each move in order. The batch's buffers are the Search's own: the returned
 // slice is overwritten by the next call.

@@ -39,8 +39,8 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	//
 	// Random search deliberately uses the plain EvalBatch path, not the
 	// delta API: its samples are independent draws with no base subset in
-	// common, so there is nothing for a counting union to be incremental
-	// against — every "flip" would be a full rebuild. The evaluator's delta
+	// common, so no candidate is one flip from another and a delta batch
+	// would image a base only to read it once. The evaluator's delta
 	// bookkeeping must never engage here (asserted by a test).
 	const chunk = 32
 	for drawn := 0; drawn < samples && !search.Eval.Exhausted() && !search.Stopped(); {

@@ -14,9 +14,9 @@ import (
 //
 //   - the full merge (mergeUnion) ORs the signatures of S, in ascending id
 //     order, into a pooled signature;
-//   - the counting flip (deltaState.flipStats) reads base±flip off the
-//     counting union of the batch's base, whose implied bitmap is exactly
-//     the OR the full merge builds.
+//   - the flip (deltaState.flipStats) reads base±flip off the flip union of
+//     the batch's base, whose words are exactly the OR the full merge
+//     builds.
 //
 // Both estimates go through pcsa's one rho-sum kernel, and both keep the
 // integer part of the statistics in a tally. Redundancy's cooperative-only
@@ -79,12 +79,12 @@ func mergeUnion(u *source.Universe, ids []schema.SourceID, sc *scratch, coop boo
 	return st, merges
 }
 
-// flipStats derives the union statistics of base±flip by the counting flip:
-// a pure read against the immutable delta state, safe from any worker
-// goroutine. The tally moves by exact integer arithmetic, and the estimate
-// comes from the counting union's fused EstimateDelta kernel. It leaves
-// Redundancy's cooperative-only union to coopUnion. Returns the statistics
-// and the number of counting-merge operations.
+// flipStats derives the union statistics of base±flip from the delta state:
+// a pure read against the immutable state, safe from any worker goroutine.
+// The tally moves by exact integer arithmetic, and the estimate comes from
+// the flip union's fused EstimateDelta kernel. It leaves Redundancy's
+// cooperative-only union to coopUnion. Returns the statistics and the number
+// of signatures the flip reads.
 //
 // The caller must have verified the flip against the base (validFlip).
 func (ds *deltaState) flipStats(u *source.Universe, flip Move) (qef.UnionStats, int) {
@@ -102,19 +102,19 @@ func (ds *deltaState) flipStats(u *source.Universe, flip Move) (qef.UnionStats, 
 		// The full merge's union is empty too: its estimate stays 0.
 		return stats(t, 0), 0
 	}
-	est, err := ds.counting.EstimateDelta(addSig, dropSig)
+	est, err := ds.union.EstimateDelta(addSig, dropSig)
 	if err != nil {
 		// Unreachable: Universe.Add enforces a uniform config.
-		panic(fmt.Sprintf("opt: counting union estimate: %v", err))
+		panic(fmt.Sprintf("opt: flip union estimate: %v", err))
 	}
-	ops := 0
+	reads := 0
 	if addSig != nil {
-		ops++
+		reads++
 	}
 	if dropSig != nil {
-		ops++
+		reads++
 	}
-	return stats(t, est), ops
+	return stats(t, est), reads
 }
 
 // coopUnion sets st.CoopUnionEst, the union over only the cooperative

@@ -97,11 +97,11 @@ func flipTo(r *rand.Rand, all, sel []schema.SourceID) ([]schema.SourceID, Move) 
 
 // TestScratchReuseStress threads one scratch through 2 000 seeded random
 // subsets of a universe with a coop-mixed source, so both of its signatures
-// are reused. For every subset the full merge, the counting flip from a
-// delta state that follows the subsets (rebased or rebuilt), and the
-// reference must agree on every UnionStats field, and compute must score it
-// as a fresh scratch does and leave the context zeroed. State leaking from
-// one candidate to the next through the scratch would surface as a mismatch.
+// are reused. For every subset the full merge, the flip from one delta state
+// that images each flip's base in turn, and the reference must agree on
+// every UnionStats field, and compute must score it as a fresh scratch does
+// and leave the context zeroed. State leaking from one candidate to the next
+// through the scratch or the reused flip union would surface as a mismatch.
 func TestScratchReuseStress(t *testing.T) {
 	p := mixedProblem(t, 8)
 	u := p.Universe
@@ -110,7 +110,6 @@ func TestScratchReuseStress(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	sc := &scratch{}
 	ds := &deltaState{}
-	ds.rebuild(u, all[:1])
 	coopRead := 0
 	for i := 0; i < 2000; i++ {
 		sel := randomSubset(r, all)
@@ -126,11 +125,11 @@ func TestScratchReuseStress(t *testing.T) {
 		if !validFlip(base, flip) || !slices.Equal(appendFlip(nil, base, flip), sel) {
 			t.Fatalf("iter %d: flip %+v from %v does not give %v", i, flip, base, sel)
 		}
-		ds.rebase(u, base)
+		ds.image(u, base)
 		got, _ := ds.flipStats(u, flip)
 		coopUnion(u, sel, sc, &got)
 		if !sameStats(got, want) {
-			t.Fatalf("iter %d, subset %v: counting flip %+v from %v, reference %+v", i, sel, got, base, want)
+			t.Fatalf("iter %d, subset %v: flip %+v from %v, reference %+v", i, sel, got, base, want)
 		}
 
 		q, fresh := ev.compute(sel, sc), ev.compute(sel, &scratch{})
@@ -178,20 +177,23 @@ func TestScratchPerWorker(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMergeCounter pins pcsa.merges to the merges the weighted QEFs read.
-// {0, 1, 5} holds two cooperative sources and the coop-mixed one: the full
-// union costs 2 merges, and the cooperative-only union, which only
-// Redundancy reads, 1 more. The flip {0, 1} + 5 reads the full union off
-// the counting union, so it merges only the cooperative-only one.
+// TestMergeCounter pins pcsa.merges to the merges the weighted QEFs read,
+// and pcsa.counting_merges to the signatures a delta batch adds to its union
+// plus those its flips read. {0, 1, 5} holds two cooperative sources and the
+// coop-mixed one: the full union costs 2 merges, and the cooperative-only
+// union, which only Redundancy reads, 1 more. The flip {0, 1} + 5 reads the
+// full union off the flip union of {0, 1} (two signatures added, one read),
+// so it merges only the cooperative-only one; without a QEF reading the
+// union it builds and reads none.
 func TestMergeCounter(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		w          qef.Weights
-		full, flip int64
+		name                 string
+		w                    qef.Weights
+		full, flip, counting int64
 	}{
-		{"card only", qef.Weights{qef.NameCardinality: 1, qef.NameCoverage: 0, qef.NameRedundancy: 0}, 0, 0},
-		{"coverage", qef.Weights{qef.NameCardinality: 0.5, qef.NameCoverage: 0.5, qef.NameRedundancy: 0}, 2, 0},
-		{"redundancy", qef.Weights{qef.NameCardinality: 0.4, qef.NameCoverage: 0.3, qef.NameRedundancy: 0.3}, 3, 1},
+		{"card only", qef.Weights{qef.NameCardinality: 1, qef.NameCoverage: 0, qef.NameRedundancy: 0}, 0, 0, 0},
+		{"coverage", qef.Weights{qef.NameCardinality: 0.5, qef.NameCoverage: 0.5, qef.NameRedundancy: 0}, 2, 0, 3},
+		{"redundancy", qef.Weights{qef.NameCardinality: 0.4, qef.NameCoverage: 0.3, qef.NameRedundancy: 0.3}, 3, 1, 3},
 	} {
 		p := mixedProblem(t, 8)
 		q, err := qef.NewQuality(p.Quality.QEFs, tc.w)
@@ -199,19 +201,23 @@ func TestMergeCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Quality = q
-		merges := func(score func(*Evaluator)) int64 {
+		counters := func(score func(*Evaluator)) telemetry.Snapshot {
 			rec := telemetry.New(nil)
 			ev := NewEvaluator(p, 0)
 			ev.Instrument(rec)
 			score(ev)
-			return rec.Snapshot().Counter("pcsa.merges")
+			return rec.Snapshot()
 		}
-		if got := merges(func(ev *Evaluator) { ev.Eval([]schema.SourceID{0, 1, 5}) }); got != tc.full {
+		full := counters(func(ev *Evaluator) { ev.Eval([]schema.SourceID{0, 1, 5}) })
+		if got := full.Counter("pcsa.merges"); got != tc.full {
 			t.Errorf("%s: full merge counted %d merges, want %d", tc.name, got, tc.full)
 		}
-		flip := func(ev *Evaluator) { ev.EvalBatchDelta([]schema.SourceID{0, 1}, []Move{{Add: 5, Drop: -1}}) }
-		if got := merges(flip); got != tc.flip {
-			t.Errorf("%s: counting flip counted %d merges, want %d", tc.name, got, tc.flip)
+		flip := counters(func(ev *Evaluator) { ev.EvalBatchDelta([]schema.SourceID{0, 1}, []Move{{Add: 5, Drop: -1}}) })
+		if got := flip.Counter("pcsa.merges"); got != tc.flip {
+			t.Errorf("%s: flip counted %d merges, want %d", tc.name, got, tc.flip)
+		}
+		if got := flip.Counter("pcsa.counting_merges"); got != tc.counting {
+			t.Errorf("%s: flip counted %d counting merges, want %d", tc.name, got, tc.counting)
 		}
 	}
 }

@@ -23,9 +23,9 @@ func fill(s *pcsa.Signature, seed, n uint64) {
 }
 
 // TestKernelAllocs pins the word kernels at zero allocations: Estimate,
-// MergeFrom, and the counting union's fused EstimateDelta are the innermost
-// reads of every objective evaluation and must never touch the heap in steady
-// state.
+// MergeFrom, and the flip union's Reset, Add and fused EstimateDelta are the
+// innermost work of every objective evaluation and every delta batch, and
+// must never touch the heap in steady state.
 func TestKernelAllocs(t *testing.T) {
 	skipUnderRace(t)
 	cfg := pcsa.Config{NumMaps: 64}
@@ -45,15 +45,20 @@ func TestKernelAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("CopyFrom+MergeFrom: %v allocs/op, want 0", n)
 	}
-	c, err := pcsa.NewCounting(cfg)
+	f, err := pcsa.NewFlipUnion(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(a); err != nil {
-		t.Fatal(err)
+	if n := testing.AllocsPerRun(100, func() {
+		f.Reset()
+		if err := f.Add(a); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reset+Add: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := c.EstimateDelta(b, nil); err != nil {
+		if _, err := f.EstimateDelta(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

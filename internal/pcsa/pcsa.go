@@ -45,8 +45,8 @@ type Config struct {
 var DefaultConfig = Config{NumMaps: 256}
 
 // maxNumMaps bounds NumMaps so a hostile configuration cannot size a
-// counting union (64 counters per bitmap) past memory. The PCSA ablation
-// sweeps up to 1 024.
+// signature, 8 bytes per bitmap, past memory. The PCSA ablation sweeps up to
+// 1 024.
 const maxNumMaps = 1 << 16
 
 // Validate reports whether c is a usable signature shape: NumMaps must be a
@@ -148,9 +148,9 @@ func (s *Signature) Estimate() float64 {
 }
 
 // rhoSumWords computes Σ over bitmaps of R, where R is the index of the
-// least significant zero bit — the PCSA observable. It is shared by
-// Signature, Counting, and the fused union-estimate kernels so every path
-// derives the estimate from the exact same integer sum.
+// least significant zero bit — the PCSA observable. FlipUnion.EstimateDelta
+// folds the same integer sum into its flip loop, so equal bitmaps give equal
+// sums on every path.
 func rhoSumWords(words []uint64) int {
 	sum := 0
 	i := 0
@@ -169,8 +169,7 @@ func rhoSumWords(words []uint64) int {
 
 // estimateRhoSum turns the summed observable into a cardinality estimate.
 // Given identical rho sums it returns bit-identical floats, which is what
-// lets the incremental (counting / fused) paths reproduce the full-merge
-// estimate exactly.
+// lets FlipUnion.EstimateDelta reproduce the full-merge estimate exactly.
 func estimateRhoSum(cfg Config, sum int) float64 {
 	m := float64(cfg.NumMaps)
 	a := float64(sum) / m

@@ -4,10 +4,10 @@
 // tick applies a seeded churn schedule (MTTF-driven deaths, vocabulary
 // drift, new-source arrivals from synth.Stream), reprobes the survivors
 // under the session's fault plan, folds the result into the universe
-// *incrementally* — Remove/UpdateSynopsis/Add keep the subtractable
-// counting-PCSA aggregates consistent instead of rebuilding — rebinds the
-// matcher to reuse every similarity already computed, and warm-starts the
-// re-solve from the previous epoch's solution.
+// *incrementally* — Remove/UpdateSynopsis/Add change only the sources they
+// name, and the universe's union is ORed once per epoch when next read —
+// rebinds the matcher to reuse every similarity already computed, and
+// warm-starts the re-solve from the previous epoch's solution.
 //
 // Determinism contract: the entire loop is a pure function of its Config.
 // Time comes from a fault.VirtualClock, randomness from one seeded
