@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -223,6 +224,63 @@ func TestEvalBatchDeltaDifferential(t *testing.T) {
 
 					label := fmt.Sprintf("%s/seed=%d/w%d/limit=%d", mk.name, seed, workers, limit)
 					assertSameEvaluator(t, label, delta, full)
+				}
+			}
+		}
+	}
+}
+
+// TestFlipsOffBaseMissingRequired scores flips off bases that lack a source
+// the constraints require. No cached match image exists for such a base, so
+// the flips take F1 from the whole-set Sharded.Score, and adding the missing
+// source gives a feasible set. One Search walks every base, so its image
+// fails to move onto each invalid base and moves again from where it stayed.
+// Each invalid base comes before the valid set its flips produce, so those
+// flips miss the memo and are scored off the invalid base. Every single flip
+// of every base must be bit-equal to EvalBatch over the applied subsets.
+func TestFlipsOffBaseMissingRequired(t *testing.T) {
+	p := constrainedProblem(t)
+	steps := []struct {
+		base  []schema.SourceID
+		valid bool
+	}{
+		{ids(0, 3), false},
+		{ids(0, 3, 4), true},
+		{ids(1, 3), false},
+		{ids(1, 2, 3, 4), true},
+		{ids(2, 3), false},
+		{ids(0, 1, 4), false},
+		{ids(0, 1, 3, 4), true},
+	}
+	for _, workers := range []int{1, 4} {
+		s, err := NewSearch(context.Background(), p, Options{Seed: 1, MaxEvals: -1, Parallel: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := NewEvaluator(p, 0)
+		full.SetWorkers(workers)
+		for _, step := range steps {
+			if got := p.Constraints.SatisfiedBy(step.base); got != step.valid {
+				t.Fatalf("base %v: satisfies the constraints = %v, want %v", step.base, got, step.valid)
+			}
+			var flips []Move
+			for _, in := range step.base {
+				flips = append(flips, Move{Add: -1, Drop: in})
+			}
+			for _, id := range p.Universe.IDs() {
+				if slices.Contains(step.base, id) {
+					continue
+				}
+				flips = append(flips, Move{Add: id, Drop: -1})
+				for _, in := range step.base {
+					flips = append(flips, Move{Add: id, Drop: in})
+				}
+			}
+			got := slices.Clone(s.EvalMoves(s.NewSubset(step.base), flips))
+			want := full.EvalBatch(appliedSubsets(step.base, flips))
+			for i, mv := range flips {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("w%d: base %v flip %+v: %v, whole-set %v", workers, step.base, mv, got[i], want[i])
 				}
 			}
 		}
