@@ -2,13 +2,13 @@
 # commit: build, the repo's own analyzers (cmd/mube-vet — early, so policy
 # violations fail in seconds instead of after the race suite), go vet, a
 # gofmt check, one uncached pass of the full test suite under the race
-# detector, and the allocation budgets without it.
+# detector, the allocation budgets without it, and perfbench's short tests.
 
 GO ?= go
 
-.PHONY: check build vet test race allocs fmt-check mube-vet bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
+.PHONY: check build vet test race allocs perfbench-test fmt-check mube-vet bench-smoke fuzz-smoke trace-smoke trace-golden benchall fmt
 
-check: build mube-vet vet fmt-check race allocs
+check: build mube-vet vet fmt-check race allocs perfbench-test
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ race:
 # would gate no budget.
 allocs:
 	$(GO) test -count=1 -run Alloc ./...
+
+# perfbench-test runs perfbench's short tests. perfbench is its own module
+# (mube/perfbench, replacing mube with this checkout), so `go test ./...`
+# never compiles it; these tests build the benchmark against the checkout's
+# internal packages and check its metric names and q_mean identity, so an
+# internal API change that breaks the benchmark fails `make check`.
+perfbench-test:
+	cd perfbench && $(GO) test -short .
 
 # fmt-check fails when any file `make fmt` would format is not gofmt-clean.
 fmt-check:

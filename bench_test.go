@@ -253,15 +253,21 @@ func benchFlips(all []schema.SourceID) (base []schema.SourceID, flips []opt.Move
 }
 
 // BenchmarkDeltaNeighborhood scores the 64-flip neighborhood incrementally
-// through EvalBatchDelta on a fresh evaluator (no memo hits): one flip-union
-// image per batch, O(1 source) per flip.
+// through Search.EvalMoves on a fresh Search (no memo hits): one image of
+// the base per batch, O(1 source) per flip. Building the Search is not
+// timed.
 func BenchmarkDeltaNeighborhood(b *testing.B) {
 	p, base, flips := benchNeighborhood(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := opt.NewEvaluator(p, 0)
-		e.SetWorkers(1)
-		if qs := e.EvalBatchDelta(base, flips); len(qs) != len(flips) {
+		b.StopTimer()
+		s, err := opt.NewSearch(context.Background(), p, opt.Options{MaxEvals: -1, Parallel: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cur := s.NewSubset(base)
+		b.StartTimer()
+		if qs := s.EvalMoves(cur, flips); len(qs) != len(flips) {
 			b.Fatal("short result")
 		}
 	}
@@ -270,7 +276,7 @@ func BenchmarkDeltaNeighborhood(b *testing.B) {
 // BenchmarkDeltaNeighborhoodFull scores the same 64 flipped subsets through
 // EvalBatch on a fresh evaluator: every candidate takes the full O(|S|)
 // re-merge — the baseline the delta path is measured against. The flipped
-// subsets are built inside the timed loop, as EvalBatchDelta builds them.
+// subsets are built inside the timed loop, as EvalMoves builds them.
 func BenchmarkDeltaNeighborhoodFull(b *testing.B) {
 	p, base, flips := benchNeighborhood(b)
 	b.ResetTimer()

@@ -1,9 +1,9 @@
 // Package cfg builds per-function control-flow graphs from go/ast, giving
 // µBE's analyzers (package rules) a dataflow vocabulary the purely syntactic
 // walkers could not express: basic blocks with branch, loop, and defer
-// edges, path queries (Reaches, EveryPathHits), a reaching-uses helper, and
-// a per-package call-summary table (see summary.go) recording each declared
-// function's side-effect facts and static call edges.
+// edges, the all-paths query EveryPathHits, and a per-package call-summary
+// table (see summary.go) recording each declared function's side-effect
+// facts and static call edges.
 //
 // Like the rest of internal/analysis, the package is stdlib-only. Graphs are
 // intraprocedural and intentionally approximate where exactness would need
@@ -25,7 +25,6 @@ package cfg
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // A Block is one basic block: a maximal sequence of statements (and the
@@ -74,29 +73,6 @@ func New(body *ast.BlockStmt) *Graph {
 // another node or belonging to a different function.
 func (g *Graph) BlockOf(n ast.Node) *Block { return g.blockOf[n] }
 
-// Reaches reports whether control can flow from a to b (a path of zero or
-// more edges; a block always reaches itself).
-func (g *Graph) Reaches(a, b *Block) bool {
-	if a == b {
-		return true
-	}
-	seen := map[*Block]bool{a: true}
-	stack := append([]*Block(nil), a.Succs...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		if n == b {
-			return true
-		}
-		seen[n] = true
-		stack = append(stack, n.Succs...)
-	}
-	return false
-}
-
 // EveryPathHits reports whether every path from `from` (exclusive) to Exit
 // passes through a block satisfying hit. Paths that never terminate (loops
 // with no way out) vacuously satisfy the property. Deferred statements are
@@ -121,95 +97,6 @@ func (g *Graph) EveryPathHits(from *Block, hit func(*Block) bool) bool {
 		stack = append(stack, b.Succs...)
 	}
 	return true
-}
-
-// A Use is one read of an object, located in its block.
-type Use struct {
-	Ident *ast.Ident
-	Block *Block
-}
-
-// ReachingUses returns every read of obj that the program point just after
-// node index `start` in block `from` can reach without an intervening
-// redefinition of obj: reads later in `from` itself (up to a redefining
-// write), then reads in successor blocks, propagated until a block writes
-// obj before reading it further. Pass start = -1 to begin at the top of the
-// block. Uses inside nested function literals are attributed to the block
-// holding the literal (a closure read is still a read).
-func (g *Graph) ReachingUses(from *Block, start int, obj types.Object, info *types.Info) []Use {
-	var out []Use
-	// Scan the tail of the starting block.
-	if killed := scanBlock(from, start, obj, info, &out); killed {
-		return out
-	}
-	seen := map[*Block]bool{from: true}
-	stack := append([]*Block(nil), from.Succs...)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		if killed := scanBlock(b, -1, obj, info, &out); killed {
-			continue
-		}
-		stack = append(stack, b.Succs...)
-	}
-	return out
-}
-
-// scanBlock appends reads of obj in b after index start to out and reports
-// whether the block redefines obj (killing the inbound definition) before
-// its end.
-func scanBlock(b *Block, start int, obj types.Object, info *types.Info, out *[]Use) (killed bool) {
-	for i, n := range b.Nodes {
-		if i <= start {
-			continue
-		}
-		if killed {
-			return true
-		}
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			// RHS reads happen before the LHS write.
-			for _, rhs := range s.Rhs {
-				collectReads(rhs, obj, info, b, out)
-			}
-			for _, lhs := range s.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && resolves(id, obj, info) {
-					killed = true
-				} else {
-					// x.f = v, x[i] = v read the base.
-					collectReads(lhs, obj, info, b, out)
-				}
-			}
-		case *ast.IncDecStmt:
-			collectReads(s.X, obj, info, b, out)
-			if id, ok := s.X.(*ast.Ident); ok && resolves(id, obj, info) {
-				killed = true
-			}
-		default:
-			collectReads(n, obj, info, b, out)
-		}
-	}
-	return killed
-}
-
-func resolves(id *ast.Ident, obj types.Object, info *types.Info) bool {
-	if o := info.Uses[id]; o == obj {
-		return true
-	}
-	return info.Defs[id] == obj
-}
-
-func collectReads(n ast.Node, obj types.Object, info *types.Info, b *Block, out *[]Use) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && info.Uses[id] == obj {
-			*out = append(*out, Use{Ident: id, Block: b})
-		}
-		return true
-	})
 }
 
 // Inspect walks n in the manner of ast.Inspect but does not descend into

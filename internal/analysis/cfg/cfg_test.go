@@ -214,6 +214,10 @@ func block(t *testing.T, g *Graph, kind string) *Block {
 	return nil
 }
 
+// TestReaches checks two facts of New on one shape, through EveryPathHits:
+// entry reaches the loop head, and `for {}` has no path to exit. With Exit
+// as its only barrier, EveryPathHits visits every block reachable from its
+// start; with no barrier it reports whether its start cannot reach Exit.
 func TestReaches(t *testing.T) {
 	fd, _, _ := parseFunc(t, `package p
 func f(b bool) {
@@ -225,10 +229,15 @@ func f(b bool) {
 }`, "f")
 	g := New(fd.Body)
 	head := block(t, g, "for.head")
-	if !g.Reaches(g.Entry, head) {
+	reached := false
+	g.EveryPathHits(g.Entry, func(b *Block) bool {
+		reached = reached || b == head
+		return b == g.Exit
+	})
+	if !reached {
 		t.Errorf("entry should reach for.head")
 	}
-	if g.Reaches(head, g.Exit) {
+	if !g.EveryPathHits(head, func(*Block) bool { return false }) {
 		t.Errorf("infinite loop must not reach exit")
 	}
 }
@@ -288,45 +297,6 @@ func f(n int) {
 	g2 := New(fd2.Body)
 	if !g2.EveryPathHits(block(t, g2, "for.body"), isWait) {
 		t.Errorf("loop-then-Wait shape must hit Wait on every path")
-	}
-}
-
-func TestReachingUses(t *testing.T) {
-	src := `package p
-func f(n int) int {
-	x := n      // def
-	a := x      // use 1
-	if n > 0 {
-		x = 0   // kill
-		_ = x   // use of the new def, not ours
-	} else {
-		a += x  // use 2
-	}
-	return a
-}`
-	fd, info, fset := parseFunc(t, src, "f")
-	g := New(fd.Body)
-	// Find the object for x.
-	var xObj types.Object
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "x" && info.Defs[id] != nil {
-			xObj = info.Defs[id]
-		}
-		return true
-	})
-	if xObj == nil {
-		t.Fatal("no def of x")
-	}
-	uses := g.ReachingUses(g.Entry, 0, xObj, info)
-	var lines []int
-	for _, u := range uses {
-		lines = append(lines, fset.Position(u.Ident.Pos()).Line)
-	}
-	// The def at line 3 reaches the use at line 4 (a := x) and the use at
-	// line 9 (a += x), but the use at line 7 follows the kill at line 6.
-	want := "[4 9]"
-	if got := fmt.Sprint(lines); got != want {
-		t.Errorf("reaching uses at lines %v, want %v", got, want)
 	}
 }
 

@@ -259,10 +259,11 @@ func polish(p *opt.Problem, start []schema.SourceID, seed int64) ([]schema.Sourc
 	for step := 0; step < 200; step++ {
 		best := opt.NoMove
 		bestQ := curQ
-		for _, mv := range search.Moves(cur, 150) {
-			if q := search.EvalMove(cur, mv); q > bestQ {
+		moves := search.Moves(cur, 150)
+		for i, q := range search.EvalMoves(cur, moves) {
+			if q > bestQ {
 				bestQ = q
-				best = mv
+				best = moves[i]
 			}
 		}
 		if best == opt.NoMove {

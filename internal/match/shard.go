@@ -545,8 +545,8 @@ func compareFirst(a, b seqEntry) int { return a.first.Compare(b.first) }
 
 // ShardedBase caches the per-shard clustering of one base subset so flip
 // candidates off that base only re-cluster the shards the flipped source
-// touches. Construction and Rebase mutate the cache and must be serialized
-// by the caller; ScoreFlip is a pure read and safe to call concurrently.
+// touches. Rebase mutates the cache and must be serialized by the caller;
+// ScoreFlip is a pure read and safe to call concurrently.
 type ShardedBase struct {
 	sh     *Sharded
 	base   []schema.SourceID // sorted ascending
@@ -556,27 +556,14 @@ type ShardedBase struct {
 	cover  []int             // cons.Sources[i] -> number of shards whose GAs cover it
 }
 
-// NewBase clusters every shard the base touches and caches the results. The
-// base must be sorted ascending and contain every source cons requires.
-func (sh *Sharded) NewBase(base []schema.SourceID) (*ShardedBase, error) {
-	if !sh.cons.SatisfiedBy(base) {
-		return nil, fmt.Errorf("match: base %v does not contain all required sources %v",
-			base, sh.cons.RequiredSources())
-	}
-	b := &ShardedBase{
+// NewBase returns the empty cache. Rebase moves it onto a base; ScoreFlip
+// reads it only after a Rebase has succeeded.
+func (sh *Sharded) NewBase() *ShardedBase {
+	return &ShardedBase{
 		sh:    sh,
-		base:  append([]schema.SourceID(nil), base...),
 		res:   make([]*shardResult, sh.nShards),
 		cover: make([]int, len(sh.cons.Sources)),
 	}
-	sc := sh.m.scratch()
-	defer sh.m.release(sc)
-	sc.reset()
-	for _, s := range b.base {
-		b.enter(s)
-	}
-	b.refresh(sc, b.touched(sc, b.base))
-	return b, nil
 }
 
 // Base returns the cached base subset. The returned slice must not be
@@ -691,7 +678,9 @@ func (b *ShardedBase) computeShard(sc *matchScratch, k int32, seq []seqEntry) []
 }
 
 // Rebase moves the cache to newBase (sorted ascending), re-clustering only
-// the shards touched by sources that entered or left the base.
+// the shards touched by sources that entered or left the base. newBase must
+// contain every source cons requires; otherwise Rebase fails and leaves the
+// cache as it was.
 func (b *ShardedBase) Rebase(newBase []schema.SourceID) error {
 	if !b.sh.cons.SatisfiedBy(newBase) {
 		return fmt.Errorf("match: base %v does not contain all required sources %v",

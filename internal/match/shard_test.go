@@ -148,8 +148,8 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 				break
 			}
 		}
-		b, err := sh.NewBase(base)
-		if err != nil {
+		b := sh.NewBase()
+		if err := b.Rebase(base); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
@@ -214,7 +214,7 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 // checkFlips asserts that every single flip off b's base — each add, each
 // drop and each swap that keeps cons satisfied — scores bit-identically to
 // the unsharded oracle, referenceMatch, on the flipped set and to the same
-// flip on fresh, a base built by NewBase on the same subset.
+// flip on fresh, an empty cache rebased onto the same subset.
 func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, fresh *ShardedBase) {
 	t.Helper()
 	n := schema.SourceID(m.u.Len())
@@ -253,8 +253,8 @@ func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, 
 // swaps under four constraint sets: none, one required source, a GA bridging
 // the two name families, and a single-reference GA on a base source that no
 // other base member shares a shard with. After every Rebase, every single
-// flip must score as the unsharded oracle does and as the same flip on a fresh
-// NewBase. Each walk also drops the last member of some shard, so Rebase
+// flip must score as the unsharded oracle does and as the same flip on an
+// empty cache rebased onto the same subset. Each walk also drops the last member of some shard, so Rebase
 // must retire that shard's cached entries. The lone GA's shard starts with
 // one member, the case where a shard must be clustered for its constraint
 // GA although one source alone can never merge.
@@ -280,8 +280,8 @@ func TestRebaseWalk(t *testing.T) {
 		{"lone", constraint.Set{GAs: []schema.GA{schema.NewGA(lone)}}},
 	} {
 		sh := m.NewSharded(tc.cons)
-		b, err := sh.NewBase(base)
-		if err != nil {
+		b := sh.NewBase()
+		if err := b.Rebase(base); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		// lastOf returns a shard of d that no source of next touches, if
@@ -349,8 +349,8 @@ func TestRebaseWalk(t *testing.T) {
 						tc.name, step, gone, drop)
 				}
 			}
-			fresh, err := sh.NewBase(next)
-			if err != nil {
+			fresh := sh.NewBase()
+			if err := fresh.Rebase(next); err != nil {
 				t.Fatalf("%s step %d: %v", tc.name, step, err)
 			}
 			checkFlips(t, fmt.Sprintf("%s step %d", tc.name, step), m, tc.cons, b, fresh)
@@ -459,8 +459,8 @@ func TestScoreFlipAllocs(t *testing.T) {
 	u := randomUniverse(t, r, 12)
 	m := MustNew(u, Config{Theta: 0.45})
 	cons := constraint.Set{Sources: []schema.SourceID{2}}
-	b, err := m.NewSharded(cons).NewBase(ids(0, 2, 3, 5, 8))
-	if err != nil {
+	b := m.NewSharded(cons).NewBase()
+	if err := b.Rebase(ids(0, 2, 3, 5, 8)); err != nil {
 		t.Fatal(err)
 	}
 	type flip struct {
@@ -553,8 +553,8 @@ func TestScoreFlipConcurrent(t *testing.T) {
 	u := randomUniverse(t, r, 12)
 	m := MustNew(u, Config{Theta: 0.45})
 	sh := m.NewSharded(constraint.Set{})
-	b, err := sh.NewBase(subset(r, 12, 6))
-	if err != nil {
+	b := sh.NewBase()
+	if err := b.Rebase(subset(r, 12, 6)); err != nil {
 		t.Fatal(err)
 	}
 	type flip struct{ add, drop schema.SourceID }

@@ -3,6 +3,7 @@ package opt_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mube/internal/constraint"
@@ -12,7 +13,7 @@ import (
 	"mube/internal/testutil"
 )
 
-// deltaBatch returns the delta batch the allocation tests score on the
+// deltaBatch returns the flip batch the allocation tests score on the
 // opttest problem: a 4-source base, its 8 adds and 3 of its drops.
 func deltaBatch() ([]schema.SourceID, []opt.Move) {
 	base := []schema.SourceID{0, 1, 2, 3}
@@ -26,102 +27,117 @@ func deltaBatch() ([]schema.SourceID, []opt.Move) {
 	return base, flips
 }
 
-// TestEvalBatchDeltaAllocs pins the steady-state allocation budget of the
-// evaluator's hot loop. Two regimes are pinned separately:
+// freshSearches returns n Searches over p that have scored nothing yet, each
+// with one worker and no evaluation budget.
+func freshSearches(t *testing.T, p *opt.Problem, n int) []*opt.Search {
+	t.Helper()
+	out := make([]*opt.Search, n)
+	for i := range out {
+		s, err := opt.NewSearch(context.Background(), p, opt.Options{MaxEvals: -1, Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestEvalBatchDeltaAllocs pins the allocation budget of the flip path,
+// Search.EvalMoves. Two regimes are pinned separately:
 //
-//   - memo-hit batches (the common revisit case in local search) cost a
-//     per-batch constant with no per-flip term: the candidate slice, the one
-//     buffer holding every applied subset, and the output slice — the keyBuf
-//     lookup path allocates nothing per candidate;
-//   - fresh-compute batches additionally pay one memo key (and its insert)
-//     per job, plus per-batch bookkeeping: the job slab, the delta state and
-//     shard base, the evaluator itself. Jobs live by value in the slab, and
-//     each worker's pooled Scratch holds the qef context, so no job or
-//     context is allocated per flip.
+//   - memo-hit batches (the common revisit case in local search) cost at
+//     most a per-batch constant with no per-flip term: the keyBuf lookup
+//     path allocates nothing per candidate, and the candidates, applied
+//     subsets and results live in the Search's buffers (measured 0);
+//   - a fresh Search's first batch, every flip a fresh compute, pays one
+//     memo key (and its insert) per job, plus per-batch bookkeeping: the
+//     batch buffers and job slab, the delta state with its flip union and
+//     shard base. Jobs live by value in the slab, and each worker's pooled
+//     scratch holds the qef context, so no job or context is allocated per
+//     flip. Each Search and Subset is built outside the measured closure.
 func TestEvalBatchDeltaAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	p := opttest.Problem(t, 6, constraint.Set{})
-	ev := opt.NewEvaluator(p, 0)
-	ev.SetWorkers(1)
+	s := freshSearches(t, p, 1)[0]
 	base, flips := deltaBatch()
+	cur := s.NewSubset(base)
 
 	// Warm up: builds the delta state, shard base, scratch pools, and
 	// memoizes every candidate.
-	ev.EvalBatchDelta(base, flips)
-	ev.EvalBatchDelta(base, flips)
+	s.EvalMoves(cur, flips)
+	s.EvalMoves(cur, flips)
 
-	hit := testing.AllocsPerRun(50, func() { ev.EvalBatchDelta(base, flips) })
+	hit := testing.AllocsPerRun(50, func() { s.EvalMoves(cur, flips) })
 	if hit > 3 {
 		t.Errorf("memo-hit batch: %v allocs/op for %d flips, want ≤ 3", hit, len(flips))
 	}
 
-	// Fresh computes: rotate through distinct bases so every batch's flips
-	// miss the memo (the 12-source universe has hundreds of 4-subsets).
+	// Fresh computes: one fresh Search per run (AllocsPerRun runs once more
+	// to warm up), rotating through distinct bases (the 12-source universe
+	// has hundreds of 4-subsets), each scoring the 8 swaps of its first
+	// member.
 	bases := make([][]schema.SourceID, 0, 64)
 	for a := schema.SourceID(0); a < 8; a++ {
 		for b := a + 1; b < 12 && len(bases) < 64; b++ {
-			bases = append(bases, []schema.SourceID{a, b, (b + 1) % 12, (b + 3) % 12})
+			bases = append(bases, opt.SortIDs([]schema.SourceID{a, b, (b + 1) % 12, (b + 3) % 12}))
 		}
 	}
-	neighborhood := func(base []schema.SourceID) []opt.Move {
-		in := map[schema.SourceID]bool{}
-		for _, s := range base {
-			in[s] = true
-		}
-		var mvs []opt.Move
-		for s := schema.SourceID(0); s < 12; s++ {
-			if !in[s] {
-				mvs = append(mvs, opt.Move{Add: s, Drop: base[0]})
+	const runs = 50
+	searches := freshSearches(t, p, runs+1)
+	subsets := make([]*opt.Subset, len(searches))
+	moves := make([][]opt.Move, len(searches))
+	for i, s := range searches {
+		base := bases[i%len(bases)]
+		subsets[i] = s.NewSubset(base)
+		for x := schema.SourceID(0); x < 12; x++ {
+			if !slices.Contains(base, x) {
+				moves[i] = append(moves[i], opt.Move{Add: x, Drop: base[0]})
 			}
 		}
-		return mvs
 	}
 	i := 0
-	fresh := testing.AllocsPerRun(50, func() {
-		b := opt.SortIDs(append([]schema.SourceID(nil), bases[i%len(bases)]...))
+	fresh := testing.AllocsPerRun(runs, func() {
+		searches[i].EvalMoves(subsets[i], moves[i])
 		i++
-		ev2 := opt.NewEvaluator(p, 0)
-		ev2.SetWorkers(1)
-		ev2.EvalBatchDelta(b, neighborhood(b))
 	})
-	// Measured 66 (8 flips per rotated base). The budget leaves less than
-	// one allocation per flip of headroom, so a per-flip job, context or
-	// applied-subset slice coming back fails it, as does any return to
-	// per-flip recluster/re-merge churn (which costs thousands).
+	// Measured 50–51 (8 flips per base). The budget leaves less than three
+	// allocations per flip of headroom, so a per-flip job, context and
+	// applied-subset slice coming back together fail it, as does any return
+	// to per-flip recluster/re-merge churn (which costs thousands).
 	if fresh > 70 {
 		t.Errorf("fresh batch: %v allocs/op, want ≤ 70", fresh)
 	}
 }
 
-// TestFirstDeltaBatchAllocBytes pins the bytes a fresh evaluator's first
-// EvalBatchDelta allocates: the delta state with its flip union, the shard
-// base, the batch's buffers and memo keys. It reads runtime.MemStats around
-// 200 first batches, each on its own evaluator with one worker. A flip union
-// at 64 maps is 1 KiB; a counting union with a uint32 lane per bucket bit
-// adds 16 KiB more, and with one the batch allocated 22.7 KB. Measured
-// 6.1–6.3 KB.
+// TestFirstDeltaBatchAllocBytes pins the bytes a fresh Search's first
+// EvalMoves allocates: the delta state with its flip union, the shard base,
+// the batch's buffers and memo keys. It reads runtime.MemStats around 200
+// first batches, each on its own Search with one worker, built beforehand.
+// A flip union at 64 maps is 1 KiB; a counting union with a uint32 lane per
+// bucket bit adds 16 KiB more, and with one the batch allocated 22.7 KB.
+// Measured 6.3 KB.
 func TestFirstDeltaBatchAllocBytes(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	p := opttest.Problem(t, 6, constraint.Set{})
 	base, flips := deltaBatch()
-	evs := make([]*opt.Evaluator, 200)
-	for i := range evs {
-		evs[i] = opt.NewEvaluator(p, 0)
-		evs[i].SetWorkers(1)
+	searches := freshSearches(t, p, 200)
+	subsets := make([]*opt.Subset, len(searches))
+	for i, s := range searches {
+		subsets[i] = s.NewSubset(base)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, ev := range evs {
-		ev.EvalBatchDelta(base, flips)
+	for i, s := range searches {
+		s.EvalMoves(subsets[i], flips)
 	}
 	runtime.ReadMemStats(&after)
-	perBatch := (after.TotalAlloc - before.TotalAlloc) / uint64(len(evs))
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / uint64(len(searches))
 	if perBatch > 8<<10 {
-		t.Errorf("first delta batch of a fresh evaluator: %d bytes, want ≤ 8 KiB", perBatch)
+		t.Errorf("first flip batch of a fresh Search: %d bytes, want ≤ 8 KiB", perBatch)
 	}
 }
 

@@ -13,14 +13,17 @@ import (
 )
 
 // deltaState is the image of one base subset S: the flip union over the
-// signatures of S plus the tally of S. From it, any single-source flip S±{s}
-// is scored as a pure read (see flipStats) instead of an O(|S|) re-merge.
+// signatures of S, the tally of S and the cluster-sharded match of S. From
+// it, any single-source flip S±{s} is scored as a pure read (see flipStats
+// and match.ShardedBase.ScoreFlip) instead of an O(|S|) re-merge.
 //
-// The state is mutated only between batches, on the solve goroutine
-// (acquireDelta images the batch's base); during a batch's fan-out every
-// worker reads it concurrently without mutation.
+// A Search owns one in its batch buffers. The state moves only between
+// batches, on the solve goroutine (Evaluator.rebase images the batch's
+// base); during a batch's fan-out every worker reads it concurrently without
+// mutation.
 type deltaState struct {
-	base []schema.SourceID // the subset the state images, sorted
+	base   []schema.SourceID // the subset the state images, sorted
+	imaged bool              // whether base has been imaged yet
 	// union is the flip union over the signatures of base, and tally the
 	// tally of base; both are built only when a QEF reads the union
 	// statistics. union is nil when the universe's signature configuration
@@ -28,13 +31,16 @@ type deltaState struct {
 	union *pcsa.FlipUnion
 	tally tally
 
-	// match, when non-nil, is the cluster-sharded match image of base: each
-	// flip re-clusters only the shards its add/drop sources touch and merges
-	// with the cached unaffected shards (match.ShardedBase.ScoreFlip — a pure
-	// concurrent-safe read, bit-identical to the whole-set Sharded.Score).
-	// nil when no QEF reads the match score or the base violates the
-	// constraints; flips then fall back to the whole-set Sharded.Score.
-	match *match.ShardedBase
+	// match is the cluster-sharded match image, built on the first batch
+	// when a QEF reads the match score: each flip re-clusters only the
+	// shards its add/drop sources touch and merges with the cached
+	// unaffected shards (match.ShardedBase.ScoreFlip, a pure concurrent-safe
+	// read, bit-identical to the whole-set Sharded.Score). matchOK reports
+	// whether it images base: a base lacking a required source leaves the
+	// cache where it was, and its flips take F1 from the whole-set
+	// Sharded.Score instead.
+	match   *match.ShardedBase
+	matchOK bool
 }
 
 // image builds the tally of base and the flip union of its signatures in one
@@ -63,52 +69,34 @@ func (ds *deltaState) image(u *source.Universe, base []schema.SourceID) int {
 	return added
 }
 
-// acquireDelta checks the cached delta state out for one batch and makes it
-// the image of base. Tabu, SLS and the partitioned refinement move their
-// base after every batch they continue from, so the union and tally are
-// built again whenever base differs from the cached one; a repeated base,
-// such as the one an annealing rejection leaves, reuses the image as it
-// stands. The shard view moves by ShardedBase.Rebase, which re-clusters only
-// the shards the changed sources touch. Runs on the batch's calling
-// goroutine before the worker fan-out; the returned state is then immutable
-// until releaseDelta.
-func (e *Evaluator) acquireDelta(base []schema.SourceID) *deltaState {
-	e.deltaMu.Lock()
-	ds := e.deltaCached
-	e.deltaCached = nil
-	e.deltaMu.Unlock()
-	if ds != nil && slices.Equal(ds.base, base) {
-		return ds
+// rebase makes ds the image of base. Tabu, SLS and the partitioned
+// refinement move their base after every batch they continue from, so the
+// union and tally are built again whenever base differs from the imaged
+// one; a repeated base, such as the one an annealing rejection leaves,
+// reuses the image as it stands. The shard view moves by
+// ShardedBase.Rebase, which re-clusters only the shards the changed sources
+// touch. Runs on the batch's calling goroutine before the worker fan-out.
+func (e *Evaluator) rebase(ds *deltaState, base []schema.SourceID) {
+	if ds.imaged && slices.Equal(ds.base, base) {
+		return
 	}
-	if ds == nil {
-		ds = &deltaState{}
-	}
+	ds.imaged = true
 	ds.base = append(ds.base[:0], base...)
 	if e.wantUnion {
 		if n := ds.image(e.p.Universe, base); n > 0 {
 			e.rec.Add("pcsa.counting_merges", int64(n))
 		}
 	}
-	if !e.wantMatch {
-		ds.match = nil
-	} else if ds.match == nil {
-		// NewBase fails only on a base violating the constraints; flips from
-		// such a base are infeasible anyway, so the nil fallback is harmless.
-		if b, err := e.sharded.NewBase(base); err == nil {
-			ds.match = b
+	if e.wantMatch {
+		if ds.match == nil {
+			ds.match = e.sharded.NewBase()
 		}
-	} else if err := ds.match.Rebase(base); err != nil {
-		ds.match = nil
+		// Rebase fails only on a base lacking a required source, and then
+		// leaves the cache where it was. A flip adding that source is
+		// feasible, so flips off such a base take F1 from the whole-set
+		// Sharded.Score (see computeFlip).
+		ds.matchOK = ds.match.Rebase(base) == nil
 	}
-	return ds
-}
-
-// releaseDelta checks the delta state back in after a batch's fan-out has
-// joined, so the next batch can reuse its storage and shard view.
-func (e *Evaluator) releaseDelta(ds *deltaState) {
-	e.deltaMu.Lock()
-	e.deltaCached = ds
-	e.deltaMu.Unlock()
 }
 
 // validFlip reports whether mv is a true single flip against the sorted
@@ -159,43 +147,6 @@ func appendFlip(dst, base []schema.SourceID, mv Move) []schema.SourceID {
 	return dst
 }
 
-// EvalBatchDelta scores a whole neighborhood of flips against one base
-// subset, returning Q(base±flip) for each flip in order. True single flips
-// are scored incrementally — O(1 source) against the batch's shared flip
-// union — and invalid flips take the full re-merge path. Memoization, budget
-// accounting, and every returned quality are bit-identical to EvalBatch over
-// the applied subsets. The applied subsets share one buffer per batch.
-//
-// base must be sorted and must not be mutated until the call returns.
-func (e *Evaluator) EvalBatchDelta(base []schema.SourceID, flips []Move) []float64 {
-	var b batchBufs
-	return e.evalBatchDelta(base, flips, &b)
-}
-
-// evalBatchDelta is EvalBatchDelta over the buffers b, which the returned
-// slice belongs to.
-func (e *Evaluator) evalBatchDelta(base []schema.SourceID, flips []Move, b *batchBufs) []float64 {
-	if cap(b.cands) < len(flips) {
-		b.cands = make([]candidate, len(flips))
-	}
-	cands := b.cands[:len(flips)]
-	// No applied subset is longer than len(base)+1, so buf never regrows.
-	if n := len(flips) * (len(base) + 1); cap(b.ids) < n {
-		b.ids = make([]schema.SourceID, 0, n)
-	}
-	buf := b.ids[:0]
-	for i, mv := range flips {
-		start := len(buf)
-		buf = appendFlip(buf, base, mv)
-		cands[i] = candidate{ids: buf[start:len(buf):len(buf)]}
-		if validFlip(base, mv) {
-			cands[i].flip = mv
-			cands[i].hasFlip = true
-		}
-	}
-	return e.evalCandidates(cands, base, b)
-}
-
 // computeFlip evaluates Q(base±flip) against the batch's immutable delta
 // state: flipStats derives the union statistics and ScoreFlip F1, both as
 // pure reads. Pure; safe on any worker goroutine (counter adds are
@@ -218,7 +169,7 @@ func (e *Evaluator) computeFlip(ids []schema.SourceID, flip Move, ds *deltaState
 		sc.ctx.Union = st
 	}
 	switch {
-	case ds.match != nil:
+	case ds.matchOK:
 		// Feasible(ids) above guarantees the flipped set satisfies the
 		// constraints, which ScoreFlip's cached coverage flags rely on.
 		if q, ok := ds.match.ScoreFlip(flip.Add, flip.Drop); ok {

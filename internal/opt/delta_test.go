@@ -108,6 +108,14 @@ func fullScorer(e *Evaluator) neighborhoodScorer {
 	}
 }
 
+// searchScorer scores through s.EvalMoves, the flip path: one Search walks
+// every base, so its image moves from base to base as a solver's does.
+func searchScorer(s *Search) neighborhoodScorer {
+	return func(base []schema.SourceID, flips []Move) []float64 {
+		return s.EvalMoves(s.NewSubset(base), flips)
+	}
+}
+
 // appliedSubsets returns the subset each flip produces from base.
 func appliedSubsets(base []schema.SourceID, flips []Move) [][]schema.SourceID {
 	out := make([][]schema.SourceID, len(flips))
@@ -196,7 +204,7 @@ func constrainedProblem(t testing.TB) *Problem {
 }
 
 // TestEvalBatchDeltaDifferential is the white-box acceptance test of the
-// delta path: one trajectory driven through EvalBatchDelta and through
+// delta path: one trajectory driven through Search.EvalMoves and through
 // EvalBatch over the applied subsets must produce bit-identical memo
 // contents and identical budget accounting — across worker counts, budget
 // limits, seeds, a universe containing uncooperative and coop-mixed
@@ -216,7 +224,7 @@ func TestEvalBatchDeltaDifferential(t *testing.T) {
 				for _, limit := range []int{0, 40} {
 					delta := NewEvaluator(p, limit)
 					delta.SetWorkers(workers)
-					driveNeighborhoods(t, delta.EvalBatchDelta, p, seed, 12)
+					driveNeighborhoods(t, searchScorer(&Search{Eval: delta}), p, seed, 12)
 
 					full := NewEvaluator(p, limit)
 					full.SetWorkers(workers)
@@ -287,11 +295,11 @@ func TestFlipsOffBaseMissingRequired(t *testing.T) {
 	}
 }
 
-// TestShardPathEngages guards the point of the sharded matcher: a delta
-// batch's state must carry a match.ShardedBase, so flips score through
-// ScoreFlip rather than silently falling back to full reclustering. The
-// constrained fixture must also keep its overlay fused, or the differential
-// above stops covering the overlay path.
+// TestShardPathEngages guards the point of the sharded matcher: a flip
+// batch's state must carry a match.ShardedBase imaging its base, so flips
+// score through ScoreFlip rather than silently falling back to full
+// reclustering. The constrained fixture must also keep its overlay fused, or
+// the differential above stops covering the overlay path.
 func TestShardPathEngages(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -301,10 +309,11 @@ func TestShardPathEngages(t *testing.T) {
 		{"constrained", constrainedProblem(t)},
 	} {
 		ev := NewEvaluator(tc.p, 0)
+		s := &Search{Eval: ev}
 		base := SortIDs(append(tc.p.Constraints.RequiredSources(), 0))
-		ev.EvalBatchDelta(base, []Move{{Add: 1, Drop: -1}, {Add: 2, Drop: 0}})
-		if ds := ev.deltaCached; ds == nil || ds.match == nil {
-			t.Errorf("%s: delta batch carried no sharded match base", tc.name)
+		s.EvalMoves(s.NewSubset(base), []Move{{Add: 1, Drop: -1}, {Add: 2, Drop: 0}})
+		if ds := s.batch.delta; ds == nil || !ds.matchOK {
+			t.Errorf("%s: flip batch carried no sharded match image", tc.name)
 		}
 		if tc.p.Constraints.Empty() {
 			continue
@@ -316,19 +325,19 @@ func TestShardPathEngages(t *testing.T) {
 	}
 }
 
-// TestDeltaImage walks one evaluator's cached delta state through a sequence
-// of bases: grow, swap, jump, repeat, shrink, and shrink to empty. After
-// every acquisition the union statistics of every flip (none, each drop of a
-// member, each add of a non-member) must equal those read off a fresh image
-// of the base. The acquisition must count the signatures that image adds,
-// and a repeated base must reuse the image and count none.
+// TestDeltaImage walks one delta state through a sequence of bases: grow,
+// swap, jump, repeat, shrink, and shrink to empty. After every rebase the
+// union statistics of every flip (none, each drop of a member, each add of a
+// non-member) must equal those read off a fresh image of the base. The
+// rebase must count the signatures that image adds, and a repeated base must
+// reuse the image and count none.
 func TestDeltaImage(t *testing.T) {
 	p := mixedProblem(t, 5)
 	u := p.Universe
 	rec := telemetry.New(nil)
 	ev := NewEvaluator(p, 0)
 	ev.Instrument(rec)
-	var prev *deltaState
+	ds := &deltaState{}
 	for _, step := range []struct {
 		name   string
 		base   []schema.SourceID
@@ -343,18 +352,15 @@ func TestDeltaImage(t *testing.T) {
 		{"empty", ids(), false},
 	} {
 		before := rec.Snapshot().Counter("pcsa.counting_merges")
-		ds := ev.acquireDelta(step.base)
+		ev.rebase(ds, step.base)
 		added := rec.Snapshot().Counter("pcsa.counting_merges") - before
 		fresh := &deltaState{}
 		want := int64(fresh.image(u, step.base))
 		if step.repeat {
 			want = 0
-			if ds != prev {
-				t.Errorf("%s: a repeated base got a new delta state", step.name)
-			}
 		}
 		if added != want {
-			t.Errorf("%s: acquisition counted %d counting merges, want %d", step.name, added, want)
+			t.Errorf("%s: rebase counted %d counting merges, want %d", step.name, added, want)
 		}
 		flips := []Move{NoMove}
 		for _, id := range u.IDs() {
@@ -370,8 +376,6 @@ func TestDeltaImage(t *testing.T) {
 				t.Errorf("%s: flip %+v reads %+v, fresh image %+v", step.name, mv, got, want)
 			}
 		}
-		ev.releaseDelta(ds)
-		prev = ds
 	}
 }
 

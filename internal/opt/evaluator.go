@@ -58,12 +58,6 @@ type Evaluator struct {
 	// solve drops it.
 	scratchPool *sync.Pool
 
-	// Incremental-scoring state (see delta.go): the image of the most recent
-	// delta batch's base, cached across batches so a repeated base reuses it
-	// and the shard view rebases instead of being built again.
-	deltaMu     sync.Mutex
-	deltaCached *deltaState
-
 	// sharded is the matcher's cluster-shard view of the problem's
 	// constraints, nil without a matcher: every Match(S) the evaluator runs,
 	// whole-set or flip (see match.Sharded), goes through it. NewEvaluator
@@ -293,15 +287,17 @@ type batchJob struct {
 type batchDup struct{ cand, job int }
 
 // batchBufs are the buffers of one batch: its candidates, the one buffer
-// holding a delta batch's applied subsets, its job slab and its results.
-// EvalBatch and EvalBatchDelta start from empty ones. A Search keeps one set
-// for every neighborhood it scores, so its batches allocate none of them
-// once the first has sized them.
+// holding a flip batch's applied subsets, its job slab, its results and the
+// image of its base. EvalBatch starts from empty ones. A Search keeps one
+// set for every neighborhood it scores, so its batches allocate none of them
+// once the first has sized them, and the image moves from base to base
+// instead of being built again.
 type batchBufs struct {
 	cands []candidate
 	ids   []schema.SourceID
 	jobs  []batchJob
 	out   []float64
+	delta *deltaState // built by the first flip batch
 }
 
 // candidate pairs one batch entry with its incremental-scoring plan.
@@ -333,7 +329,7 @@ func (e *Evaluator) EvalBatch(cands [][]schema.SourceID) []float64 {
 }
 
 // evalCandidates is the shared batch engine behind EvalBatch and
-// EvalBatchDelta. base is non-nil only for delta batches and names the
+// Search.EvalMoves. base is non-nil only for flip batches and names the
 // subset the candidates' flips are relative to.
 //
 // The determinism contract is the planning-vs-fan-out split: memo hits,
@@ -343,8 +339,8 @@ func (e *Evaluator) EvalBatch(cands [][]schema.SourceID) []float64 {
 // changes its value (the flip path is bit-exact), so results are identical
 // at any worker count and to EvalBatch over the same subsets.
 //
-// The results and the job slab come from b, and the returned slice is b's:
-// it stays valid until b serves the next batch.
+// The results, the job slab and the delta state come from b, and the
+// returned slice is b's: it stays valid until b serves the next batch.
 func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID, b *batchBufs) []float64 {
 	if cap(b.out) < len(cands) {
 		b.out = make([]float64, len(cands))
@@ -432,12 +428,15 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID, b 
 				deltaHits++
 			}
 		}
-		// Acquire the shared delta state, the image of the batch's base, once
-		// per batch, before the fan-out: workers then read it concurrently
-		// without mutation.
+		// Image the batch's base once per batch, before the fan-out: workers
+		// then read the delta state concurrently without mutation.
 		var ds *deltaState
 		if deltaHits > 0 {
-			ds = e.acquireDelta(base)
+			if b.delta == nil {
+				b.delta = &deltaState{}
+			}
+			ds = b.delta
+			e.rebase(ds, base)
 		}
 		e.rec.Add("eval.delta_hits", int64(deltaHits))
 
@@ -476,9 +475,6 @@ func (e *Evaluator) evalCandidates(cands []candidate, base []schema.SourceID, b 
 				}(jobs, ds)
 			}
 			wg.Wait()
-		}
-		if ds != nil {
-			e.releaseDelta(ds)
 		}
 	}
 
@@ -824,21 +820,32 @@ func (s *Search) Moves(ss *Subset, limit int) []Move {
 	return moves
 }
 
-// EvalMove returns Q(S') for the subset that Apply(mv) would produce,
-// without mutating ss.
-func (s *Search) EvalMove(ss *Subset, mv Move) float64 {
-	next := ss.Clone()
-	next.Apply(mv)
-	return s.Eval.Eval(next.IDs())
-}
-
 // EvalMoves scores a whole neighborhood at once: it returns Q(S') for each
-// move applied to ss (without mutating it), fanning the candidates out
-// through the evaluator's delta batch API — single flips against the current
-// subset score incrementally from the shared flip union. Results,
-// memoization, and budget accounting are identical to calling EvalMove on
-// each move in order. The batch's buffers are the Search's own: the returned
-// slice is overwritten by the next call.
+// move applied to ss (without mutating it). True single flips score
+// incrementally against the image of ss, which the Search keeps from batch
+// to batch; other moves (re-adding a member, dropping a non-member) take the
+// full re-merge path. Results, memoization, and budget accounting are
+// bit-identical to EvalBatch over the applied subsets. The batch's buffers
+// are the Search's own: the returned slice is overwritten by the next call.
 func (s *Search) EvalMoves(ss *Subset, moves []Move) []float64 {
-	return s.Eval.evalBatchDelta(ss.members, moves, &s.batch)
+	b, base := &s.batch, ss.members
+	if cap(b.cands) < len(moves) {
+		b.cands = make([]candidate, len(moves))
+	}
+	cands := b.cands[:len(moves)]
+	// No applied subset is longer than len(base)+1, so ids never regrows.
+	if n := len(moves) * (len(base) + 1); cap(b.ids) < n {
+		b.ids = make([]schema.SourceID, 0, n)
+	}
+	ids := b.ids[:0]
+	for i, mv := range moves {
+		start := len(ids)
+		ids = appendFlip(ids, base, mv)
+		cands[i] = candidate{ids: ids[start:len(ids):len(ids)]}
+		if validFlip(base, mv) {
+			cands[i].flip = mv
+			cands[i].hasFlip = true
+		}
+	}
+	return s.Eval.evalCandidates(cands, base, b)
 }

@@ -218,8 +218,10 @@ func TestEvalMovesMatchesEvalMove(t *testing.T) {
 		qs := sA.EvalMoves(sub, moves)
 		subB := sB.NewSubset(in)
 		for i, mv := range moves {
+			next := subB.Clone()
+			next.Apply(mv)
 			//mube:vet-ignore floatcmp — the contract is bit-identical, not approximate
-			if one := sB.EvalMove(subB, mv); one != qs[i] {
+			if one := sB.Eval.Eval(next.IDs()); one != qs[i] {
 				t.Fatalf("step %d move %d (%+v): batch %v != single %v", step, i, mv, qs[i], one)
 			}
 		}

@@ -72,8 +72,8 @@ func TestLocalOptimumIsStable(t *testing.T) {
 	cur := search.NewSubset(sol.IDs)
 	curQ := search.Eval.Eval(cur.IDs())
 	improved := 0.0
-	for _, mv := range search.Moves(cur, 60) {
-		if q := search.EvalMove(cur, mv); q > curQ+0.02 {
+	for _, q := range search.EvalMoves(cur, search.Moves(cur, 60)) {
+		if q > curQ+0.02 {
 			improved = q
 		}
 	}

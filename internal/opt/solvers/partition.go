@@ -2,8 +2,8 @@ package solvers
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,7 +54,7 @@ type Partitioned struct {
 const refineRounds = 2
 
 // refineMoveCap bounds the number of sampled boundary moves scored per
-// refinement round; one EvalBatchDelta call scores the whole sample.
+// refinement round; one EvalMoves call scores the whole sample.
 const refineMoveCap = 512
 
 // Name identifies the algorithm, naming the inner solver.
@@ -85,16 +85,19 @@ func (ps Partitioned) Solve(ctx context.Context, p *opt.Problem, opts opt.Option
 	// Budget split. Required sources are pinned to their group (constraints
 	// never span groups — GA constraints bridge the shards they touch), so
 	// each group's MaxSources quota starts at its required count and the free
-	// slots spread by largest remainder over group sizes.
+	// slots spread by largest remainder over group sizes. groupOf indexes
+	// each source's group for the refinement.
 	reqBy := make(map[schema.SourceID]bool)
 	for _, id := range p.Constraints.RequiredSources() {
 		reqBy[id] = true
 	}
 	g := len(groups)
 	reqCount := make([]int, g)
+	groupOf := make([]int32, p.Universe.Len())
 	total := 0
 	for i, grp := range groups {
 		for _, id := range grp {
+			groupOf[id] = int32(i)
 			if reqBy[id] {
 				reqCount[i]++
 			}
@@ -196,15 +199,24 @@ func (ps Partitioned) Solve(ctx context.Context, p *opt.Problem, opts opt.Option
 	}
 
 	// Score the union once, outside any budget, then try to improve it
-	// across group boundaries. The refinement evaluator is unlimited, so the
-	// reported accounting stays the sub-solves' own: Evals is what they
-	// consumed, Status the worst way any of them ended; refined quality can
-	// only rise (see refine).
-	ev := opt.NewEvaluator(p, 0)
-	ev.Instrument(opts.Recorder)
-	ev.SetWorkers(opts.Parallel)
-	refined := ps.refine(ctx, p, ev, opt.SortIDs(union), groups, opts)
-	final := ev.Solution(refined, ps.Name())
+	// across group boundaries. The refinement's Search is unlimited
+	// (MaxEvals -1), so the reported accounting stays the sub-solves' own:
+	// Evals is what they consumed, Status the worst way any of them ended;
+	// refined quality can only rise (see refine). Its candidate pool is the
+	// union, so it builds no universe-wide Optional pool, which refine never
+	// reads.
+	search, err := opt.NewSearch(ctx, p, opt.Options{
+		Seed:       opts.Seed + 999_999_937,
+		MaxEvals:   -1,
+		Parallel:   opts.Parallel,
+		Recorder:   opts.Recorder,
+		Candidates: union,
+	})
+	if err != nil {
+		return nil, err
+	}
+	refined := refine(search, opt.SortIDs(union), groups, groupOf)
+	final := search.Eval.Solution(refined, ps.Name())
 	final.Evals = evals
 	final.Status = status
 	return final, nil
@@ -249,61 +261,36 @@ func (ps Partitioned) solveGroup(ctx context.Context, inner opt.Solver, j groupJ
 
 // refine is the cross-group pass over the merged union: up to refineRounds
 // rounds of sampled boundary moves — swaps whose add and drop lie in different
-// groups, plus pure adds while under MaxSources — scored in one
-// EvalBatchDelta batch per round, accepting the best strictly-improving move
-// (ties break to the lowest sample index). Sampling is driven by a
-// dedicated PRNG derived from Options.Seed, so the pass is deterministic;
-// acceptance requires strict improvement, so the returned set's quality is
-// ≥ the union's. Required sources are never dropped and every candidate set
-// is scored through the normal evaluator (infeasible sets score 0), so
-// feasibility is preserved. ids must be sorted and is not mutated.
-func (ps Partitioned) refine(ctx context.Context, p *opt.Problem, ev *opt.Evaluator, ids []schema.SourceID, groups [][]schema.SourceID, opts opt.Options) []schema.SourceID {
-	if len(ids) == 0 || len(groups) <= 1 || ctx.Err() != nil {
+// groups, plus pure adds while under MaxSources — scored in one EvalMoves
+// batch per round, accepting the best strictly-improving move (ties break to
+// the lowest sample index). Sampling draws on the Search's own PRNG, so the
+// pass is deterministic; acceptance requires strict improvement, so the
+// returned set's quality is ≥ the union's. Required sources are never
+// dropped and every candidate set is scored through the normal evaluator
+// (infeasible sets score 0), so feasibility is preserved. ids must be sorted
+// and is not mutated; groupOf maps each source to its group.
+func refine(search *opt.Search, ids []schema.SourceID, groups [][]schema.SourceID, groupOf []int32) []schema.SourceID {
+	if len(ids) == 0 || len(groups) <= 1 || search.Stopped() {
 		return ids
 	}
-
-	// Group offsets for uniform sampling over the whole shard-covered pool,
-	// and group membership for the current set (maintained across accepted
-	// moves; adds learn their group at sample time).
+	// Group offsets for uniform sampling over the whole shard-covered pool.
 	off := make([]int, len(groups)+1)
 	for i, grp := range groups {
 		off[i+1] = off[i] + len(grp)
 	}
-	total := off[len(groups)]
-	cur := append([]schema.SourceID(nil), ids...)
-	curSet := make(map[schema.SourceID]bool, len(cur))
-	for _, id := range cur {
-		curSet[id] = true
-	}
-	memberGroup := make(map[schema.SourceID]int, len(cur))
-	for gi, grp := range groups {
-		for _, id := range grp {
-			if curSet[id] {
-				memberGroup[id] = gi
-			}
-		}
-	}
-	req := make(map[schema.SourceID]bool)
-	for _, id := range p.Constraints.RequiredSources() {
-		req[id] = true
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed + 999_999_937))
-	curQ := ev.Eval(cur)
-	sp := opts.Recorder.BeginSpan("partition.refine",
+	cur := search.NewSubset(ids)
+	curQ := search.Eval.Eval(ids)
+	sp := search.Rec.BeginSpan("partition.refine",
 		telemetry.Int("rounds", refineRounds),
-		telemetry.Int("sources", len(cur)),
+		telemetry.Int("sources", len(ids)),
 		telemetry.Float("merged_q", curQ))
 	accepted := 0
-	for round := 0; round < refineRounds; round++ {
-		if ctx.Err() != nil {
-			break
-		}
-		moves, addGroup := sampleBoundaryMoves(rng, groups, off, total, cur, curSet, memberGroup, req, p.MaxSources)
+	for round := 0; round < refineRounds && !search.Stopped(); round++ {
+		moves := sampleBoundaryMoves(search, cur.IDs(), groups, off, groupOf)
 		if len(moves) == 0 {
 			break
 		}
-		qs := ev.EvalBatchDelta(cur, moves)
+		qs := search.EvalMoves(cur, moves)
 		best := -1
 		for i, q := range qs {
 			if q > curQ && (best == -1 || q > qs[best]) {
@@ -313,49 +300,32 @@ func (ps Partitioned) refine(ctx context.Context, p *opt.Problem, ev *opt.Evalua
 		if best == -1 {
 			break
 		}
-		mv := moves[best]
-		if mv.Drop >= 0 {
-			delete(curSet, mv.Drop)
-			delete(memberGroup, mv.Drop)
-			for i, id := range cur {
-				if id == mv.Drop {
-					cur = append(cur[:i], cur[i+1:]...)
-					break
-				}
-			}
-		}
-		if mv.Add >= 0 {
-			curSet[mv.Add] = true
-			memberGroup[mv.Add] = addGroup[best]
-			cur = append(cur, mv.Add)
-		}
-		cur = opt.SortIDs(cur)
+		cur.Apply(moves[best])
 		curQ = qs[best]
 		accepted++
 	}
 	sp.End(telemetry.Int("accepted", accepted), telemetry.Float("best_q", curQ))
-	return cur
+	return cur.IDs()
 }
 
-// sampleBoundaryMoves draws up to refineMoveCap distinct cross-group moves:
-// each starts from a uniformly sampled non-member add; when the set is full
-// (or a coin flip says swap) it pairs the add with a droppable member from a
-// different group. Deterministic given the PRNG state.
-func sampleBoundaryMoves(rng *rand.Rand, groups [][]schema.SourceID, off []int, total int,
-	cur []schema.SourceID, curSet map[schema.SourceID]bool, memberGroup map[schema.SourceID]int,
-	req map[schema.SourceID]bool, maxSources int) ([]opt.Move, []int) {
-	droppable := make([]schema.SourceID, 0, len(cur))
-	for _, id := range cur {
-		if !req[id] {
+// sampleBoundaryMoves draws up to refineMoveCap distinct cross-group moves
+// off the sorted members: each starts from a uniformly sampled non-member
+// add; when the set is full (or a coin flip says swap) it pairs the add with
+// a droppable member from a different group. Deterministic given the
+// Search's PRNG state.
+func sampleBoundaryMoves(search *opt.Search, members []schema.SourceID, groups [][]schema.SourceID, off []int, groupOf []int32) []opt.Move {
+	droppable := make([]schema.SourceID, 0, len(members))
+	for _, id := range members {
+		if _, req := slices.BinarySearch(search.Required, id); !req {
 			droppable = append(droppable, id)
 		}
 	}
-	canAdd := len(cur) < maxSources
+	canAdd := len(members) < search.MaxSources
 	if !canAdd && len(droppable) == 0 {
-		return nil, nil
+		return nil
 	}
+	rng, total := search.Rand, off[len(groups)]
 	moves := make([]opt.Move, 0, refineMoveCap)
-	addGroup := make([]int, 0, refineMoveCap)
 	seen := make(map[opt.Move]bool, refineMoveCap)
 	for attempts := 0; attempts < refineMoveCap*8 && len(moves) < refineMoveCap; attempts++ {
 		x := rng.Intn(total)
@@ -364,13 +334,13 @@ func sampleBoundaryMoves(rng *rand.Rand, groups [][]schema.SourceID, off []int, 
 			gi++
 		}
 		a := groups[gi][x-off[gi]]
-		if curSet[a] {
+		if _, in := slices.BinarySearch(members, a); in {
 			continue
 		}
 		mv := opt.Move{Add: a, Drop: -1}
 		if len(droppable) > 0 && (!canAdd || rng.Intn(2) == 1) {
 			d := droppable[rng.Intn(len(droppable))]
-			if memberGroup[d] == gi {
+			if groupOf[d] == int32(gi) {
 				continue // within-group: the sub-solver's job, not refinement's
 			}
 			mv.Drop = d
@@ -382,9 +352,8 @@ func sampleBoundaryMoves(rng *rand.Rand, groups [][]schema.SourceID, off []int, 
 		}
 		seen[mv] = true
 		moves = append(moves, mv)
-		addGroup = append(addGroup, gi)
 	}
-	return moves, addGroup
+	return moves
 }
 
 // rank orders statuses by severity for aggregation.

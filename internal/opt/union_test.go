@@ -212,7 +212,10 @@ func TestMergeCounter(t *testing.T) {
 		if got := full.Counter("pcsa.merges"); got != tc.full {
 			t.Errorf("%s: full merge counted %d merges, want %d", tc.name, got, tc.full)
 		}
-		flip := counters(func(ev *Evaluator) { ev.EvalBatchDelta([]schema.SourceID{0, 1}, []Move{{Add: 5, Drop: -1}}) })
+		flip := counters(func(ev *Evaluator) {
+			s := &Search{Eval: ev}
+			s.EvalMoves(s.NewSubset(ids(0, 1)), []Move{{Add: 5, Drop: -1}})
+		})
 		if got := flip.Counter("pcsa.merges"); got != tc.flip {
 			t.Errorf("%s: flip counted %d merges, want %d", tc.name, got, tc.flip)
 		}
