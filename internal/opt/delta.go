@@ -36,8 +36,9 @@ type deltaState struct {
 	// shards its add/drop sources touch and merges with the cached
 	// unaffected shards (match.ShardedBase.ScoreFlip, a pure concurrent-safe
 	// read, bit-identical to the whole-set Sharded.Score). matchOK reports
-	// whether it images base: a base lacking a required source leaves the
-	// cache where it was, and its flips take F1 from the whole-set
+	// whether it images base. A base lacking a required source fails
+	// Rebase, which leaves the cache where it was; a flip adding that source
+	// is feasible, so flips off such a base take F1 from the whole-set
 	// Sharded.Score instead.
 	match   *match.ShardedBase
 	matchOK bool
@@ -91,10 +92,6 @@ func (e *Evaluator) rebase(ds *deltaState, base []schema.SourceID) {
 		if ds.match == nil {
 			ds.match = e.sharded.NewBase()
 		}
-		// Rebase fails only on a base lacking a required source, and then
-		// leaves the cache where it was. A flip adding that source is
-		// feasible, so flips off such a base take F1 from the whole-set
-		// Sharded.Score (see computeFlip).
 		ds.matchOK = ds.match.Rebase(base) == nil
 	}
 }

@@ -86,7 +86,7 @@ func (ps Partitioned) Solve(ctx context.Context, p *opt.Problem, opts opt.Option
 	// never span groups — GA constraints bridge the shards they touch), so
 	// each group's MaxSources quota starts at its required count and the free
 	// slots spread by largest remainder over group sizes. groupOf indexes
-	// each source's group for the refinement.
+	// each source's group; the groups partition the universe.
 	reqBy := make(map[schema.SourceID]bool)
 	for _, id := range p.Constraints.RequiredSources() {
 		reqBy[id] = true
@@ -122,22 +122,18 @@ func (ps Partitioned) Solve(ctx context.Context, p *opt.Problem, opts opt.Option
 		if quota == 0 {
 			continue // no budget and nothing required: the group sits out
 		}
-		in := make(map[schema.SourceID]bool, len(grp))
-		for _, id := range grp {
-			in[id] = true
-		}
 		sub := &opt.Problem{
 			Universe:    p.Universe,
 			Matcher:     p.Matcher,
 			Quality:     p.Quality,
 			MaxSources:  quota,
-			Constraints: filterConstraints(p.Constraints, in),
+			Constraints: filterConstraints(p.Constraints, groupOf, int32(i)),
 		}
 		subOpts := opts
 		subOpts.Seed = opts.Seed + int64(i)*1_000_003
 		subOpts.MaxEvals = evalShare[i]
 		subOpts.Candidates = grp
-		subOpts.Initial = filterIDs(opts.Initial, in)
+		subOpts.Initial = filterIDs(opts.Initial, groupOf, int32(i))
 		sink := &telemetry.MemorySink{}
 		subOpts.Recorder = opts.Recorder.Child(sink)
 		jobs = append(jobs, groupJob{
@@ -443,30 +439,31 @@ func splitEvals(maxEvals int, groups [][]schema.SourceID, total int) []int {
 	return out
 }
 
-// filterConstraints restricts a constraint set to sources inside the group.
+// filterConstraints restricts a constraint set to the sources of group gi.
 // Constraints never span groups, so this is a partition of the set, not an
 // approximation.
-func filterConstraints(cons constraint.Set, in map[schema.SourceID]bool) constraint.Set {
+func filterConstraints(cons constraint.Set, groupOf []int32, gi int32) constraint.Set {
 	var out constraint.Set
 	for _, id := range cons.Sources {
-		if in[id] {
+		if groupOf[id] == gi {
 			out.Sources = append(out.Sources, id)
 		}
 	}
 	for _, ga := range cons.GAs {
 		refs := ga.Refs()
-		if len(refs) > 0 && in[refs[0].Source] {
+		if len(refs) > 0 && groupOf[refs[0].Source] == gi {
 			out.GAs = append(out.GAs, ga)
 		}
 	}
 	return out
 }
 
-// filterIDs keeps the ids inside the group (for warm starts).
-func filterIDs(ids []schema.SourceID, in map[schema.SourceID]bool) []schema.SourceID {
+// filterIDs keeps the ids of group gi (for warm starts). A warm start is
+// not validated, so an id outside the universe belongs to no group.
+func filterIDs(ids []schema.SourceID, groupOf []int32, gi int32) []schema.SourceID {
 	var out []schema.SourceID
 	for _, id := range ids {
-		if in[id] {
+		if id >= 0 && int(id) < len(groupOf) && groupOf[id] == gi {
 			out = append(out, id)
 		}
 	}

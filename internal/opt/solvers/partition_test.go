@@ -2,6 +2,7 @@ package solvers
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -170,5 +171,18 @@ func TestPartitionedByName(t *testing.T) {
 	}
 	if _, err := ByName("partition+nope"); err == nil {
 		t.Fatal("ByName(partition+nope) should fail")
+	}
+}
+
+// TestFilterIDs pins the warm-start filter: it keeps, in order, the ids of
+// one group and drops ids outside the universe, which a warm start may hold
+// because nothing validates it.
+func TestFilterIDs(t *testing.T) {
+	groupOf := []int32{0, 1, 0, 1}
+	ids := []schema.SourceID{3, 0, 7, -1, 2}
+	for gi, want := range []string{"[0 2]", "[3]"} {
+		if got := fmt.Sprint(filterIDs(ids, groupOf, int32(gi))); got != want {
+			t.Errorf("group %d: filterIDs = %s, want %s", gi, got, want)
+		}
 	}
 }
