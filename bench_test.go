@@ -319,6 +319,44 @@ func benchNeighborhood(b *testing.B) (*opt.Problem, []schema.SourceID, []opt.Mov
 	return p, base, flips
 }
 
+// flipShapes are the single-flip shapes the flip benchmarks time.
+var flipShapes = []struct {
+	name      string
+	add, drop bool
+}{{"add", true, false}, {"drop", false, true}, {"swap", true, true}}
+
+// BenchmarkScoreFlip measures one flip read of the cluster-sharded match:
+// match.ShardedBase.ScoreFlip off a cached 20-source base of the bench
+// universe (BAMM-style Books schemas), adding one of 40 other sources,
+// dropping one of the 20 members, or both. Rebasing is not timed.
+func BenchmarkScoreFlip(b *testing.B) {
+	res := benchUniverse(b)
+	m, err := match.New(res.Universe, match.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := res.Universe.IDs()
+	base := all[:20]
+	sb := m.NewSharded(constraint.Set{}).NewBase()
+	if err := sb.Rebase(base); err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range flipShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				add, drop := schema.SourceID(-1), schema.SourceID(-1)
+				if shape.add {
+					add = all[20+i%40]
+				}
+				if shape.drop {
+					drop = base[i%20]
+				}
+				sb.ScoreFlip(add, drop)
+			}
+		})
+	}
+}
+
 // benchSignatures returns the bench universe's signatures in id order and a
 // flip union of their configuration.
 func benchSignatures(b *testing.B) ([]*pcsa.Signature, *pcsa.FlipUnion) {
@@ -354,9 +392,9 @@ func BenchmarkDeltaImage(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaEstimate measures the fused flip-estimate kernel: estimate
-// of (union − drop + add) as a pure read over the flip union's two words
-// per map.
+// BenchmarkDeltaEstimate measures the flip-estimate kernel: the estimate of
+// a 20-source base's flip union with one source added, one dropped, or one
+// of each, as a pure read over the union's two words per map.
 func BenchmarkDeltaEstimate(b *testing.B) {
 	sigs, f := benchSignatures(b)
 	for _, sig := range sigs[:20] {
@@ -364,13 +402,21 @@ func BenchmarkDeltaEstimate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		add := sigs[20+i%(len(sigs)-20)]
-		drop := sigs[i%20]
-		if _, err := f.EstimateDelta(add, drop); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range flipShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var add, drop *pcsa.Signature
+				if shape.add {
+					add = sigs[20+i%(len(sigs)-20)]
+				}
+				if shape.drop {
+					drop = sigs[i%20]
+				}
+				if _, err := f.EstimateDelta(add, drop); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -104,9 +104,14 @@ type matchScratch struct {
 
 	// Sharded-scoring state (see shard.go).
 	ids    []schema.SourceID // one shard's member list / changed-source buffer
-	shards []int32           // affected-shard buffer
+	shards []int32           // the shards a Rebase's changed sources touch
+	flips  []flipShard       // the shards a flip touches
 	keys   []uint64          // a whole set's (overlay shard, source) pairs
 	fresh  []seqEntry        // the collected GAs, sorted by first reference
+	// stamp[k] == epoch marks overlay shard k as touched by the current
+	// flip or Rebase (see newEpoch).
+	stamp []uint32
+	epoch uint32
 }
 
 func newMatchScratch() *matchScratch {

@@ -48,11 +48,15 @@ var pairCandidates atomic.Uint64
 // θ by shard-index builds in this process. Monotonic; not resettable.
 func PairCandidates() uint64 { return pairCandidates.Load() }
 
-// shardCache lazily holds a matcher's shard index. θ determines the graph,
-// so WithParams clones carry a fresh cache.
+// shardCache lazily holds a matcher's shard index and the source groups of
+// its identity overlay. θ determines the graph, so WithParams clones carry a
+// fresh cache.
 type shardCache struct {
 	once sync.Once
 	idx  shardIndex
+
+	groupsOnce sync.Once
+	groups     [][]schema.SourceID
 }
 
 // shardIndex partitions similarity ids into the connected components of the
@@ -257,15 +261,6 @@ func (sh *Sharded) sourceShards(s schema.SourceID) []int32 {
 	return sh.srcShards[sh.srcOff[s]:sh.srcOff[s+1]]
 }
 
-func containsShard(list []int32, k int32) bool {
-	for _, x := range list {
-		if x == k {
-			return true
-		}
-	}
-	return false
-}
-
 // SourceGroups partitions the sources the matcher was built on (the first
 // len(simID) of its universe; see finishShardIndex) into independent groups:
 // two sources share a group iff they touch a common overlay shard
@@ -273,7 +268,24 @@ func containsShard(list []int32, k int32) bool {
 // decomposes over these groups, which is what the partitioned solve mode
 // exploits. Groups are ordered by their smallest source id; sources within a
 // group are ascending.
+//
+// The returned slices are shared and must not be modified. A view whose GA
+// constraints fuse no shards has the identity overlay, whose groups depend
+// on the shard index alone: they are computed once per matcher and cached
+// with the index. A view whose constraints fuse shards computes its own.
 func (sh *Sharded) SourceGroups() [][]schema.SourceID {
+	if sh.overlayOf != nil {
+		return sh.sourceGroups()
+	}
+	c := sh.m.shardc
+	c.groupsOnce.Do(func() { c.groups = sh.sourceGroups() })
+	return c.groups
+}
+
+// sourceGroups computes SourceGroups: a union-find over the overlay shards
+// joins every source's shards, each source is labelled with its root's
+// group, and one arena holds every group, in group order.
+func (sh *Sharded) sourceGroups() [][]schema.SourceID {
 	parent := newUnionFind(sh.nShards)
 	nSrc := len(sh.m.simID)
 	for s := 0; s < nSrc; s++ {
@@ -289,23 +301,35 @@ func (sh *Sharded) SourceGroups() [][]schema.SourceID {
 			}
 		}
 	}
-	groupOf := make(map[int32]int)
-	var groups [][]schema.SourceID
-	for s := 0; s < nSrc; s++ {
-		list := sh.sourceShards(schema.SourceID(s))
-		if len(list) == 0 {
-			// A source with no attributes forms its own group.
-			groups = append(groups, []schema.SourceID{schema.SourceID(s)})
-			continue
+	// Groups are numbered by their first source. groupOf[r] is 1 + the
+	// group of union-find root r, 0 until a source of r is met.
+	groupOf := make([]int32, sh.nShards)
+	label := make([]int32, nSrc)
+	var sizes []int32
+	for s := range label {
+		g := int32(len(sizes))
+		if list := sh.sourceShards(schema.SourceID(s)); len(list) > 0 {
+			r := ufFind(parent, list[0])
+			if groupOf[r] == 0 {
+				groupOf[r] = g + 1
+			}
+			g = groupOf[r] - 1
+		} // else a source with no attributes forms its own group.
+		if int(g) == len(sizes) {
+			sizes = append(sizes, 0)
 		}
-		r := ufFind(parent, list[0])
-		gi, ok := groupOf[r]
-		if !ok {
-			gi = len(groups)
-			groupOf[r] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], schema.SourceID(s))
+		label[s] = g
+		sizes[g]++
+	}
+	arena := make([]schema.SourceID, nSrc)
+	groups := make([][]schema.SourceID, len(sizes))
+	off := int32(0)
+	for g, n := range sizes {
+		groups[g] = arena[off : off : off+n]
+		off += n
+	}
+	for s, g := range label {
+		groups[g] = append(groups[g], schema.SourceID(s))
 	}
 	return groups
 }
@@ -527,8 +551,14 @@ func (sh *Sharded) Match(ids []schema.SourceID) (Result, error) {
 type shardResult struct {
 	members []schema.SourceID // ascending
 	gas     int               // number of GAs the shard yields
-	lead    schema.AttrRef    // first reference of its first GA, when gas > 0
+	pos     int32             // position of its first GA in the base's seq, when gas > 0
 	covered []bool            // which cons.Sources its GAs cover
+}
+
+// flipShard is a shard a flip touches, and whether the flip's add touches it.
+type flipShard struct {
+	k   int32
+	add bool
 }
 
 // seqEntry is one GA of a base's merged sequence: its first reference (the
@@ -606,13 +636,35 @@ func (b *ShardedBase) leave(s schema.SourceID) {
 	}
 }
 
+// newEpoch starts a marking of overlay shards: afterwards no shard is
+// marked until sc.stamp[k] = sc.epoch marks shard k, and a mark is read by
+// one comparison instead of a scan of the marked list.
+func (sc *matchScratch) newEpoch(nShards int) {
+	if len(sc.stamp) < nShards {
+		sc.stamp = make([]uint32, nShards)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		// Wrapped: a stamp left from 2³² epochs ago would read as marked.
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+}
+
 // refresh re-clusters shards (sorted) on their current member lists, drops
 // the results of shards left without members, and rebuilds the merged
-// sequence: the entries of every other shard are kept as they are.
+// sequence: the entries of every other shard are kept as they are. It then
+// records each shard's first position in the sequence, which moves whenever
+// entries before it come or go.
 func (b *ShardedBase) refresh(sc *matchScratch, shards []int32) {
+	sc.newEpoch(b.sh.nShards)
+	for _, k := range shards {
+		sc.stamp[k] = sc.epoch
+	}
 	seq := b.seq[:0]
 	for _, e := range b.seq {
-		if !containsShard(shards, e.shard) {
+		if sc.stamp[e.shard] != sc.epoch {
 			seq = append(seq, e)
 		}
 	}
@@ -633,6 +685,10 @@ func (b *ShardedBase) refresh(sc *matchScratch, shards []int32) {
 	// constraints keep each shard's canonical order.
 	slices.SortStableFunc(seq, compareFirst)
 	b.seq = seq
+	// Backwards, so the last position written for a shard is its first.
+	for i := len(seq) - 1; i >= 0; i-- {
+		b.res[seq[i].shard].pos = int32(i)
+	}
 	b.prefix = append(b.prefix[:0], 0)
 	sum := 0.0
 	for _, e := range seq {
@@ -651,8 +707,8 @@ func (b *ShardedBase) addCover(r *shardResult, d int) {
 }
 
 // computeShard clusters shard k on its member list, appends its GAs to seq as
-// sequence entries, and records the shard's GA count, lead reference and
-// coverage. sc.gas/sc.quals are rolled back to their pre-call lengths.
+// sequence entries, and records the shard's GA count and coverage.
+// sc.gas/sc.quals are rolled back to their pre-call lengths.
 func (b *ShardedBase) computeShard(sc *matchScratch, k int32, seq []seqEntry) []seqEntry {
 	r := b.res[k]
 	start := len(sc.gas)
@@ -663,9 +719,6 @@ func (b *ShardedBase) computeShard(sc *matchScratch, k int32, seq []seqEntry) []
 		seq = append(seq, seqEntry{first: g.Refs()[0], shard: k, q: sc.quals[start+i]})
 	}
 	r.gas = len(gas)
-	if r.gas > 0 {
-		r.lead = gas[0].Refs()[0]
-	}
 	if cons := b.sh.cons.Sources; len(cons) > 0 {
 		r.covered = r.covered[:0]
 		for _, s := range cons {
@@ -715,13 +768,49 @@ func (b *ShardedBase) Rebase(newBase []schema.SourceID) error {
 	return nil
 }
 
-// lowerBound returns the position of the first sequence entry whose first
-// reference is not below ref.
-func (b *ShardedBase) lowerBound(ref schema.AttrRef) int {
-	i, _ := slices.BinarySearchFunc(b.seq, ref, func(e seqEntry, r schema.AttrRef) int {
+// slot returns the position of the first entry of seq[:hi] whose first
+// reference is not below ref, or hi.
+func (b *ShardedBase) slot(ref schema.AttrRef, hi int) int {
+	i, _ := slices.BinarySearchFunc(b.seq[:hi], ref, func(e seqEntry, r schema.AttrRef) int {
 		return e.first.Compare(r)
 	})
 	return i
+}
+
+// flipShards returns the shards a flip touches, ascending, each tagged with
+// whether add touches it: one merge of the add's and the drop's ascending
+// shard lists (either empty for "none"), using sc.flips as scratch.
+func (b *ShardedBase) flipShards(sc *matchScratch, add, drop schema.SourceID) []flipShard {
+	var adds, drops []int32
+	if add >= 0 {
+		adds = b.sh.sourceShards(add)
+	}
+	if drop >= 0 {
+		drops = b.sh.sourceShards(drop)
+	}
+	out := sc.flips[:0]
+	i, j := 0, 0
+	for i < len(adds) && j < len(drops) {
+		switch a, d := adds[i], drops[j]; {
+		case a < d:
+			out = append(out, flipShard{k: a, add: true})
+			i++
+		case d < a:
+			out = append(out, flipShard{k: d})
+			j++
+		default:
+			out = append(out, flipShard{k: a, add: true})
+			i, j = i+1, j+1
+		}
+	}
+	for ; i < len(adds); i++ {
+		out = append(out, flipShard{k: adds[i], add: true})
+	}
+	for ; j < len(drops); j++ {
+		out = append(out, flipShard{k: drops[j]})
+	}
+	sc.flips = out
+	return out
 }
 
 // flipInto appends members−{drop}+{add} to dst, ascending; add < 0 means
@@ -748,53 +837,47 @@ func flipInto(dst, members []schema.SourceID, add, drop schema.SourceID) []schem
 // bit-identical to Score(candidate) — and so to Match(candidate).Quality: the
 // fresh GAs are merged into the cached canonical sequence, and the sequential
 // float sum resumes from the cached prefix at the first position the flip
-// changes. Pure; safe for concurrent use.
+// changes. Besides the clustering it pays per affected shard and per
+// sequence entry from that position on, with no sort of the affected shards
+// and no scan of them per entry. Pure; safe for concurrent use.
 func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 	sh := b.sh
 	sc := sh.m.scratch()
 	defer sh.m.release(sc)
 	sc.reset()
 
-	// Shards invalidated by the flip.
-	aff := sc.shards[:0]
-	if add >= 0 {
-		aff = append(aff, sh.sourceShards(add)...)
-	}
-	if drop >= 0 {
-		aff = append(aff, sh.sourceShards(drop)...)
-	}
-	slices.Sort(aff)
-	aff = slices.Compact(aff)
-	sc.shards = aff
-
-	// Re-cluster each affected shard on its flipped member list. p tracks
-	// the first sequence position the flip changes: the first cached entry
-	// of an affected shard or, below, the slot of the first fresh GA. stale
-	// counts the cached entries of affected shards the merge must skip.
+	// Re-cluster each affected shard on its flipped member list, and mark
+	// it. p tracks the first sequence position the flip changes: the first
+	// cached entry of an affected shard or, below, the slot of the first
+	// fresh GA. stale counts the cached entries of affected shards the
+	// merge must skip.
+	aff := b.flipShards(sc, add, drop)
+	sc.newEpoch(sh.nShards)
 	p, stale := len(b.seq), 0
-	for _, k := range aff {
+	for _, f := range aff {
+		sc.stamp[f.k] = sc.epoch
 		var members []schema.SourceID
-		if r := b.res[k]; r != nil {
+		if r := b.res[f.k]; r != nil {
 			members = r.members
 			if r.gas > 0 {
-				p = min(p, b.lowerBound(r.lead))
+				p = min(p, int(r.pos))
 				stale += r.gas
 			}
 		}
 		a := add
-		if a >= 0 && !containsShard(sh.sourceShards(a), k) {
+		if !f.add {
 			a = -1
 		}
 		sc.ids = flipInto(sc.ids[:0], members, a, drop)
-		sh.clusterShard(sc, sc.ids, k)
+		sh.clusterShard(sc, sc.ids, f.k)
 	}
 
 	// Coverage of the explicit source constraints: the unaffected shards'
 	// cached counts, else the fresh GAs.
 	for i, s := range sh.cons.Sources {
 		n := b.cover[i]
-		for _, k := range aff {
-			if r := b.res[k]; r != nil && r.covered[i] {
+		for _, f := range aff {
+			if r := b.res[f.k]; r != nil && r.covered[i] {
 				n--
 			}
 		}
@@ -803,21 +886,25 @@ func (b *ShardedBase) ScoreFlip(add, drop schema.SourceID) (float64, bool) {
 		}
 	}
 
+	// The first fresh GA moves p only when it precedes the entry at p; its
+	// slot then lies in seq[:p]. It cannot share a first reference with an
+	// entry of another shard, and sharing one with the stale entry at p
+	// leaves p where it is.
+	seq := b.seq
 	fresh := sc.canonical()
-	if len(fresh) > 0 {
-		p = min(p, b.lowerBound(fresh[0].first))
+	if len(fresh) > 0 && (p == len(seq) || fresh[0].first.Compare(seq[p].first) < 0) {
+		p = b.slot(fresh[0].first, p)
 	}
 
 	// Every entry before p is unaffected and precedes every fresh GA, so the
 	// sum resumes from prefix[p]. Then a two-way merge of the rest of the
 	// cached sequence, affected shards skipped, with the fresh GAs. A cached
 	// and a fresh entry never share a first reference (their shards differ).
-	seq := b.seq
 	sum, n := b.prefix[p], p
 	i, j := p, 0
 	for i < len(seq) {
 		e := &seq[i]
-		if stale > 0 && containsShard(aff, e.shard) {
+		if stale > 0 && sc.stamp[e.shard] == sc.epoch {
 			stale--
 			i++
 			continue

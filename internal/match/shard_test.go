@@ -116,11 +116,66 @@ func flipped(base []schema.SourceID, add, drop schema.SourceID) []schema.SourceI
 	return out
 }
 
+// sharesShard reports whether sources a and d touch a common overlay shard.
+func sharesShard(sh *Sharded, a, d schema.SourceID) bool {
+	for _, k := range sh.sourceShards(a) {
+		if slices.Contains(sh.sourceShards(d), k) {
+			return true
+		}
+	}
+	return false
+}
+
+// addsUncached reports whether source s touches a shard no member of b's
+// base touches, one the cache holds no result for.
+func addsUncached(b *ShardedBase, s schema.SourceID) bool {
+	for _, k := range b.sh.sourceShards(s) {
+		if b.res[k] == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// checkPositions asserts that each cached shard's recorded position in b's
+// sequence is where a binary search for its lead lands: the first reference
+// of the shard's first GA, clustered afresh from its member list.
+func checkPositions(t *testing.T, label string, b *ShardedBase) {
+	t.Helper()
+	sc := newMatchScratch()
+	for k, r := range b.res {
+		if r == nil {
+			continue
+		}
+		sc.reset()
+		b.sh.clusterShard(sc, r.members, int32(k))
+		if len(sc.gas) != r.gas {
+			t.Fatalf("%s: shard %d caches %d GAs, clusters to %d", label, k, r.gas, len(sc.gas))
+		}
+		if r.gas == 0 {
+			continue
+		}
+		lead := sc.gas[0].Refs()[0]
+		at, found := slices.BinarySearchFunc(b.seq, lead, func(e seqEntry, ref schema.AttrRef) int {
+			return e.first.Compare(ref)
+		})
+		if !found || b.seq[at].shard != int32(k) || int(r.pos) != at {
+			t.Fatalf("%s: shard %d records position %d, its lead %v sits at %d (found %v)",
+				label, k, r.pos, lead, at, found)
+		}
+	}
+}
+
 // TestShardedScoreFlipMatchesMatch is the differential test of the sharded
 // scorer: for random bases and every single-flip candidate, ScoreFlip must be
 // bit-identical to the unsharded oracle, referenceMatch, on the flipped set —
-// including after Rebase moves the cached base.
+// including after Rebase moves the cached base, which must leave every
+// cached shard's recorded position where a search for its lead lands. Three
+// shapes of the flip bookkeeping must each occur: swaps whose add and drop
+// share a shard (every one is checked), adds into a shard the base does not
+// touch, and a GA-fused overlay view with a source constraint.
 func TestShardedScoreFlipMatchesMatch(t *testing.T) {
+	shared, uncached, fusedRequired := 0, 0, 0
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
 		n := 8 + r.Intn(8)
@@ -140,6 +195,9 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 		if sh.NumShards() < 2 && len(cons.GAs) == 0 {
 			t.Fatalf("seed %d: expected ≥ 2 shards, got %d", seed, sh.NumShards())
 		}
+		if sh.overlayOf != nil && len(cons.Sources) > 0 {
+			fusedRequired++
+		}
 
 		var base []schema.SourceID
 		for {
@@ -152,6 +210,7 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 		if err := b.Rebase(base); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		checkPositions(t, fmt.Sprintf("seed %d", seed), b)
 
 		check := func(add, drop schema.SourceID) {
 			t.Helper()
@@ -186,6 +245,22 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 				}
 			}
 		}
+		// Every swap whose add and drop share a shard; count the adds into
+		// a shard the base does not touch, which the loop above checked.
+		for s := schema.SourceID(0); int(s) < n; s++ {
+			if inBase(s) {
+				continue
+			}
+			if addsUncached(b, s) {
+				uncached++
+			}
+			for _, d := range b.Base() {
+				if sharesShard(sh, s, d) {
+					check(s, d)
+					shared++
+				}
+			}
+		}
 
 		// Rebase onto an accepted flip and re-verify.
 		var add, drop schema.SourceID = -1, -1
@@ -200,6 +275,7 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 			if err := b.Rebase(next); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
+			checkPositions(t, fmt.Sprintf("seed %d rebased", seed), b)
 			for s := schema.SourceID(0); int(s) < n; s++ {
 				if inBase(s) {
 					check(-1, s)
@@ -209,13 +285,19 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 			}
 		}
 	}
+	if shared == 0 || uncached == 0 || fusedRequired == 0 {
+		t.Fatalf("%d shared-shard swaps, %d adds into uncached shards, %d fused views with a required source; want each ≥ 1",
+			shared, uncached, fusedRequired)
+	}
 }
 
 // checkFlips asserts that every single flip off b's base — each add, each
 // drop and each swap that keeps cons satisfied — scores bit-identically to
 // the unsharded oracle, referenceMatch, on the flipped set and to the same
-// flip on fresh, an empty cache rebased onto the same subset.
-func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, fresh *ShardedBase) {
+// flip on fresh, an empty cache rebased onto the same subset. It returns how
+// many of the swaps checked share a shard between add and drop, and how many
+// of the adds touch a shard the base does not.
+func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, fresh *ShardedBase) (shared, uncached int) {
 	t.Helper()
 	n := schema.SourceID(m.u.Len())
 	in := make(map[schema.SourceID]bool)
@@ -243,21 +325,32 @@ func checkFlips(t *testing.T, label string, m *Matcher, cons constraint.Set, b, 
 			continue
 		}
 		check(s, -1)
+		if addsUncached(b, s) {
+			uncached++
+		}
 		for _, d := range b.Base() {
 			check(s, d)
+			if sharesShard(b.sh, s, d) {
+				shared++
+			}
 		}
 	}
+	return shared, uncached
 }
 
 // TestRebaseWalk walks one cached base through 40 accepted adds, drops and
-// swaps under four constraint sets: none, one required source, a GA bridging
-// the two name families, and a single-reference GA on a base source that no
-// other base member shares a shard with. After every Rebase, every single
-// flip must score as the unsharded oracle does and as the same flip on an
-// empty cache rebased onto the same subset. Each walk also drops the last member of some shard, so Rebase
-// must retire that shard's cached entries. The lone GA's shard starts with
-// one member, the case where a shard must be clustered for its constraint
-// GA although one source alone can never merge.
+// swaps under five constraint sets: none, one required source, a GA bridging
+// the two name families, that GA with the required source (a fused overlay
+// view with a source constraint), and a single-reference GA on a base source
+// that no other base member shares a shard with. After every Rebase, every
+// single flip must score as the unsharded oracle does and as the same flip
+// on an empty cache rebased onto the same subset, and each cached shard's
+// recorded position must be where a search for its lead lands, on both
+// caches. Every walk must check swaps whose add and drop share a shard and
+// adds into a shard the base does not touch. Each walk also drops the last
+// member of some shard, so Rebase must retire that shard's cached entries.
+// The lone GA's shard starts with one member, the case where a shard must be
+// clustered for its constraint GA although one source alone can never merge.
 func TestRebaseWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const n = 14
@@ -268,29 +361,36 @@ func TestRebaseWalk(t *testing.T) {
 	if !ok {
 		t.Fatalf("no attribute of base %v sits in a shard no other base member touches", base)
 	}
+	// Source 0 draws from the book names and source 1 from the flight names
+	// (randomUniverse alternates), so this GA bridges the families.
+	bridge := schema.NewGA(ref(0, 0), ref(1, 0))
 	for _, tc := range []struct {
-		name string
-		cons constraint.Set
+		name  string
+		cons  constraint.Set
+		fused bool // the view's overlay must fuse shards
 	}{
-		{"none", constraint.Set{}},
-		{"required", constraint.Set{Sources: []schema.SourceID{4}}},
-		// Source 0 draws from the book names and source 1 from the flight
-		// names (randomUniverse alternates), so this GA bridges the families.
-		{"bridge", constraint.Set{GAs: []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0))}}},
-		{"lone", constraint.Set{GAs: []schema.GA{schema.NewGA(lone)}}},
+		{"none", constraint.Set{}, false},
+		{"required", constraint.Set{Sources: []schema.SourceID{4}}, false},
+		{"bridge", constraint.Set{GAs: []schema.GA{bridge}}, true},
+		{"lone", constraint.Set{GAs: []schema.GA{schema.NewGA(lone)}}, false},
+		{"bridge+required", constraint.Set{Sources: []schema.SourceID{4}, GAs: []schema.GA{bridge}}, true},
 	} {
 		sh := m.NewSharded(tc.cons)
+		if tc.fused && sh.overlayOf == nil {
+			t.Fatalf("%s: the bridging GA fuses no shards", tc.name)
+		}
 		b := sh.NewBase()
 		if err := b.Rebase(base); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		checkPositions(t, tc.name, b)
 		// lastOf returns a shard of d that no source of next touches, if
 		// any: leaving for next, d was that shard's last member.
 		lastOf := func(d schema.SourceID, next []schema.SourceID) (int32, bool) {
 			for _, k := range sh.sourceShards(d) {
 				alone := true
 				for _, s := range next {
-					if containsShard(sh.sourceShards(s), k) {
+					if slices.Contains(sh.sourceShards(s), k) {
 						alone = false
 						break
 					}
@@ -301,7 +401,7 @@ func TestRebaseWalk(t *testing.T) {
 			}
 			return 0, false
 		}
-		emptied, kinds := 0, [3]int{}
+		emptied, kinds, shared, uncached := 0, [3]int{}, 0, 0
 		for step := 0; step < 40; step++ {
 			cur := b.Base()
 			var add, drop schema.SourceID = -1, -1
@@ -353,11 +453,19 @@ func TestRebaseWalk(t *testing.T) {
 			if err := fresh.Rebase(next); err != nil {
 				t.Fatalf("%s step %d: %v", tc.name, step, err)
 			}
-			checkFlips(t, fmt.Sprintf("%s step %d", tc.name, step), m, tc.cons, b, fresh)
+			label := fmt.Sprintf("%s step %d", tc.name, step)
+			checkPositions(t, label, b)
+			checkPositions(t, label+" fresh", fresh)
+			s, u := checkFlips(t, label, m, tc.cons, b, fresh)
+			shared, uncached = shared+s, uncached+u
 		}
 		if emptied == 0 || kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
 			t.Fatalf("%s: walk of %v adds/drops/swaps emptied %d shards; want every kind and ≥ 1 emptied shard",
 				tc.name, kinds, emptied)
+		}
+		if shared == 0 || uncached == 0 {
+			t.Fatalf("%s: walk checked %d shared-shard swaps and %d adds into uncached shards; want ≥ 1 of each",
+				tc.name, shared, uncached)
 		}
 	}
 }
@@ -370,7 +478,7 @@ func loneRef(sh *Sharded, base []schema.SourceID) (schema.AttrRef, bool) {
 			k := sh.overlay(sh.idx.shardOf[sim])
 			alone := true
 			for _, o := range base {
-				if o != s && containsShard(sh.sourceShards(o), k) {
+				if o != s && slices.Contains(sh.sourceShards(o), k) {
 					alone = false
 				}
 			}
@@ -397,10 +505,10 @@ func skipsAll(b *ShardedBase, add, drop schema.SourceID) bool {
 		if r := b.res[k]; r != nil {
 			n = len(r.members)
 		}
-		if add >= 0 && containsShard(b.sh.sourceShards(add), k) {
+		if add >= 0 && slices.Contains(b.sh.sourceShards(add), k) {
 			n++
 		}
-		if drop >= 0 && containsShard(b.sh.sourceShards(drop), k) {
+		if drop >= 0 && slices.Contains(b.sh.sourceShards(drop), k) {
 			n--
 		}
 		if n > 1 || b.sh.pinned(k) {
@@ -429,7 +537,7 @@ func oneGAOnly(b *ShardedBase, add, drop schema.SourceID) bool {
 			members = r.members
 		}
 		a := add
-		if a >= 0 && !containsShard(sh.sourceShards(a), k) {
+		if a >= 0 && !slices.Contains(sh.sourceShards(a), k) {
 			a = -1
 		}
 		members = flipInto(nil, members, a, drop)
@@ -712,5 +820,42 @@ func TestShardIndexCountsPairs(t *testing.T) {
 		if got := PairCandidates() - before; got != 0 {
 			t.Fatalf("%d similarity ids: cached index counted %d more pairs", n, got)
 		}
+	}
+}
+
+// TestSourceGroupsCached: a matcher computes its identity overlay's groups
+// once. A second call, through a new view whose constraints fuse no shards,
+// returns the same shared slices without rebuilding them, equal to a fresh
+// computation; a view whose GA constraint fuses shards computes its own, and
+// so does a WithParams clone.
+func TestSourceGroupsCached(t *testing.T) {
+	u := universe(t, []string{"title"}, []string{"departure"}, []string{"title"}, []string{"departure"}, []string{"author"})
+	m := MustNew(u, Config{Theta: 0.45})
+	first := m.NewSharded(constraint.Set{}).SourceGroups()
+	if got := fmt.Sprint(first); got != "[[0 2] [1 3] [4]]" {
+		t.Fatalf("SourceGroups = %s, want [[0 2] [1 3] [4]]", got)
+	}
+	second := m.NewSharded(constraint.Set{Sources: ids(3)}).SourceGroups()
+	if &second[0] != &first[0] || &second[0][0] != &first[0][0] {
+		t.Error("a second identity view rebuilt the groups")
+	}
+	if got, want := fmt.Sprint(first), fmt.Sprint(m.NewSharded(constraint.Set{}).sourceGroups()); got != want {
+		t.Errorf("cached groups %s, computed afresh %s", got, want)
+	}
+
+	fused := m.NewSharded(constraint.Set{GAs: []schema.GA{schema.NewGA(ref(0, 0), ref(1, 0))}})
+	if fused.overlayOf == nil {
+		t.Fatal("the bridging GA fuses no shards")
+	}
+	if groups := fused.SourceGroups(); len(groups) != len(first)-1 || &groups[0] == &first[0] {
+		t.Errorf("fused view: %d groups sharing the cache %v; want %d of its own",
+			len(groups), &groups[0] == &first[0], len(first)-1)
+	}
+	clone, err := m.WithParams(0.9, m.cfg.Beta, m.cfg.Linkage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groups := clone.NewSharded(constraint.Set{}).SourceGroups(); &groups[0] == &first[0] {
+		t.Error("a WithParams clone shares its parent's groups")
 	}
 }

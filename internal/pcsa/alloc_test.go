@@ -23,9 +23,9 @@ func fill(s *pcsa.Signature, seed, n uint64) {
 }
 
 // TestKernelAllocs pins the word kernels at zero allocations: Estimate,
-// MergeFrom, and the flip union's Reset, Add and fused EstimateDelta are the
-// innermost work of every objective evaluation and every delta batch, and
-// must never touch the heap in steady state.
+// MergeFrom, and the flip union's Reset, Add and EstimateDelta (every flip
+// shape) are the innermost work of every objective evaluation and every
+// delta batch, and must never touch the heap in steady state.
 func TestKernelAllocs(t *testing.T) {
 	skipUnderRace(t)
 	cfg := pcsa.Config{NumMaps: 64}
@@ -57,11 +57,16 @@ func TestKernelAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Reset+Add: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := f.EstimateDelta(b, nil); err != nil {
-			t.Fatal(err)
+	for _, flip := range []struct {
+		name      string
+		add, drop *pcsa.Signature
+	}{{"add", b, nil}, {"drop", nil, a}, {"swap", b, a}, {"no-op", nil, nil}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := f.EstimateDelta(flip.add, flip.drop); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("EstimateDelta %s: %v allocs/op, want 0", flip.name, n)
 		}
-	}); n != 0 {
-		t.Errorf("EstimateDelta: %v allocs/op, want 0", n)
 	}
 }

@@ -54,6 +54,9 @@ func (f *FlipUnion) Add(s *Signature) error {
 // flipped bitmap is the OR of the flipped member set, and the estimate goes
 // through the rho-sum kernel of every other union: bit-identical to merging
 // the flipped members from scratch.
+//
+// Each flip shape has its own loop over slices cut to the map count, so no
+// loop branches on the shape or checks a bound per word.
 func (f *FlipUnion) EstimateDelta(add, drop *Signature) (float64, error) {
 	if add != nil && add.cfg != f.cfg {
 		return 0, configMismatch(f.cfg, add.cfg)
@@ -61,15 +64,28 @@ func (f *FlipUnion) EstimateDelta(add, drop *Signature) (float64, error) {
 	if drop != nil && drop.cfg != f.cfg {
 		return 0, configMismatch(f.cfg, drop.cfg)
 	}
+	words := f.words
 	sum := 0
-	for i, w := range f.words {
-		if drop != nil {
-			w &^= drop.maps[i] & f.ones[i]
+	switch {
+	case add != nil && drop != nil:
+		ones, am, dm := f.ones[:len(words)], add.maps[:len(words)], drop.maps[:len(words)]
+		for i, w := range words {
+			sum += bits.TrailingZeros64(^(w&^(dm[i]&ones[i]) | am[i]))
 		}
-		if add != nil {
-			w |= add.maps[i]
+	case add != nil:
+		am := add.maps[:len(words)]
+		for i, w := range words {
+			sum += bits.TrailingZeros64(^(w | am[i]))
 		}
-		sum += bits.TrailingZeros64(^w)
+	case drop != nil:
+		ones, dm := f.ones[:len(words)], drop.maps[:len(words)]
+		for i, w := range words {
+			sum += bits.TrailingZeros64(^(w &^ (dm[i] & ones[i])))
+		}
+	default:
+		for _, w := range words {
+			sum += bits.TrailingZeros64(^w)
+		}
 	}
 	return estimateRhoSum(f.cfg, sum), nil
 }

@@ -82,47 +82,57 @@ func TestCountingMatchesFullMerge(t *testing.T) {
 }
 
 // TestCountingEstimateDelta checks the flip read against Union over the
-// flipped member set for add-only, drop-only, swap and no-op flips, and that
-// no read mutates the union.
+// flipped member set for add-only, drop-only, swap and no-op flips at 1, 64,
+// 128 and 256 maps, each shape for every outside signature and every member,
+// and that no read mutates the union. The members repeat one signature, so
+// some drops clear no bit a repeated member also sets.
 func TestCountingEstimateDelta(t *testing.T) {
-	cfg := Config{NumMaps: 64}
-	r := rand.New(rand.NewSource(9))
-	sigs := randomSignatures(t, r, cfg, 8, 3000)
-	members := sigs[:5]
-	outside := sigs[5:]
+	for _, maps := range []int{1, 64, 128, 256} {
+		cfg := Config{NumMaps: maps}
+		r := rand.New(rand.NewSource(9 + int64(maps)))
+		sigs := randomSignatures(t, r, cfg, 8, 3000)
+		members := append(slices.Clone(sigs[:5]), sigs[1])
+		outside := sigs[5:]
 
-	f, err := NewFlipUnion(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range members {
-		if err := f.Add(s); err != nil {
+		f, err := NewFlipUnion(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	words, ones := slices.Clone(f.words), slices.Clone(f.ones)
+		for _, s := range members {
+			if err := f.Add(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		words, ones := slices.Clone(f.words), slices.Clone(f.ones)
 
-	cases := []struct {
-		name      string
-		add, drop *Signature
-		flipped   []*Signature
-	}{
-		{"add-only", outside[0], nil, append(slices.Clone(members), outside[0])},
-		{"drop-only", nil, members[2], slices.Delete(slices.Clone(members), 2, 3)},
-		{"swap", outside[1], members[0], append(slices.Clone(members[1:]), outside[1])},
-		{"no-op", nil, nil, members},
-	}
-	for _, tc := range cases {
-		got, err := f.EstimateDelta(tc.add, tc.drop)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		type flip struct {
+			name      string
+			add, drop *Signature
+			flipped   []*Signature
 		}
-		if want := unionEstimate(t, cfg, tc.flipped); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: EstimateDelta = %v, want %v", tc.name, got, want)
+		flips := []flip{{"no-op", nil, nil, members}}
+		for _, a := range outside {
+			flips = append(flips, flip{"add-only", a, nil, append(slices.Clone(members), a)})
 		}
-	}
-	if !slices.Equal(f.words, words) || !slices.Equal(f.ones, ones) {
-		t.Error("EstimateDelta mutated the flip union")
+		for j, d := range members {
+			rest := slices.Delete(slices.Clone(members), j, j+1)
+			flips = append(flips, flip{"drop-only", nil, d, rest})
+			for _, a := range outside {
+				flips = append(flips, flip{"swap", a, d, append(slices.Clone(rest), a)})
+			}
+		}
+		for _, tc := range flips {
+			got, err := f.EstimateDelta(tc.add, tc.drop)
+			if err != nil {
+				t.Fatalf("%d maps, %s: %v", maps, tc.name, err)
+			}
+			if want := unionEstimate(t, cfg, tc.flipped); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%d maps, %s: EstimateDelta = %v, want %v", maps, tc.name, got, want)
+			}
+		}
+		if !slices.Equal(f.words, words) || !slices.Equal(f.ones, ones) {
+			t.Errorf("%d maps: EstimateDelta mutated the flip union", maps)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"mube/internal/constraint"
@@ -123,6 +124,24 @@ type Session struct {
 	history []Iteration
 	clock   Clock
 	rec     *telemetry.Recorder
+
+	// matcher is base re-parameterized for the spec's θ, β and linkage as
+	// they were when Problem last built it (params), and with it the shard
+	// index it caches. Problem reuses it until one of the three changes.
+	matcher *match.Matcher
+	params  matchParams
+}
+
+// matchParams are the spec fields a matcher is re-parameterized by, θ as its
+// exact bits.
+type matchParams struct {
+	theta   uint64
+	beta    int
+	linkage match.Linkage
+}
+
+func (sp Spec) matchParams() matchParams {
+	return matchParams{theta: math.Float64bits(sp.Theta), beta: sp.Beta, linkage: sp.Linkage}
 }
 
 // Config assembles a session.
@@ -408,17 +427,24 @@ func (s *Session) setConstraints(c constraint.Set) error {
 	return nil
 }
 
-// Problem materializes the current spec as an opt.Problem.
+// Problem materializes the current spec as an opt.Problem. Its matcher is
+// the one the previous call returned while θ, β and the linkage are
+// unchanged, so the shard index built by one solve serves the next.
 func (s *Session) Problem() (*opt.Problem, error) {
-	// Re-parameterizing the matcher re-clusters the attribute graph — the
-	// match-index build, the one potentially heavy step in materialization.
+	// Re-parameterizing the matcher gives it a new shard index, which the
+	// first solve on it builds: the match-index build, the one potentially
+	// heavy step in materialization. The span is emitted on every call, so
+	// a trace does not depend on whether the matcher was reused.
 	msp := s.rec.BeginSpan("match.index",
 		telemetry.Float("theta", s.spec.Theta),
 		telemetry.Int("beta", s.spec.Beta))
-	matcher, err := s.base.WithParams(s.spec.Theta, s.spec.Beta, s.spec.Linkage)
-	if err != nil {
-		msp.End(telemetry.Str("err", err.Error()))
-		return nil, err
+	if params := s.spec.matchParams(); s.matcher == nil || params != s.params {
+		matcher, err := s.base.WithParams(s.spec.Theta, s.spec.Beta, s.spec.Linkage)
+		if err != nil {
+			msp.End(telemetry.Str("err", err.Error()))
+			return nil, err
+		}
+		s.matcher, s.params = matcher, params
 	}
 	msp.End()
 	quality, err := qef.NewQuality(s.qefs, s.spec.Weights)
@@ -427,7 +453,7 @@ func (s *Session) Problem() (*opt.Problem, error) {
 	}
 	return &opt.Problem{
 		Universe:    s.u,
-		Matcher:     matcher,
+		Matcher:     s.matcher,
 		Quality:     quality,
 		MaxSources:  s.spec.MaxSources,
 		Constraints: s.spec.Constraints.Clone(),

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"maps"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"mube/internal/constraint"
 	"mube/internal/fault"
+	"mube/internal/match"
 	"mube/internal/opt"
 	"mube/internal/probe"
 	"mube/internal/qef"
@@ -273,6 +275,92 @@ func TestSetWeightRebalances(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("weights sum to %v after recovering from degenerate state", sum)
+	}
+}
+
+// TestProblemReusesMatcher: Problem returns the same matcher, and so the same
+// shard index, across solves while θ, β and the linkage keep their exact
+// bits, and a new one after SetTheta or SetBeta moves them. Every call still
+// emits its match.index span. A θ round trip, with the solver's seed and
+// start pinned, solves bit-identically to the first solve.
+func TestProblemReusesMatcher(t *testing.T) {
+	sink := &telemetry.MemorySink{}
+	s, err := New(Config{
+		Universe:   testutil.BooksUniverse(t),
+		MaxSources: 4,
+		Recorder:   telemetry.New(sink),
+		SolverOptions: opt.Options{Seed: 1, MaxEvals: 300, MaxIters: 60, Patience: 15,
+			Initial: []schema.SourceID{0, 1, 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := 0
+	matcher := func() *match.Matcher {
+		t.Helper()
+		p, err := s.Problem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		problems++
+		return p.Matcher
+	}
+	solve := func() *opt.Solution {
+		t.Helper()
+		sol, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		problems++
+		return sol
+	}
+
+	m0 := matcher()
+	first := solve()
+	if matcher() != m0 {
+		t.Error("Problem re-parameterized the matcher across a solve with θ, β and linkage unchanged")
+	}
+	theta := s.Spec().Theta
+	if err := s.SetTheta(theta); err != nil {
+		t.Fatal(err)
+	}
+	if matcher() != m0 {
+		t.Error("SetTheta to the same θ re-parameterized the matcher")
+	}
+	if err := s.SetTheta(theta + 0.1); err != nil {
+		t.Fatal(err)
+	}
+	m1 := matcher()
+	if m1 == m0 {
+		t.Error("SetTheta kept the matcher of the old θ")
+	}
+	solve()
+	if err := s.SetTheta(theta); err != nil {
+		t.Fatal(err)
+	}
+	m2 := matcher()
+	if m2 == m1 {
+		t.Error("the θ round trip kept the matcher of the moved θ")
+	}
+	again := solve()
+	if math.Float64bits(again.Quality) != math.Float64bits(first.Quality) || !slices.Equal(again.IDs, first.IDs) {
+		t.Errorf("θ round trip solved %v at %v, first solve %v at %v", again.IDs, again.Quality, first.IDs, first.Quality)
+	}
+	if err := s.SetBeta(s.Spec().Beta + 1); err != nil {
+		t.Fatal(err)
+	}
+	if matcher() == m2 {
+		t.Error("SetBeta kept the matcher of the old β")
+	}
+
+	spans := 0
+	for _, ev := range sink.Events() {
+		if ev.Name == "match.index.begin" {
+			spans++
+		}
+	}
+	if spans != problems {
+		t.Errorf("%d match.index spans for %d Problem calls", spans, problems)
 	}
 }
 
