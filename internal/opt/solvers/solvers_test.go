@@ -2,6 +2,8 @@ package solvers
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -364,5 +366,41 @@ func TestExhaustiveHonorsConstraints(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("exhaustive solution %v misses required source 5", sol.IDs)
+	}
+}
+
+// TestBaselineSolversPinned pins what the four baseline solvers return on one
+// seeded problem: their IDs, the bits of Q and the evaluations spent. Their
+// hyperparameters (anneal's schedule, the swarm's size and coefficients, the
+// climb's neighbourhood) are package constants, so a change to how a solver
+// reads them must leave every value here unchanged.
+func TestBaselineSolversPinned(t *testing.T) {
+	p := problem(t, 5, constraint.Set{Sources: ids(3)})
+	opts := opt.Options{Seed: 17, MaxEvals: 400, MaxIters: 60, Patience: 15}
+	want := []struct {
+		solver string
+		ids    string
+		qBits  uint64
+		evals  int
+	}{
+		{"anneal", "[0 3 4 6 11]", 0x3fe8df2aa886d738, 134}, // 0.7772420207536248
+		{"pso", "[1 3 4 7 11]", 0x3fe9399eb62e1813, 141},    // 0.7882836874202915
+		{"sls", "[1 3 4 7 11]", 0x3fe9399eb62e1813, 336},
+		{"random", "[0 1 3 4 11]", 0x3fe9342e69942754, 229}, // 0.7876197874149775
+	}
+	for _, w := range want {
+		sol, err := ByNameMust(t, w.solver).Solve(context.Background(), p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", w.solver, err)
+		}
+		if got := fmt.Sprint(sol.IDs); got != w.ids {
+			t.Errorf("%s: IDs = %s, want %s", w.solver, got, w.ids)
+		}
+		if got := math.Float64bits(sol.Quality); got != w.qBits {
+			t.Errorf("%s: Q = %v (bits %#x), want bits %#x", w.solver, sol.Quality, got, w.qBits)
+		}
+		if sol.Evals != w.evals {
+			t.Errorf("%s: evals = %d, want %d", w.solver, sol.Evals, w.evals)
+		}
 	}
 }
