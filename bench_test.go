@@ -176,7 +176,7 @@ func BenchmarkObjectiveEval(b *testing.B) {
 	ids := res.Universe.IDs()[:20]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := opt.NewEvaluator(p, 0) // fresh evaluator: no memo hits
+		e := opt.NewEvaluator(context.Background(), p, opt.Options{MaxEvals: -1}) // fresh evaluator: no memo hits
 		if q := e.Eval(ids); q <= 0 {
 			b.Fatal("zero quality")
 		}
@@ -201,8 +201,7 @@ func benchEvalBatch(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := opt.NewEvaluator(p, 0)
-		e.SetWorkers(workers)
+		e := opt.NewEvaluator(context.Background(), p, opt.Options{MaxEvals: -1, Parallel: workers})
 		if qs := e.EvalBatch(cands); qs[0] <= 0 {
 			b.Fatal("zero quality")
 		}
@@ -298,8 +297,7 @@ func BenchmarkDeltaNeighborhoodFull(b *testing.B) {
 			}
 			cands[j] = ids
 		}
-		e := opt.NewEvaluator(p, 0)
-		e.SetWorkers(1)
+		e := opt.NewEvaluator(context.Background(), p, opt.Options{MaxEvals: -1, Parallel: 1})
 		if qs := e.EvalBatch(cands); len(qs) != len(flips) {
 			b.Fatal("short result")
 		}

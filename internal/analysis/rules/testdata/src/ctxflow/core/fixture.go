@@ -94,6 +94,6 @@ func badDropped(ctx context.Context, xs []int) int { // want "ctx parameter ctx 
 }
 
 // badBackground mints an uncancelable context below the API boundary.
-func badBackground(e *opt.Evaluator) {
-	e.BindContext(context.Background()) // want "uncancelable context"
+func badBackground(p *opt.Problem) *opt.Evaluator {
+	return opt.NewEvaluator(context.Background(), p, opt.Options{}) // want "uncancelable context"
 }

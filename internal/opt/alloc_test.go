@@ -169,8 +169,7 @@ func TestEvalBatchAllocs(t *testing.T) {
 	// Measured 3 per batch; one more absorbs the memo map's growth.
 	const perBatch = 4
 	for _, k := range []int{1, 8} {
-		ev := opt.NewEvaluator(p, 0)
-		ev.SetWorkers(1)
+		ev := opt.NewEvaluator(context.Background(), p, opt.Options{MaxEvals: -1, Parallel: 1})
 		next := 0
 		batch := func() {
 			ev.EvalBatch(subsets[next : next+k])

@@ -13,24 +13,19 @@ import (
 	"mube/internal/telemetry"
 )
 
-// Solver is a configured simulated annealing run.
-type Solver struct {
-	// T0 is the initial temperature. Default 0.08 — roughly the scale of a
-	// single QEF swing, since Q(S) ∈ [0,1].
-	T0 float64
-	// Cooling is the geometric cooling factor applied each iteration.
-	// Default 0.97.
-	Cooling float64
-	// MovesPerTemp is the number of random moves attempted per temperature
-	// step. Default 10.
-	MovesPerTemp int
-}
+// Solver is simulated annealing.
+type Solver struct{}
 
-// Defaults for the solver's zero fields.
+// The annealing schedule.
 const (
-	DefaultT0           = 0.08
-	DefaultCooling      = 0.97
-	DefaultMovesPerTemp = 10
+	// t0 is the initial temperature: roughly the scale of a single QEF
+	// swing, since Q(S) ∈ [0,1].
+	t0 = 0.08
+	// cooling is the geometric cooling factor applied each iteration.
+	cooling = 0.97
+	// movesPerTemp is the number of random moves attempted per temperature
+	// step.
+	movesPerTemp = 10
 )
 
 // Name returns "anneal".
@@ -39,15 +34,6 @@ func (Solver) Name() string { return "anneal" }
 // Solve runs the annealing schedule within the options' budget; a done ctx
 // stops the chain and returns best-so-far.
 func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*opt.Solution, error) {
-	if s.T0 == 0 {
-		s.T0 = DefaultT0
-	}
-	if s.Cooling == 0 {
-		s.Cooling = DefaultCooling
-	}
-	if s.MovesPerTemp == 0 {
-		s.MovesPerTemp = DefaultMovesPerTemp
-	}
 	opts = opts.WithDefaults()
 	search, err := opt.NewSearch(ctx, p, opts)
 	if err != nil {
@@ -60,10 +46,10 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	bestIDs := cur.IDs()
 	bestQ := curQ
 
-	temp := s.T0
+	temp := t0
 	noImprove := 0
 	for iter := 0; iter < opts.MaxIters && noImprove < opts.Patience && !search.Eval.Exhausted() && !search.Stopped(); iter++ {
-		for k := 0; k < s.MovesPerTemp && !search.Stopped(); k++ {
+		for k := 0; k < movesPerTemp && !search.Stopped(); k++ {
 			moves := search.Moves(cur, 4)
 			if len(moves) == 0 {
 				break
@@ -89,7 +75,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 			noImprove++
 		}
 		search.TraceIter(s.Name(), iter, curQ, bestQ, telemetry.Float("temp", temp))
-		temp *= s.Cooling
+		temp *= cooling
 	}
 	sol := search.Eval.Solution(bestIDs, s.Name())
 	span.End()

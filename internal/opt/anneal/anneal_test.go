@@ -31,23 +31,6 @@ func TestSolveFindsFeasibleSolution(t *testing.T) {
 	}
 }
 
-func TestParameterVariants(t *testing.T) {
-	p := opttest.Problem(t, 3, constraint.Set{})
-	for _, s := range []Solver{
-		{T0: 0.5, Cooling: 0.9, MovesPerTemp: 5},
-		{T0: 0.01, Cooling: 0.99, MovesPerTemp: 20},
-		{}, // defaults
-	} {
-		sol, err := s.Solve(context.Background(), p, opt.Options{Seed: 3, MaxEvals: 300})
-		if err != nil {
-			t.Fatalf("%+v: %v", s, err)
-		}
-		if sol.Quality <= 0 || sol.Quality > 1 {
-			t.Errorf("%+v: quality %v", s, sol.Quality)
-		}
-	}
-}
-
 func TestBestEverIsReturned(t *testing.T) {
 	// Annealing wanders; the returned solution must be the best recorded,
 	// not the final state. Verify monotonicity under a longer budget.

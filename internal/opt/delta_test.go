@@ -69,11 +69,12 @@ func mixedProblem(t testing.TB, maxSources int) *Problem {
 }
 
 // assertSameEvaluator compares two evaluators' observable state: memo
-// contents (bit for bit), evals, and calls.
+// contents (bit for bit), evals, and the eval.calls their recorders counted.
 func assertSameEvaluator(t *testing.T, label string, a, b *Evaluator) {
 	t.Helper()
-	if a.Evals() != b.Evals() || a.Calls() != b.Calls() {
-		t.Errorf("%s: evals/calls %d/%d != %d/%d", label, a.Evals(), a.Calls(), b.Evals(), b.Calls())
+	aCalls, bCalls := a.rec.Snapshot().Counter("eval.calls"), b.rec.Snapshot().Counter("eval.calls")
+	if a.Evals() != b.Evals() || aCalls != bCalls {
+		t.Errorf("%s: evals/calls %d/%d != %d/%d", label, a.Evals(), aCalls, b.Evals(), bCalls)
 	}
 	a.mu.Lock()
 	b.mu.Lock()
@@ -221,13 +222,11 @@ func TestEvalBatchDeltaDifferential(t *testing.T) {
 		p := mk.build(t)
 		for _, seed := range []int64{1, 2, 3} {
 			for _, workers := range []int{1, 4} {
-				for _, limit := range []int{0, 40} {
-					delta := NewEvaluator(p, limit)
-					delta.SetWorkers(workers)
+				for _, limit := range []int{-1, 40} {
+					delta := NewEvaluator(context.Background(), p, Options{MaxEvals: limit, Parallel: workers, Recorder: telemetry.New(nil)})
 					driveNeighborhoods(t, searchScorer(&Search{Eval: delta}), p, seed, 12)
 
-					full := NewEvaluator(p, limit)
-					full.SetWorkers(workers)
+					full := NewEvaluator(context.Background(), p, Options{MaxEvals: limit, Parallel: workers, Recorder: telemetry.New(nil)})
 					driveNeighborhoods(t, fullScorer(full), p, seed, 12)
 
 					label := fmt.Sprintf("%s/seed=%d/w%d/limit=%d", mk.name, seed, workers, limit)
@@ -265,8 +264,7 @@ func TestFlipsOffBaseMissingRequired(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := NewEvaluator(p, 0)
-		full.SetWorkers(workers)
+		full := NewEvaluator(context.Background(), p, Options{MaxEvals: -1, Parallel: workers})
 		for _, step := range steps {
 			if got := p.Constraints.SatisfiedBy(step.base); got != step.valid {
 				t.Fatalf("base %v: satisfies the constraints = %v, want %v", step.base, got, step.valid)
@@ -308,7 +306,7 @@ func TestShardPathEngages(t *testing.T) {
 		{"books", problem(t, 4, constraint.Set{})},
 		{"constrained", constrainedProblem(t)},
 	} {
-		ev := NewEvaluator(tc.p, 0)
+		ev := NewEvaluator(context.Background(), tc.p, Options{MaxEvals: -1})
 		s := &Search{Eval: ev}
 		base := SortIDs(append(tc.p.Constraints.RequiredSources(), 0))
 		s.EvalMoves(s.NewSubset(base), []Move{{Add: 1, Drop: -1}, {Add: 2, Drop: 0}})
@@ -335,8 +333,7 @@ func TestDeltaImage(t *testing.T) {
 	p := mixedProblem(t, 5)
 	u := p.Universe
 	rec := telemetry.New(nil)
-	ev := NewEvaluator(p, 0)
-	ev.Instrument(rec)
+	ev := NewEvaluator(context.Background(), p, Options{MaxEvals: -1, Recorder: rec})
 	ds := &deltaState{}
 	for _, step := range []struct {
 		name   string

@@ -11,6 +11,7 @@ import (
 
 	"mube/internal/constraint"
 	"mube/internal/schema"
+	"mube/internal/telemetry"
 )
 
 // TestKeyCollisionFree guards against the original memo-key bug: a fixed
@@ -56,16 +57,16 @@ func TestEvalBatchMatchesSequential(t *testing.T) {
 	// Salt in exact duplicates so in-batch dedup is exercised.
 	cands = append(cands, cands[0], cands[3], cands[0])
 
-	for _, limit := range []int{0, 7, 25} {
+	for _, limit := range []int{-1, 7, 25} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			seq := NewEvaluator(p, limit)
+			seqRec, parRec := telemetry.New(nil), telemetry.New(nil)
+			seq := NewEvaluator(context.Background(), p, Options{MaxEvals: limit, Recorder: seqRec})
 			want := make([]float64, len(cands))
 			for i, ids := range cands {
 				want[i] = seq.Eval(ids)
 			}
 
-			par := NewEvaluator(p, limit)
-			par.SetWorkers(workers)
+			par := NewEvaluator(context.Background(), p, Options{MaxEvals: limit, Parallel: workers, Recorder: parRec})
 			got := par.EvalBatch(cands)
 			for i := range cands {
 				//mube:vet-ignore floatcmp — the contract is bit-identical, not approximate
@@ -74,9 +75,10 @@ func TestEvalBatchMatchesSequential(t *testing.T) {
 						limit, workers, i, cands[i], got[i], want[i])
 				}
 			}
-			if par.Evals() != seq.Evals() || par.Calls() != seq.Calls() {
+			parCalls, seqCalls := parRec.Snapshot().Counter("eval.calls"), seqRec.Snapshot().Counter("eval.calls")
+			if par.Evals() != seq.Evals() || parCalls != seqCalls {
 				t.Errorf("limit=%d workers=%d: evals/calls %d/%d != sequential %d/%d",
-					limit, workers, par.Evals(), par.Calls(), seq.Evals(), seq.Calls())
+					limit, workers, par.Evals(), parCalls, seq.Evals(), seqCalls)
 			}
 			if par.Exhausted() != seq.Exhausted() {
 				t.Errorf("limit=%d workers=%d: Exhausted %v != sequential %v",
@@ -93,8 +95,7 @@ func TestEvalBatchMatchesSequential(t *testing.T) {
 // a real Q(S) = 0 (the regression this pins: it used to score a plain 0).
 func TestEvalBatchBudgetCutoffIndex(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	e := NewEvaluator(p, 2)
-	e.SetWorkers(4)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: 2, Parallel: 4})
 	got := e.EvalBatch([][]schema.SourceID{ids(0), ids(1), ids(2)})
 	if Unscored(got[0]) || Unscored(got[1]) || got[0] == 0 || got[1] == 0 {
 		t.Errorf("in-budget candidates not scored: %v", got)
@@ -122,7 +123,7 @@ func TestEvalBatchBudgetCutoffIndex(t *testing.T) {
 // reference value for its subset regardless of interleaving.
 func TestEvalBatchConcurrentStress(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	ref := NewEvaluator(p, 0)
+	ref := NewEvaluator(context.Background(), p, Options{MaxEvals: -1})
 	pool := make([][]schema.SourceID, 0, 60)
 	want := make(map[string]float64, 60)
 	r := rand.New(rand.NewSource(5))
@@ -138,8 +139,7 @@ func TestEvalBatchConcurrentStress(t *testing.T) {
 		want[key(s)] = ref.Eval(s)
 	}
 
-	e := NewEvaluator(p, 0)
-	e.SetWorkers(4)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: -1, Parallel: 4})
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
@@ -236,10 +236,10 @@ func TestEvalMovesMatchesEvalMove(t *testing.T) {
 // counting down to 0 and never below.
 func TestRemaining(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	if e := NewEvaluator(p, 0); e.Remaining() != -1 {
+	if e := NewEvaluator(context.Background(), p, Options{MaxEvals: -1}); e.Remaining() != -1 {
 		t.Errorf("unlimited Remaining() = %d, want -1", e.Remaining())
 	}
-	e := NewEvaluator(p, 2)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: 2})
 	if e.Remaining() != 2 {
 		t.Errorf("fresh Remaining() = %d, want 2", e.Remaining())
 	}
@@ -264,9 +264,8 @@ func TestRemaining(t *testing.T) {
 // truthful), and still serves memo hits. Status must report canceled.
 func TestEvalBatchCancellation(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	e := NewEvaluator(p, 10)
 	ctx, cancel := context.WithCancel(context.Background())
-	e.BindContext(ctx)
+	e := NewEvaluator(ctx, p, Options{MaxEvals: 10})
 
 	warm := e.EvalBatch([][]schema.SourceID{ids(0)})
 	if Unscored(warm[0]) {
@@ -289,11 +288,10 @@ func TestEvalBatchCancellation(t *testing.T) {
 	if e.Status() != StatusCanceled {
 		t.Errorf("Status() = %s after cancel, want %s", e.Status(), StatusCanceled)
 	}
-	// The abandoned subsets must not be memoized as sentinels: a fresh
-	// context scores them for real.
-	e.BindContext(context.Background())
+	// The abandoned subsets must not be memoized as sentinels: Eval, which
+	// never checks the context, scores them for real.
 	if v := e.Eval(ids(1)); Unscored(v) {
-		t.Error("abandoned subset stayed unscored after rebinding a live context")
+		t.Error("abandoned subset stayed unscored: a sentinel was memoized")
 	}
 }
 
@@ -301,49 +299,49 @@ func TestEvalBatchCancellation(t *testing.T) {
 // state and budget: deadline beats cancel beats exhaustion beats completed.
 func TestStatusTaxonomy(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
+	// exhausted spends a budget of one evaluation; Eval never checks the
+	// context, so it spends it under a dead context too.
+	exhausted := func(ctx context.Context) *Evaluator {
+		e := NewEvaluator(ctx, p, Options{MaxEvals: 1})
+		e.Eval(ids(0))
+		return e
+	}
 
-	e := NewEvaluator(p, 0)
-	if e.Status() != StatusCompleted {
+	if e := NewEvaluator(context.Background(), p, Options{MaxEvals: -1}); e.Status() != StatusCompleted {
 		t.Errorf("fresh Status() = %s", e.Status())
 	}
 
-	e = NewEvaluator(p, 1)
-	e.Eval(ids(0))
-	if e.Status() != StatusExhausted {
+	if e := exhausted(context.Background()); e.Status() != StatusExhausted {
 		t.Errorf("exhausted Status() = %s", e.Status())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e.BindContext(ctx)
-	if e.Status() != StatusCanceled {
+	if e := exhausted(ctx); e.Status() != StatusCanceled {
 		t.Errorf("canceled Status() = %s (a dead context must win over exhaustion)", e.Status())
 	}
 
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Time{}.AddDate(2000, 0, 0))
 	defer dcancel()
 	<-dctx.Done()
-	e.BindContext(dctx)
-	if e.Status() != StatusDeadline {
+	if e := exhausted(dctx); e.Status() != StatusDeadline {
 		t.Errorf("deadline Status() = %s", e.Status())
 	}
 }
 
-// TestSetWorkers pins the worker-count semantics: 0 and negatives mean
-// GOMAXPROCS, positives are taken literally.
+// TestSetWorkers pins the worker-count semantics of Options.Parallel: 0 and
+// negatives mean GOMAXPROCS, positives are taken literally.
 func TestSetWorkers(t *testing.T) {
 	p := problem(t, 3, constraint.Set{})
-	e := NewEvaluator(p, 0)
-	if e.Workers() < 1 {
-		t.Errorf("default workers = %d", e.Workers())
-	}
-	e.SetWorkers(3)
-	if e.Workers() != 3 {
-		t.Errorf("SetWorkers(3) → %d", e.Workers())
-	}
-	e.SetWorkers(0)
-	if e.Workers() < 1 {
-		t.Errorf("SetWorkers(0) → %d, want GOMAXPROCS", e.Workers())
+	for _, tc := range []struct{ parallel, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{-2, runtime.GOMAXPROCS(0)},
+		{1, 1},
+		{3, 3},
+	} {
+		if got := NewEvaluator(context.Background(), p, Options{Parallel: tc.parallel}).workers; got != tc.want {
+			t.Errorf("Parallel %d → %d workers, want %d", tc.parallel, got, tc.want)
+		}
 	}
 }
 
@@ -355,7 +353,7 @@ func TestSetWorkers(t *testing.T) {
 // solve could find the old one still live at the next collection.
 func TestDroppedEvaluatorIsCollected(t *testing.T) {
 	p := problem(t, 5, constraint.Set{})
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(context.Background(), p, Options{MaxEvals: -1})
 	ev.Eval(ids(0, 1, 2)) // checks a scratch out of the pool and back in
 	collected := make(chan struct{})
 	runtime.SetFinalizer(ev, func(*Evaluator) { close(collected) })

@@ -23,7 +23,7 @@ func TestFindsTrueOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify by brute force over all pairs and singletons.
-	e := opt.NewEvaluator(p, 0)
+	e := opt.NewEvaluator(context.Background(), p, opt.Options{MaxEvals: -1})
 	best := 0.0
 	n := p.Universe.Len()
 	for i := 0; i < n; i++ {

@@ -258,6 +258,7 @@ func Score(p *Problem, ids []schema.SourceID) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	ev := NewEvaluator(p, -1)
+	//mube:vet-ignore ctxflow — Score's signature supplies no context, and one evaluation has nothing to cancel
+	ev := NewEvaluator(context.TODO(), p, Options{MaxEvals: -1})
 	return ev.Eval(SortIDs(append([]schema.SourceID(nil), ids...))), nil
 }

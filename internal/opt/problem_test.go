@@ -11,6 +11,7 @@ import (
 	"mube/internal/match"
 	"mube/internal/qef"
 	"mube/internal/schema"
+	"mube/internal/telemetry"
 	"mube/internal/testutil"
 )
 
@@ -116,17 +117,19 @@ func TestFeasible(t *testing.T) {
 
 func TestEvaluatorMemoizes(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	e := NewEvaluator(p, 0)
+	rec := telemetry.New(nil)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: -1, Recorder: rec})
+	calls := func() int64 { return rec.Snapshot().Counter("eval.calls") }
 	a := e.Eval(ids(0, 1, 2))
-	if e.Evals() != 1 || e.Calls() != 1 {
-		t.Fatalf("evals=%d calls=%d after first eval", e.Evals(), e.Calls())
+	if e.Evals() != 1 || calls() != 1 {
+		t.Fatalf("evals=%d calls=%d after first eval", e.Evals(), calls())
 	}
 	b := e.Eval(ids(0, 1, 2))
 	if !testutil.AlmostEqual(a, b) {
 		t.Errorf("memoized value differs: %v vs %v", a, b)
 	}
-	if e.Evals() != 1 || e.Calls() != 2 {
-		t.Errorf("evals=%d calls=%d after repeat", e.Evals(), e.Calls())
+	if e.Evals() != 1 || calls() != 2 {
+		t.Errorf("evals=%d calls=%d after repeat", e.Evals(), calls())
 	}
 	// Different subset is a new evaluation.
 	e.Eval(ids(0, 1, 3))
@@ -137,7 +140,7 @@ func TestEvaluatorMemoizes(t *testing.T) {
 
 func TestEvaluatorBudget(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	e := NewEvaluator(p, 2)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: 2})
 	e.Eval(ids(0))
 	e.Eval(ids(1))
 	if !e.Exhausted() {
@@ -154,7 +157,7 @@ func TestEvaluatorBudget(t *testing.T) {
 
 func TestEvaluatorInfeasibleScoresZero(t *testing.T) {
 	p := problem(t, 2, constraint.Set{Sources: ids(5)})
-	e := NewEvaluator(p, 0)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: -1})
 	if got := e.Eval(ids(0, 1)); got != 0 {
 		t.Errorf("infeasible subset scored %v", got)
 	}
@@ -165,7 +168,7 @@ func TestEvaluatorInfeasibleScoresZero(t *testing.T) {
 
 func TestEvaluatorSolution(t *testing.T) {
 	p := problem(t, 4, constraint.Set{})
-	e := NewEvaluator(p, 0)
+	e := NewEvaluator(context.Background(), p, Options{MaxEvals: -1})
 	sol := e.Solution(ids(3, 0, 1), "test")
 	if len(sol.IDs) != 3 || sol.IDs[0] != 0 || sol.IDs[2] != 3 {
 		t.Errorf("solution IDs not sorted: %v", sol.IDs)
@@ -195,7 +198,7 @@ func TestEvaluatorSolution(t *testing.T) {
 // breakdown.
 func TestEvaluatorInvalidMatchF1(t *testing.T) {
 	p := problem(t, 4, constraint.Set{Sources: ids(3)})
-	sol := NewEvaluator(p, 0).Solution(ids(3), "test")
+	sol := NewEvaluator(context.Background(), p, Options{MaxEvals: -1}).Solution(ids(3), "test")
 	if sol.MatchOK || sol.Schema.Len() != 0 || sol.Breakdown[qef.NameMatchQuality] != 0 {
 		t.Fatalf("lone required source: MatchOK=%v, %d GAs, F1 %v; want no match and F1 0",
 			sol.MatchOK, sol.Schema.Len(), sol.Breakdown[qef.NameMatchQuality])
@@ -233,7 +236,7 @@ func TestSolutionQualityMatchesScore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := NewEvaluator(p, 0).Solution(set, "test").Quality
+			got := NewEvaluator(context.Background(), p, Options{MaxEvals: -1}).Solution(set, "test").Quality
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("weights %v, set %v: Solution Q = %v, Score %v", w, set, got, want)
 			}

@@ -18,23 +18,15 @@ import (
 	"sort"
 )
 
-// Solver is a configured binary PSO.
-type Solver struct {
-	// Particles is the swarm size. Default 16.
-	Particles int
-	// Inertia, Cognitive, and Social are the standard PSO coefficients
-	// (w, c1, c2). Defaults 0.7, 1.4, 1.4.
-	Inertia   float64
-	Cognitive float64
-	Social    float64
-}
+// Solver is binary PSO.
+type Solver struct{}
 
-// Defaults for the solver's zero fields.
+// The swarm size and the standard PSO coefficients (w, c1, c2).
 const (
-	DefaultParticles = 16
-	DefaultInertia   = 0.7
-	DefaultCognitive = 1.4
-	DefaultSocial    = 1.4
+	particles = 16
+	inertia   = 0.7
+	cognitive = 1.4
+	social    = 1.4
 )
 
 // Name returns "pso".
@@ -51,18 +43,6 @@ type particle struct {
 // Solve runs the swarm within the options' budget; a done ctx stops the
 // iteration loop and returns the best position found so far.
 func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*opt.Solution, error) {
-	if s.Particles == 0 {
-		s.Particles = DefaultParticles
-	}
-	if s.Inertia == 0 {
-		s.Inertia = DefaultInertia
-	}
-	if s.Cognitive == 0 {
-		s.Cognitive = DefaultCognitive
-	}
-	if s.Social == 0 {
-		s.Social = DefaultSocial
-	}
 	opts = opts.WithDefaults()
 	search, err := opt.NewSearch(ctx, p, opts)
 	if err != nil {
@@ -108,8 +88,8 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	// best used by the velocity update is the one frozen at the start of the
 	// iteration (classic synchronous gbest PSO), which is what makes the
 	// population independent and batchable.
-	swarm := make([]*particle, s.Particles)
-	cands := make([][]schema.SourceID, s.Particles)
+	swarm := make([]*particle, particles)
+	cands := make([][]schema.SourceID, particles)
 	for i := range swarm {
 		pt := &particle{
 			pos: make([]bool, dims),
@@ -146,9 +126,9 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 		for i, pt := range swarm {
 			for d := 0; d < dims; d++ {
 				r1, r2 := search.Rand.Float64(), search.Rand.Float64()
-				pt.vel[d] = s.Inertia*pt.vel[d] +
-					s.Cognitive*r1*indicator(pt.bestPos[d], pt.pos[d]) +
-					s.Social*r2*indicator(globalBest[d], pt.pos[d])
+				pt.vel[d] = inertia*pt.vel[d] +
+					cognitive*r1*indicator(pt.bestPos[d], pt.pos[d]) +
+					social*r2*indicator(globalBest[d], pt.pos[d])
 				// Clamp velocities to keep sigmoid responsive.
 				if pt.vel[d] > 4 {
 					pt.vel[d] = 4
@@ -183,7 +163,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 			noImprove++
 		}
 		search.TraceIter(s.Name(), iter, iterQ, globalQ,
-			telemetry.Int("particles", s.Particles))
+			telemetry.Int("particles", particles))
 	}
 	sol := search.Eval.Solution(toIDs(globalBest), s.Name())
 	span.End()

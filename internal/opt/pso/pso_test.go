@@ -35,19 +35,6 @@ func TestSolveFindsFeasibleSolution(t *testing.T) {
 	}
 }
 
-func TestSwarmSizeVariants(t *testing.T) {
-	p := opttest.Problem(t, 3, constraint.Set{})
-	for _, n := range []int{2, 8, 32} {
-		sol, err := (Solver{Particles: n}).Solve(context.Background(), p, opt.Options{Seed: 3, MaxEvals: 400})
-		if err != nil {
-			t.Fatalf("particles=%d: %v", n, err)
-		}
-		if !p.Feasible(sol.IDs) {
-			t.Errorf("particles=%d: infeasible %v", n, sol.IDs)
-		}
-	}
-}
-
 func TestFullyConstrainedProblem(t *testing.T) {
 	// Zero free slots: every particle's position repairs to the empty
 	// optional set; the swarm must return exactly the required sources.

@@ -10,15 +10,11 @@ import (
 	"mube/internal/schema"
 )
 
-// Solver is a configured stochastic local search.
-type Solver struct {
-	// Neighbors is the number of candidate moves sampled per step.
-	// Default 30.
-	Neighbors int
-}
+// Solver is stochastic local search.
+type Solver struct{}
 
-// DefaultNeighbors is the default per-step neighborhood sample size.
-const DefaultNeighbors = 30
+// neighbors is the number of candidate moves sampled per step.
+const neighbors = 30
 
 // Name returns "sls".
 func (Solver) Name() string { return "sls" }
@@ -27,9 +23,6 @@ func (Solver) Name() string { return "sls" }
 // optimum, until the budget is exhausted or ctx is done (best-so-far is
 // returned either way).
 func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*opt.Solution, error) {
-	if s.Neighbors == 0 {
-		s.Neighbors = DefaultNeighbors
-	}
 	opts = opts.WithDefaults()
 	search, err := opt.NewSearch(ctx, p, opts)
 	if err != nil {
@@ -58,7 +51,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 			stepQ := curQ
 			// Batch-score the sampled neighborhood; steepest-ascent selection
 			// walks the results in move order, as the sequential loop did.
-			moves := search.Moves(cur, s.Neighbors)
+			moves := search.Moves(cur, neighbors)
 			for mi, q := range search.EvalMoves(cur, moves) {
 				if q > stepQ {
 					stepQ = q

@@ -61,7 +61,7 @@ func TestLocalOptimumIsStable(t *testing.T) {
 	// solution should improve it dramatically (sanity on the climb logic;
 	// sampled neighborhoods make this probabilistic, so allow slack).
 	p := opttest.Problem(t, 3, constraint.Set{})
-	sol, err := (Solver{Neighbors: 40}).Solve(context.Background(), p, opt.Options{Seed: 6, MaxEvals: 4000, MaxIters: 300})
+	sol, err := (Solver{}).Solve(context.Background(), p, opt.Options{Seed: 6, MaxEvals: 4000, MaxIters: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

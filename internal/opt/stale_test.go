@@ -36,7 +36,7 @@ func TestSolveRejectsMatcherBuiltBeforeUniverseGrew(t *testing.T) {
 	}
 	p := &opt.Problem{Universe: u, Matcher: m, Quality: q, MaxSources: 6, Constraints: constraint.Set{}}
 	solve := func() error {
-		_, err := tabu.Solver{}.Solve(context.Background(), p, tabu.Options{Seed: 1, MaxEvals: 200})
+		_, err := tabu.Solver{}.Solve(context.Background(), p, opt.Options{Seed: 1, MaxEvals: 200})
 		return err
 	}
 	err = solve()
@@ -93,7 +93,7 @@ func TestSolveRejectsMatcherBuiltBeforeUniverseChanged(t *testing.T) {
 			tc.edit(t, u)
 			p := &opt.Problem{Universe: u, Matcher: m, Quality: q, MaxSources: 6, Constraints: constraint.Set{}}
 			solve := func() (*opt.Solution, error) {
-				return tabu.Solver{}.Solve(context.Background(), p, tabu.Options{Seed: 1, MaxEvals: 200})
+				return tabu.Solver{}.Solve(context.Background(), p, opt.Options{Seed: 1, MaxEvals: 200})
 			}
 			if sol, err := solve(); err == nil {
 				t.Fatalf("solve with a matcher built before the edit succeeded: schema %v", sol.Schema)

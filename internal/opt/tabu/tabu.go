@@ -41,14 +41,7 @@ func (Solver) Name() string { return "tabu" }
 // Solve runs tabu search within the options' budget and returns the best
 // solution found. A canceled or expired ctx stops the search within one
 // evaluation batch and returns best-so-far.
-func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts Options) (*opt.Solution, error) {
-	return s.solve(ctx, p, opts)
-}
-
-// Options aliases opt.Options so callers can use either name.
-type Options = opt.Options
-
-func (s Solver) solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*opt.Solution, error) {
+func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*opt.Solution, error) {
 	if s.Tenure == 0 {
 		s.Tenure = DefaultTenure
 	}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -105,7 +106,7 @@ func flipTo(r *rand.Rand, all, sel []schema.SourceID) ([]schema.SourceID, Move) 
 func TestScratchReuseStress(t *testing.T) {
 	p := mixedProblem(t, 8)
 	u := p.Universe
-	ev := NewEvaluator(p, 0)
+	ev := NewEvaluator(context.Background(), p, Options{MaxEvals: -1})
 	all := u.IDs()
 	r := rand.New(rand.NewSource(31))
 	sc := &scratch{}
@@ -203,8 +204,7 @@ func TestMergeCounter(t *testing.T) {
 		p.Quality = q
 		counters := func(score func(*Evaluator)) telemetry.Snapshot {
 			rec := telemetry.New(nil)
-			ev := NewEvaluator(p, 0)
-			ev.Instrument(rec)
+			ev := NewEvaluator(context.Background(), p, Options{MaxEvals: -1, Recorder: rec})
 			score(ev)
 			return rec.Snapshot()
 		}
