@@ -22,12 +22,11 @@
 // The -universe flag switches to the universe-scale benchmark ladder
 // (50 | 10k | 100k | 1m | all): build a streamed synthetic universe at the
 // preset size and solve it end to end, printing generation, matcher,
-// shard-index, and solve economics. -group-workers overrides the partitioned
-// solver's group pool size for those runs (0 = the preset's own setting).
+// shard-index, and solve economics.
 //
 // The -debug-addr flag (off by default) boots telemetry.Serve on the given
 // address for live profiling: Prometheus-style /metrics, recently completed
-// spans on /spans, expvar (/debug/vars), and pprof (/debug/pprof/). The
+// spans on /spans, and pprof (/debug/pprof/). The
 // endpoint only reads snapshots — mube-vet's telemetry analyzer keeps the
 // debug imports confined to the telemetry facade — and never feeds back into
 // a solve.
@@ -69,11 +68,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleName := fs.String("scale", "quick", "experiment scale: full | quick")
 	universe := fs.String("universe", "", "run the universe-scale benchmark instead: 50 | 10k | 100k | 1m | all")
 	smoke := fs.Bool("smoke", false, "with -universe: reduce solver budgets to CI smoke size")
-	groupWorkers := fs.Int("group-workers", 0, "with -universe: partitioned-solver group pool size (0 = preset default)")
 	seed := fs.Int64("seed", 0, "override the scale's base seed (0 = keep)")
 	parallel := fs.Int("parallel", 0, "evaluator worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 	faults := fs.String("faults", "", "fault plan applied to universe acquisition, e.g. rate=0.3,seed=7 (\"\" or \"none\" = clean)")
-	debugAddr := fs.String("debug-addr", "", "serve /metrics, /spans, expvar, and pprof on this address, e.g. localhost:6060 (\"\" = off)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /spans, and pprof on this address, e.g. localhost:6060 (\"\" = off)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -128,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The recorder feeds /metrics and the ring feeds /spans; attaching
 		// them cannot change results (see internal/telemetry's determinism
 		// contract).
-		ring := telemetry.NewSpanRing(0)
+		ring := telemetry.NewSpanRing()
 		rec := telemetry.New(ring)
 		sc.Rec = rec
 		srv, err := telemetry.Serve(*debugAddr, rec, ring)
@@ -136,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, "debug server: %v", err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(stdout, "debug: /metrics, /spans, expvar, and pprof on http://%s/\n", srv.Addr())
+		fmt.Fprintf(stdout, "debug: /metrics, /spans, and pprof on http://%s/\n", srv.Addr())
 	}
 
 	// Universe-scale mode: build a streamed universe at the preset size and
@@ -163,9 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			if *smoke {
 				preset = preset.Reduced()
-			}
-			if *groupWorkers != 0 {
-				preset.GroupWorkers = *groupWorkers
 			}
 			row, ms, err := exp.Timed(func() (*exp.ScaleBenchRow, error) { return exp.ScaleBench(preset, sc.Parallel, sc.Rec) })
 			if err != nil {

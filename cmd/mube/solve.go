@@ -226,7 +226,7 @@ func attachTelemetry(s *session.Session, flagPath string, metrics bool, debugAdd
 	}
 	var ring *telemetry.SpanRing
 	if debugAddr != "" {
-		ring = telemetry.NewSpanRing(0)
+		ring = telemetry.NewSpanRing()
 		sinks = append(sinks, ring)
 	}
 	tel.rec = telemetry.New(telemetry.Tee(sinks...))

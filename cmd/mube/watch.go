@@ -78,7 +78,7 @@ func cmdWatch(args []string) error {
 	var traceFile *os.File
 	var ring *telemetry.SpanRing
 	if *debugAddr != "" {
-		ring = telemetry.NewSpanRing(0)
+		ring = telemetry.NewSpanRing()
 	}
 	if *trace != "" || ring != nil {
 		var sinks []telemetry.Sink

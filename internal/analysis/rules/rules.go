@@ -11,8 +11,8 @@
 //   - seedflow: literal seeds outside test scaffolding pin experiments to
 //     hidden constants; seeds must come from config or Opts.Seed.
 //   - telemetry: internal packages must report through the telemetry facade,
-//     never fmt.Print*/log.*, and the expvar/pprof debug surface must stay
-//     behind telemetry.Serve.
+//     never fmt.Print*/log.*, the pprof debug surface must stay behind
+//     telemetry.Serve, and counters live on the recorder, never expvar.
 //   - spanend: a telemetry span begun must End on every path, or the
 //     recorder's span stack leaks and traces misparent.
 package rules

@@ -12,10 +12,11 @@ import (
 // internal/telemetry facade: fmt.Print* / log.* writes would interleave with
 // command output nondeterministically and bypass the no-op-by-default
 // contract that makes instrumentation safe inside the deterministic core.
-// Importing expvar or net/http/pprof is likewise banned there — the debug
-// endpoint lives behind the telemetry.Serve facade (each command's
-// -debug-addr flag), and keeping the imports out of the rest of internal/ is
-// what guarantees it can never be reached from inside the core.
+// Importing net/http/pprof is likewise banned there — the debug endpoint
+// lives behind the telemetry.Serve facade (each command's -debug-addr flag),
+// and keeping the import out of the rest of internal/ is what guarantees it
+// can never be reached from inside the core. expvar is banned too: the
+// recorder is the one counter system, and /metrics serves it.
 var Telemetry = &analysis.Analyzer{
 	Name: "telemetry",
 	Doc: "forbid fmt.Print*/log.* calls and expvar / net/http/pprof imports " +
@@ -43,9 +44,10 @@ var stdoutPrintFuncs = map[string]bool{
 	"Print": true, "Printf": true, "Println": true,
 }
 
-// bannedImports are the debug-surface packages that must stay in cmd/.
+// bannedImports are the debug-surface packages that no internal/ package
+// but telemetry may import.
 var bannedImports = map[string]string{
-	"expvar":         "the expvar debug surface belongs in telemetry.Serve (-debug-addr)",
+	"expvar":         "count on the telemetry recorder, which telemetry.Serve exposes at /metrics",
 	"net/http/pprof": "the pprof debug endpoint belongs in telemetry.Serve (-debug-addr)",
 }
 

@@ -115,9 +115,8 @@ func TestRenderGolden(t *testing.T) {
 		{"universe", func(w io.Writer) error {
 			return RenderScaleBench(w, []*ScaleBenchRow{{
 				Preset: "10k", Sources: 10000, Groups: 8, Solver: "partition+tabu",
-				GenMS: 812.4, MatchMS: 45.25, ShardMS: 12.35, SolveMS: 950.6, GroupWorkers: 4,
-				Evals: 12000, EvalsPerSec: 12623.6, SolveMallocs: 123456, SolveAllocMB: 45.65,
-				SigMB: 4.9, Quality: 0.61235, Status: "completed",
+				GenMS: 812.4, MatchMS: 45.25, ShardMS: 12.35, SolveMS: 950.6,
+				Evals: 12000, EvalsPerSec: 12623.6, SigMB: 4.9, Quality: 0.61235, Status: "completed",
 			}})
 		}},
 	} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"mube/internal/constraint"
 	"mube/internal/match"
@@ -49,9 +48,6 @@ type ScalePreset struct {
 	// narrows it so the signatures stay a fraction of RAM at 8 B/map per
 	// source.
 	SigMaps int
-	// GroupWorkers is the partitioned solver's group-level pool size
-	// (opt.Options.GroupWorkers; 0 = GOMAXPROCS).
-	GroupWorkers int
 	// Seed drives generation and the solver.
 	Seed int64
 }
@@ -155,17 +151,9 @@ type ScaleBenchRow struct {
 	MatchMS float64
 	ShardMS float64
 	SolveMS float64
-	// GroupWorkers is the partitioned solver's group pool size used for the
-	// run (0 = GOMAXPROCS).
-	GroupWorkers int
-	Evals        int
+	Evals   int
 	// EvalsPerSec is Evals over the solve wall time.
 	EvalsPerSec float64
-	// SolveMallocs and SolveAllocMB are the heap allocation count and bytes
-	// during the solve (runtime.MemStats deltas; telemetry only, never fed
-	// back into results).
-	SolveMallocs uint64
-	SolveAllocMB float64
 	// SigMB is the bitmap footprint of all source signatures.
 	SigMB   float64
 	Quality float64
@@ -254,37 +242,32 @@ func (l *ladder) solve(parallel, groupWorkers int, rec *telemetry.Recorder) (*op
 }
 
 // ScaleBench builds the preset's universe through the streaming generator and
-// solves it end to end, reporting throughput and allocation telemetry.
+// solves it end to end, reporting each step's time and the solve's
+// throughput. The partitioned solver's group pool is GOMAXPROCS.
 func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBenchRow, error) {
 	l, err := newLadder(p)
 	if err != nil {
 		return nil, err
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sol, solveMS, err := l.solve(parallel, p.GroupWorkers, rec)
+	sol, solveMS, err := l.solve(parallel, 0, rec)
 	if err != nil {
 		return nil, err
 	}
-	runtime.ReadMemStats(&after)
 
 	u := l.prob.Universe
 	row := &ScaleBenchRow{
-		Preset:       p.Name,
-		Sources:      u.Len(),
-		Groups:       l.groups,
-		Solver:       l.solver.Name(),
-		GenMS:        l.genMS,
-		MatchMS:      l.matchMS,
-		ShardMS:      l.shardMS,
-		SolveMS:      solveMS,
-		GroupWorkers: p.GroupWorkers,
-		Evals:        sol.Evals,
-		SolveMallocs: after.Mallocs - before.Mallocs,
-		SolveAllocMB: float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
-		SigMB:        float64(u.SignatureBytes()) / (1 << 20),
-		Quality:      sol.Quality,
-		Status:       string(sol.Status),
+		Preset:  p.Name,
+		Sources: u.Len(),
+		Groups:  l.groups,
+		Solver:  l.solver.Name(),
+		GenMS:   l.genMS,
+		MatchMS: l.matchMS,
+		ShardMS: l.shardMS,
+		SolveMS: solveMS,
+		Evals:   sol.Evals,
+		SigMB:   float64(u.SignatureBytes()) / (1 << 20),
+		Quality: sol.Quality,
+		Status:  string(sol.Status),
 	}
 	if solveMS > 0 {
 		row.EvalsPerSec = float64(sol.Evals) / (solveMS / 1000)
@@ -295,12 +278,11 @@ func ScaleBench(p ScalePreset, parallel int, rec *telemetry.Recorder) (*ScaleBen
 // RenderScaleBench prints the scale ladder.
 func RenderScaleBench(w io.Writer, rows []*ScaleBenchRow) error {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tmatch_ms\tshard_ms\tsolve_ms\tevals\tevals_per_sec\tallocs\talloc_mb\tsig_mb\tquality\tstatus")
+	fmt.Fprintln(tw, "preset\tsources\tgroups\tsolver\tgen_ms\tmatch_ms\tshard_ms\tsolve_ms\tevals\tevals_per_sec\tsig_mb\tquality\tstatus")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%.1f\t%.0f\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.4f\t%s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%.0f\t%.1f\t%.1f\t%.0f\t%d\t%.0f\t%.1f\t%.4f\t%s\n",
 			r.Preset, r.Sources, r.Groups, r.Solver, r.GenMS, r.MatchMS, r.ShardMS,
-			r.SolveMS, r.Evals, r.EvalsPerSec, r.SolveMallocs, r.SolveAllocMB, r.SigMB,
-			r.Quality, r.Status)
+			r.SolveMS, r.Evals, r.EvalsPerSec, r.SigMB, r.Quality, r.Status)
 	}
 	return tw.Flush()
 }

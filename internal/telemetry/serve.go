@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -15,9 +14,8 @@ import (
 	"sync"
 )
 
-// DefaultSpanRingSize bounds the /spans buffer when the caller passes no
-// explicit size.
-const DefaultSpanRingSize = 256
+// spanRingSize bounds the /spans buffer.
+const spanRingSize = 256
 
 // SpanInfo is one completed span as the /spans endpoint reports it.
 type SpanInfo struct {
@@ -50,15 +48,11 @@ type SpanRing struct {
 	full bool
 }
 
-// NewSpanRing returns a ring holding the last size completed spans
-// (DefaultSpanRingSize when size <= 0).
-func NewSpanRing(size int) *SpanRing {
-	if size <= 0 {
-		size = DefaultSpanRingSize
-	}
+// NewSpanRing returns a ring holding the last 256 completed spans.
+func NewSpanRing() *SpanRing {
 	return &SpanRing{
 		open: make(map[int64]*SpanInfo),
-		buf:  make([]SpanInfo, size),
+		buf:  make([]SpanInfo, spanRingSize),
 	}
 }
 
@@ -225,7 +219,6 @@ func Serve(addr string, rec *Recorder, ring *SpanRing) (*Server, error) {
 		}
 		_ = json.NewEncoder(w).Encode(spans)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -13,9 +13,9 @@ import (
 // complete into ring entries, leaked begins stay pending, and the ring keeps
 // only the newest spans once full.
 func TestSpanRingPairsAndWraps(t *testing.T) {
-	ring := NewSpanRing(2)
+	ring := NewSpanRing()
 	rec := New(ring)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < spanRingSize+1; i++ {
 		sp := rec.BeginSpan("solver.run", Int("round", i))
 		rec.Emit("solver.iter", Int("iter", 1))
 		sp.End(Int("evals", 10*i))
@@ -24,8 +24,8 @@ func TestSpanRingPairsAndWraps(t *testing.T) {
 	rec.BeginSpan("watch.tick")
 
 	spans := ring.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("ring holds %d spans, want 2", len(spans))
+	if len(spans) != spanRingSize {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), spanRingSize)
 	}
 	for i, s := range spans {
 		if s.Name != "solver.run" {
@@ -44,7 +44,7 @@ func TestSpanRingPairsAndWraps(t *testing.T) {
 // TestSpanRingClockedDuration checks DurNS is derived from the begin/end
 // stamps and that NaN attr values null out (JSON cannot carry them).
 func TestSpanRingClockedDuration(t *testing.T) {
-	ring := NewSpanRing(0)
+	ring := NewSpanRing()
 	clk := &fakeClock{}
 	rec := NewClocked(ring, clk)
 	sp := rec.BeginSpan("probe.build")
@@ -100,9 +100,10 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 // TestServeSmoke boots the live endpoint on an ephemeral port and exercises
-// /metrics, /spans, /debug/vars, and the pprof index over real HTTP.
+// /metrics, /spans, the pprof index and the heap profile's MemStats over
+// real HTTP.
 func TestServeSmoke(t *testing.T) {
-	ring := NewSpanRing(0)
+	ring := NewSpanRing()
 	rec := New(ring)
 	rec.Add("eval.calls", 7)
 	sp := rec.BeginSpan("session.solve", Str("solver", "tabu"))
@@ -145,8 +146,8 @@ func TestServeSmoke(t *testing.T) {
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Errorf("/debug/pprof/ index:\n%.300s", idx)
 	}
-	if vars := get("/debug/vars"); !strings.Contains(vars, `"memstats"`) {
-		t.Errorf("/debug/vars missing expvar's process vars:\n%.300s", vars)
+	if heap := get("/debug/pprof/heap?debug=1"); !strings.Contains(heap, "runtime.MemStats") {
+		t.Errorf("/debug/pprof/heap?debug=1 missing the MemStats:\n%.300s", heap)
 	}
 
 	// nil recorder and ring must serve empty documents, not crash: every

@@ -39,6 +39,10 @@ import (
 	"mube/internal/telemetry"
 )
 
+// epochStep is the virtual time between ticks: it sets how far each source
+// moves through its flap schedule between reprobes.
+const epochStep = 24 * time.Hour
+
 // Config parameterizes a watch loop.
 type Config struct {
 	// Universe is the epoch-0 world (required). The loop mutates it in
@@ -53,9 +57,6 @@ type Config struct {
 	// half the budget goes to MTTF-weighted deaths (replaced by arrivals),
 	// half to vocabulary drift. 0 disables churn; reprobe still runs.
 	ChurnRate float64
-	// EpochStep is the virtual time between ticks (default 24h) — it sets
-	// how far each source moves through its flap schedule between reprobes.
-	EpochStep time.Duration
 
 	// Arrivals shapes the sources that replace deaths, via synth.Stream.
 	// NumSources, Seed, and NamePrefix are overridden per epoch; Sig
@@ -172,9 +173,6 @@ func New(cfg Config) (*Loop, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.EpochStep <= 0 {
-		cfg.EpochStep = 24 * time.Hour
 	}
 	if cfg.Arrivals.Sig == (pcsa.Config{}) {
 		cfg.Arrivals.Sig = cfg.Universe.SignatureConfig()
@@ -396,7 +394,7 @@ func (l *Loop) Tick(ctx context.Context) (DeltaReport, error) {
 	l.epoch++
 	rep := DeltaReport{Epoch: l.epoch}
 	l.touched = l.touched[:0]
-	l.clock.Sleep(l.cfg.EpochStep)
+	l.clock.Sleep(epochStep)
 	// The tick is one span with churn / resolve / cold phase children, so a
 	// profile attributes each epoch's cost to the pipeline step that paid it.
 	// The deferred End also closes the tick on error returns.

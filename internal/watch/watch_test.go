@@ -197,7 +197,7 @@ func TestWarmMatchesColdDifferential(t *testing.T) {
 // the -race soak target. The invariants are structural: the universe never
 // empties, IDs stay dense, the warm re-solve never lands below the carried
 // solution it started from, the virtual clock advances by at least one
-// EpochStep per tick, and the recovery cache names only live degraded
+// epochStep per tick, and the recovery cache names only live degraded
 // sources.
 func TestChurnSoak(t *testing.T) {
 	epochs := 40
@@ -253,7 +253,7 @@ func TestChurnSoak(t *testing.T) {
 			t.Fatalf("non-dense ID after churn: sources[%d].ID = %d", i, s.ID)
 		}
 	}
-	if min := time.Unix(0, 0).UTC().Add(time.Duration(epochs) * 24 * time.Hour); l.Clock().Now().Before(min) {
+	if min := time.Unix(0, 0).UTC().Add(time.Duration(epochs) * epochStep); l.Clock().Now().Before(min) {
 		t.Errorf("virtual clock %v did not advance past %v", l.Clock().Now(), min)
 	}
 	// The recovery cache holds only sources that are alive and degraded: a
