@@ -137,6 +137,22 @@ func addsUncached(b *ShardedBase, s schema.SourceID) bool {
 	return false
 }
 
+// leavesOne reports whether the flip (+add, −drop) leaves a shard the base
+// clusters (two members, no constraint GA) with one member, so that
+// ScoreFlip skips it from the tags and the cached count alone.
+func leavesOne(b *ShardedBase, add, drop schema.SourceID) bool {
+	if drop < 0 {
+		return false
+	}
+	for _, k := range b.sh.sourceShards(drop) {
+		if r := b.res[k]; len(r.members) == 2 && !b.sh.pinned(k) &&
+			(add < 0 || !slices.Contains(b.sh.sourceShards(add), k)) {
+			return true
+		}
+	}
+	return false
+}
+
 // checkPositions asserts that each cached shard's recorded position in b's
 // sequence is where a binary search for its lead lands: the first reference
 // of the shard's first GA, clustered afresh from its member list.
@@ -170,12 +186,13 @@ func checkPositions(t *testing.T, label string, b *ShardedBase) {
 // scorer: for random bases and every single-flip candidate, ScoreFlip must be
 // bit-identical to the unsharded oracle, referenceMatch, on the flipped set —
 // including after Rebase moves the cached base, which must leave every
-// cached shard's recorded position where a search for its lead lands. Three
+// cached shard's recorded position where a search for its lead lands. Four
 // shapes of the flip bookkeeping must each occur: swaps whose add and drop
 // share a shard (every one is checked), adds into a shard the base does not
-// touch, and a GA-fused overlay view with a source constraint.
+// touch, a GA-fused overlay view with a source constraint, and flips that
+// leave a shard the base clusters with one member, which ScoreFlip skips.
 func TestShardedScoreFlipMatchesMatch(t *testing.T) {
-	shared, uncached, fusedRequired := 0, 0, 0
+	shared, uncached, fusedRequired, leftOne := 0, 0, 0, 0
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
 		n := 8 + r.Intn(8)
@@ -223,6 +240,9 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 			if ok != res.OK || math.Float64bits(q) != math.Float64bits(res.Quality) {
 				t.Fatalf("seed %d base %v flip(+%d,-%d): ScoreFlip = (%v, %v), Match = (%v, %v)",
 					seed, b.Base(), add, drop, q, ok, res.Quality, res.OK)
+			}
+			if leavesOne(b, add, drop) {
+				leftOne++
 			}
 		}
 
@@ -285,9 +305,10 @@ func TestShardedScoreFlipMatchesMatch(t *testing.T) {
 			}
 		}
 	}
-	if shared == 0 || uncached == 0 || fusedRequired == 0 {
-		t.Fatalf("%d shared-shard swaps, %d adds into uncached shards, %d fused views with a required source; want each ≥ 1",
-			shared, uncached, fusedRequired)
+	if shared == 0 || uncached == 0 || fusedRequired == 0 || leftOne == 0 {
+		t.Fatalf("%d shared-shard swaps, %d adds into uncached shards, %d fused views with a required source, "+
+			"%d flips leaving a clustered shard one member; want each ≥ 1",
+			shared, uncached, fusedRequired, leftOne)
 	}
 }
 
