@@ -1,9 +1,9 @@
 // Package cfg builds per-function control-flow graphs from go/ast, giving
 // µBE's analyzers (package rules) a dataflow vocabulary the purely syntactic
 // walkers could not express: basic blocks with branch, loop, and defer
-// edges, the all-paths query EveryPathHits, and a per-package call-summary
-// table (see summary.go) recording each declared function's side-effect
-// facts and static call edges.
+// edges, the all-paths queries EveryPathHits and EveryPathFrom, and a
+// per-package call-summary table (see summary.go) recording each declared
+// function's side-effect facts and static call edges.
 //
 // Like the rest of internal/analysis, the package is stdlib-only. Graphs are
 // intraprocedural and intentionally approximate where exactness would need
@@ -25,6 +25,7 @@ package cfg
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 )
 
 // A Block is one basic block: a maximal sequence of statements (and the
@@ -97,6 +98,35 @@ func (g *Graph) EveryPathHits(from *Block, hit func(*Block) bool) bool {
 		stack = append(stack, b.Succs...)
 	}
 	return true
+}
+
+// EveryPathFrom reports whether every path from stmt, a statement the graph
+// holds directly, to Exit passes a node satisfying hit: one after stmt in its
+// own block, or one in a block on every path on from there (EveryPathHits).
+// Each node is walked with Inspect, so the body of a function literal, which
+// may never run, is not searched; hit also receives the block holding the
+// node. Like EveryPathHits it does not consult Defers. A stmt the graph does
+// not hold directly (BlockOf is nil) reports true: analyzers skip it.
+func (g *Graph) EveryPathFrom(stmt ast.Stmt, hit func(n ast.Node, b *Block) bool) bool {
+	blk := g.BlockOf(stmt)
+	if blk == nil {
+		return true
+	}
+	hits := func(b *Block, nodes []ast.Node) bool {
+		for _, n := range nodes {
+			found := false
+			Inspect(n, func(m ast.Node) bool {
+				found = found || hit(m, b)
+				return !found
+			})
+			if found {
+				return true
+			}
+		}
+		return false
+	}
+	tail := blk.Nodes[slices.Index(blk.Nodes, ast.Node(stmt))+1:]
+	return hits(blk, tail) || g.EveryPathHits(blk, func(b *Block) bool { return hits(b, b.Nodes) })
 }
 
 // Inspect walks n in the manner of ast.Inspect but does not descend into

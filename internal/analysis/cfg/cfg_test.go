@@ -300,6 +300,60 @@ func f(n int) {
 	}
 }
 
+// TestEveryPathFrom asks, from each function's first statement, whether
+// every path to return calls mark: in the rest of the statement's block, on
+// every branch after it, or only on some branch or inside a function literal
+// that the query must not search.
+func TestEveryPathFrom(t *testing.T) {
+	src := `package p
+func mark() {}
+func tail(b bool) {
+	start := 1
+	mark()
+	if b {
+		return
+	}
+	_ = start
+}
+func someBranch(b bool) {
+	start := 1
+	if b {
+		mark()
+		return
+	}
+	_ = start
+}
+func everyBranch(b bool) {
+	start := 1
+	if b {
+		mark()
+		return
+	}
+	_ = start
+	mark()
+}
+func literal() {
+	start := 1
+	func() { mark() }()
+	_ = start
+}`
+	for name, want := range map[string]bool{"tail": true, "someBranch": false, "everyBranch": true, "literal": false} {
+		fd, _, _ := parseFunc(t, src, name)
+		g := New(fd.Body)
+		got := g.EveryPathFrom(fd.Body.List[0], func(n ast.Node, _ *Block) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			id, ok := call.Fun.(*ast.Ident)
+			return ok && id.Name == "mark"
+		})
+		if got != want {
+			t.Errorf("%s: EveryPathFrom = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestInspectSkipsFuncLits(t *testing.T) {
 	fd, _, _ := parseFunc(t, `package p
 func f() {

@@ -95,31 +95,7 @@ func checkSpawnJoin(pass *analysis.Pass, g *cfg.Graph, spawn *ast.GoStmt) {
 			return
 		}
 	}
-	blk := g.BlockOf(spawn)
-	if blk == nil {
-		return // statement not directly in a block; conservative skip
-	}
-	// The tail of the spawning block, after the go statement itself.
-	start := -1
-	for i, n := range blk.Nodes {
-		if n == spawn {
-			start = i
-		}
-	}
-	for i := start + 1; i < len(blk.Nodes); i++ {
-		if nodeHasJoin(pass, blk.Nodes[i], blk, wgObjs, chObjs) {
-			return
-		}
-	}
-	ok := g.EveryPathHits(blk, func(b *cfg.Block) bool {
-		for _, n := range b.Nodes {
-			if nodeHasJoin(pass, n, b, wgObjs, chObjs) {
-				return true
-			}
-		}
-		return false
-	})
-	if !ok {
+	if !g.EveryPathFrom(spawn, hit) {
 		pass.Reportf(spawn.Pos(),
 			"goroutine has no join on some path to return (need WaitGroup.Wait or a channel receive); it may outlive the spawning function")
 	}
@@ -161,23 +137,6 @@ func joinObjects(pass *analysis.Pass, spawn *ast.GoStmt) (wgObjs, chObjs map[typ
 		return true
 	})
 	return wgObjs, chObjs
-}
-
-// nodeHasJoin scans one block node (never descending into nested function
-// literals) for a join matching the spawn's objects.
-func nodeHasJoin(pass *analysis.Pass, n ast.Node, blk *cfg.Block, wgObjs, chObjs map[types.Object]bool) bool {
-	found := false
-	cfg.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if isJoinNode(pass, m, blk, wgObjs, chObjs) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // isJoinNode reports whether m is a join: a matching WaitGroup.Wait call or
