@@ -254,6 +254,7 @@ func polish(p *opt.Problem, start []schema.SourceID, seed int64) ([]schema.Sourc
 	if err != nil {
 		return nil, err
 	}
+	defer search.Release()
 	cur := search.NewSubset(append([]schema.SourceID(nil), start...))
 	curQ := search.Eval.Eval(cur.IDs())
 	for step := 0; step < 200; step++ {

@@ -39,6 +39,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	if err != nil {
 		return nil, err
 	}
+	defer search.Release()
 	free := search.MaxSources - len(search.Required)
 	total := countSubsets(len(search.Optional), free)
 	if total > s.Limit {

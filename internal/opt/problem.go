@@ -260,5 +260,6 @@ func Score(p *Problem, ids []schema.SourceID) (float64, error) {
 	}
 	//mube:vet-ignore ctxflow — Score's signature supplies no context, and one evaluation has nothing to cancel
 	ev := NewEvaluator(context.TODO(), p, Options{MaxEvals: -1})
+	defer ev.release()
 	return ev.Eval(SortIDs(append([]schema.SourceID(nil), ids...))), nil
 }

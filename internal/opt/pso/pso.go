@@ -48,6 +48,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	if err != nil {
 		return nil, err
 	}
+	defer search.Release()
 	span := search.BeginSolve(s.Name())
 	dims := len(search.Optional)
 	freeSlots := search.MaxSources - len(search.Required)

@@ -24,6 +24,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	if err != nil {
 		return nil, err
 	}
+	defer search.Release()
 	span := search.BeginSolve(s.Name())
 	var bestIDs []schema.SourceID
 	bestQ := -1.0

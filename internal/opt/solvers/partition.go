@@ -211,6 +211,7 @@ func (ps Partitioned) Solve(ctx context.Context, p *opt.Problem, opts opt.Option
 	if err != nil {
 		return nil, err
 	}
+	defer search.Release()
 	refined := refine(search, opt.SortIDs(union), groups, groupOf)
 	final := search.Eval.Solution(refined, ps.Name())
 	final.Evals = evals
@@ -276,7 +277,7 @@ func refine(search *opt.Search, ids []schema.SourceID, groups [][]schema.SourceI
 	}
 	cur := search.NewSubset(ids)
 	curQ := search.Eval.Eval(ids)
-	sp := search.Rec.BeginSpan("partition.refine",
+	sp := search.Eval.Recorder().BeginSpan("partition.refine",
 		telemetry.Int("rounds", refineRounds),
 		telemetry.Int("sources", len(ids)),
 		telemetry.Float("merged_q", curQ))

@@ -53,6 +53,7 @@ func (s Solver) Solve(ctx context.Context, p *opt.Problem, opts opt.Options) (*o
 	if err != nil {
 		return nil, err
 	}
+	defer search.Release()
 
 	span := search.BeginSolve(s.Name())
 	cur := search.NewSubset(search.StartSubset(p, opts))
